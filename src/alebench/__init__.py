@@ -15,14 +15,14 @@ from .lms import LmsConfig, LmsTrace, lms_run, lms_step
 from .metrics import MetricRecord, ber, mse
 from .pso import (
     CostEval,
-    Particle,
     PsoConfig,
     SwarmState,
     evaluate_cost,
+    frame_costs,
     init_swarm,
     run_pso,
-    update_position,
-    update_velocity,
+    step_swarm,
+    update_bests,
 )
 from .signal import ModConfig, align_and_compare, demodulate, generate_bits, modulate
 
@@ -50,14 +50,14 @@ __all__ = [
     "ber",
     "mse",
     "CostEval",
-    "Particle",
     "PsoConfig",
     "SwarmState",
     "evaluate_cost",
+    "frame_costs",
     "init_swarm",
     "run_pso",
-    "update_position",
-    "update_velocity",
+    "step_swarm",
+    "update_bests",
     "ModConfig",
     "align_and_compare",
     "demodulate",

@@ -67,6 +67,13 @@ def _check_weights(w: np.ndarray, cfg: AleConfig) -> np.ndarray:
     return w
 
 
+def _check_frame(d: np.ndarray, cfg: AleConfig) -> np.ndarray:
+    d = np.asarray(d, dtype=np.complex128)
+    if d.size <= cfg.delay + cfg.taps:
+        raise ValueError(f"frame of length {d.size} too short for delay {cfg.delay} and {cfg.taps} taps")
+    return d
+
+
 def regressor(
     d: np.ndarray, n: int, cfg: AleConfig, zero_pad: bool = False
 ) -> np.ndarray:
@@ -98,13 +105,8 @@ def filter_frame(d: np.ndarray, w: np.ndarray, cfg: AleConfig) -> FilterRun:
     y[n] = sum_k w[k] * d[n - delay - k], with zero padding ahead of the
     frame; e = d - y everywhere.  `valid` excludes the warm-up prefix.
     """
-    d = np.asarray(d, dtype=np.complex128)
+    d = _check_frame(d, cfg)
     w = _check_weights(w, cfg)
-    if d.size <= cfg.delay + cfg.taps:
-        raise ValueError(
-            f"frame of length {d.size} too short for delay {cfg.delay} "
-            f"and {cfg.taps} taps"
-        )
     delayed = np.concatenate([np.zeros(cfg.delay, dtype=np.complex128), d[: d.size - cfg.delay]])
     y = np.convolve(delayed, w)[: d.size]
     e = d - y

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -264,9 +265,14 @@ def parse_config(
             "pso.per_dimension_draws": "per_dimension_draws",
         },
     )
+    for key, grid in (("run.snr_grid", snr_grid), ("run.sweep_values", sweep_values)):
+        if len(set(grid)) != len(grid):
+            raise ConfigError(key, "values must be distinct")
+    if any(math.isnan(s) or s == -math.inf for s in snr_grid):  # +inf: no noise
+        raise ConfigError("run.snr_grid", "SNR values must be numbers or inf, not nan or -inf")
     if resolved_kind == "particle_sweep":
         for v in sweep_values:
-            if v != int(v) or v < 1:
+            if not (math.isfinite(v) and v == int(v) and v >= 1):
                 raise ConfigError("run.sweep_values", f"particle counts must be positive integers, got {v}")
     if resolved_kind == "step_sweep":
         for v in sweep_values:
@@ -556,9 +562,12 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     """Run every (sweep point, seed) task and assemble the result table.
 
     Tasks are independent; with ``jobs > 1`` they execute in a process
-    pool.  Rows are merged in (sweep index, seed index) order, so output
-    bytes never depend on the parallelism level.
+    pool of at most ``min(jobs, tasks, cpu count)`` workers.  Rows are
+    merged in (sweep index, seed index) order, so output bytes never depend
+    on the parallelism level.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     points = _sweep_points(spec)
     if not points:
         raise ValueError("experiment has an empty sweep grid")
@@ -567,8 +576,9 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
         for sweep_idx in range(len(points))
         for seed_idx in range(spec.n_seeds)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_task, tasks))
     else:
         chunks = [_run_task(task) for task in tasks]

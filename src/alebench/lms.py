@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ale import AleConfig, FilterRun
+from .ale import AleConfig, FilterRun, _check_frame
 from .errors import DivergenceError
 
 __all__ = ["LmsConfig", "LmsTrace", "lms_step", "lms_run", "WEIGHT_BOUND"]
@@ -62,12 +62,7 @@ def lms_run(d: np.ndarray, cfg: LmsConfig, ale: AleConfig) -> LmsTrace:
     output stays zero and their residual equals the input.  Raises
     DivergenceError as soon as any weight magnitude crosses WEIGHT_BOUND.
     """
-    d = np.asarray(d, dtype=np.complex128)
-    if d.size <= ale.delay + ale.taps:
-        raise ValueError(
-            f"frame of length {d.size} too short for delay {ale.delay} "
-            f"and {ale.taps} taps"
-        )
+    d = _check_frame(d, ale)
     if cfg.w0 is None:
         w = np.zeros(ale.taps)
     else:

@@ -39,8 +39,8 @@ def ber(tx_bits: np.ndarray, rx_bits: np.ndarray, lag: int = 0) -> float:
 def mse(d: np.ndarray, y: np.ndarray, valid: range) -> float:
     """Mean |d[n] - y[n]|^2 over `valid`.
 
-    For fixed weights this is numerically identical to the swarm cost
-    function evaluated at those weights.
+    For fixed weights this is the swarm cost function evaluated at those
+    weights, equal to it up to rounding.
     """
     d = np.asarray(d)
     y = np.asarray(y)

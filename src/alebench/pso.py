@@ -1,13 +1,12 @@
 """Particle-swarm search for the enhancer weight vector.
 
-Each particle's position is a candidate weight vector; its fitness is the
-mean squared residual of filtering the whole frame with those weights held
-fixed.  Velocities start at zero and update without an inertia factor:
-the previous velocity carries weight exactly 1 (an optional inertia knob
-exists for experimentation but defaults to that behaviour).  Two scalar
-uniform draws per particle per iteration drive the attraction terms, and
-every draw for an iteration happens before any cost evaluation, so results
-do not depend on how the evaluations are scheduled.
+A particle's position is a candidate weight vector; its cost is the mean
+squared residual of the whole frame filtered with those weights held fixed.
+That cost is a quadratic in the real weights, so each frame is reduced once
+to its sufficient statistics and every particle then costs O(L^2).  The
+swarm is held as (N, L) arrays, one row per particle.  Velocities start at
+zero, and every random draw of an iteration happens before any cost is
+computed, so a search is a pure function of its seed.
 """
 
 from __future__ import annotations
@@ -16,19 +15,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ale import AleConfig, filter_frame
+from .ale import AleConfig, _check_frame, _check_weights
 
-__all__ = [
-    "PsoConfig",
-    "Particle",
-    "SwarmState",
-    "CostEval",
-    "evaluate_cost",
-    "init_swarm",
-    "update_velocity",
-    "update_position",
-    "run_pso",
-]
+__all__ = ["PsoConfig", "SwarmState", "CostEval", "frame_costs", "evaluate_cost",
+           "init_swarm", "step_swarm", "update_bests", "run_pso"]
+
+# A quadratic-form cost below this fraction of c + w'Rw has lost too many
+# digits to cancellation and is recomputed from the residual directly.
+GRAM_FALLBACK_RATIO = 1e-6
 
 
 @dataclass(frozen=True)
@@ -38,6 +32,7 @@ class PsoConfig:
     `tol` is an absolute threshold on global-best improvement; once the
     improvement stays below it for `patience` consecutive iterations the
     search stops early.  Set ``tol=0`` to always run `max_iters` iterations.
+    The previous velocity carries weight `inertia`, exactly 1 by default.
     """
 
     n_particles: int = 60
@@ -70,18 +65,14 @@ class PsoConfig:
 
 
 @dataclass
-class Particle:
+class SwarmState:
+    """Positions, velocities and personal bests as (N, L) and (N,) arrays,
+    the global best, and the global-best cost after each iteration."""
+
     position: np.ndarray
     velocity: np.ndarray
-    best_position: np.ndarray
-    best_cost: float
-
-
-@dataclass
-class SwarmState:
-    """Full swarm snapshot plus the per-iteration global-best history."""
-
-    particles: list[Particle]
+    pbest_position: np.ndarray
+    pbest_cost: np.ndarray
     gbest_position: np.ndarray
     gbest_cost: float
     history: list[float] = field(default_factory=list)
@@ -95,114 +86,113 @@ class CostEval:
     n_samples: int
 
 
+def frame_costs(d: np.ndarray, ale: AleConfig):
+    """Cost function of one frame: (N, L) weights to N mean squared residuals.
+
+    With V[n, k] = d[n - delay - k] over the m valid samples, the cost is
+    J(w) = c - 2w'p + w'Rw where R = Re(V^H V)/m, p = Re(V^H d)/m and
+    c = mean|d|^2.  Each entry is one inner product of lagged slices of d,
+    so no regressor matrix is built.
+    """
+    d = _check_frame(d, ale)
+    target = d[ale.warmup :]
+    lags = [d[ale.warmup - ale.delay - k : d.size - ale.delay - k] for k in range(ale.taps)]
+    m = target.size
+    R = np.empty((ale.taps, ale.taps))
+    for j in range(ale.taps):
+        for k in range(j, ale.taps):
+            R[j, k] = R[k, j] = np.vdot(lags[j], lags[k]).real / m
+    p = np.array([np.vdot(lag, target).real for lag in lags]) / m
+    c = np.vdot(target, target).real / m
+
+    def costs(positions: np.ndarray) -> np.ndarray:
+        w = np.asarray(positions, dtype=np.float64)
+        # elementwise products and row sums: a row's cost does not depend
+        # on the other rows scored with it
+        quad = (w[:, :, None] * R * w[:, None, :]).sum(axis=(1, 2))
+        out = c - 2.0 * (w * p).sum(axis=1) + quad
+        for i in np.flatnonzero(out < GRAM_FALLBACK_RATIO * (c + quad)):
+            e = target - sum(wk * lag for wk, lag in zip(w[i], lags))
+            out[i] = np.vdot(e, e).real / m
+        return out
+
+    return costs
+
+
 def evaluate_cost(w: np.ndarray, d: np.ndarray, ale: AleConfig) -> CostEval:
     """Mean |e[n]|^2 over the fully-populated range, weights held fixed."""
-    run = filter_frame(d, w, ale)
-    resid = run.e[run.valid_slice]
-    return CostEval(cost=float(np.mean(np.abs(resid) ** 2)), n_samples=len(resid))
+    w = _check_weights(w, ale)
+    cost = frame_costs(d, ale)(w[None])[0]
+    return CostEval(cost=float(cost), n_samples=len(d) - ale.warmup)
 
 
 def init_swarm(cfg: PsoConfig, taps: int, cost_fn=None, rng=None) -> SwarmState:
     """Draw initial positions uniformly in [-init_range, init_range]^taps.
 
-    Velocities start at exactly zero and each particle's best is its own
-    starting point.  When `cost_fn` is given the initial costs are
-    evaluated and the global best is the cheapest particle; otherwise the
-    costs stay at +inf until the first search iteration evaluates them.
+    Each particle's best is its starting point.  `cost_fn` maps the (N, taps)
+    positions to N costs and the global best is the cheapest particle;
+    without it the costs stay at +inf until the first iteration.
     """
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
-    positions = rng.uniform(-cfg.init_range, cfg.init_range, size=(cfg.n_particles, taps))
-    particles = []
-    for i in range(cfg.n_particles):
-        pos = positions[i].copy()
-        cost = float(cost_fn(pos)) if cost_fn is not None else np.inf
-        particles.append(
-            Particle(
-                position=pos,
-                velocity=np.zeros(taps),
-                best_position=pos.copy(),
-                best_cost=cost,
-            )
-        )
-    best = min(range(len(particles)), key=lambda i: particles[i].best_cost)
-    return SwarmState(
-        particles=particles,
-        gbest_position=particles[best].best_position.copy(),
-        gbest_cost=particles[best].best_cost,
-    )
+    position = rng.uniform(-cfg.init_range, cfg.init_range, size=(cfg.n_particles, taps))
+    cost = np.full(cfg.n_particles, np.inf) if cost_fn is None else cost_fn(position)
+    best = int(np.argmin(cost))
+    return SwarmState(position, np.zeros_like(position), position.copy(), cost,
+                      position[best].copy(), float(cost[best]))
 
 
-def update_velocity(
-    p: Particle, gbest: np.ndarray, cfg: PsoConfig, r1: float, r2: float
-) -> np.ndarray:
-    """New velocity from the personal and global attraction terms.
+def step_swarm(swarm: SwarmState, cfg: PsoConfig, r1, r2) -> None:
+    """v' = inertia*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), clamped to
+    [-v_max, v_max] per component, then x' = x + v'; in place.
 
-    v' = inertia * v + c1*r1*(pbest - x) + c2*r2*(gbest - x), then each
-    component is clamped to [-v_max, v_max].
+    `r1`, `r2` broadcast against (N, L): (N, 1) for one draw per particle,
+    (N, L) for one per component.
     """
     v = (
-        cfg.inertia * p.velocity
-        + cfg.c1 * r1 * (p.best_position - p.position)
-        + cfg.c2 * r2 * (np.asarray(gbest) - p.position)
+        cfg.inertia * swarm.velocity
+        + cfg.c1 * r1 * (swarm.pbest_position - swarm.position)
+        + cfg.c2 * r2 * (swarm.gbest_position - swarm.position)
     )
-    return np.clip(v, -cfg.v_max, cfg.v_max)
+    swarm.velocity = np.clip(v, -cfg.v_max, cfg.v_max)
+    swarm.position = swarm.position + swarm.velocity
 
 
-def update_position(p: Particle, v_new: np.ndarray) -> np.ndarray:
-    """Positions move by plain vector addition; no position clamping."""
-    return p.position + np.asarray(v_new)
+def update_bests(swarm: SwarmState, costs: np.ndarray) -> None:
+    """Fold the current positions' costs into the bests; extend the history.
+
+    A personal best moves only on a strictly lower cost.  The global best
+    moves to the first particle with the lowest personal best, and only when
+    that is strictly below the current global best.
+    """
+    better = costs < swarm.pbest_cost
+    swarm.pbest_cost[better] = costs[better]
+    swarm.pbest_position[better] = swarm.position[better]
+    best = int(np.argmin(swarm.pbest_cost))
+    if swarm.pbest_cost[best] < swarm.gbest_cost:
+        swarm.gbest_cost = float(swarm.pbest_cost[best])
+        swarm.gbest_position = swarm.pbest_position[best].copy()
+    swarm.history.append(swarm.gbest_cost)
 
 
-def run_pso(
-    d: np.ndarray, cfg: PsoConfig, ale: AleConfig, map_fn=map
-) -> tuple[np.ndarray, SwarmState]:
+def run_pso(d: np.ndarray, cfg: PsoConfig, ale: AleConfig) -> tuple[np.ndarray, SwarmState]:
     """Search for the weight vector minimizing the frame's residual cost.
-
-    `map_fn` only maps the pure cost evaluations (e.g. a thread pool's
-    map); all random draws and state updates stay sequential, so any
-    map implementation yields bit-identical results.
 
     Returns the global-best weights and the final swarm state, whose
     `history` holds the global-best cost after each iteration.
     """
-    d = np.asarray(d, dtype=np.complex128)
+    costs = frame_costs(d, ale)
     rng = np.random.default_rng(cfg.seed)
-
-    def cost_fn(w):
-        return evaluate_cost(w, d, ale).cost
-
-    swarm = init_swarm(cfg, ale.taps, cost_fn=cost_fn, rng=rng)
+    swarm = init_swarm(cfg, ale.taps, cost_fn=costs, rng=rng)
+    # (N, 2, 1) consumes the stream exactly as (N, 2) does
+    draw_shape = (cfg.n_particles, 2, ale.taps if cfg.per_dimension_draws else 1)
     stall = 0
     for _ in range(cfg.max_iters):
-        if cfg.per_dimension_draws:
-            draws = rng.uniform(size=(cfg.n_particles, 2, ale.taps))
-        else:
-            draws = rng.uniform(size=(cfg.n_particles, 2))
-        gbest_prev = swarm.gbest_position.copy()
-        for i, p in enumerate(swarm.particles):
-            v_new = update_velocity(p, gbest_prev, cfg, draws[i, 0], draws[i, 1])
-            p.velocity = v_new
-            p.position = update_position(p, v_new)
-
-        costs = list(map_fn(cost_fn, [p.position.copy() for p in swarm.particles]))
-        for p, cost in zip(swarm.particles, costs):
-            if cost < p.best_cost:
-                p.best_cost = float(cost)
-                p.best_position = p.position.copy()
-
+        draws = rng.uniform(size=draw_shape)
+        step_swarm(swarm, cfg, draws[:, 0], draws[:, 1])
         prev = swarm.gbest_cost
-        for p in swarm.particles:
-            if p.best_cost < swarm.gbest_cost:
-                swarm.gbest_cost = p.best_cost
-                swarm.gbest_position = p.best_position.copy()
-        swarm.history.append(swarm.gbest_cost)
-
-        if prev - swarm.gbest_cost < cfg.tol:
-            stall += 1
-        else:
-            stall = 0
+        update_bests(swarm, costs(swarm.position))
+        stall = stall + 1 if prev - swarm.gbest_cost < cfg.tol else 0
         if cfg.tol > 0.0 and stall >= cfg.patience:
             break
-
     return swarm.gbest_position.copy(), swarm

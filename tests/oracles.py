@@ -24,6 +24,67 @@ def brute_force_cost(w, d, taps, delay):
     return total / count
 
 
+
+def loop_pso(d, taps, delay, cfg):
+    """Particle-by-particle swarm search scored with brute_force_cost.
+
+    Reads the swarm settings off `cfg` and draws from the generator in the
+    library's documented order: the (N, taps) starting positions, then per
+    iteration all (N, 2) or (N, 2, taps) uniforms before any cost.  Returns
+    the global-best weights and the global-best cost after each iteration.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    n = cfg.n_particles
+    start = rng.uniform(-cfg.init_range, cfg.init_range, size=(n, taps))
+    pos = [[float(x) for x in row] for row in start]
+    vel = [[0.0] * taps for _ in range(n)]
+    pbest = [list(x) for x in pos]
+    pcost = [brute_force_cost(x, d, taps, delay) for x in pos]
+    g = 0
+    for i in range(n):
+        if pcost[i] < pcost[g]:
+            g = i
+    gbest = list(pbest[g])
+    gcost = pcost[g]
+    history = []
+    stall = 0
+    for _ in range(cfg.max_iters):
+        if cfg.per_dimension_draws:
+            draws = rng.uniform(size=(n, 2, taps))
+        else:
+            draws = rng.uniform(size=(n, 2))
+        for i in range(n):
+            for k in range(taps):
+                if cfg.per_dimension_draws:
+                    r1, r2 = draws[i, 0, k], draws[i, 1, k]
+                else:
+                    r1, r2 = draws[i, 0], draws[i, 1]
+                v = (
+                    cfg.inertia * vel[i][k]
+                    + cfg.c1 * r1 * (pbest[i][k] - pos[i][k])
+                    + cfg.c2 * r2 * (gbest[k] - pos[i][k])
+                )
+                vel[i][k] = min(max(v, -cfg.v_max), cfg.v_max)
+                pos[i][k] = pos[i][k] + vel[i][k]
+        for i in range(n):
+            cost = brute_force_cost(pos[i], d, taps, delay)
+            if cost < pcost[i]:
+                pcost[i] = cost
+                pbest[i] = list(pos[i])
+        prev = gcost
+        for i in range(n):
+            if pcost[i] < gcost:
+                gcost = pcost[i]
+                gbest = list(pbest[i])
+        history.append(gcost)
+        if prev - gcost < cfg.tol:
+            stall += 1
+        else:
+            stall = 0
+        if cfg.tol > 0.0 and stall >= cfg.patience:
+            break
+    return np.array(gbest), history
+
 def real_least_squares_weights(d, taps, delay):
     """Real weight vector minimizing the frame's residual, by stacked LS."""
     d = np.asarray(d, dtype=np.complex128)

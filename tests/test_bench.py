@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from alebench import bench
 from alebench.bench import (
     DEFAULT_BASE_SEED,
     ExperimentSpec,
@@ -164,6 +165,39 @@ class TestRunExperiment:
         for pa, pb in zip(a, b):
             assert pa.read_bytes() == pb.read_bytes()
 
+    def test_worker_count_capped_by_tasks_and_cpus(self, monkeypatch):
+        seen = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
+        spec = parse_config(SMALL, kind="step_sweep")  # 6 steps x 2 SNR x 2 seeds = 24 tasks
+        one_task = parse_config(SMALL, kind="step_sweep", overrides={
+            "run.sweep_values": "0.01", "run.snr_grid": "0", "run.n_seeds": "1"})
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 3)
+        serial = run_experiment(spec, jobs=1)
+        assert run_experiment(spec, jobs=10_000) == serial
+        run_experiment(spec, jobs=2)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 64)
+        run_experiment(spec, jobs=10_000)
+        run_experiment(one_task, jobs=8)
+        assert seen == [3, 2, 24]
+
+    def test_jobs_below_one_rejected(self):
+        with pytest.raises(ValueError, match="jobs"):
+            run_experiment(parse_config(SMALL, kind="step_sweep"), jobs=0)
+
     def test_decision_stream_output_mode_runs(self):
         spec = parse_config(SMALL + "run.decision_stream = output\n", kind="ber_awgn")
         table = run_experiment(spec)
@@ -231,3 +265,25 @@ class TestSpecValidation:
     def test_fractional_particle_count_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("run.sweep_values = 10.5", kind="particle_sweep")
+
+    def test_nan_and_negative_infinite_snr_rejected(self):
+        for grid in ("0, nan", "-inf", "0, -inf"):
+            with pytest.raises(ConfigError, match="run.snr_grid"):
+                parse_config(f"run.snr_grid = {grid}")
+
+    def test_infinite_snr_accepted(self):
+        assert parse_config("run.snr_grid = 0, inf").snr_grid == (0.0, math.inf)
+
+    def test_duplicate_grid_values_rejected(self):
+        with pytest.raises(ConfigError, match="run.snr_grid"):
+            parse_config("run.snr_grid = -2, 0, -2")
+        with pytest.raises(ConfigError, match="run.snr_grid"):
+            parse_config("run.snr_grid = 0, -0")
+        with pytest.raises(ConfigError, match="run.sweep_values"):
+            parse_config("run.sweep_values = 10, 20, 10", kind="particle_sweep")
+        with pytest.raises(ConfigError, match="run.sweep_values"):
+            parse_config("run.sweep_values = 0.01, 0.010", kind="step_sweep")
+
+    def test_infinite_particle_count_rejected(self):
+        with pytest.raises(ConfigError, match="run.sweep_values"):
+            parse_config("run.sweep_values = 10, inf", kind="particle_sweep")

@@ -69,6 +69,13 @@ def test_jobs_flag_does_not_change_bytes(tmp_path):
     assert serial == par
 
 
+def test_jobs_below_one_fails_with_diagnostic(tmp_path, capsys):
+    code = main(["ber_awgn", "--out", str(tmp_path), "--jobs", "0"] + TINY)
+    assert code == 1
+    assert "jobs" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
