@@ -1,6 +1,6 @@
 """Adaptive line enhancer noise cancellation with LMS and PSO adaptation."""
 
-from .ale import AleConfig, FilterRun, filter_frame, regressor
+from .ale import AleConfig, FilterRun, filter_frame
 from .channel import (
     DEFAULT_PROFILES,
     ChannelConfig,
@@ -32,7 +32,6 @@ __all__ = [
     "AleConfig",
     "FilterRun",
     "filter_frame",
-    "regressor",
     "ChannelConfig",
     "NonlinearProfile",
     "NoisyFrame",

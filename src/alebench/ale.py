@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["AleConfig", "FilterRun", "regressor", "filter_frame"]
+__all__ = ["AleConfig", "FilterRun", "filter_frame"]
 
 
 @dataclass(frozen=True)
@@ -72,31 +72,6 @@ def _check_frame(d: np.ndarray, cfg: AleConfig) -> np.ndarray:
     if d.size <= cfg.delay + cfg.taps:
         raise ValueError(f"frame of length {d.size} too short for delay {cfg.delay} and {cfg.taps} taps")
     return d
-
-
-def regressor(
-    d: np.ndarray, n: int, cfg: AleConfig, zero_pad: bool = False
-) -> np.ndarray:
-    """Delayed sample window [d[n-delay], d[n-delay-1], ..., d[n-delay-taps+1]].
-
-    Indices before the frame start raise unless `zero_pad` is set, in which
-    case they contribute zeros (warm-up convention).
-    """
-    d = np.asarray(d)
-    first = n - cfg.delay - (cfg.taps - 1)
-    if n - cfg.delay >= d.size or n < 0:
-        raise ValueError(f"index {n} out of range for frame of length {d.size}")
-    if first < 0 and not zero_pad:
-        raise ValueError(
-            f"regressor at n={n} reaches index {first}; "
-            "enable zero_pad for warm-up samples"
-        )
-    out = np.zeros(cfg.taps, dtype=d.dtype)
-    for k in range(cfg.taps):
-        idx = n - cfg.delay - k
-        if idx >= 0:
-            out[k] = d[idx]
-    return out
 
 
 def filter_frame(d: np.ndarray, w: np.ndarray, cfg: AleConfig) -> FilterRun:

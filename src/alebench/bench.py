@@ -21,6 +21,7 @@ switches them to the filter output, aligned by the enhancer delay.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -192,22 +193,23 @@ def _parse_pairs(text: str) -> dict:
 
 
 def _default_grids(kind: str, values: dict) -> tuple[tuple, tuple, tuple]:
-    snr = values.get("run.snr_grid")
-    if snr is None:
-        snr = DEFAULT_SWEEP_SNR if kind in ("particle_sweep", "step_sweep") else DEFAULT_SNR_GRID
-    sweep = values.get("run.sweep_values")
-    if sweep is None:
-        if kind == "particle_sweep":
-            sweep = DEFAULT_PARTICLE_VALUES
-        elif kind == "step_sweep":
-            sweep = DEFAULT_STEP_VALUES
-        else:
-            sweep = ()
-    profiles = values.get("channel.profiles")
-    if profiles is None:
-        profiles = ("60MHz", "2.4GHz", "5.8GHz") if kind == "ber_nonlinear" else ()
-    elif profiles == ("none",):
-        profiles = ()
+    """(SNR grid, sweep values, profiles) that `kind` actually runs.
+
+    Keys a kind ignores resolve to () rather than raising, because
+    ``run-all`` applies one shared config to every kind; the meta file then
+    omits them.
+    """
+    sweeps = kind in ("particle_sweep", "step_sweep")
+    snr = values.get("run.snr_grid", DEFAULT_SWEEP_SNR if sweeps else DEFAULT_SNR_GRID)
+    sweep = ()
+    if sweeps:
+        default = DEFAULT_PARTICLE_VALUES if kind == "particle_sweep" else DEFAULT_STEP_VALUES
+        sweep = values.get("run.sweep_values", default)
+    profiles = ()
+    if kind == "ber_nonlinear":
+        profiles = values.get("channel.profiles", ("60MHz", "2.4GHz", "5.8GHz"))
+        if profiles == ("none",):
+            profiles = ()
     return tuple(snr), tuple(sweep), tuple(profiles)
 
 
@@ -450,7 +452,7 @@ def _step_rows(spec: ExperimentSpec, point: dict, seed_idx: int, sweep_idx: int)
     # the sweep deliberately crosses the stability boundary; a diverged
     # run reports infinite residual power instead of aborting the sweep
     try:
-        trace = lms_run(frame.d, LmsConfig(mu=mu, w0=spec.lms.w0), spec.ale)
+        trace = lms_run(frame.d, LmsConfig(mu=mu), spec.ale)
         value = mse(frame.d, trace.run.y, trace.run.valid)
     except DivergenceError:
         value = math.inf
@@ -603,27 +605,43 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, columns: tuple[str, ...], rows: tuple[dict, ...]) -> None:
+def _csv_text(columns: tuple[str, ...], rows: tuple[dict, ...]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_format_cell(row.get(col)) for col in columns])
+    return buf.getvalue()
+
+
+def _write_text(path: Path, text: str) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_format_cell(row.get(col)) for col in columns])
+        fh.write(text)
 
 
 def emit_csv(table: ResultTable, out_dir: str | Path) -> list[Path]:
     """Write ``<kind>_raw.csv``, ``<kind>_mean.csv`` and ``<kind>_meta.txt``.
 
     Numeric cells use shortest round-trip formatting; re-emitting the same
-    table produces identical bytes.
+    table produces identical bytes.  All three are written to temporary
+    files in `out_dir` first and renamed over the old set only once every
+    write has succeeded, so a failure leaves the previous outputs intact.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    raw_path = out / f"{table.kind}_raw.csv"
-    mean_path = out / f"{table.kind}_mean.csv"
-    meta_path = out / f"{table.kind}_meta.txt"
-    _write_csv(raw_path, table.raw_columns, table.raw_rows)
-    _write_csv(mean_path, table.mean_columns, table.mean_rows)
-    with open(meta_path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(table.metadata)
-    return [raw_path, mean_path, meta_path]
+    files = {
+        out / f"{table.kind}_raw.csv": _csv_text(table.raw_columns, table.raw_rows),
+        out / f"{table.kind}_mean.csv": _csv_text(table.mean_columns, table.mean_rows),
+        out / f"{table.kind}_meta.txt": table.metadata,
+    }
+    temps = {}
+    try:
+        for path, text in files.items():
+            temps[path] = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            _write_text(temps[path], text)
+        for path, temp in temps.items():
+            os.replace(temp, path)
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+    return list(files)

@@ -4,11 +4,15 @@ Each sample's residual is fed straight back into the weight update
 w <- w + mu * Re(e[n] * conj(v[n])), the stochastic-gradient step on the
 instantaneous squared error.  The real projection keeps the weight vector
 real; for real-valued signals it reduces to the textbook update exactly.
+
+The loop runs on Python scalars: with L ~ 5 taps, one numpy call per
+operation costs more in call overhead than the arithmetic it does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -23,10 +27,9 @@ WEIGHT_BOUND = 1e6
 
 @dataclass(frozen=True)
 class LmsConfig:
-    """Step size and initial weights; `w0 = None` starts from zeros."""
+    """Step size; adaptation always starts from zero weights."""
 
     mu: float = 0.01
-    w0: np.ndarray | None = None
 
     def __post_init__(self):
         if self.mu < 0.0 or not np.isfinite(self.mu):
@@ -39,7 +42,11 @@ class LmsTrace:
 
     final_weights: np.ndarray
     run: FilterRun
-    per_sample_mse: np.ndarray = field(repr=False)
+
+
+def _update(w: list, e_n: complex, v: list, mu: float) -> list:
+    """w + mu * Re(e_n * conj(v)), tap by tap, on Python scalars."""
+    return [wk + mu * (e_n * vk.conjugate()).real for wk, vk in zip(w, v)]
 
 
 def lms_step(
@@ -48,11 +55,11 @@ def lms_step(
     """Single weight update from one error sample and its regressor."""
     w = np.asarray(w, dtype=np.float64)
     v_n = np.asarray(v_n)
-    if w.shape != v_n.shape:
+    if w.ndim != 1 or w.shape != v_n.shape:
         raise ValueError(f"shape mismatch: weights {w.shape}, regressor {v_n.shape}")
     if not (np.isfinite(e_n) and np.all(np.isfinite(v_n)) and np.all(np.isfinite(w))):
         raise ValueError("non-finite input to weight update")
-    return w + mu * np.real(e_n * np.conj(v_n))
+    return np.array(_update(w.tolist(), complex(e_n), v_n.tolist(), mu), dtype=np.float64)
 
 
 def lms_run(d: np.ndarray, cfg: LmsConfig, ale: AleConfig) -> LmsTrace:
@@ -63,25 +70,18 @@ def lms_run(d: np.ndarray, cfg: LmsConfig, ale: AleConfig) -> LmsTrace:
     DivergenceError as soon as any weight magnitude crosses WEIGHT_BOUND.
     """
     d = _check_frame(d, ale)
-    if cfg.w0 is None:
-        w = np.zeros(ale.taps)
-    else:
-        w = np.asarray(cfg.w0, dtype=np.float64).copy()
-        if w.shape != (ale.taps,):
-            raise ValueError(f"w0 must have shape ({ale.taps},), got {w.shape}")
-
-    y = np.zeros(d.size, dtype=np.complex128)
-    start = ale.warmup
+    start, delay, mu = ale.warmup, ale.delay, float(cfg.mu)
+    dl = d.tolist()
+    # oldest tap first, in the order of the window slice dl[n-start : n-delay+1]
+    w = [0.0] * ale.taps
+    y = [0j] * d.size
     for n in range(start, d.size):
-        lo = n - ale.delay - ale.taps + 1
-        v = d[lo : n - ale.delay + 1][::-1]
-        y[n] = np.dot(w, v)
-        e_n = d[n] - y[n]
-        w = w + cfg.mu * np.real(e_n * np.conj(v))
-        peak = np.max(np.abs(w))
-        if peak > WEIGHT_BOUND:
-            raise DivergenceError(n, float(peak))
+        v = dl[n - start : n - delay + 1]
+        y_n = y[n] = sum(map(mul, w, v))
+        w = _update(w, dl[n] - y_n, v, mu)
+        if max(w) > WEIGHT_BOUND or -min(w) > WEIGHT_BOUND:
+            raise DivergenceError(n, max(map(abs, w)))
 
-    e = d - y
-    run = FilterRun(y=y, e=e, valid=range(start, d.size))
-    return LmsTrace(final_weights=w, run=run, per_sample_mse=np.abs(e) ** 2)
+    y = np.array(y, dtype=np.complex128)
+    run = FilterRun(y=y, e=d - y, valid=range(start, d.size))
+    return LmsTrace(final_weights=np.array(w[::-1], dtype=np.float64), run=run)

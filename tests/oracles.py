@@ -85,6 +85,32 @@ def loop_pso(d, taps, delay, cfg):
             break
     return np.array(gbest), history
 
+
+def loop_lms(d, taps, delay, mu, bound=1e6):
+    """Sample-by-sample LMS by explicit loops over samples and taps.
+
+    Weight k multiplies d[n - delay - k]; adaptation starts from zeros at
+    the first sample whose window lies inside the frame.  Returns
+    (weights, y), or (index, peak) at the first sample after whose update
+    some |weight| exceeds `bound`.
+    """
+    d = [complex(z) for z in d]
+    w = [0.0] * taps
+    y = [0j] * len(d)
+    for n in range(delay + taps - 1, len(d)):
+        acc = 0j
+        for k in range(taps):
+            acc += w[k] * d[n - delay - k]
+        y[n] = acc
+        e = d[n] - acc
+        for k in range(taps):
+            w[k] += mu * (e * d[n - delay - k].conjugate()).real
+        peak = max(abs(x) for x in w)
+        if peak > bound:
+            return n, peak
+    return np.array(w), np.array(y)
+
+
 def real_least_squares_weights(d, taps, delay):
     """Real weight vector minimizing the frame's residual, by stacked LS."""
     d = np.asarray(d, dtype=np.complex128)

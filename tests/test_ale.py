@@ -1,9 +1,9 @@
-"""Tests for regressor construction and fixed-weight filtering."""
+"""Tests for the delayed regressor window and fixed-weight filtering."""
 
 import numpy as np
 import pytest
 
-from alebench.ale import AleConfig, filter_frame, regressor
+from alebench.ale import AleConfig, filter_frame
 from alebench.channel import ChannelConfig, transmit
 from alebench.signal import ModConfig, generate_bits, modulate
 
@@ -14,24 +14,36 @@ def _frame(h=256, seed=30, snr_db=2.0):
 
 
 class TestRegressor:
+    """The delayed window d[n - delay - k], k < taps, seen through filter_frame:
+    weight k alone reproduces d delayed by delay + k."""
+
     def test_two_tap_window(self):
         d = np.array([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(regressor(d, 2, AleConfig(taps=2, delay=1)), [2, 1])
+        cfg = AleConfig(taps=2, delay=1)
+        assert filter_frame(d, [1.0, 0.0], cfg).y[2] == 2
+        assert filter_frame(d, [0.0, 1.0], cfg).y[2] == 1
 
     def test_single_tap_longer_delay(self):
         d = np.array([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(regressor(d, 3, AleConfig(taps=1, delay=2)), [2])
+        run = filter_frame(d, [1.0], AleConfig(taps=1, delay=2))
+        np.testing.assert_array_equal(run.y, [0, 0, 1, 2])
 
     def test_out_of_range_without_padding(self):
-        d = np.array([1.0, 2.0, 3.0, 4.0])
+        """Windows reaching before the frame start are outside `valid`, and a
+        frame with no full window is rejected."""
+        cfg = AleConfig(taps=2, delay=1)
+        assert filter_frame(np.ones(4), [1.0, 0.0], cfg).valid == range(2, 4)
         with pytest.raises(ValueError):
-            regressor(d, 0, AleConfig(taps=2, delay=1))
+            filter_frame(np.ones(3), [1.0, 0.0], cfg)
 
     def test_zero_padding_fills_prefix(self):
-        d = np.array([1.0, 2.0, 3.0, 4.0])
-        np.testing.assert_array_equal(
-            regressor(d, 1, AleConfig(taps=3, delay=1), zero_pad=True), [1, 0, 0]
-        )
+        d = _frame(h=64)
+        for taps, delay in ((1, 1), (3, 1), (3, 2), (5, 3)):
+            cfg = AleConfig(taps=taps, delay=delay)
+            for k in range(taps):
+                lag = delay + k
+                y = filter_frame(d, np.eye(taps)[k], cfg).y
+                np.testing.assert_array_equal(y, np.concatenate([np.zeros(lag), d[:-lag]]))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -241,6 +241,32 @@ class TestEmitCsv:
         paths = emit_csv(table, tmp_path)
         assert parse_config(paths[2].read_text()) == spec
 
+    def test_failed_write_leaves_previous_outputs(self, tmp_path, monkeypatch):
+        def table(tag):
+            return ResultTable(
+                kind="ber_awgn",
+                raw_columns=("snr_db", "algorithm"),
+                raw_rows=({"snr_db": 0.0, "algorithm": tag},),
+                mean_columns=("snr_db", "algorithm"),
+                mean_rows=({"snr_db": 0.0, "algorithm": tag},),
+                metadata=f"# {tag}\n",
+            )
+
+        emit_csv(table("old"), tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        write_text = bench._write_text
+
+        def fail_on_mean(path, text):
+            if "_mean.csv" in path.name:
+                write_text(path, text[: len(text) // 2])
+                raise OSError("disk full")
+            write_text(path, text)
+
+        monkeypatch.setattr(bench, "_write_text", fail_on_mean)
+        with pytest.raises(OSError, match="disk full"):
+            emit_csv(table("new"), tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_lf_line_endings(self, tmp_path):
         table = run_experiment(parse_config(SMALL, kind="mse_vs_snr"))
         paths = emit_csv(table, tmp_path)

@@ -30,6 +30,25 @@ def test_run_all_covers_every_kind(tmp_path):
         assert f"{kind}_raw.csv" in names
 
 
+def test_meta_omits_keys_the_kind_ignores(tmp_path):
+    ignored = ["--set", "channel.profiles=5.8GHz", "--set", "run.sweep_values=0.1"]
+    assert main(["ber_awgn", "--out", str(tmp_path)] + TINY + ignored) == 0
+    meta = (tmp_path / "ber_awgn_meta.txt").read_text()
+    assert "channel.profiles" not in meta
+    assert "run.sweep_values" not in meta
+
+
+def test_run_all_accepts_keys_some_kinds_ignore(tmp_path):
+    # one shared config: the profile only applies to ber_nonlinear and the
+    # sweep value (2 particles, or a step size that diverges) only to the sweeps
+    ignored = ["--set", "channel.profiles=5.8GHz", "--set", "run.sweep_values=2"]
+    code = main(["run-all", "--out", str(tmp_path)] + TINY + ["--set", "pso.tol=0.1"] + ignored)
+    assert code == 0
+    assert "channel.profiles = 5.8GHz" in (tmp_path / "ber_nonlinear_meta.txt").read_text()
+    assert "run.sweep_values = 2.0" in (tmp_path / "step_sweep_meta.txt").read_text()
+    assert "channel.profiles" not in (tmp_path / "mse_vs_snr_meta.txt").read_text()
+
+
 def test_seed_flag_overrides_base_seed(tmp_path):
     main(["ber_awgn", "--out", str(tmp_path / "a"), "--seed", "1"] + TINY)
     main(["ber_awgn", "--out", str(tmp_path / "b"), "--seed", "1"] + TINY)
