@@ -12,7 +12,7 @@ from .channel import (
 )
 from .errors import ConfigError, DivergenceError
 from .lms import LmsConfig, LmsTrace, lms_run, lms_step
-from .metrics import MetricRecord, ber, mse
+from .metrics import mse
 from .pso import (
     CostEval,
     PsoConfig,
@@ -45,8 +45,6 @@ __all__ = [
     "LmsTrace",
     "lms_run",
     "lms_step",
-    "MetricRecord",
-    "ber",
     "mse",
     "CostEval",
     "PsoConfig",

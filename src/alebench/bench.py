@@ -50,13 +50,33 @@ __all__ = [
     "derive_run_seed",
 ]
 
-KINDS = ("particle_sweep", "step_sweep", "mse_vs_snr", "ber_awgn", "ber_nonlinear")
-
-DEFAULT_SNR_GRID = tuple(float(s) for s in range(-10, 11, 2))
-DEFAULT_SWEEP_SNR = (-2.0,)
-DEFAULT_PARTICLE_VALUES = (10.0, 20.0, 30.0, 40.0, 50.0, 60.0)
-DEFAULT_STEP_VALUES = (0.005, 0.01, 0.02, 0.04, 0.08, 0.2)
 DEFAULT_BASE_SEED = 12345
+
+_SNR_GRID = tuple(float(s) for s in range(-10, 11, 2))
+
+# Per-kind values of the keys whose meaning depends on the kind.  A key
+# missing from a kind's entry is one that kind ignores: it is still
+# accepted, because ``run-all`` applies one config to every kind, but it
+# resolves to () and so stays out of that kind's meta file.
+_PER_KIND = {
+    "particle_sweep": {
+        "run.snr_grid": (-2.0,),
+        "run.sweep_values": (10.0, 20.0, 30.0, 40.0, 50.0, 60.0),
+    },
+    "step_sweep": {
+        "run.snr_grid": (-2.0,),
+        "run.sweep_values": (0.005, 0.01, 0.02, 0.04, 0.08, 0.2),
+    },
+    "mse_vs_snr": {"run.snr_grid": _SNR_GRID},
+    "ber_awgn": {"run.snr_grid": _SNR_GRID},
+    "ber_nonlinear": {
+        "run.snr_grid": _SNR_GRID,
+        "channel.profiles": ("60MHz", "2.4GHz", "5.8GHz"),
+    },
+}
+_PER_KIND_KEYS = {key for defaults in _PER_KIND.values() for key in defaults}
+
+KINDS = tuple(_PER_KIND)
 
 
 @dataclass(frozen=True)
@@ -131,17 +151,29 @@ def _parse_float(text: str) -> float:
         raise ValueError(f"expected a number, got {text!r}") from err
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
+def _split_list(text: str) -> list[str]:
     items = [part.strip() for part in text.split(",") if part.strip()]
     if not items:
         raise ValueError("expected a non-empty comma-separated list")
-    return tuple(_parse_float(item) for item in items)
+    return items
 
 
-def _parse_str_list(text: str) -> tuple[str, ...]:
-    return tuple(part.strip() for part in text.split(",") if part.strip())
+def _parse_float_list(text: str) -> tuple[float, ...]:
+    return tuple(_parse_float(item) for item in _split_list(text))
 
 
+def _parse_profiles(text: str) -> tuple[str, ...]:
+    names = tuple(_split_list(text))
+    for name in names:
+        if name not in DEFAULT_PROFILES:
+            known = ", ".join(DEFAULT_PROFILES)
+            raise ValueError(f"unknown profile {name!r}, expected one of {known}")
+    return names
+
+
+# The only list of config keys.  Key ``section.name`` sets field ``name`` of
+# the sub-config in _SECTIONS, or of the spec itself for any other section;
+# spec_to_text echoes the keys in this order.
 _SCHEMA = {
     "experiment.kind": str,
     "frame.h": _parse_int,
@@ -165,8 +197,19 @@ _SCHEMA = {
     "run.n_seeds": _parse_int,
     "run.base_seed": _parse_int,
     "run.decision_stream": str,
-    "channel.profiles": _parse_str_list,
+    "channel.profiles": _parse_profiles,
 }
+
+_SECTIONS = {"mod": ModConfig, "ale": AleConfig, "lms": LmsConfig, "pso": PsoConfig}
+
+
+def _parse_value(key: str, raw: str):
+    if key not in _SCHEMA:
+        raise ConfigError(key, "unknown key")
+    try:
+        return _SCHEMA[key](raw)
+    except ValueError as err:
+        raise ConfigError(key, str(err)) from err
 
 
 def _parse_pairs(text: str) -> dict:
@@ -180,37 +223,10 @@ def _parse_pairs(text: str) -> dict:
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(key, "unknown key")
         if key in values:
             raise ConfigError(key, "duplicate key")
-        try:
-            values[key] = _SCHEMA[key](value)
-        except ValueError as err:
-            raise ConfigError(key, str(err)) from err
+        values[key] = _parse_value(key, value.strip())
     return values
-
-
-def _default_grids(kind: str, values: dict) -> tuple[tuple, tuple, tuple]:
-    """(SNR grid, sweep values, profiles) that `kind` actually runs.
-
-    Keys a kind ignores resolve to () rather than raising, because
-    ``run-all`` applies one shared config to every kind; the meta file then
-    omits them.
-    """
-    sweeps = kind in ("particle_sweep", "step_sweep")
-    snr = values.get("run.snr_grid", DEFAULT_SWEEP_SNR if sweeps else DEFAULT_SNR_GRID)
-    sweep = ()
-    if sweeps:
-        default = DEFAULT_PARTICLE_VALUES if kind == "particle_sweep" else DEFAULT_STEP_VALUES
-        sweep = values.get("run.sweep_values", default)
-    profiles = ()
-    if kind == "ber_nonlinear":
-        profiles = values.get("channel.profiles", ("60MHz", "2.4GHz", "5.8GHz"))
-        if profiles == ("none",):
-            profiles = ()
-    return tuple(snr), tuple(sweep), tuple(profiles)
 
 
 def parse_config(
@@ -227,110 +243,62 @@ def parse_config(
     """
     values = _parse_pairs(text)
     for key, raw in (overrides or {}).items():
-        if key not in _SCHEMA:
-            raise ConfigError(key, "unknown key")
-        try:
-            values[key] = _SCHEMA[key](raw)
-        except ValueError as err:
-            raise ConfigError(key, str(err)) from err
-    resolved_kind = kind or values.get("experiment.kind", "mse_vs_snr")
-    if resolved_kind not in KINDS:
+        values[key] = _parse_value(key, raw)
+    kind = kind or values.get("experiment.kind", ExperimentSpec.kind)
+    if kind not in KINDS:
         raise ConfigError("experiment.kind", f"must be one of {', '.join(KINDS)}")
-    snr_grid, sweep_values, profiles = _default_grids(resolved_kind, values)
+    values["experiment.kind"] = kind
+    defaults = _PER_KIND[kind]
+    for key in _PER_KIND_KEYS:
+        values[key] = values.get(key, defaults[key]) if key in defaults else ()
 
-    def build(section, cls, mapping):
-        kwargs = {}
-        for key, fname in mapping.items():
-            if key in values:
-                kwargs[fname] = values[key]
+    fields: dict = {}
+    sections: dict = {section: {} for section in _SECTIONS}
+    for key, value in values.items():
+        section, _, name = key.partition(".")
+        sections.get(section, fields)[name] = value
+    for section, cls in _SECTIONS.items():
         try:
-            return cls(**kwargs)
+            fields[section] = cls(**sections[section])
         except ValueError as err:
             raise ConfigError(section, str(err)) from err
 
-    mod = build("mod", ModConfig, {"mod.m": "m", "mod.phase_offset": "phase_offset"})
-    ale = build("ale", AleConfig, {"ale.taps": "taps", "ale.delay": "delay"})
-    lms = build("lms", LmsConfig, {"lms.mu": "mu"})
-    pso = build(
-        "pso",
-        PsoConfig,
-        {
-            "pso.n_particles": "n_particles",
-            "pso.c1": "c1",
-            "pso.c2": "c2",
-            "pso.max_iters": "max_iters",
-            "pso.tol": "tol",
-            "pso.patience": "patience",
-            "pso.init_range": "init_range",
-            "pso.v_max": "v_max",
-            "pso.inertia": "inertia",
-            "pso.per_dimension_draws": "per_dimension_draws",
-        },
-    )
-    for key, grid in (("run.snr_grid", snr_grid), ("run.sweep_values", sweep_values)):
-        if len(set(grid)) != len(grid):
+    for key in ("run.snr_grid", "run.sweep_values"):
+        if len(set(values[key])) != len(values[key]):
             raise ConfigError(key, "values must be distinct")
-    if any(math.isnan(s) or s == -math.inf for s in snr_grid):  # +inf: no noise
+    if any(math.isnan(s) or s == -math.inf for s in values["run.snr_grid"]):  # +inf: no noise
         raise ConfigError("run.snr_grid", "SNR values must be numbers or inf, not nan or -inf")
-    if resolved_kind == "particle_sweep":
-        for v in sweep_values:
+    if kind == "particle_sweep":
+        for v in values["run.sweep_values"]:
             if not (math.isfinite(v) and v == int(v) and v >= 1):
                 raise ConfigError("run.sweep_values", f"particle counts must be positive integers, got {v}")
-    if resolved_kind == "step_sweep":
-        for v in sweep_values:
+    if kind == "step_sweep":
+        for v in values["run.sweep_values"]:
             if not v > 0:
                 raise ConfigError("run.sweep_values", f"step sizes must be > 0, got {v}")
     try:
-        return ExperimentSpec(
-            kind=resolved_kind,
-            h=values.get("frame.h", 10_000),
-            mod=mod,
-            ale=ale,
-            lms=lms,
-            pso=pso,
-            snr_grid=snr_grid,
-            sweep_values=sweep_values,
-            n_seeds=values.get("run.n_seeds", 10),
-            base_seed=values.get("run.base_seed", DEFAULT_BASE_SEED),
-            decision_stream=values.get("run.decision_stream", "error"),
-            profiles=profiles,
-        )
+        return ExperimentSpec(**fields)
     except ValueError as err:
         raise ConfigError("run", str(err)) from err
 
 
+def _format_value(value) -> str:
+    """Meta-file text of one value: bools in lower case, lists joined by ", "."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(map(_format_value, value))
+    return _format_cell(value)
+
+
 def spec_to_text(spec: ExperimentSpec) -> str:
     """Echo a spec as config text that parses back to the same spec."""
-    lines = [
-        f"# alebench {__version__}",
-        f"experiment.kind = {spec.kind}",
-        f"frame.h = {spec.h}",
-        f"mod.m = {spec.mod.m}",
-        f"mod.phase_offset = {spec.mod.phase_offset!r}",
-        f"ale.taps = {spec.ale.taps}",
-        f"ale.delay = {spec.ale.delay}",
-        f"lms.mu = {spec.lms.mu!r}",
-        f"pso.n_particles = {spec.pso.n_particles}",
-        f"pso.c1 = {spec.pso.c1!r}",
-        f"pso.c2 = {spec.pso.c2!r}",
-        f"pso.max_iters = {spec.pso.max_iters}",
-        f"pso.tol = {spec.pso.tol!r}",
-        f"pso.patience = {spec.pso.patience}",
-        f"pso.init_range = {spec.pso.init_range!r}",
-        f"pso.v_max = {spec.pso.v_max!r}",
-        f"pso.inertia = {spec.pso.inertia!r}",
-        f"pso.per_dimension_draws = {str(spec.pso.per_dimension_draws).lower()}",
-        f"run.snr_grid = {', '.join(repr(s) for s in spec.snr_grid)}",
-    ]
-    if spec.sweep_values:
-        lines.append(f"run.sweep_values = {', '.join(repr(v) for v in spec.sweep_values)}")
-    lines += [
-        f"run.n_seeds = {spec.n_seeds}",
-        f"run.base_seed = {spec.base_seed}",
-        f"run.decision_stream = {spec.decision_stream}",
-    ]
-    if spec.profiles:
-        lines.append(f"channel.profiles = {', '.join(spec.profiles)}")
+    lines = [f"# alebench {__version__}"]
+    for key in _SCHEMA:
+        section, _, name = key.partition(".")
+        value = getattr(getattr(spec, section) if section in _SECTIONS else spec, name)
+        if value != ():
+            lines.append(f"{key} = {_format_value(value)}")
     return "\n".join(lines) + "\n"
 
 

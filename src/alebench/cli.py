@@ -73,11 +73,12 @@ def main(argv: list[str] | None = None) -> int:
     kinds = list(KINDS) if args.command == "run-all" else [args.command]
     try:
         text, overrides = _assemble(args)
-        for kind in kinds:
-            spec = parse_config(text, kind=kind, overrides=overrides)
+        # every kind's config is checked before any of them runs
+        specs = [parse_config(text, kind=kind, overrides=overrides) for kind in kinds]
+        for spec in specs:
             table = run_experiment(spec, jobs=args.jobs)
             paths = emit_csv(table, args.out)
-            print(f"{kind}: wrote {', '.join(str(p) for p in paths)}")
+            print(f"{spec.kind}: wrote {', '.join(str(p) for p in paths)}")
     except (ConfigError, ValueError, OSError, RuntimeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -1,6 +1,8 @@
 """Tests for config parsing, the experiment runner, and CSV emission."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,3 +315,120 @@ class TestSpecValidation:
     def test_infinite_particle_count_rejected(self):
         with pytest.raises(ConfigError, match="run.sweep_values"):
             parse_config("run.sweep_values = 10, inf", kind="particle_sweep")
+
+    @pytest.mark.parametrize("kind", bench.KINDS)
+    @pytest.mark.parametrize("profiles", ["3.9GHz", "60MHz, 3.9GHz", "none", "", " , "])
+    def test_bad_profiles_rejected_for_every_kind(self, kind, profiles):
+        with pytest.raises(ConfigError, match="channel.profiles"):
+            parse_config(f"channel.profiles = {profiles}", kind=kind)
+        with pytest.raises(ConfigError, match="channel.profiles"):
+            parse_config("", kind=kind, overrides={"channel.profiles": profiles})
+
+
+def test_readme_key_table_matches_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    keys = {key for row in rows for key in re.findall(r"`([\w.]+)`", row.split("|")[1])}
+    assert keys == set(bench._SCHEMA)
+
+
+# Exact *_meta.txt bytes: keys in schema order, floats as repr, bools in
+# lower case, lists joined by ", ", keys a kind ignores left out.
+_META_BODY = (
+    "frame.h = 10000\n"
+    "mod.m = 2\n"
+    "mod.phase_offset = 0.0\n"
+    "ale.taps = 5\n"
+    "ale.delay = 1\n"
+    "lms.mu = 0.01\n"
+    "pso.n_particles = 60\n"
+    "pso.c1 = 2.0\n"
+    "pso.c2 = 2.0\n"
+    "pso.max_iters = 60\n"
+    "pso.tol = 0.0001\n"
+    "pso.patience = 5\n"
+    "pso.init_range = 2.0\n"
+    "pso.v_max = 1.0\n"
+    "pso.inertia = 1.0\n"
+    "pso.per_dimension_draws = false\n"
+)
+_META_TAIL = "run.n_seeds = 10\nrun.base_seed = 12345\nrun.decision_stream = error\n"
+_SNR_GRID = "run.snr_grid = -10.0, -8.0, -6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0\n"
+
+_DEFAULT_META = {
+    "particle_sweep": "run.snr_grid = -2.0\n"
+    "run.sweep_values = 10.0, 20.0, 30.0, 40.0, 50.0, 60.0\n" + _META_TAIL,
+    "step_sweep": "run.snr_grid = -2.0\n"
+    "run.sweep_values = 0.005, 0.01, 0.02, 0.04, 0.08, 0.2\n" + _META_TAIL,
+    "mse_vs_snr": _SNR_GRID + _META_TAIL,
+    "ber_awgn": _SNR_GRID + _META_TAIL,
+    "ber_nonlinear": _SNR_GRID + _META_TAIL + "channel.profiles = 60MHz, 2.4GHz, 5.8GHz\n",
+}
+
+_EVERY_KEY = """
+experiment.kind = step_sweep
+frame.h = 4096
+mod.m = 4
+mod.phase_offset = 0.25
+ale.taps = 3
+ale.delay = 2
+lms.mu = 0.02
+pso.n_particles = 7
+pso.c1 = 1.5
+pso.c2 = 1.25
+pso.max_iters = 9
+pso.tol = 1e-3
+pso.patience = 3
+pso.init_range = 1.5
+pso.v_max = 0.5
+pso.inertia = 0.7
+pso.per_dimension_draws = yes
+run.snr_grid = -3, 0.5, inf
+run.sweep_values = 0.003, 5e-2
+run.n_seeds = 3
+run.base_seed = 0x10
+run.decision_stream = output
+channel.profiles = 5.8GHz, 60MHz
+"""
+
+_EVERY_KEY_HEAD = """# alebench 0.1.0
+experiment.kind = {kind}
+frame.h = 4096
+mod.m = 4
+mod.phase_offset = 0.25
+ale.taps = 3
+ale.delay = 2
+lms.mu = 0.02
+pso.n_particles = 7
+pso.c1 = 1.5
+pso.c2 = 1.25
+pso.max_iters = 9
+pso.tol = 0.001
+pso.patience = 3
+pso.init_range = 1.5
+pso.v_max = 0.5
+pso.inertia = 0.7
+pso.per_dimension_draws = true
+run.snr_grid = -3.0, 0.5, inf
+"""
+_EVERY_KEY_TAIL = "run.n_seeds = 3\nrun.base_seed = 16\nrun.decision_stream = output\n"
+
+
+class TestMetaGolden:
+    @pytest.mark.parametrize("kind", list(_DEFAULT_META))
+    def test_defaults_per_kind(self, kind):
+        expected = f"# alebench 0.1.0\nexperiment.kind = {kind}\n" + _META_BODY + _DEFAULT_META[kind]
+        assert spec_to_text(parse_config("", kind=kind)) == expected
+
+    def test_every_key_set(self):
+        assert spec_to_text(parse_config(_EVERY_KEY)) == (
+            _EVERY_KEY_HEAD.format(kind="step_sweep")
+            + "run.sweep_values = 0.003, 0.05\n"
+            + _EVERY_KEY_TAIL
+        )
+        assert spec_to_text(parse_config(_EVERY_KEY, kind="ber_nonlinear")) == (
+            _EVERY_KEY_HEAD.format(kind="ber_nonlinear")
+            + _EVERY_KEY_TAIL
+            + "channel.profiles = 5.8GHz, 60MHz\n"
+        )

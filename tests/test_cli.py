@@ -2,7 +2,10 @@
 
 import pytest
 
+from alebench import cli
+from alebench.bench import parse_config
 from alebench.cli import main
+from alebench.errors import ConfigError
 
 TINY = [
     "--set", "frame.h=200",
@@ -47,6 +50,26 @@ def test_run_all_accepts_keys_some_kinds_ignore(tmp_path):
     assert "channel.profiles = 5.8GHz" in (tmp_path / "ber_nonlinear_meta.txt").read_text()
     assert "run.sweep_values = 2.0" in (tmp_path / "step_sweep_meta.txt").read_text()
     assert "channel.profiles" not in (tmp_path / "mse_vs_snr_meta.txt").read_text()
+
+
+def test_run_all_rejects_bad_profile_before_running(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run-all", "--out", str(out), "--set", "channel.profiles=3.9GHz"] + TINY)
+    assert code == 1
+    assert "channel.profiles" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_all_parses_every_kind_before_running_any(tmp_path, monkeypatch):
+    def parse_all_but_last(text, kind, overrides):
+        if kind == "ber_nonlinear":
+            raise ConfigError("experiment.kind", "rejected by the test")
+        return parse_config(text, kind=kind, overrides=overrides)
+
+    monkeypatch.setattr(cli, "parse_config", parse_all_but_last)
+    out = tmp_path / "out"
+    assert main(["run-all", "--out", str(out)] + TINY) == 1
+    assert not out.exists()
 
 
 def test_seed_flag_overrides_base_seed(tmp_path):

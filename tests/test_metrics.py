@@ -1,38 +1,13 @@
-"""Tests for the BER and residual-power metrics."""
+"""Tests for the residual-power metric."""
 
 import numpy as np
 import pytest
 
 from alebench.ale import AleConfig, filter_frame
-from alebench.metrics import MetricRecord, ber, mse
+from alebench.metrics import mse
 from alebench.pso import evaluate_cost
 
 ALE = AleConfig(taps=5, delay=1)
-
-
-class TestBer:
-    def test_identical_streams(self):
-        assert ber([1, 0, 1, 1], [1, 0, 1, 1]) == 0.0
-
-    def test_half_corrupted(self):
-        assert ber([1, 0, 1, 1], [1, 1, 1, 0]) == 0.5
-
-    def test_complement_is_total_corruption(self):
-        tx = np.array([1, 0, 1, 1, 0, 0])
-        assert ber(tx, 1 - tx) == 1.0
-
-    def test_symmetric_in_arguments(self):
-        rng = np.random.default_rng(100)
-        a = rng.integers(0, 2, 50)
-        b = rng.integers(0, 2, 50)
-        assert ber(a, b) == ber(b, a)
-
-    def test_lag_shifts_comparison(self):
-        assert ber([1, 0, 1], [0, 1, 0, 1], lag=1) == 0.0
-
-    def test_empty_overlap_rejected(self):
-        with pytest.raises(ValueError):
-            ber([1], [1], lag=1)
 
 
 class TestMse:
@@ -76,11 +51,3 @@ class TestMse:
             via_cost = evaluate_cost(w, d, ALE).cost
             assert via_metric == pytest.approx(via_cost, rel=1e-12)
 
-
-class TestMetricRecord:
-    def test_bounds_enforced(self):
-        MetricRecord(snr_db=0.0, algorithm="LMS", ber=0.5, mse=1.0)
-        with pytest.raises(ValueError):
-            MetricRecord(snr_db=0.0, algorithm="LMS", ber=1.5, mse=1.0)
-        with pytest.raises(ValueError):
-            MetricRecord(snr_db=0.0, algorithm="LMS", ber=0.5, mse=-1.0)

@@ -137,3 +137,13 @@ class TestAlignAndCompare:
             align_and_compare([1, 0], [1, 0], 2)
         with pytest.raises(ValueError):
             align_and_compare([1, 0], [1, 0], -1)
+
+    def test_complement_is_total_corruption(self):
+        tx = np.array([1, 0, 1, 1, 0, 0])
+        assert align_and_compare(tx, 1 - tx, 0) == (6, 6)
+
+    def test_symmetric_in_arguments(self):
+        rng = np.random.default_rng(100)
+        a = rng.integers(0, 2, 50)
+        b = rng.integers(0, 2, 50)
+        assert align_and_compare(a, b, 0) == align_and_compare(b, a, 0)
