@@ -11,7 +11,7 @@ from .channel import (
     transmit,
 )
 from .errors import ConfigError, DivergenceError
-from .lms import LmsConfig, LmsTrace, lms_run, lms_step
+from .lms import LmsConfig, LmsTrace, lms_batch, lms_run, lms_step
 from .metrics import mse
 from .pso import (
     CostEval,
@@ -44,6 +44,7 @@ __all__ = [
     "LmsConfig",
     "LmsTrace",
     "lms_run",
+    "lms_batch",
     "lms_step",
     "mse",
     "CostEval",

@@ -24,17 +24,16 @@ import csv
 import io
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .ale import AleConfig, filter_frame
+from .ale import AleConfig, FilterRun, filter_frame
 from .channel import DEFAULT_PROFILES, ChannelConfig, transmit
-from .errors import ConfigError, DivergenceError
-from .lms import LmsConfig, lms_run
+from .errors import ConfigError
+from .lms import LmsConfig, lms_batch
 from .metrics import mse
 from .pso import PsoConfig, run_pso
 from .signal import ModConfig, align_and_compare, demodulate, generate_bits, modulate
@@ -258,10 +257,7 @@ def parse_config(
         section, _, name = key.partition(".")
         sections.get(section, fields)[name] = value
     for section, cls in _SECTIONS.items():
-        try:
-            fields[section] = cls(**sections[section])
-        except ValueError as err:
-            raise ConfigError(section, str(err)) from err
+        fields[section] = _build(cls, sections[section], section)
 
     for key in ("run.snr_grid", "run.sweep_values"):
         if len(set(values[key])) != len(values[key]):
@@ -274,12 +270,32 @@ def parse_config(
                 raise ConfigError("run.sweep_values", f"particle counts must be positive integers, got {v}")
     if kind == "step_sweep":
         for v in values["run.sweep_values"]:
-            if not v > 0:
-                raise ConfigError("run.sweep_values", f"step sizes must be > 0, got {v}")
+            if not (v > 0 and math.isfinite(v)):
+                raise ConfigError("run.sweep_values", f"step sizes must be finite and > 0, got {v}")
+    return _build(ExperimentSpec, fields)
+
+
+def _build(cls, fields: dict, section: str | None = None):
+    """cls(**fields), a rejected value reported under its own key.
+
+    That key is the first of the class's keys, in schema order, whose
+    value the class rejects on its own: `section`'s keys for a sub-config,
+    the keys outside _SECTIONS for the spec, whose frame-length check also
+    reads the sub-configs passed beside the value.
+    """
     try:
-        return ExperimentSpec(**fields)
+        return cls(**fields)
     except ValueError as err:
-        raise ConfigError("run", str(err)) from err
+        nested = {name: fields[name] for name in _SECTIONS if name in fields}
+        for key in _SCHEMA:
+            owner, _, name = key.partition(".")
+            if (owner if owner in _SECTIONS else None) != section or name not in fields:
+                continue
+            try:
+                cls(**nested, **{name: fields[name]})
+            except ValueError as own:
+                raise ConfigError(key, str(own)) from err
+        raise ConfigError(section or "run", str(err)) from err
 
 
 def _format_value(value) -> str:
@@ -338,16 +354,30 @@ def _sweep_points(spec: ExperimentSpec) -> list[dict]:
     return points
 
 
-def _make_frame(spec: ExperimentSpec, snr_db: float, profile_name: str | None, run_seed: int):
+def _make_frame(spec: ExperimentSpec, point: dict, run_seed: int):
+    """Bits, received samples and PSO seed of one run."""
     bits_seed, chan_seed, pso_seed = _subsystem_seeds(run_seed, 3)
     bits = generate_bits(spec.h * spec.mod.bits_per_symbol, bits_seed)
-    x = modulate(bits, spec.mod)
-    profile = DEFAULT_PROFILES[profile_name] if profile_name else None
-    frame = transmit(x, ChannelConfig(snr_db=snr_db, nonlinear=profile, seed=chan_seed))
-    return bits, x, frame, pso_seed
+    profile = DEFAULT_PROFILES[point["profile"]] if "profile" in point else None
+    channel = ChannelConfig(snr_db=point["snr_db"], nonlinear=profile, seed=chan_seed)
+    return bits, transmit(modulate(bits, spec.mod), channel).d, pso_seed
 
 
-def _decisions(spec: ExperimentSpec, bits, x, frame, run) -> tuple[float, float, int]:
+def _batch_frames(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]):
+    """One lane per run: its (point, seed index, run seed, bits, PSO seed)
+    and the (B, H) received samples.  The clean symbols are not kept; they
+    are modulate(bits) again where a run's decisions need them."""
+    lanes = []
+    frames = np.empty((len(runs), spec.h), dtype=np.complex128)
+    for lane, (sweep_idx, seed_idx) in enumerate(runs):
+        point = points[sweep_idx]
+        run_seed = derive_run_seed(spec.base_seed, sweep_idx, seed_idx)
+        bits, frames[lane], pso_seed = _make_frame(spec, point, run_seed)
+        lanes.append((point, seed_idx, run_seed, bits, pso_seed))
+    return lanes, frames
+
+
+def _decisions(spec: ExperimentSpec, bits, x, run) -> tuple[float, float, int]:
     """BER and clean-stream MSE for one filtering run.
 
     Residual-stream decisions align with the transmitted bits directly;
@@ -369,96 +399,88 @@ def _decisions(spec: ExperimentSpec, bits, x, frame, run) -> tuple[float, float,
     return errors / compared, clean_mse, compared
 
 
-def _metric_rows(spec: ExperimentSpec, point: dict, seed_idx: int, sweep_idx: int) -> list[dict]:
-    run_seed = derive_run_seed(spec.base_seed, sweep_idx, seed_idx)
-    snr_db = point["snr_db"]
-    profile = point.get("profile")
-    bits, x, frame, pso_seed = _make_frame(spec, snr_db, profile, run_seed)
-
-    base = {
-        "snr_db": snr_db,
-        "seed": run_seed,
-        "L": spec.ale.taps,
-        "delta": spec.ale.delay,
-    }
-    if spec.kind == "ber_nonlinear":
-        base["profile"] = profile
-
-    trace = lms_run(frame.d, spec.lms, spec.ale)
-    lms_ber, lms_clean, compared = _decisions(spec, bits, x, frame, trace.run)
-    lms_row = dict(base)
-    lms_row.update(
-        algorithm="LMS",
-        ber=lms_ber,
-        mse=mse(frame.d, trace.run.y, trace.run.valid),
-        mu=spec.lms.mu,
-        n_particles=None,
-        clean_mse=lms_clean,
-        compared_bits=compared,
-    )
-
-    weights, state = run_pso(frame.d, replace(spec.pso, seed=pso_seed), spec.ale)
-    pso_run = filter_frame(frame.d, weights, spec.ale)
-    pso_ber, pso_clean, compared = _decisions(spec, bits, x, frame, pso_run)
-    pso_row = dict(base)
-    pso_row.update(
-        algorithm="PSO",
-        ber=pso_ber,
-        mse=mse(frame.d, pso_run.y, pso_run.valid),
-        mu=None,
-        n_particles=spec.pso.n_particles,
-        clean_mse=pso_clean,
-        compared_bits=compared,
-    )
-    return [lms_row, pso_row]
+def _metric_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]) -> list[dict]:
+    lanes, frames = _batch_frames(spec, points, runs)
+    _, outputs, diverged = lms_batch(frames, np.full(len(runs), spec.lms.mu), spec.ale)
+    valid = range(spec.ale.warmup, spec.h)
+    rows = []
+    for (point, seed_idx, run_seed, bits, pso_seed), d, y, err in zip(lanes, frames, outputs, diverged):
+        if err is not None:
+            raise RuntimeError(
+                f"{spec.kind} failed at sweep point {point}, seed index {seed_idx}: {err}"
+            ) from err
+        weights, _ = run_pso(d, replace(spec.pso, seed=pso_seed), spec.ale)
+        x = modulate(bits, spec.mod)
+        base = {"snr_db": point["snr_db"], "seed": run_seed, "L": spec.ale.taps, "delta": spec.ale.delay}
+        if spec.kind == "ber_nonlinear":
+            base["profile"] = point["profile"]
+        for algorithm, run, mu, n_particles in (
+            ("LMS", FilterRun(y=y, e=d - y, valid=valid), spec.lms.mu, None),
+            ("PSO", filter_frame(d, weights, spec.ale), None, spec.pso.n_particles),
+        ):
+            ber, clean_mse, compared = _decisions(spec, bits, x, run)
+            rows.append(dict(
+                base,
+                algorithm=algorithm,
+                ber=ber,
+                mse=mse(d, run.y, run.valid),
+                mu=mu,
+                n_particles=n_particles,
+                clean_mse=clean_mse,
+                compared_bits=compared,
+            ))
+    return rows
 
 
-def _step_rows(spec: ExperimentSpec, point: dict, seed_idx: int, sweep_idx: int) -> list[dict]:
-    run_seed = derive_run_seed(spec.base_seed, sweep_idx, seed_idx)
-    mu = point["value"]
-    bits, x, frame, _ = _make_frame(spec, point["snr_db"], None, run_seed)
+def _step_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]) -> list[dict]:
+    lanes, frames = _batch_frames(spec, points, runs)
+    mus = [point["value"] for point, *_ in lanes]
+    _, outputs, diverged = lms_batch(frames, mus, spec.ale)
+    valid = range(spec.ale.warmup, spec.h)
     # the sweep deliberately crosses the stability boundary; a diverged
     # run reports infinite residual power instead of aborting the sweep
-    try:
-        trace = lms_run(frame.d, LmsConfig(mu=mu), spec.ale)
-        value = mse(frame.d, trace.run.y, trace.run.valid)
-    except DivergenceError:
-        value = math.inf
     return [
         {
             "snr_db": point["snr_db"],
             "algorithm": "LMS",
             "seed": run_seed,
             "mu": mu,
-            "mse": value,
+            "mse": math.inf if err is not None else mse(d, y, valid),
             "L": spec.ale.taps,
             "delta": spec.ale.delay,
         }
+        for (point, _, run_seed, _, _), mu, d, y, err in zip(lanes, mus, frames, outputs, diverged)
     ]
 
 
-def _particle_rows(spec: ExperimentSpec, point: dict, seed_idx: int, sweep_idx: int) -> list[dict]:
-    run_seed = derive_run_seed(spec.base_seed, sweep_idx, seed_idx)
-    n_particles = int(point["value"])
-    bits, x, frame, pso_seed = _make_frame(spec, point["snr_db"], None, run_seed)
-    # full-length histories: early stopping is disabled for this sweep
-    cfg = replace(spec.pso, n_particles=n_particles, tol=0.0, seed=pso_seed)
-    _, state = run_pso(frame.d, cfg, spec.ale)
-    return [
-        {
-            "snr_db": point["snr_db"],
-            "algorithm": "PSO",
-            "seed": run_seed,
-            "n_particles": n_particles,
-            "iteration": it + 1,
-            "gbest_cost": cost,
-            "L": spec.ale.taps,
-            "delta": spec.ale.delay,
-        }
-        for it, cost in enumerate(state.history)
-    ]
+def _particle_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]) -> list[dict]:
+    rows = []
+    for sweep_idx, seed_idx in runs:
+        point = points[sweep_idx]
+        run_seed = derive_run_seed(spec.base_seed, sweep_idx, seed_idx)
+        n_particles = int(point["value"])
+        _, d, pso_seed = _make_frame(spec, point, run_seed)
+        # full-length histories: early stopping is disabled for this sweep
+        cfg = replace(spec.pso, n_particles=n_particles, tol=0.0, seed=pso_seed)
+        _, state = run_pso(d, cfg, spec.ale)
+        rows += [
+            {
+                "snr_db": point["snr_db"],
+                "algorithm": "PSO",
+                "seed": run_seed,
+                "n_particles": n_particles,
+                "iteration": it + 1,
+                "gbest_cost": cost,
+                "L": spec.ale.taps,
+                "delta": spec.ale.delay,
+            }
+            for it, cost in enumerate(state.history)
+        ]
+    return rows
 
 
+# Each takes a contiguous batch of (sweep index, seed index) runs and
+# returns their rows in that order.
 _RUNNERS = {
     "particle_sweep": _particle_rows,
     "step_sweep": _step_rows,
@@ -467,16 +489,23 @@ _RUNNERS = {
     "ber_nonlinear": _metric_rows,
 }
 
+# Frame samples one batch of runs may hold.  A sample costs 32 bytes of
+# frame and LMS output plus its bits while the batch runs, ~21 MB for BPSK
+# at this size.  The LMS kernel's per-sample call overhead is shared by the
+# whole batch, so fewer, larger batches are faster: 64 frames of 10,000
+# fit, and a default ber_awgn sweep (110 frames) runs as two batches.
+_BATCH_SAMPLES = 640_000
 
-def _run_task(args: tuple) -> list[dict]:
-    spec, sweep_idx, seed_idx = args
-    point = _sweep_points(spec)[sweep_idx]
-    try:
-        return _RUNNERS[spec.kind](spec, point, seed_idx, sweep_idx)
-    except DivergenceError as err:
-        raise RuntimeError(
-            f"{spec.kind} failed at sweep point {point}, seed index {seed_idx}: {err}"
-        ) from err
+
+def _split(runs: list, count: int) -> list[list]:
+    """`runs` cut into `count` contiguous batches whose sizes differ by at most one."""
+    edges = [len(runs) * i // count for i in range(count + 1)]
+    return [runs[a:b] for a, b in zip(edges, edges[1:])]
+
+
+def _run_batch(args: tuple) -> list[dict]:
+    spec, runs = args
+    return _RUNNERS[spec.kind](spec, _sweep_points(spec), runs)
 
 
 # ---------------------------------------------------------------------------
@@ -529,29 +558,36 @@ def _mean_rows(raw_rows: list[dict], mean_columns: tuple[str, ...],
 
 
 def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
-    """Run every (sweep point, seed) task and assemble the result table.
+    """Run every (sweep point, seed) run and assemble the result table.
 
-    Tasks are independent; with ``jobs > 1`` they execute in a process
-    pool of at most ``min(jobs, tasks, cpu count)`` workers.  Rows are
-    merged in (sweep index, seed index) order, so output bytes never depend
-    on the parallelism level.
+    Runs are independent.  They are cut into contiguous batches of at most
+    _BATCH_SAMPLES frame samples and at least one batch per worker; the
+    LMS of a batch adapts all its frames at once.  With ``jobs > 1`` the
+    batches execute in a process pool of at most ``min(jobs, runs, cpu
+    count)`` workers.  Rows are merged in (sweep index, seed index) order,
+    and every run's numbers are the same in any batch, so output bytes
+    never depend on the parallelism level or on the batch size.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     points = _sweep_points(spec)
     if not points:
         raise ValueError("experiment has an empty sweep grid")
-    tasks = [
-        (spec, sweep_idx, seed_idx)
+    runs = [
+        (sweep_idx, seed_idx)
         for sweep_idx in range(len(points))
         for seed_idx in range(spec.n_seeds)
     ]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    workers = min(jobs, len(runs), os.cpu_count() or 1)
+    count = min(len(runs), max(math.ceil(len(runs) * spec.h / _BATCH_SAMPLES), workers))
+    tasks = [(spec, batch) for batch in _split(runs, count)]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~10 ms to import
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_task, tasks))
+            chunks = list(pool.map(_run_batch, tasks))
     else:
-        chunks = [_run_task(task) for task in tasks]
+        chunks = [_run_batch(task) for task in tasks]
     raw_rows = [row for chunk in chunks for row in chunk]
     raw_columns, mean_columns, value_columns = _columns_for(spec.kind)
     mean_rows = _mean_rows(raw_rows, mean_columns, value_columns)

@@ -1,5 +1,6 @@
 """Tests for config parsing, the experiment runner, and CSV emission."""
 
+import concurrent.futures
 import math
 import re
 from pathlib import Path
@@ -27,6 +28,28 @@ run.snr_grid = -2, 2
 pso.n_particles = 6
 pso.max_iters = 8
 """
+
+# Sweeps whose runs sit in batches of any size.  step_sweep: mu = 5 diverges
+# on every frame and mu = 0.25 on one, beside converging lanes.
+_BATCH_DOCS = {
+    "step_sweep": "frame.h = 300\nrun.sweep_values = 0.01, 0.25, 5\nrun.snr_grid = -2, 4\nrun.n_seeds = 2\n",
+    "ber_nonlinear": SMALL + "channel.profiles = 60MHz, 5.8GHz\n",
+}
+
+# Metric runs whose LMS diverges, and the error text the scalar per-run
+# runner gave for them.  mse_vs_snr: the first run to diverge is the 7th of 8.
+_DIVERGING_DOCS = {
+    "mse_vs_snr": (
+        "lms.mu = 0.15\nrun.snr_grid = 10, -5\nrun.n_seeds = 4\n",
+        "mse_vs_snr failed at sweep point {'snr_db': -5.0}, seed index 2: "
+        "weight magnitude 1.234e+06 exceeded bound at sample 144",
+    ),
+    "ber_nonlinear": (
+        "lms.mu = 10\nrun.n_seeds = 2\nchannel.profiles = 5.8GHz\n",
+        "ber_nonlinear failed at sweep point {'profile': '5.8GHz', 'snr_db': -10.0}, seed index 0: "
+        "weight magnitude 2.341e+07 exceeded bound at sample 7",
+    ),
+}
 
 
 class TestParseConfig:
@@ -183,8 +206,9 @@ class TestRunExperiment:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", RecordingPool)
-        spec = parse_config(SMALL, kind="step_sweep")  # 6 steps x 2 SNR x 2 seeds = 24 tasks
+        # run_experiment imports the pool class only when it starts one
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        spec = parse_config(SMALL, kind="step_sweep")  # 6 steps x 2 SNR x 2 seeds = 24 runs
         one_task = parse_config(SMALL, kind="step_sweep", overrides={
             "run.sweep_values": "0.01", "run.snr_grid": "0", "run.n_seeds": "1"})
         monkeypatch.setattr(bench.os, "cpu_count", lambda: 3)
@@ -195,6 +219,45 @@ class TestRunExperiment:
         run_experiment(spec, jobs=10_000)
         run_experiment(one_task, jobs=8)
         assert seen == [3, 2, 24]
+
+    @pytest.mark.parametrize("kind", list(_BATCH_DOCS))
+    def test_bytes_independent_of_jobs_and_batch_budget(self, kind, tmp_path, monkeypatch):
+        spec = parse_config(_BATCH_DOCS[kind], kind=kind)
+        expected = [p.read_bytes() for p in emit_csv(run_experiment(spec), tmp_path / "ref")]
+        default = bench._BATCH_SAMPLES
+        for lanes in (1, 3, None):
+            monkeypatch.setattr(bench, "_BATCH_SAMPLES", lanes * spec.h if lanes else default)
+            for jobs in (1, 2):
+                paths = emit_csv(run_experiment(spec, jobs=jobs), tmp_path / f"{lanes}-{jobs}")
+                assert [p.read_bytes() for p in paths] == expected, (lanes, jobs)
+
+    def test_runs_cut_into_contiguous_batches_by_budget(self, monkeypatch):
+        seen = []
+        lms_batch = bench.lms_batch
+
+        def recording(frames, mus, ale):
+            seen.append(len(frames))
+            return lms_batch(frames, mus, ale)
+
+        monkeypatch.setattr(bench, "lms_batch", recording)
+        spec = parse_config(SMALL, kind="step_sweep")  # 24 runs of 300 samples
+        default = bench._BATCH_SAMPLES
+        for lanes, sizes in ((None, [24]), (1, [1] * 24), (3, [3] * 8), (7, [6] * 4), (0.5, [1] * 24)):
+            monkeypatch.setattr(bench, "_BATCH_SAMPLES", int(lanes * spec.h) if lanes else default)
+            seen.clear()
+            run_experiment(spec)
+            assert seen == sizes, lanes
+
+    @pytest.mark.parametrize("kind", list(_DIVERGING_DOCS))
+    def test_metric_divergence_names_first_diverging_run(self, kind):
+        """The first diverging run in (sweep, seed) order is reported, with
+        lms_run's crossing sample and peak, at any parallelism."""
+        doc, message = _DIVERGING_DOCS[kind]
+        doc = "frame.h = 300\npso.n_particles = 6\npso.max_iters = 8\n" + doc
+        for jobs in (1, 2):
+            with pytest.raises(RuntimeError) as excinfo:
+                run_experiment(parse_config(doc, kind=kind), jobs=jobs)
+            assert str(excinfo.value) == message
 
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
@@ -315,6 +378,46 @@ class TestSpecValidation:
     def test_infinite_particle_count_rejected(self):
         with pytest.raises(ConfigError, match="run.sweep_values"):
             parse_config("run.sweep_values = 10, inf", kind="particle_sweep")
+
+    @pytest.mark.parametrize("key, raw", [
+        ("frame.h", "5"),
+        ("run.n_seeds", "0"),
+        ("run.base_seed", "-1"),
+        ("run.decision_stream", "both"),
+        ("mod.m", "3"),
+        ("mod.phase_offset", "7"),
+        ("ale.taps", "0"),
+        ("ale.delay", "0"),
+        ("lms.mu", "-0.1"),
+        ("pso.n_particles", "0"),
+        ("pso.c1", "-1"),
+        ("pso.c2", "-1"),
+        ("pso.max_iters", "0"),
+        ("pso.tol", "-1"),
+        ("pso.patience", "0"),
+        ("pso.init_range", "0"),
+        ("pso.v_max", "0"),
+    ])
+    def test_rejected_value_names_its_key(self, key, raw):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(f"{key} = {raw}")
+        assert excinfo.value.key == key
+        assert str(excinfo.value).startswith(f"{key}: ")
+
+    def test_frame_too_short_for_longer_filter_names_frame_h(self):
+        # each value is valid alone; together the frame cannot hold the filter
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config("frame.h = 15\nale.taps = 20")
+        assert excinfo.value.key == "frame.h"
+
+    def test_first_rejected_key_in_schema_order_named(self):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config("pso.c2 = -1\npso.c1 = -2\nrun.n_seeds = 0")
+        assert excinfo.value.key == "pso.c1"
+
+    def test_infinite_step_size_rejected(self):
+        with pytest.raises(ConfigError, match="run.sweep_values"):
+            parse_config("run.sweep_values = 0.01, inf", kind="step_sweep")
 
     @pytest.mark.parametrize("kind", bench.KINDS)
     @pytest.mark.parametrize("profiles", ["3.9GHz", "60MHz, 3.9GHz", "none", "", " , "])

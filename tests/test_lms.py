@@ -6,7 +6,7 @@ import pytest
 from alebench.ale import AleConfig
 from alebench.channel import ChannelConfig, transmit
 from alebench.errors import DivergenceError
-from alebench.lms import LmsConfig, lms_run, lms_step
+from alebench.lms import LmsConfig, lms_batch, lms_run, lms_step
 from alebench.signal import ModConfig, generate_bits, modulate
 from oracles import loop_lms, real_least_squares_weights, squared_error_gradient_fd
 
@@ -153,3 +153,91 @@ class TestLmsRun:
             firsts.append(np.mean(body[:tenth]))
             lasts.append(np.mean(body[-tenth:]))
         assert np.mean(lasts) < np.mean(firsts)
+
+
+def _small_frames(count, h=300):
+    return np.array([_awgn_frame(0.0, 60 + s, 70 + s, h=h) for s in range(count)])
+
+
+def _assert_lane_is_lms_run(d, mu, ale, weights, y, err):
+    """Lane (weights, y, err) of lms_batch is lms_run's result bit for bit."""
+    try:
+        trace = lms_run(d, LmsConfig(mu=mu), ale)
+    except DivergenceError as expected:
+        assert err is not None
+        assert err.sample_index == expected.sample_index
+        assert err.max_weight == expected.max_weight
+        return "diverged"
+    assert err is None
+    np.testing.assert_array_equal(weights, trace.final_weights)
+    np.testing.assert_array_equal(y, trace.run.y)
+    np.testing.assert_array_equal(d - y, trace.run.e)
+    return "converged"
+
+
+class TestLmsBatch:
+    @pytest.mark.parametrize("lanes", [1, 7])
+    def test_lanes_equal_lms_run_exactly(self, lanes):
+        frames = _small_frames(lanes)
+        mus = [0.005, 0.01, 0.02, 0.04, 0.08, 0.0, 0.03][:lanes]
+        for taps in range(1, 9):
+            for delay in range(1, 4):
+                ale = AleConfig(taps=taps, delay=delay)
+                weights, y, errors = lms_batch(frames, mus, ale)
+                assert weights.shape == (lanes, taps) and y.shape == frames.shape
+                for lane in range(lanes):
+                    ended = _assert_lane_is_lms_run(
+                        frames[lane], mus[lane], ale, weights[lane], y[lane], errors[lane])
+                    assert ended == "converged"
+
+    def test_diverging_lanes_match_lms_run_and_spare_the_rest(self):
+        """mu = 0.3 and mu = 10 lanes diverge at lms_run's sample with its
+        peak; the converging lanes beside them stay bit-identical."""
+        frames = np.array([_awgn_frame(-2.0, 80 + s, 90 + s, h=2000) for s in range(8)])
+        mus = [0.01, 0.3, 0.08, 10.0, 0.2, 0.3, 0.02, 10.0]
+        weights, y, errors = lms_batch(frames, mus, ALE)
+        ended = [
+            _assert_lane_is_lms_run(frames[b], mus[b], ALE, weights[b], y[b], errors[b])
+            for b in range(len(mus))
+        ]
+        assert ended == ["diverged" if mu in (0.3, 10.0) else "converged" for mu in mus]
+        assert len({err.sample_index for err in errors if err is not None}) > 1
+        assert np.all(np.isfinite(weights)) and np.all(np.isfinite(y))
+
+    def test_lane_result_independent_of_its_batch(self):
+        frames = _small_frames(7)
+        mus = np.array([0.01, 10.0, 0.08, 0.3, 0.02, 0.2, 0.005])
+        ale = AleConfig(taps=7, delay=2)
+        weights, y, errors = lms_batch(frames, mus, ale)
+        for picked in ([3], [0, 2], [6, 1, 4, 3], [5, 5]):
+            sub_weights, sub_y, sub_errors = lms_batch(frames[picked], mus[picked], ale)
+            for i, lane in enumerate(picked):
+                np.testing.assert_array_equal(sub_weights[i], weights[lane])
+                np.testing.assert_array_equal(sub_y[i], y[lane])
+                assert str(sub_errors[i]) == str(errors[lane])
+
+    def test_matches_loop_oracle(self):
+        frames = _small_frames(6)
+        mus = [0.005, 0.08, 0.2, 0.3, 10.0, 0.02]
+        for taps in range(1, 9):
+            for delay in range(1, 4):
+                weights, y, errors = lms_batch(frames, mus, AleConfig(taps=taps, delay=delay))
+                for lane, mu in enumerate(mus):
+                    expected = loop_lms(frames[lane], taps, delay, mu)
+                    if isinstance(expected[0], int):
+                        assert errors[lane].sample_index == expected[0]
+                        assert errors[lane].max_weight == pytest.approx(expected[1], rel=1e-12)
+                        continue
+                    assert errors[lane] is None
+                    _assert_rel(weights[lane], expected[0])
+                    _assert_rel(y[lane], expected[1])
+
+    def test_bad_input_rejected(self):
+        frames = _small_frames(2)
+        for mus in ([0.01], [0.01, -0.1], [0.01, np.inf], [0.01, np.nan]):
+            with pytest.raises(ValueError):
+                lms_batch(frames, mus, ALE)
+        with pytest.raises(ValueError):
+            lms_batch(frames[0], [0.01], ALE)
+        with pytest.raises(ValueError):
+            lms_batch(np.ones((2, 6), dtype=complex), [0.01, 0.01], ALE)
