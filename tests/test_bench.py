@@ -259,6 +259,18 @@ class TestRunExperiment:
                 run_experiment(parse_config(doc, kind=kind), jobs=jobs)
             assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("kind", bench.KINDS)
+    def test_row_keys_are_the_table_columns(self, kind):
+        """Every row holds exactly its CSV's columns: the CSV writer reads
+        rows with dict.get, so a stray key would be dropped and a missing
+        one written blank without notice."""
+        table = run_experiment(parse_config(SMALL, kind=kind))
+        assert table.raw_rows and table.mean_rows
+        for row in table.raw_rows:
+            assert set(row) == set(table.raw_columns)
+        for row in table.mean_rows:
+            assert set(row) == set(table.mean_columns)
+
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             run_experiment(parse_config(SMALL, kind="step_sweep"), jobs=0)
