@@ -4,7 +4,6 @@ from .ale import AleConfig, FilterRun, filter_frame
 from .channel import (
     DEFAULT_PROFILES,
     ChannelConfig,
-    NoisyFrame,
     NonlinearProfile,
     add_awgn,
     apply_nonlinear,
@@ -14,7 +13,6 @@ from .errors import ConfigError, DivergenceError
 from .lms import LmsConfig, LmsTrace, lms_batch, lms_run, lms_step
 from .metrics import mse
 from .pso import (
-    CostEval,
     PsoConfig,
     SwarmState,
     evaluate_cost,
@@ -34,7 +32,6 @@ __all__ = [
     "filter_frame",
     "ChannelConfig",
     "NonlinearProfile",
-    "NoisyFrame",
     "DEFAULT_PROFILES",
     "add_awgn",
     "apply_nonlinear",
@@ -47,7 +44,6 @@ __all__ = [
     "lms_batch",
     "lms_step",
     "mse",
-    "CostEval",
     "PsoConfig",
     "SwarmState",
     "evaluate_cost",

@@ -53,10 +53,6 @@ class FilterRun:
     e: np.ndarray
     valid: range = field(repr=False)
 
-    @property
-    def valid_slice(self) -> slice:
-        return slice(self.valid.start, self.valid.stop)
-
 
 def _check_weights(w: np.ndarray, cfg: AleConfig) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)

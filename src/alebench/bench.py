@@ -24,6 +24,7 @@ import csv
 import io
 import math
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -50,33 +51,6 @@ __all__ = [
 ]
 
 DEFAULT_BASE_SEED = 12345
-
-_SNR_GRID = tuple(float(s) for s in range(-10, 11, 2))
-
-# Per-kind values of the keys whose meaning depends on the kind.  A key
-# missing from a kind's entry is one that kind ignores: it is still
-# accepted, because ``run-all`` applies one config to every kind, but it
-# resolves to () and so stays out of that kind's meta file.
-_PER_KIND = {
-    "particle_sweep": {
-        "run.snr_grid": (-2.0,),
-        "run.sweep_values": (10.0, 20.0, 30.0, 40.0, 50.0, 60.0),
-    },
-    "step_sweep": {
-        "run.snr_grid": (-2.0,),
-        "run.sweep_values": (0.005, 0.01, 0.02, 0.04, 0.08, 0.2),
-    },
-    "mse_vs_snr": {"run.snr_grid": _SNR_GRID},
-    "ber_awgn": {"run.snr_grid": _SNR_GRID},
-    "ber_nonlinear": {
-        "run.snr_grid": _SNR_GRID,
-        "channel.profiles": ("60MHz", "2.4GHz", "5.8GHz"),
-    },
-}
-_PER_KIND_KEYS = {key for defaults in _PER_KIND.values() for key in defaults}
-
-KINDS = tuple(_PER_KIND)
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -247,7 +221,7 @@ def parse_config(
     if kind not in KINDS:
         raise ConfigError("experiment.kind", f"must be one of {', '.join(KINDS)}")
     values["experiment.kind"] = kind
-    defaults = _PER_KIND[kind]
+    defaults = _KINDS[kind].defaults
     for key in _PER_KIND_KEYS:
         values[key] = values.get(key, defaults[key]) if key in defaults else ()
 
@@ -338,42 +312,36 @@ def _subsystem_seeds(run_seed: int, count: int) -> list[int]:
 # per-run pipeline
 
 def _sweep_points(spec: ExperimentSpec) -> list[dict]:
-    """Flattened sweep axis; list position is the seed-derivation index."""
-    points = []
-    if spec.kind in ("particle_sweep", "step_sweep"):
-        for value in spec.sweep_values:
-            for snr in spec.snr_grid:
-                points.append({"value": value, "snr_db": snr})
-    elif spec.kind == "ber_nonlinear":
-        for name in spec.profiles:
-            for snr in spec.snr_grid:
-                points.append({"profile": name, "snr_db": snr})
-    else:
-        for snr in spec.snr_grid:
-            points.append({"snr_db": snr})
-    return points
+    """Flattened sweep axis, each point keyed by its row columns; list
+    position is the seed-derivation index."""
+    axis = _KINDS[spec.kind].axis
+    if axis is None:
+        return [{"snr_db": snr} for snr in spec.snr_grid]
+    column, name = axis
+    return [{column: value, "snr_db": snr} for value in getattr(spec, name) for snr in spec.snr_grid]
 
 
 def _make_frame(spec: ExperimentSpec, point: dict, run_seed: int):
-    """Bits, received samples and PSO seed of one run."""
+    """Bits seed, received samples and PSO seed of one run."""
     bits_seed, chan_seed, pso_seed = _subsystem_seeds(run_seed, 3)
     bits = generate_bits(spec.h * spec.mod.bits_per_symbol, bits_seed)
     profile = DEFAULT_PROFILES[point["profile"]] if "profile" in point else None
     channel = ChannelConfig(snr_db=point["snr_db"], nonlinear=profile, seed=chan_seed)
-    return bits, transmit(modulate(bits, spec.mod), channel).d, pso_seed
+    return bits_seed, transmit(modulate(bits, spec.mod), channel), pso_seed
 
 
 def _batch_frames(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]):
-    """One lane per run: its (point, seed index, run seed, bits, PSO seed)
-    and the (B, H) received samples.  The clean symbols are not kept; they
-    are modulate(bits) again where a run's decisions need them."""
+    """One lane per run: its (point, seed index, run seed, bits seed, PSO
+    seed) and the (B, H) received samples.  Neither the bits nor the clean
+    symbols are kept; a run whose decisions need them draws them again
+    from the bits seed."""
     lanes = []
     frames = np.empty((len(runs), spec.h), dtype=np.complex128)
     for lane, (sweep_idx, seed_idx) in enumerate(runs):
         point = points[sweep_idx]
         run_seed = derive_run_seed(spec.base_seed, sweep_idx, seed_idx)
-        bits, frames[lane], pso_seed = _make_frame(spec, point, run_seed)
-        lanes.append((point, seed_idx, run_seed, bits, pso_seed))
+        bits_seed, frames[lane], pso_seed = _make_frame(spec, point, run_seed)
+        lanes.append((point, seed_idx, run_seed, bits_seed, pso_seed))
     return lanes, frames
 
 
@@ -404,16 +372,15 @@ def _metric_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int,
     _, outputs, diverged = lms_batch(frames, np.full(len(runs), spec.lms.mu), spec.ale)
     valid = range(spec.ale.warmup, spec.h)
     rows = []
-    for (point, seed_idx, run_seed, bits, pso_seed), d, y, err in zip(lanes, frames, outputs, diverged):
+    for (point, seed_idx, run_seed, bits_seed, pso_seed), d, y, err in zip(lanes, frames, outputs, diverged):
         if err is not None:
             raise RuntimeError(
                 f"{spec.kind} failed at sweep point {point}, seed index {seed_idx}: {err}"
             ) from err
         weights, _ = run_pso(d, replace(spec.pso, seed=pso_seed), spec.ale)
+        bits = generate_bits(spec.h * spec.mod.bits_per_symbol, bits_seed)
         x = modulate(bits, spec.mod)
-        base = {"snr_db": point["snr_db"], "seed": run_seed, "L": spec.ale.taps, "delta": spec.ale.delay}
-        if spec.kind == "ber_nonlinear":
-            base["profile"] = point["profile"]
+        base = dict(point, seed=run_seed, L=spec.ale.taps, delta=spec.ale.delay)
         for algorithm, run, mu, n_particles in (
             ("LMS", FilterRun(y=y, e=d - y, valid=valid), spec.lms.mu, None),
             ("PSO", filter_frame(d, weights, spec.ale), None, spec.pso.n_particles),
@@ -434,22 +401,20 @@ def _metric_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int,
 
 def _step_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]) -> list[dict]:
     lanes, frames = _batch_frames(spec, points, runs)
-    mus = [point["value"] for point, *_ in lanes]
-    _, outputs, diverged = lms_batch(frames, mus, spec.ale)
+    _, outputs, diverged = lms_batch(frames, [point["mu"] for point, *_ in lanes], spec.ale)
     valid = range(spec.ale.warmup, spec.h)
     # the sweep deliberately crosses the stability boundary; a diverged
     # run reports infinite residual power instead of aborting the sweep
     return [
-        {
-            "snr_db": point["snr_db"],
-            "algorithm": "LMS",
-            "seed": run_seed,
-            "mu": mu,
-            "mse": math.inf if err is not None else mse(d, y, valid),
-            "L": spec.ale.taps,
-            "delta": spec.ale.delay,
-        }
-        for (point, _, run_seed, _, _), mu, d, y, err in zip(lanes, mus, frames, outputs, diverged)
+        dict(
+            point,
+            algorithm="LMS",
+            seed=run_seed,
+            mse=math.inf if err is not None else mse(d, y, valid),
+            L=spec.ale.taps,
+            delta=spec.ale.delay,
+        )
+        for (point, _, run_seed, _, _), d, y, err in zip(lanes, frames, outputs, diverged)
     ]
 
 
@@ -458,42 +423,104 @@ def _particle_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[in
     for sweep_idx, seed_idx in runs:
         point = points[sweep_idx]
         run_seed = derive_run_seed(spec.base_seed, sweep_idx, seed_idx)
-        n_particles = int(point["value"])
+        # the sweep value is a whole float; the row and the swarm take an int
+        n_particles = int(point["n_particles"])
         _, d, pso_seed = _make_frame(spec, point, run_seed)
         # full-length histories: early stopping is disabled for this sweep
         cfg = replace(spec.pso, n_particles=n_particles, tol=0.0, seed=pso_seed)
         _, state = run_pso(d, cfg, spec.ale)
         rows += [
-            {
-                "snr_db": point["snr_db"],
-                "algorithm": "PSO",
-                "seed": run_seed,
-                "n_particles": n_particles,
-                "iteration": it + 1,
-                "gbest_cost": cost,
-                "L": spec.ale.taps,
-                "delta": spec.ale.delay,
-            }
+            dict(
+                point,
+                algorithm="PSO",
+                seed=run_seed,
+                n_particles=n_particles,
+                iteration=it + 1,
+                gbest_cost=cost,
+                L=spec.ale.taps,
+                delta=spec.ale.delay,
+            )
             for it, cost in enumerate(state.history)
         ]
     return rows
 
 
-# Each takes a contiguous batch of (sweep index, seed index) runs and
-# returns their rows in that order.
-_RUNNERS = {
-    "particle_sweep": _particle_rows,
-    "step_sweep": _step_rows,
-    "mse_vs_snr": _metric_rows,
-    "ber_awgn": _metric_rows,
-    "ber_nonlinear": _metric_rows,
+@dataclass(frozen=True)
+class _Kind:
+    """Everything that sets one experiment kind apart.
+
+    `defaults` holds the kind's values of the keys whose meaning depends
+    on the kind.  A key missing from it is one the kind ignores: it is
+    still accepted, because ``run-all`` applies one config to every kind,
+    but it resolves to () and so stays out of that kind's meta file.
+    `axis` is the row column swept outside the SNR grid and the spec field
+    its values come from, or None.  `rows` takes a contiguous batch of
+    (sweep index, seed index) runs and returns their rows in that order.
+    `raw` and `mean` are the CSV columns.  `averaged` are the mean columns
+    averaged over seeds; the other mean columns but ``n_seeds`` group rows.
+    """
+
+    defaults: dict
+    axis: tuple[str, str] | None
+    rows: Callable[[ExperimentSpec, list, list], list[dict]]
+    raw: tuple[str, ...]
+    mean: tuple[str, ...]
+    averaged: tuple[str, ...]
+
+
+_SNR_GRID = tuple(float(s) for s in range(-10, 11, 2))
+
+_METRIC_RAW = (
+    "snr_db", "algorithm", "seed", "ber", "mse", "mu", "n_particles",
+    "L", "delta", "clean_mse", "compared_bits",
+)
+_METRIC_MEAN = (
+    "snr_db", "algorithm", "ber", "mse", "clean_mse", "n_seeds", "mu",
+    "n_particles", "L", "delta",
+)
+_METRIC_AVERAGED = ("ber", "mse", "clean_mse")
+
+_KINDS = {
+    "particle_sweep": _Kind(
+        defaults={"run.snr_grid": (-2.0,), "run.sweep_values": (10.0, 20.0, 30.0, 40.0, 50.0, 60.0)},
+        axis=("n_particles", "sweep_values"),
+        rows=_particle_rows,
+        raw=("snr_db", "algorithm", "seed", "n_particles", "iteration", "gbest_cost", "L", "delta"),
+        mean=("snr_db", "algorithm", "n_particles", "iteration", "gbest_cost", "n_seeds", "L", "delta"),
+        averaged=("gbest_cost",),
+    ),
+    "step_sweep": _Kind(
+        defaults={"run.snr_grid": (-2.0,), "run.sweep_values": (0.005, 0.01, 0.02, 0.04, 0.08, 0.2)},
+        axis=("mu", "sweep_values"),
+        rows=_step_rows,
+        raw=("snr_db", "algorithm", "seed", "mu", "mse", "L", "delta"),
+        mean=("snr_db", "algorithm", "mu", "mse", "n_seeds", "L", "delta"),
+        averaged=("mse",),
+    ),
+    "mse_vs_snr": _Kind(
+        {"run.snr_grid": _SNR_GRID}, None, _metric_rows, _METRIC_RAW, _METRIC_MEAN, _METRIC_AVERAGED
+    ),
+    "ber_awgn": _Kind(
+        {"run.snr_grid": _SNR_GRID}, None, _metric_rows, _METRIC_RAW, _METRIC_MEAN, _METRIC_AVERAGED
+    ),
+    "ber_nonlinear": _Kind(
+        defaults={"run.snr_grid": _SNR_GRID, "channel.profiles": ("60MHz", "2.4GHz", "5.8GHz")},
+        axis=("profile", "profiles"),
+        rows=_metric_rows,
+        raw=_METRIC_RAW + ("profile",),
+        mean=_METRIC_MEAN + ("profile",),
+        averaged=_METRIC_AVERAGED,
+    ),
 }
+_PER_KIND_KEYS = {key for kind in _KINDS.values() for key in kind.defaults}
+
+KINDS = tuple(_KINDS)
 
 # Frame samples one batch of runs may hold.  A sample costs 32 bytes of
-# frame and LMS output plus its bits while the batch runs, ~21 MB for BPSK
-# at this size.  The LMS kernel's per-sample call overhead is shared by the
-# whole batch, so fewer, larger batches are faster: 64 frames of 10,000
-# fit, and a default ber_awgn sweep (110 frames) runs as two batches.
+# frame and LMS output while the batch runs, ~20 MB at this size.  The LMS
+# kernel's per-sample call overhead is shared by the whole batch, so fewer,
+# larger batches are faster: 64 frames of 10,000 fit, and a default
+# ber_awgn sweep (110 frames) runs as two batches.
 _BATCH_SAMPLES = 640_000
 
 
@@ -505,45 +532,15 @@ def _split(runs: list, count: int) -> list[list]:
 
 def _run_batch(args: tuple) -> list[dict]:
     spec, runs = args
-    return _RUNNERS[spec.kind](spec, _sweep_points(spec), runs)
+    return _KINDS[spec.kind].rows(spec, _sweep_points(spec), runs)
 
 
 # ---------------------------------------------------------------------------
 # tables
 
-_METRIC_COLUMNS = (
-    "snr_db", "algorithm", "seed", "ber", "mse", "mu", "n_particles",
-    "L", "delta", "clean_mse", "compared_bits",
-)
-_METRIC_MEAN = (
-    "snr_db", "algorithm", "ber", "mse", "clean_mse", "n_seeds", "mu",
-    "n_particles", "L", "delta",
-)
-_STEP_COLUMNS = ("snr_db", "algorithm", "seed", "mu", "mse", "L", "delta")
-_STEP_MEAN = ("snr_db", "algorithm", "mu", "mse", "n_seeds", "L", "delta")
-_PARTICLE_COLUMNS = (
-    "snr_db", "algorithm", "seed", "n_particles", "iteration", "gbest_cost", "L", "delta",
-)
-_PARTICLE_MEAN = (
-    "snr_db", "algorithm", "n_particles", "iteration", "gbest_cost", "n_seeds", "L", "delta",
-)
-
-
-def _columns_for(kind: str) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """(raw columns, mean columns, aggregated value columns) per kind."""
-    if kind == "particle_sweep":
-        return _PARTICLE_COLUMNS, _PARTICLE_MEAN, ("gbest_cost",)
-    if kind == "step_sweep":
-        return _STEP_COLUMNS, _STEP_MEAN, ("mse",)
-    raw = _METRIC_COLUMNS + (("profile",) if kind == "ber_nonlinear" else ())
-    mean = _METRIC_MEAN + (("profile",) if kind == "ber_nonlinear" else ())
-    return raw, mean, ("ber", "mse", "clean_mse")
-
-
-def _mean_rows(raw_rows: list[dict], mean_columns: tuple[str, ...],
-               value_columns: tuple[str, ...]) -> list[dict]:
+def _mean_rows(raw_rows: list[dict], kind: _Kind) -> list[dict]:
     groups: dict[tuple, list[dict]] = {}
-    key_columns = tuple(c for c in mean_columns if c not in value_columns and c != "n_seeds")
+    key_columns = tuple(c for c in kind.mean if c not in kind.averaged and c != "n_seeds")
     for row in raw_rows:
         key = tuple(row[c] for c in key_columns)
         groups.setdefault(key, []).append(row)
@@ -551,7 +548,7 @@ def _mean_rows(raw_rows: list[dict], mean_columns: tuple[str, ...],
     for key, rows in groups.items():
         entry = dict(zip(key_columns, key))
         entry["n_seeds"] = len(rows)
-        for col in value_columns:
+        for col in kind.averaged:
             entry[col] = float(np.mean([row[col] for row in rows]))
         out.append(entry)
     return out
@@ -589,14 +586,13 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     else:
         chunks = [_run_batch(task) for task in tasks]
     raw_rows = [row for chunk in chunks for row in chunk]
-    raw_columns, mean_columns, value_columns = _columns_for(spec.kind)
-    mean_rows = _mean_rows(raw_rows, mean_columns, value_columns)
+    kind = _KINDS[spec.kind]
     return ResultTable(
         kind=spec.kind,
-        raw_columns=raw_columns,
+        raw_columns=kind.raw,
         raw_rows=tuple(raw_rows),
-        mean_columns=mean_columns,
-        mean_rows=tuple(mean_rows),
+        mean_columns=kind.mean,
+        mean_rows=tuple(_mean_rows(raw_rows, kind)),
         metadata=spec_to_text(spec),
     )
 

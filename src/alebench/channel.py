@@ -9,14 +9,13 @@ carrier band label used by the benchmark.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "NonlinearProfile",
     "ChannelConfig",
-    "NoisyFrame",
     "DEFAULT_PROFILES",
     "add_awgn",
     "apply_nonlinear",
@@ -34,13 +33,10 @@ class NonlinearProfile:
         Coefficient of the x*|x|^2 term, >= 0.
     tones : tuple of (amplitude, normalized_frequency, phase)
         Complex tones added to the signal; frequency strictly in (0, 0.5).
-    label : str
-        Carrier-band name carried through to result rows.
     """
 
     cubic_gain: float = 0.0
     tones: tuple[tuple[float, float, float], ...] = ()
-    label: str = ""
 
     def __post_init__(self):
         if not (self.cubic_gain >= 0.0 and math.isfinite(self.cubic_gain)):
@@ -53,17 +49,11 @@ class NonlinearProfile:
 
 
 # Tone placements and cubic gains are this library's defaults; the three
-# labels only distinguish result rows, they do not change the baseband model.
+# names only distinguish result rows, they do not change the baseband model.
 DEFAULT_PROFILES: dict[str, NonlinearProfile] = {
-    "60MHz": NonlinearProfile(
-        cubic_gain=0.05, tones=((0.6, 0.012, 0.0),), label="60MHz"
-    ),
-    "2.4GHz": NonlinearProfile(
-        cubic_gain=0.10, tones=((0.5, 0.031, 0.9), (0.3, 0.057, 2.1)), label="2.4GHz"
-    ),
-    "5.8GHz": NonlinearProfile(
-        cubic_gain=0.15, tones=((0.7, 0.023, 0.4), (0.4, 0.071, 1.7)), label="5.8GHz"
-    ),
+    "60MHz": NonlinearProfile(cubic_gain=0.05, tones=((0.6, 0.012, 0.0),)),
+    "2.4GHz": NonlinearProfile(cubic_gain=0.10, tones=((0.5, 0.031, 0.9), (0.3, 0.057, 2.1))),
+    "5.8GHz": NonlinearProfile(cubic_gain=0.15, tones=((0.7, 0.023, 0.4), (0.4, 0.071, 1.7))),
 }
 
 
@@ -83,19 +73,7 @@ class ChannelConfig:
             raise ValueError(f"snr_db must be finite or +inf, got {self.snr_db}")
 
 
-@dataclass(frozen=True)
-class NoisyFrame:
-    """Received samples d plus a reference to the clean symbol stream."""
-
-    d: np.ndarray
-    clean: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        if len(self.d) != len(self.clean):
-            raise ValueError("received and clean streams must have equal length")
-
-
-def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> NoisyFrame:
+def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     """Add complex white Gaussian noise calibrated to `snr_db`.
 
     The total noise variance is mean(|x|^2) / 10^(snr_db/10), split equally
@@ -109,12 +87,12 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> NoisyFrame:
     if power <= 0.0:
         raise ValueError("input stream has zero power")
     if snr_db == math.inf:
-        return NoisyFrame(d=x.copy(), clean=x)
+        return x.copy()
     sigma2 = power / 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((x.size, 2))
     noise = math.sqrt(sigma2 / 2.0) * (draws[:, 0] + 1j * draws[:, 1])
-    return NoisyFrame(d=x + noise, clean=x)
+    return x + noise
 
 
 def apply_nonlinear(x: np.ndarray, profile: NonlinearProfile) -> np.ndarray:
@@ -129,13 +107,7 @@ def apply_nonlinear(x: np.ndarray, profile: NonlinearProfile) -> np.ndarray:
     return y
 
 
-def transmit(x: np.ndarray, cfg: ChannelConfig) -> NoisyFrame:
-    """Distort (optionally) and add AWGN; SNR is calibrated after distortion.
-
-    The returned frame keeps `clean` pointing at the undistorted input so
-    that downstream diagnostics can compare against the true symbols.
-    """
-    x = np.asarray(x, dtype=np.complex128)
+def transmit(x: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
+    """Distort (optionally) and add AWGN; SNR is calibrated after distortion."""
     distorted = apply_nonlinear(x, cfg.nonlinear) if cfg.nonlinear is not None else x
-    noisy = add_awgn(distorted, cfg.snr_db, cfg.seed)
-    return NoisyFrame(d=noisy.d, clean=x)
+    return add_awgn(distorted, cfg.snr_db, cfg.seed)

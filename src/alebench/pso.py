@@ -11,14 +11,15 @@ computed, so a search is a pure function of its seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ale import AleConfig, _check_frame, _check_weights
 
-__all__ = ["PsoConfig", "SwarmState", "CostEval", "frame_costs", "evaluate_cost",
-           "init_swarm", "step_swarm", "update_bests", "run_pso"]
+__all__ = ["PsoConfig", "SwarmState", "frame_costs", "evaluate_cost", "init_swarm",
+           "step_swarm", "update_bests", "run_pso"]
 
 # A quadratic-form cost below this fraction of c + w'Rw has lost too many
 # digits to cancellation and is recomputed from the residual directly.
@@ -33,6 +34,8 @@ class PsoConfig:
     improvement stays below it for `patience` consecutive iterations the
     search stops early.  Set ``tol=0`` to always run `max_iters` iterations.
     The previous velocity carries weight `inertia`, exactly 1 by default.
+    `c1`, `c2`, `inertia` and `init_range` must be finite; ``v_max = inf``
+    turns the velocity clamp off.
     """
 
     n_particles: int = 60
@@ -48,6 +51,9 @@ class PsoConfig:
     per_dimension_draws: bool = False
 
     def __post_init__(self):
+        for name in ("c1", "c2", "inertia", "init_range"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.n_particles < 1:
             raise ValueError(f"n_particles must be >= 1, got {self.n_particles}")
         if self.max_iters < 1:
@@ -58,7 +64,7 @@ class PsoConfig:
             raise ValueError(f"init_range must be > 0, got {self.init_range}")
         if not self.v_max > 0.0:
             raise ValueError(f"v_max must be > 0, got {self.v_max}")
-        if self.tol < 0.0:
+        if not self.tol >= 0.0:
             raise ValueError(f"tol must be >= 0, got {self.tol}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
@@ -76,14 +82,6 @@ class SwarmState:
     gbest_position: np.ndarray
     gbest_cost: float
     history: list[float] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class CostEval:
-    """Mean squared residual and the number of samples it averaged."""
-
-    cost: float
-    n_samples: int
 
 
 def frame_costs(d: np.ndarray, ale: AleConfig):
@@ -119,24 +117,21 @@ def frame_costs(d: np.ndarray, ale: AleConfig):
     return costs
 
 
-def evaluate_cost(w: np.ndarray, d: np.ndarray, ale: AleConfig) -> CostEval:
+def evaluate_cost(w: np.ndarray, d: np.ndarray, ale: AleConfig) -> float:
     """Mean |e[n]|^2 over the fully-populated range, weights held fixed."""
     w = _check_weights(w, ale)
-    cost = frame_costs(d, ale)(w[None])[0]
-    return CostEval(cost=float(cost), n_samples=len(d) - ale.warmup)
+    return float(frame_costs(d, ale)(w[None])[0])
 
 
-def init_swarm(cfg: PsoConfig, taps: int, cost_fn=None, rng=None) -> SwarmState:
-    """Draw initial positions uniformly in [-init_range, init_range]^taps.
+def init_swarm(cfg: PsoConfig, taps: int, cost_fn, rng: np.random.Generator) -> SwarmState:
+    """Draw initial positions uniformly in [-init_range, init_range]^taps
+    from `rng`.
 
     Each particle's best is its starting point.  `cost_fn` maps the (N, taps)
-    positions to N costs and the global best is the cheapest particle;
-    without it the costs stay at +inf until the first iteration.
+    positions to N costs and the global best is the cheapest particle.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     position = rng.uniform(-cfg.init_range, cfg.init_range, size=(cfg.n_particles, taps))
-    cost = np.full(cfg.n_particles, np.inf) if cost_fn is None else cost_fn(position)
+    cost = cost_fn(position)
     best = int(np.argmin(cost))
     return SwarmState(position, np.zeros_like(position), position.copy(), cost,
                       position[best].copy(), float(cost[best]))

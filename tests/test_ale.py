@@ -10,7 +10,7 @@ from alebench.signal import ModConfig, generate_bits, modulate
 
 def _frame(h=256, seed=30, snr_db=2.0):
     x = modulate(generate_bits(h, seed), ModConfig(m=2))
-    return transmit(x, ChannelConfig(snr_db=snr_db, seed=seed + 1)).d
+    return transmit(x, ChannelConfig(snr_db=snr_db, seed=seed + 1))
 
 
 class TestRegressor:
@@ -58,7 +58,7 @@ class TestFilterFrame:
         cfg = AleConfig(taps=4, delay=1)
         w = np.array([1.0, 0.0, 0.0, 0.0])
         run = filter_frame(d, w, cfg)
-        np.testing.assert_allclose(run.y[run.valid_slice], d[cfg.warmup - 1 : -1], atol=1e-15)
+        np.testing.assert_allclose(run.y[run.valid.start : run.valid.stop], d[cfg.warmup - 1 : -1], atol=1e-15)
 
     def test_zero_weights_pass_input_through_residual(self):
         d = _frame()
@@ -102,9 +102,8 @@ class TestFilterFrame:
         # the residual is d - y by construction, bit for bit; re-adding y
         # reconstructs d to the last rounding
         np.testing.assert_array_equal(run.e, d - run.y)
-        np.testing.assert_allclose(
-            (run.e + run.y)[run.valid_slice], d[run.valid_slice], rtol=0, atol=1e-14
-        )
+        sl = slice(run.valid.start, run.valid.stop)
+        np.testing.assert_allclose((run.e + run.y)[sl], d[sl], rtol=0, atol=1e-14)
 
     def test_shift_property(self):
         """Delaying the input by one sample delays the output by one sample."""

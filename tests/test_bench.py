@@ -409,6 +409,10 @@ class TestSpecValidation:
         ("pso.patience", "0"),
         ("pso.init_range", "0"),
         ("pso.v_max", "0"),
+        ("pso.init_range", "inf"),
+        ("pso.inertia", "nan"),
+        ("pso.c1", "inf"),
+        ("pso.tol", "nan"),
     ])
     def test_rejected_value_names_its_key(self, key, raw):
         with pytest.raises(ConfigError) as excinfo:

@@ -16,7 +16,7 @@ H = 10_000
 
 def _awgn_frame(snr_db, bits_seed, noise_seed, h=H):
     x = modulate(generate_bits(h, bits_seed), ModConfig(m=2))
-    return transmit(x, ChannelConfig(snr_db=snr_db, seed=noise_seed)).d
+    return transmit(x, ChannelConfig(snr_db=snr_db, seed=noise_seed))
 
 
 def _assert_rel(actual, expected, rel=1e-12):

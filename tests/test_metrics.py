@@ -48,6 +48,6 @@ class TestMse:
             w = rng.normal(size=5)
             run = filter_frame(d, w, ALE)
             via_metric = mse(d, run.y, run.valid)
-            via_cost = evaluate_cost(w, d, ALE).cost
+            via_cost = evaluate_cost(w, d, ALE)
             assert via_metric == pytest.approx(via_cost, rel=1e-12)
 
