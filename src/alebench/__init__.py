@@ -10,7 +10,7 @@ from .channel import (
     transmit,
 )
 from .errors import ConfigError, DivergenceError
-from .lms import LmsConfig, LmsTrace, lms_batch, lms_run, lms_step
+from .lms import LmsConfig, lms_batch, lms_step
 from .metrics import mse
 from .pso import (
     PsoConfig,
@@ -39,8 +39,6 @@ __all__ = [
     "ConfigError",
     "DivergenceError",
     "LmsConfig",
-    "LmsTrace",
-    "lms_run",
     "lms_batch",
     "lms_step",
     "mse",

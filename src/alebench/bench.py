@@ -124,24 +124,30 @@ def _parse_float(text: str) -> float:
         raise ValueError(f"expected a number, got {text!r}") from err
 
 
-def _split_list(text: str) -> list[str]:
-    items = [part.strip() for part in text.split(",") if part.strip()]
+def _parse_list(text: str, parse_item) -> tuple:
+    """Comma-separated values, each parsed; a repeat would merge two sweep
+    points into one mean row."""
+    items = tuple(parse_item(part.strip()) for part in text.split(",") if part.strip())
     if not items:
         raise ValueError("expected a non-empty comma-separated list")
+    if len(set(items)) != len(items):
+        raise ValueError("values must be distinct")
     return items
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(_parse_float(item) for item in _split_list(text))
+    return _parse_list(text, _parse_float)
+
+
+def _parse_profile(name: str) -> str:
+    if name not in DEFAULT_PROFILES:
+        known = ", ".join(DEFAULT_PROFILES)
+        raise ValueError(f"unknown profile {name!r}, expected one of {known}")
+    return name
 
 
 def _parse_profiles(text: str) -> tuple[str, ...]:
-    names = tuple(_split_list(text))
-    for name in names:
-        if name not in DEFAULT_PROFILES:
-            known = ", ".join(DEFAULT_PROFILES)
-            raise ValueError(f"unknown profile {name!r}, expected one of {known}")
-    return names
+    return _parse_list(text, _parse_profile)
 
 
 # The only list of config keys.  Key ``section.name`` sets field ``name`` of
@@ -233,9 +239,6 @@ def parse_config(
     for section, cls in _SECTIONS.items():
         fields[section] = _build(cls, sections[section], section)
 
-    for key in ("run.snr_grid", "run.sweep_values"):
-        if len(set(values[key])) != len(values[key]):
-            raise ConfigError(key, "values must be distinct")
     if any(math.isnan(s) or s == -math.inf for s in values["run.snr_grid"]):  # +inf: no noise
         raise ConfigError("run.snr_grid", "SNR values must be numbers or inf, not nan or -inf")
     if kind == "particle_sweep":
@@ -321,15 +324,6 @@ def _sweep_points(spec: ExperimentSpec) -> list[dict]:
     return [{column: value, "snr_db": snr} for value in getattr(spec, name) for snr in spec.snr_grid]
 
 
-def _make_frame(spec: ExperimentSpec, point: dict, run_seed: int):
-    """Bits seed, received samples and PSO seed of one run."""
-    bits_seed, chan_seed, pso_seed = _subsystem_seeds(run_seed, 3)
-    bits = generate_bits(spec.h * spec.mod.bits_per_symbol, bits_seed)
-    profile = DEFAULT_PROFILES[point["profile"]] if "profile" in point else None
-    channel = ChannelConfig(snr_db=point["snr_db"], nonlinear=profile, seed=chan_seed)
-    return bits_seed, transmit(modulate(bits, spec.mod), channel), pso_seed
-
-
 def _batch_frames(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]):
     """One lane per run: its (point, seed index, run seed, bits seed, PSO
     seed) and the (B, H) received samples.  Neither the bits nor the clean
@@ -340,7 +334,11 @@ def _batch_frames(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int
     for lane, (sweep_idx, seed_idx) in enumerate(runs):
         point = points[sweep_idx]
         run_seed = derive_run_seed(spec.base_seed, sweep_idx, seed_idx)
-        bits_seed, frames[lane], pso_seed = _make_frame(spec, point, run_seed)
+        bits_seed, chan_seed, pso_seed = _subsystem_seeds(run_seed, 3)
+        bits = generate_bits(spec.h * spec.mod.bits_per_symbol, bits_seed)
+        profile = DEFAULT_PROFILES[point["profile"]] if "profile" in point else None
+        channel = ChannelConfig(snr_db=point["snr_db"], nonlinear=profile, seed=chan_seed)
+        frames[lane] = transmit(modulate(bits, spec.mod), channel)
         lanes.append((point, seed_idx, run_seed, bits_seed, pso_seed))
     return lanes, frames
 
@@ -419,13 +417,11 @@ def _step_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, i
 
 
 def _particle_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]) -> list[dict]:
+    lanes, frames = _batch_frames(spec, points, runs)
     rows = []
-    for sweep_idx, seed_idx in runs:
-        point = points[sweep_idx]
-        run_seed = derive_run_seed(spec.base_seed, sweep_idx, seed_idx)
+    for (point, _, run_seed, _, pso_seed), d in zip(lanes, frames):
         # the sweep value is a whole float; the row and the swarm take an int
         n_particles = int(point["n_particles"])
-        _, d, pso_seed = _make_frame(spec, point, run_seed)
         # full-length histories: early stopping is disabled for this sweep
         cfg = replace(spec.pso, n_particles=n_particles, tol=0.0, seed=pso_seed)
         _, state = run_pso(d, cfg, spec.ale)

@@ -5,24 +5,23 @@ w <- w + mu * Re(e[n] * conj(v[n])), the stochastic-gradient step on the
 instantaneous squared error.  The real projection keeps the weight vector
 real; for real-valued signals it reduces to the textbook update exactly.
 
-A single run loops on Python scalars: with L ~ 5 taps, one numpy call per
-operation costs more in call overhead than the arithmetic it does.  A
-batch of runs loops once over the samples with the lanes as the last axis
-of every array, so each numpy call serves every lane.
+Runs are adapted in batches: one loop over the samples with the lanes as
+the last axis of every array, so each numpy call serves every lane.  With
+L ~ 5 taps, a call per run and sample would cost more in call overhead
+than the arithmetic it does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .ale import AleConfig, FilterRun, _check_frame
+from .ale import AleConfig, _check_frame
 from .errors import DivergenceError
 
-__all__ = ["LmsConfig", "LmsTrace", "lms_step", "lms_run", "lms_batch", "WEIGHT_BOUND"]
+__all__ = ["LmsConfig", "lms_step", "lms_batch", "WEIGHT_BOUND"]
 
 # Any |w| beyond this is treated as divergence rather than a usable state.
 WEIGHT_BOUND = 1e6
@@ -39,55 +38,32 @@ class LmsConfig:
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
 
 
-@dataclass(frozen=True)
-class LmsTrace:
-    """Result of one adaptation pass over a frame."""
-
-    final_weights: np.ndarray
-    run: FilterRun
-
-
-def _update(w: list, e_n: complex, v: list, mu: float) -> list:
-    """w + mu * Re(e_n * conj(v)), tap by tap, on Python scalars."""
-    return [wk + mu * (e_n * vk.conjugate()).real for wk, vk in zip(w, v)]
+def _update(w, e_n, v, mus, prod, step) -> None:
+    """w += mus * Re(e_n * conj(v)) in place, lanes last: (L, 1, B) weights,
+    (2, B) real/imag errors, (L, 2, B) real/imag regressors, B step sizes,
+    and (L, 2, B) and (L, 1, B) scratch for the products and the step.
+    Each tap's step is mu * (er*vr + ei*vi), in that order."""
+    np.add.reduce(np.multiply(e_n, v, out=prod), axis=1, keepdims=True, out=step)
+    step *= mus
+    w += step
 
 
 def lms_step(
     w: np.ndarray, e_n: complex, v_n: np.ndarray, mu: float
 ) -> np.ndarray:
-    """Single weight update from one error sample and its regressor."""
-    w = np.asarray(w, dtype=np.float64)
+    """Single weight update from one error sample and its regressor: the
+    update lms_batch makes, run on one lane."""
+    w = np.array(w, dtype=np.float64)
     v_n = np.asarray(v_n)
     if w.ndim != 1 or w.shape != v_n.shape:
         raise ValueError(f"shape mismatch: weights {w.shape}, regressor {v_n.shape}")
     if not (np.isfinite(e_n) and np.all(np.isfinite(v_n)) and np.all(np.isfinite(w))):
         raise ValueError("non-finite input to weight update")
-    return np.array(_update(w.tolist(), complex(e_n), v_n.tolist(), mu), dtype=np.float64)
-
-
-def lms_run(d: np.ndarray, cfg: LmsConfig, ale: AleConfig) -> LmsTrace:
-    """Adapt over a frame, one sample at a time.
-
-    Warm-up samples (regressor not fully populated) are skipped: their
-    output stays zero and their residual equals the input.  Raises
-    DivergenceError as soon as any weight magnitude crosses WEIGHT_BOUND.
-    """
-    d = _check_frame(d, ale)
-    start, delay, mu = ale.warmup, ale.delay, float(cfg.mu)
-    dl = d.tolist()
-    # oldest tap first, in the order of the window slice dl[n-start : n-delay+1]
-    w = [0.0] * ale.taps
-    y = [0j] * d.size
-    for n in range(start, d.size):
-        v = dl[n - start : n - delay + 1]
-        y_n = y[n] = sum(map(mul, w, v))
-        w = _update(w, dl[n] - y_n, v, mu)
-        if max(w) > WEIGHT_BOUND or -min(w) > WEIGHT_BOUND:
-            raise DivergenceError(n, max(map(abs, w)))
-
-    y = np.array(y, dtype=np.complex128)
-    run = FilterRun(y=y, e=d - y, valid=range(start, d.size))
-    return LmsTrace(final_weights=np.array(w[::-1], dtype=np.float64), run=run)
+    taps = w.size
+    v = np.ascontiguousarray(v_n, dtype=np.complex128).view(np.float64).reshape(taps, 2, 1)
+    e = np.array([complex(e_n)]).view(np.float64).reshape(2, 1)
+    _update(w.reshape(taps, 1, 1), e, v, mu, np.empty((taps, 2, 1)), np.empty((taps, 1, 1)))
+    return w
 
 
 def lms_batch(
@@ -95,12 +71,15 @@ def lms_batch(
 ) -> tuple[np.ndarray, np.ndarray, list[DivergenceError | None]]:
     """Adapt B frames at once, frame b with step size mus[b].
 
-    Returns (final_weights, Y, errors): the (B, L) final weights and the
-    (B, H) outputs, lane b equal to lms_run(D[b], LmsConfig(mus[b]), ale)
-    bit for bit, and per lane the DivergenceError lms_run would raise, or
-    None.  A lane that diverges has its weights and step size zeroed at
-    the crossing, so no inf or nan forms; its weights and outputs are
-    meaningless.
+    Every lane starts from zero weights.  Warm-up samples (regressor not
+    fully populated) are skipped: their output stays 0, so their residual
+    equals the input.  Returns (final_weights, Y, errors): the (B, L) final
+    weights, weight k multiplying d[n - delay - k], the (B, H) outputs and,
+    per lane, DivergenceError(n, max|w|) for the first sample n after whose
+    update some |w| exceeds WEIGHT_BOUND, or None.  A lane that diverges
+    has its weights and step size zeroed at the crossing, so no inf or nan
+    forms; its weights and outputs are meaningless.  A lane's result does
+    not depend on the other lanes of the batch.
     """
     D = np.ascontiguousarray(D, dtype=np.complex128)
     mus = np.array(mus, dtype=np.float64)  # a copy: a diverged lane's step is zeroed
@@ -113,12 +92,12 @@ def lms_batch(
     start, taps = ale.warmup, ale.taps
     Y = np.zeros_like(D)
     # (sample, re/im, lane) float views of the frames and the outputs, and
-    # the (window, tap, re/im, lane) regressors, oldest tap first like lms_run
+    # the (window, tap, re/im, lane) regressors, oldest tap first
     d = D.view(np.float64).reshape(lanes, h, 2).transpose(1, 2, 0)
     y = Y.view(np.float64).reshape(lanes, h, 2).transpose(1, 2, 0)
     windows = sliding_window_view(d, taps, axis=0).transpose(0, 3, 1, 2)
-    # Taps are summed over the leading axis: numpy sums a contiguous axis
-    # of 8 or more pairwise, which would reorder lms_run's running sum.
+    # Taps are summed over the leading axis, one running sum in tap order:
+    # numpy sums a contiguous axis of 8 or more pairwise instead.
     w = np.zeros((taps, 1, lanes))
     prod = np.empty((taps, 2, lanes))
     y_n = np.empty((2, lanes))
@@ -130,10 +109,7 @@ def lms_batch(
         np.add.reduce(np.multiply(w, v, out=prod), axis=0, out=y_n)
         y[n] = y_n
         np.subtract(d[n], y_n, out=e_n)
-        # mu * (er*vr + ei*vi), the operation order of _update
-        np.add.reduce(np.multiply(e_n, v, out=prod), axis=1, keepdims=True, out=step)
-        step *= mus
-        w += step
+        _update(w, e_n, v, mus, prod, step)
         if w.max() > WEIGHT_BOUND or -w.min() > WEIGHT_BOUND:
             peaks = np.abs(w).max(axis=(0, 1))
             for b in np.flatnonzero(peaks > WEIGHT_BOUND):

@@ -251,7 +251,7 @@ class TestRunExperiment:
     @pytest.mark.parametrize("kind", list(_DIVERGING_DOCS))
     def test_metric_divergence_names_first_diverging_run(self, kind):
         """The first diverging run in (sweep, seed) order is reported, with
-        lms_run's crossing sample and peak, at any parallelism."""
+        the crossing sample and peak lms_batch gives it, at any parallelism."""
         doc, message = _DIVERGING_DOCS[kind]
         doc = "frame.h = 300\npso.n_particles = 6\npso.max_iters = 8\n" + doc
         for jobs in (1, 2):
@@ -413,6 +413,8 @@ class TestSpecValidation:
         ("pso.inertia", "nan"),
         ("pso.c1", "inf"),
         ("pso.tol", "nan"),
+        ("channel.profiles", "60MHz, 60MHz"),
+        ("run.snr_grid", "0, -0.0"),
     ])
     def test_rejected_value_names_its_key(self, key, raw):
         with pytest.raises(ConfigError) as excinfo:

@@ -6,7 +6,7 @@ import pytest
 from alebench.ale import AleConfig
 from alebench.channel import ChannelConfig, transmit
 from alebench.errors import DivergenceError
-from alebench.lms import LmsConfig, lms_batch, lms_run, lms_step
+from alebench.lms import lms_batch, lms_step
 from alebench.signal import ModConfig, generate_bits, modulate
 from oracles import loop_lms, real_least_squares_weights, squared_error_gradient_fd
 
@@ -24,23 +24,30 @@ def _assert_rel(actual, expected, rel=1e-12):
     assert np.max(np.abs(actual - expected)) <= rel * scale
 
 
+def _run_alone(d, mu, ale):
+    """(final weights, outputs, DivergenceError or None) of frame d adapted
+    in a one-lane batch."""
+    (weights,), (y,), (err,) = lms_batch(d[None], [mu], ale)
+    return weights, y, err
+
+
 def _assert_matches_loop_oracle(d, taps, delay, mu):
-    """Compare lms_run with loop_lms; returns which way the run ended."""
+    """Compare a one-lane lms_batch with loop_lms; returns which way the run
+    ended."""
     ale = AleConfig(taps=taps, delay=delay)
     expected = loop_lms(d, taps, delay, mu)
+    weights, y, err = _run_alone(d, mu, ale)
     if isinstance(expected[0], int):
         index, peak = expected
-        with pytest.raises(DivergenceError) as excinfo:
-            lms_run(d, LmsConfig(mu=mu), ale)
-        assert excinfo.value.sample_index == index
-        assert excinfo.value.max_weight == pytest.approx(peak, rel=1e-12)
+        assert isinstance(err, DivergenceError)
+        assert err.sample_index == index
+        assert err.max_weight == pytest.approx(peak, rel=1e-12)
         return "diverged"
-    weights, y = expected
-    trace = lms_run(d, LmsConfig(mu=mu), ale)
-    _assert_rel(trace.final_weights, weights)
-    _assert_rel(trace.run.y, y)
-    _assert_rel(trace.run.e, d - y)
-    assert trace.run.valid == range(ale.warmup, d.size)
+    assert err is None
+    _assert_rel(weights, expected[0])
+    _assert_rel(y, expected[1])
+    _assert_rel(d - y, d - expected[1])
+    np.testing.assert_array_equal(y[: ale.warmup], 0.0)
     return "converged"
 
 
@@ -78,26 +85,47 @@ class TestLmsStep:
             expected = w - (mu / 2.0) * squared_error_gradient_fd(w, d_n, v)
             np.testing.assert_allclose(stepped, expected, rtol=1e-6, atol=1e-9)
 
+    def test_reproduces_the_batched_kernel(self):
+        """lms_step makes lms_batch's update: stepped from zero weights over
+        a frame, with each output summed oldest tap first like the kernel,
+        it reproduces the kernel's outputs and final weights bit for bit."""
+        d = _awgn_frame(0.0, 60, 70, h=300)
+        for taps in range(1, 9):
+            for delay in range(1, 4):
+                ale = AleConfig(taps=taps, delay=delay)
+                weights, y, err = _run_alone(d, 0.02, ale)
+                assert err is None
+                w = np.zeros(taps)  # oldest tap first, like the window
+                stepped = np.zeros_like(d)
+                for n in range(ale.warmup, d.size):
+                    v = d[n - ale.warmup : n - delay + 1]
+                    stepped[n] = sum(w * v)
+                    w = lms_step(w, d[n] - stepped[n], v, 0.02)
+                np.testing.assert_array_equal(stepped, y)
+                np.testing.assert_array_equal(w[::-1], weights)
+
 
 class TestLmsRun:
+    """One frame adapted alone, as a one-lane lms_batch."""
+
     def test_zero_step_never_adapts(self):
         d = _awgn_frame(0.0, 41, 42, h=512)
-        trace = lms_run(d, LmsConfig(mu=0.0), ALE)
-        np.testing.assert_array_equal(trace.final_weights, np.zeros(5))
-        np.testing.assert_array_equal(trace.run.e, d)
+        weights, y, _ = _run_alone(d, 0.0, ALE)
+        np.testing.assert_array_equal(weights, np.zeros(5))
+        np.testing.assert_array_equal(d - y, d)
 
     def test_reconstruction_and_mse_trace(self):
         d = _awgn_frame(-2.0, 43, 44, h=2048)
-        trace = lms_run(d, LmsConfig(mu=0.01), ALE)
-        np.testing.assert_array_equal(trace.run.e, d - trace.run.y)
-        np.testing.assert_allclose(trace.run.e + trace.run.y, d, rtol=0, atol=1e-14)
+        _, y, _ = _run_alone(d, 0.01, ALE)
+        e = d - y
+        np.testing.assert_allclose(e + y, d, rtol=0, atol=1e-14)
 
     def test_deterministic(self):
         d = _awgn_frame(0.0, 45, 46, h=1024)
-        a = lms_run(d, LmsConfig(mu=0.02), ALE)
-        b = lms_run(d, LmsConfig(mu=0.02), ALE)
-        np.testing.assert_array_equal(a.final_weights, b.final_weights)
-        np.testing.assert_array_equal(a.run.y, b.run.y)
+        a = _run_alone(d, 0.02, ALE)
+        b = _run_alone(d, 0.02, ALE)
+        np.testing.assert_array_equal(a[0], b[0])
+        np.testing.assert_array_equal(a[1], b[1])
 
     def test_tracks_least_squares_solution_on_sinusoid(self):
         """On a predictable (narrowband) frame the adapted weights settle
@@ -107,20 +135,20 @@ class TestLmsRun:
         tone = np.exp(1j * (2 * np.pi * 0.04 * n + 0.7))
         noise = np.sqrt(0.25 / 2) * (rng.standard_normal(H) + 1j * rng.standard_normal(H))
         d = tone + noise
-        trace = lms_run(d, LmsConfig(mu=0.01), ALE)
+        weights, _, _ = _run_alone(d, 0.01, ALE)
         wiener = real_least_squares_weights(d, ALE.taps, ALE.delay)
-        distance = np.linalg.norm(trace.final_weights - wiener) / np.linalg.norm(wiener)
+        distance = np.linalg.norm(weights - wiener) / np.linalg.norm(wiener)
         assert distance < 0.10
 
     def test_oversized_step_diverges(self):
         d = _awgn_frame(0.0, 48, 49, h=4096)
-        with pytest.raises(DivergenceError) as excinfo:
-            lms_run(d, LmsConfig(mu=10.0), ALE)
-        assert excinfo.value.sample_index >= ALE.warmup
+        _, _, err = _run_alone(d, 10.0, ALE)
+        assert isinstance(err, DivergenceError)
+        assert err.sample_index >= ALE.warmup
 
     def test_short_frame_rejected(self):
         with pytest.raises(ValueError):
-            lms_run(np.ones(6, dtype=complex), LmsConfig(mu=0.01), ALE)
+            _run_alone(np.ones(6, dtype=complex), 0.01, ALE)
 
     @pytest.mark.parametrize("mu", [0.005, 0.08, 0.2])
     def test_matches_loop_oracle(self, mu):
@@ -144,11 +172,12 @@ class TestLmsRun:
     def test_settled_frame_end_not_noisier_than_start(self):
         """With mu in the low-residual band, the residual power over the last
         tenth of the frame stays below the first tenth (20-seed average)."""
+        frames = np.array([_awgn_frame(-2.0, s, 10_000 + s) for s in range(20)])
+        _, outputs, errors = lms_batch(frames, np.full(20, 0.02), ALE)
+        assert errors == [None] * 20
         firsts, lasts = [], []
-        for s in range(20):
-            d = _awgn_frame(-2.0, s, 10_000 + s)
-            trace = lms_run(d, LmsConfig(mu=0.02), ALE)
-            body = np.abs(trace.run.e[trace.run.valid.start :]) ** 2
+        for d, y in zip(frames, outputs):
+            body = np.abs((d - y)[ALE.warmup :]) ** 2
             tenth = len(body) // 10
             firsts.append(np.mean(body[:tenth]))
             lasts.append(np.mean(body[-tenth:]))
@@ -159,25 +188,24 @@ def _small_frames(count, h=300):
     return np.array([_awgn_frame(0.0, 60 + s, 70 + s, h=h) for s in range(count)])
 
 
-def _assert_lane_is_lms_run(d, mu, ale, weights, y, err):
-    """Lane (weights, y, err) of lms_batch is lms_run's result bit for bit."""
-    try:
-        trace = lms_run(d, LmsConfig(mu=mu), ale)
-    except DivergenceError as expected:
+def _assert_lane_is_run_alone(d, mu, ale, weights, y, err):
+    """Lane (weights, y, err) of lms_batch is, bit for bit, the result of
+    frame d adapted alone."""
+    alone_weights, alone_y, expected = _run_alone(d, mu, ale)
+    if expected is not None:
         assert err is not None
         assert err.sample_index == expected.sample_index
         assert err.max_weight == expected.max_weight
         return "diverged"
     assert err is None
-    np.testing.assert_array_equal(weights, trace.final_weights)
-    np.testing.assert_array_equal(y, trace.run.y)
-    np.testing.assert_array_equal(d - y, trace.run.e)
+    np.testing.assert_array_equal(weights, alone_weights)
+    np.testing.assert_array_equal(y, alone_y)
     return "converged"
 
 
 class TestLmsBatch:
     @pytest.mark.parametrize("lanes", [1, 7])
-    def test_lanes_equal_lms_run_exactly(self, lanes):
+    def test_lanes_equal_lone_runs_exactly(self, lanes):
         frames = _small_frames(lanes)
         mus = [0.005, 0.01, 0.02, 0.04, 0.08, 0.0, 0.03][:lanes]
         for taps in range(1, 9):
@@ -186,18 +214,19 @@ class TestLmsBatch:
                 weights, y, errors = lms_batch(frames, mus, ale)
                 assert weights.shape == (lanes, taps) and y.shape == frames.shape
                 for lane in range(lanes):
-                    ended = _assert_lane_is_lms_run(
+                    ended = _assert_lane_is_run_alone(
                         frames[lane], mus[lane], ale, weights[lane], y[lane], errors[lane])
                     assert ended == "converged"
 
-    def test_diverging_lanes_match_lms_run_and_spare_the_rest(self):
-        """mu = 0.3 and mu = 10 lanes diverge at lms_run's sample with its
-        peak; the converging lanes beside them stay bit-identical."""
+    def test_diverging_lanes_match_lone_runs_and_spare_the_rest(self):
+        """mu = 0.3 and mu = 10 lanes diverge at the sample and with the peak
+        of the same frame run alone; the converging lanes beside them stay
+        bit-identical."""
         frames = np.array([_awgn_frame(-2.0, 80 + s, 90 + s, h=2000) for s in range(8)])
         mus = [0.01, 0.3, 0.08, 10.0, 0.2, 0.3, 0.02, 10.0]
         weights, y, errors = lms_batch(frames, mus, ALE)
         ended = [
-            _assert_lane_is_lms_run(frames[b], mus[b], ALE, weights[b], y[b], errors[b])
+            _assert_lane_is_run_alone(frames[b], mus[b], ALE, weights[b], y[b], errors[b])
             for b in range(len(mus))
         ]
         assert ended == ["diverged" if mu in (0.3, 10.0) else "converged" for mu in mus]
