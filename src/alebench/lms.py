@@ -25,6 +25,7 @@ __all__ = ["LmsConfig", "lms_step", "lms_batch", "WEIGHT_BOUND"]
 
 # Any |w| beyond this is treated as divergence rather than a usable state.
 WEIGHT_BOUND = 1e6
+_BLOCK = 64  # samples adapted between two divergence checks
 
 
 @dataclass(frozen=True)
@@ -38,14 +39,22 @@ class LmsConfig:
             raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
 
 
-def _update(w, e_n, v, mus, prod, step) -> None:
-    """w += mus * Re(e_n * conj(v)) in place, lanes last: (L, 1, B) weights,
-    (2, B) real/imag errors, (L, 2, B) real/imag regressors, B step sizes,
-    and (L, 2, B) and (L, 1, B) scratch for the products and the step.
-    Each tap's step is mu * (er*vr + ei*vi), in that order."""
-    np.add.reduce(np.multiply(e_n, v, out=prod), axis=1, keepdims=True, out=step)
+def _scratch(taps: int, lanes: int) -> tuple[np.ndarray, ...]:
+    """_update's scratch: (L, 2, B) products, their halves, and the step."""
+    prod = np.empty((taps, 2, lanes))
+    return prod, prod[:, :1], prod[:, 1:], np.empty((taps, 1, lanes))
+
+
+def _update(w, e_n, v, mus, scratch, out) -> None:
+    """out = w + mus * Re(e_n * conj(v)), lanes last: (L, 1, B) weights,
+    (2, B) real/imag errors, (L, 2, B) real/imag regressors, B step sizes
+    and _scratch(L, B).  Each tap's step is mu * (er*vr + ei*vi), in that
+    order; out may be w."""
+    prod, re, im, step = scratch
+    np.multiply(e_n, v, out=prod)
+    np.add(re, im, out=step)
     step *= mus
-    w += step
+    np.add(w, step, out=out)
 
 
 def lms_step(
@@ -62,7 +71,8 @@ def lms_step(
     taps = w.size
     v = np.ascontiguousarray(v_n, dtype=np.complex128).view(np.float64).reshape(taps, 2, 1)
     e = np.array([complex(e_n)]).view(np.float64).reshape(2, 1)
-    _update(w.reshape(taps, 1, 1), e, v, mu, np.empty((taps, 2, 1)), np.empty((taps, 1, 1)))
+    w3 = w.reshape(taps, 1, 1)
+    _update(w3, e, v, mu, _scratch(taps, 1), out=w3)
     return w
 
 
@@ -79,7 +89,7 @@ def lms_batch(
     update some |w| exceeds WEIGHT_BOUND, or None.  A lane that diverges
     has its weights and step size zeroed at the crossing, so no inf or nan
     forms; its weights and outputs are meaningless.  A lane's result does
-    not depend on the other lanes of the batch.
+    not depend on the other lanes of the batch.  Frames must be finite.
     """
     D = np.ascontiguousarray(D, dtype=np.complex128)
     mus = np.array(mus, dtype=np.float64)  # a copy: a diverged lane's step is zeroed
@@ -88,6 +98,8 @@ def lms_batch(
     if not np.all(np.isfinite(mus) & (mus >= 0.0)):
         raise ValueError("step sizes must be finite and >= 0")
     _check_frame(D[0], ale)
+    if not np.all(np.isfinite(D)):
+        raise ValueError("frames must be finite")
     lanes, h = D.shape
     start, taps = ale.warmup, ale.taps
     Y = np.zeros_like(D)
@@ -96,24 +108,35 @@ def lms_batch(
     d = D.view(np.float64).reshape(lanes, h, 2).transpose(1, 2, 0)
     y = Y.view(np.float64).reshape(lanes, h, 2).transpose(1, 2, 0)
     windows = sliding_window_view(d, taps, axis=0).transpose(0, 3, 1, 2)
+    # W[i + 1] is the weights after a block's sample i, W[0] its start.
     # Taps are summed over the leading axis, one running sum in tap order:
     # numpy sums a contiguous axis of 8 or more pairwise instead.
-    w = np.zeros((taps, 1, lanes))
-    prod = np.empty((taps, 2, lanes))
-    y_n = np.empty((2, lanes))
+    W = np.zeros((_BLOCK + 1, taps, 1, lanes))
+    rows = list(zip(W[:-1], W[1:]))
+    scratch = _scratch(taps, lanes)
+    prod = scratch[0]
     e_n = np.empty((2, lanes))
-    step = np.empty((taps, 1, lanes))
     errors: list[DivergenceError | None] = [None] * lanes
-    for n in range(start, h):
-        v = windows[n - start]
-        np.add.reduce(np.multiply(w, v, out=prod), axis=0, out=y_n)
-        y[n] = y_n
-        np.subtract(d[n], y_n, out=e_n)
-        _update(w, e_n, v, mus, prod, step)
-        if w.max() > WEIGHT_BOUND or -w.min() > WEIGHT_BOUND:
-            peaks = np.abs(w).max(axis=(0, 1))
-            for b in np.flatnonzero(peaks > WEIGHT_BOUND):
-                errors[b] = DivergenceError(n, float(peaks[b]))
-                w[..., b] = 0.0
-                mus[b] = 0.0
-    return w[:, 0, :].T[:, ::-1].copy(), Y, errors
+    # Each block is adapted unchecked, then all its rows are checked at
+    # once.  A block with some |w| beyond the bound, inf or nan (a lane
+    # overflows only after crossing it) is adapted again from row 0 with
+    # the check and the zeroing after each sample.
+    with np.errstate(all="ignore"):
+        for first in range(start, h, _BLOCK):
+            last = min(first + _BLOCK, h)
+            for checked in (False, True):
+                for n, (w, w_next), v, d_n, y_n in zip(
+                        range(first, last), rows, windows[first - start :], d[first:], y[first:]):
+                    np.add.reduce(np.multiply(w, v, out=prod), axis=0, out=y_n)
+                    np.subtract(d_n, y_n, out=e_n)
+                    _update(w, e_n, v, mus, scratch, out=w_next)
+                    if checked:
+                        peaks = np.abs(w_next).max(axis=(0, 1))
+                        for b in np.flatnonzero(peaks > WEIGHT_BOUND):
+                            errors[b] = DivergenceError(n, float(peaks[b]))
+                            w_next[..., b] = 0.0
+                            mus[b] = 0.0
+                if np.abs(W[1 : last - first + 1]).max() <= WEIGHT_BOUND:
+                    break
+            W[0] = W[last - first]
+    return W[0, :, 0, :].T[:, ::-1].copy(), Y, errors

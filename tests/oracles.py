@@ -149,3 +149,27 @@ def count_ones(bits):
     for b in bits:
         total += int(b)
     return total
+
+
+def wiener_floor(d, taps, delay):
+    """Least cost any fixed real weights reach on the frame, J* = c - p'R^-1 p.
+
+    R[j][k] = mean Re(conj(v_j) v_k), p[k] = mean Re(conj(v_k) d[n]) and
+    c = mean |d[n]|^2, by plain loops over the valid samples n, where
+    v_k = d[n - delay - k]; the cost of weights w is c - 2p'w + w'Rw.
+    """
+    d = [complex(z) for z in d]
+    start = delay + taps - 1
+    count = len(d) - start
+    R = [[0.0] * taps for _ in range(taps)]
+    p = [0.0] * taps
+    c = 0.0
+    for n in range(start, len(d)):
+        v = [d[n - delay - k] for k in range(taps)]
+        for j in range(taps):
+            p[j] += (v[j].conjugate() * d[n]).real / count
+            for k in range(taps):
+                R[j][k] += (v[j].conjugate() * v[k]).real / count
+        c += abs(d[n]) ** 2 / count
+    p = np.array(p)
+    return c - p @ np.linalg.solve(np.array(R), p)

@@ -1,8 +1,11 @@
 """Tests for the sample-recursive gradient adaptation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from alebench import lms
 from alebench.ale import AleConfig
 from alebench.channel import ChannelConfig, transmit
 from alebench.errors import DivergenceError
@@ -188,6 +191,10 @@ def _small_frames(count, h=300):
     return np.array([_awgn_frame(0.0, 60 + s, 70 + s, h=h) for s in range(count)])
 
 
+def _crossing(err):
+    return None if err is None else (err.sample_index, err.max_weight)
+
+
 def _assert_lane_is_run_alone(d, mu, ale, weights, y, err):
     """Lane (weights, y, err) of lms_batch is, bit for bit, the result of
     frame d adapted alone."""
@@ -270,3 +277,74 @@ class TestLmsBatch:
             lms_batch(frames[0], [0.01], ALE)
         with pytest.raises(ValueError):
             lms_batch(np.ones((2, 6), dtype=complex), [0.01, 0.01], ALE)
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            nonfinite = frames.copy()
+            nonfinite[1, 100] = bad
+            with pytest.raises(ValueError):
+                lms_batch(nonfinite, [0.01, 0.01], ALE)
+
+    def test_block_size_changes_nothing(self, monkeypatch):
+        """Weights, outputs and divergence sample and peak are the same bit
+        for bit whatever the block between two divergence checks, with lanes
+        crossing the bound in the first block, at the first and the last
+        sample of a block, in a last, partial block, and mid-block with the
+        weights back under the bound by the block's end."""
+        h, ale = 300, AleConfig(taps=6, delay=1)
+        start = ale.warmup
+        recovers = _awgn_frame(0.0, 60, 70, h=h)
+        burst = _awgn_frame(0.0, 61, 71, h=h)
+
+        def burst_after(silent):  # zeros leave the weights at 0 until the burst
+            return np.concatenate([np.zeros(silent, dtype=complex), burst])[:h]
+
+        monkeypatch.setattr(lms, "_BLOCK", 1)  # a check after every sample
+        (_, _, (probe,)) = lms_batch(burst_after(start)[None], [10.0], ale)
+        lag = probe.sample_index - start  # from the burst to the crossing
+        frames = np.array([
+            recovers,
+            *(burst_after(start + j - lag) for j in (64, 127, 270)),
+            _awgn_frame(0.0, 62, 72, h=h), _awgn_frame(-2.0, 63, 73, h=h), burst,
+        ])
+        mus = [0.3, 10.0, 10.0, 10.0, 0.02, 0.08, 10.0]
+        expected = lms_batch(frames, mus, ale)
+        offsets = [None if err is None else err.sample_index - start for err in expected[2]]
+        assert offsets[:6] == [47, 64, 127, 270, None, None] and offsets[6] < 64
+        # Unchecked, the mu = 0.3 lane is back under the bound by the end of
+        # the first 64-sample block: a check of the block's last weights
+        # alone would miss its crossing.
+        w, peaks = np.zeros(ale.taps), []
+        for n in range(start, start + 64):
+            v = recovers[n - start : n]
+            w = lms_step(w, recovers[n] - sum(w * v), v, 0.3)
+            peaks.append(np.abs(w).max())
+        assert peaks[47] > lms.WEIGHT_BOUND >= peaks[-1]
+        for block in (2, 7, 64, h):
+            monkeypatch.setattr(lms, "_BLOCK", block)
+            weights, y, errors = lms_batch(frames, mus, ale)
+            np.testing.assert_array_equal(weights, expected[0])
+            np.testing.assert_array_equal(y, expected[1])
+            assert list(map(_crossing, errors)) == list(map(_crossing, expected[2]))
+            # alone, so that no other lane's crossing makes its block checked
+            for lane, mu in enumerate(mus):
+                alone = _run_alone(frames[lane], mu, ale)
+                np.testing.assert_array_equal(alone[0], expected[0][lane])
+                np.testing.assert_array_equal(alone[1], expected[1][lane])
+                assert _crossing(alone[2]) == _crossing(expected[2][lane])
+
+    def test_lane_overflowing_unchecked_is_contained(self, monkeypatch):
+        """A mu = 1e3 lane overflows to inf and nan in the unchecked pass of a
+        one-block frame; no warning escapes, it diverges where it does run
+        alone, and the other lanes are bit-identical to their lone runs."""
+        frames = _small_frames(3)
+        mus = [0.02, 1e3, 0.08]
+        alone = [_run_alone(d, mu, ALE) for d, mu in zip(frames, mus)]
+        monkeypatch.setattr(lms, "_BLOCK", frames.shape[1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights, y, errors = lms_batch(frames, mus, ALE)
+        assert errors[1] is not None
+        assert _crossing(errors[1]) == _crossing(alone[1][2])
+        for lane in (0, 2):
+            assert errors[lane] is None and np.all(np.isfinite(y[lane]))
+            np.testing.assert_array_equal(weights[lane], alone[lane][0])
+            np.testing.assert_array_equal(y[lane], alone[lane][1])

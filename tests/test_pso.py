@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from alebench.ale import AleConfig
-from alebench.channel import ChannelConfig, transmit
+from alebench.ale import AleConfig, filter_frame
+from alebench.channel import DEFAULT_PROFILES, ChannelConfig, transmit
 from alebench.lms import lms_batch
 from alebench.metrics import mse
 from alebench.pso import (
@@ -18,7 +20,7 @@ from alebench.pso import (
     update_bests,
 )
 from alebench.signal import ModConfig, generate_bits, modulate
-from oracles import brute_force_cost, loop_pso
+from oracles import brute_force_cost, loop_pso, real_least_squares_weights, wiener_floor
 
 ALE = AleConfig(taps=5, delay=1)
 
@@ -282,3 +284,34 @@ class TestRunPso:
             _, state = run_pso(d, PsoConfig(seed=s), ALE)
             gaps.append(mse(d, y, valid) - state.gbest_cost)
         assert np.mean(gaps) > 0.0
+
+
+class TestCostFloor:
+    @settings(deadline=None)
+    @given(
+        h=st.integers(20, 160),
+        taps=st.integers(1, 5),
+        delay=st.integers(1, 3),
+        snr_db=st.floats(-10.0, 20.0),
+        profile=st.sampled_from([None, *DEFAULT_PROFILES.values()]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_no_cost_below_the_wiener_floor(self, h, taps, delay, snr_db, profile, seed):
+        """The cost of the weights LMS ends on, PSO's mse and every PSO
+        history entry are at least the frame's floor J*, which the
+        least-squares weights reach.  LMS's own residual power is not
+        bounded by J*: its weights change from sample to sample."""
+        ale = AleConfig(taps=taps, delay=delay)
+        x = modulate(generate_bits(h, seed), ModConfig(m=2))
+        d = transmit(x, ChannelConfig(snr_db=snr_db, seed=seed + 1, nonlinear=profile))
+        floor = wiener_floor(d, taps, delay)
+        reached = brute_force_cost(real_least_squares_weights(d, taps, delay), d, taps, delay)
+        assert reached == pytest.approx(floor, rel=1e-9)
+        least = floor * (1.0 - 1e-9)
+        valid = range(ale.warmup, h)
+        lms_weights, _, _ = lms_batch(np.repeat(d[None], 4, axis=0), [0.005, 0.02, 0.08, 0.3], ale)
+        for w in lms_weights:
+            assert mse(d, filter_frame(d, w, ale).y, valid) >= least
+        w, state = run_pso(d, PsoConfig(n_particles=10, max_iters=20, seed=seed), ale)
+        assert mse(d, filter_frame(d, w, ale).y, valid) >= least
+        assert min(state.history) >= least
