@@ -64,9 +64,13 @@ def _check_weights(w: np.ndarray, cfg: AleConfig) -> np.ndarray:
 
 
 def _check_frame(d: np.ndarray, cfg: AleConfig) -> np.ndarray:
-    d = np.asarray(d, dtype=np.complex128)
-    if d.size <= cfg.delay + cfg.taps:
-        raise ValueError(f"frame of length {d.size} too short for delay {cfg.delay} and {cfg.taps} taps")
+    """A frame, or frames along the last axis, as complex128: long enough
+    for the enhancer and finite."""
+    d = np.atleast_1d(np.asarray(d, dtype=np.complex128))
+    if d.shape[-1] <= cfg.delay + cfg.taps:
+        raise ValueError(f"frame of length {d.shape[-1]} too short for delay {cfg.delay} and {cfg.taps} taps")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("frames must be finite")
     return d
 
 

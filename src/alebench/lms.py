@@ -68,6 +68,8 @@ def lms_step(
         raise ValueError(f"shape mismatch: weights {w.shape}, regressor {v_n.shape}")
     if not (np.isfinite(e_n) and np.all(np.isfinite(v_n)) and np.all(np.isfinite(w))):
         raise ValueError("non-finite input to weight update")
+    if not (np.isfinite(mu) and mu >= 0.0):
+        raise ValueError("step sizes must be finite and >= 0")
     taps = w.size
     v = np.ascontiguousarray(v_n, dtype=np.complex128).view(np.float64).reshape(taps, 2, 1)
     e = np.array([complex(e_n)]).view(np.float64).reshape(2, 1)
@@ -97,9 +99,7 @@ def lms_batch(
         raise ValueError(f"need (B, H) frames and B step sizes, got {D.shape} and {mus.shape}")
     if not np.all(np.isfinite(mus) & (mus >= 0.0)):
         raise ValueError("step sizes must be finite and >= 0")
-    _check_frame(D[0], ale)
-    if not np.all(np.isfinite(D)):
-        raise ValueError("frames must be finite")
+    _check_frame(D, ale)
     lanes, h = D.shape
     start, taps = ale.warmup, ale.taps
     Y = np.zeros_like(D)
@@ -132,8 +132,11 @@ def lms_batch(
                     _update(w, e_n, v, mus, scratch, out=w_next)
                     if checked:
                         peaks = np.abs(w_next).max(axis=(0, 1))
-                        for b in np.flatnonzero(peaks > WEIGHT_BOUND):
-                            errors[b] = DivergenceError(n, float(peaks[b]))
+                        # not <=, so a nan peak crosses too.  A lane whose
+                        # products overflow is flagged again after its
+                        # zeroing (0 * inf is nan); it keeps its first crossing.
+                        for b in np.flatnonzero(~(peaks <= WEIGHT_BOUND)):
+                            errors[b] = errors[b] or DivergenceError(n, float(peaks[b]))
                             w_next[..., b] = 0.0
                             mus[b] = 0.0
                 if np.abs(W[1 : last - first + 1]).max() <= WEIGHT_BOUND:

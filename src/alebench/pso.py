@@ -12,14 +12,13 @@ computed, so a search is a pure function of its seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ale import AleConfig, _check_frame, _check_weights
 
-__all__ = ["PsoConfig", "SwarmState", "frame_costs", "evaluate_cost", "init_swarm",
-           "step_swarm", "update_bests", "run_pso"]
+__all__ = ["PsoConfig", "SwarmState", "frame_costs", "evaluate_cost", "run_pso"]
 
 # A quadratic-form cost below this fraction of c + w'Rw has lost too many
 # digits to cancellation and is recomputed from the residual directly.
@@ -70,10 +69,11 @@ class PsoConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SwarmState:
-    """Positions, velocities and personal bests as (N, L) and (N,) arrays,
-    the global best, and the global-best cost after each iteration."""
+    """The swarm a search ended with: positions, velocities and personal
+    bests as (N, L) and (N,) arrays, the global best, and the global-best
+    cost after each iteration."""
 
     position: np.ndarray
     velocity: np.ndarray
@@ -81,7 +81,7 @@ class SwarmState:
     pbest_cost: np.ndarray
     gbest_position: np.ndarray
     gbest_cost: float
-    history: list[float] = field(default_factory=list)
+    history: list[float]
 
 
 def frame_costs(d: np.ndarray, ale: AleConfig):
@@ -123,71 +123,46 @@ def evaluate_cost(w: np.ndarray, d: np.ndarray, ale: AleConfig) -> float:
     return float(frame_costs(d, ale)(w[None])[0])
 
 
-def init_swarm(cfg: PsoConfig, taps: int, cost_fn, rng: np.random.Generator) -> SwarmState:
-    """Draw initial positions uniformly in [-init_range, init_range]^taps
-    from `rng`.
-
-    Each particle's best is its starting point.  `cost_fn` maps the (N, taps)
-    positions to N costs and the global best is the cheapest particle.
-    """
-    position = rng.uniform(-cfg.init_range, cfg.init_range, size=(cfg.n_particles, taps))
-    cost = cost_fn(position)
-    best = int(np.argmin(cost))
-    return SwarmState(position, np.zeros_like(position), position.copy(), cost,
-                      position[best].copy(), float(cost[best]))
-
-
-def step_swarm(swarm: SwarmState, cfg: PsoConfig, r1, r2) -> None:
-    """v' = inertia*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), clamped to
-    [-v_max, v_max] per component, then x' = x + v'; in place.
-
-    `r1`, `r2` broadcast against (N, L): (N, 1) for one draw per particle,
-    (N, L) for one per component.
-    """
-    v = (
-        cfg.inertia * swarm.velocity
-        + cfg.c1 * r1 * (swarm.pbest_position - swarm.position)
-        + cfg.c2 * r2 * (swarm.gbest_position - swarm.position)
-    )
-    swarm.velocity = np.clip(v, -cfg.v_max, cfg.v_max)
-    swarm.position = swarm.position + swarm.velocity
-
-
-def update_bests(swarm: SwarmState, costs: np.ndarray) -> None:
-    """Fold the current positions' costs into the bests; extend the history.
-
-    A personal best moves only on a strictly lower cost.  The global best
-    moves to the first particle with the lowest personal best, and only when
-    that is strictly below the current global best.
-    """
-    better = costs < swarm.pbest_cost
-    swarm.pbest_cost[better] = costs[better]
-    swarm.pbest_position[better] = swarm.position[better]
-    best = int(np.argmin(swarm.pbest_cost))
-    if swarm.pbest_cost[best] < swarm.gbest_cost:
-        swarm.gbest_cost = float(swarm.pbest_cost[best])
-        swarm.gbest_position = swarm.pbest_position[best].copy()
-    swarm.history.append(swarm.gbest_cost)
-
-
 def run_pso(d: np.ndarray, cfg: PsoConfig, ale: AleConfig) -> tuple[np.ndarray, SwarmState]:
     """Search for the weight vector minimizing the frame's residual cost.
 
-    Returns the global-best weights and the final swarm state, whose
+    Starting positions are drawn uniformly in [-init_range, init_range]^L
+    and each particle's best is its starting point.  Each iteration moves
+    every particle by
+    v' = inertia*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), clamped to
+    [-v_max, v_max] per component, then x' = x + v'.  A personal best moves
+    only on a strictly lower cost; the global best moves to the first
+    particle with the lowest personal best, and only when that is strictly
+    below it.  Returns the global-best weights and the final swarm, whose
     `history` holds the global-best cost after each iteration.
     """
     costs = frame_costs(d, ale)
     rng = np.random.default_rng(cfg.seed)
-    swarm = init_swarm(cfg, ale.taps, cost_fn=costs, rng=rng)
-    # (N, 2, 1) consumes the stream exactly as (N, 2) does
+    x = rng.uniform(-cfg.init_range, cfg.init_range, size=(cfg.n_particles, ale.taps))
+    v = np.zeros_like(x)
+    pbest, pcost = x.copy(), costs(x)
+    best = int(np.argmin(pcost))
+    gbest, gcost = x[best].copy(), float(pcost[best])
+    history = []
+    # (N, 2, 1) consumes the stream exactly as (N, 2) does; r1 and r2 are
+    # (N, 1) for one draw per particle, (N, L) for one per component
     draw_shape = (cfg.n_particles, 2, ale.taps if cfg.per_dimension_draws else 1)
     stall = 0
     for _ in range(cfg.max_iters):
-        draws = rng.uniform(size=draw_shape)
-        step_swarm(swarm, cfg, draws[:, 0], draws[:, 1])
-        prev = swarm.gbest_cost
-        update_bests(swarm, costs(swarm.position))
-        stall = stall + 1 if prev - swarm.gbest_cost < cfg.tol else 0
+        r1, r2 = rng.uniform(size=draw_shape).transpose(1, 0, 2)
+        v = np.clip(cfg.inertia * v + cfg.c1 * r1 * (pbest - x) + cfg.c2 * r2 * (gbest - x),
+                    -cfg.v_max, cfg.v_max)
+        x = x + v
+        cost = costs(x)
+        better = cost < pcost
+        pcost[better] = cost[better]
+        pbest[better] = x[better]
+        best = int(np.argmin(pcost))
+        prev = gcost
+        if pcost[best] < gcost:
+            gbest, gcost = pbest[best].copy(), float(pcost[best])
+        history.append(gcost)
+        stall = stall + 1 if prev - gcost < cfg.tol else 0
         if cfg.tol > 0.0 and stall >= cfg.patience:
             break
-    return swarm.gbest_position.copy(), swarm
+    return gbest.copy(), SwarmState(x, v, pbest, pcost, gbest, gcost, history)

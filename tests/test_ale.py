@@ -77,6 +77,13 @@ class TestFilterFrame:
         with pytest.raises(ValueError):
             filter_frame(np.ones(6), np.ones(5), AleConfig(taps=5, delay=1))
 
+    def test_non_finite_frame_rejected(self):
+        for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+            d = _frame(h=64)
+            d[10] = bad
+            with pytest.raises(ValueError, match="finite"):
+                filter_frame(d, np.ones(5), AleConfig(taps=5, delay=1))
+
     def test_bad_weights_rejected(self):
         d = _frame(h=64)
         with pytest.raises(ValueError):

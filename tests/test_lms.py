@@ -72,6 +72,9 @@ class TestLmsStep:
             lms_step(np.zeros(2), np.inf, np.ones(2), 0.1)
         with pytest.raises(ValueError):
             lms_step(np.zeros(2), 1.0, np.array([np.nan, 0.0]), 0.1)
+        for mu in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="step sizes must be finite and >= 0"):
+                lms_step(np.array([0.1, 0.2]), 1 + 1j, np.array([1.0, 2.0]), mu)
 
     def test_matches_negative_half_gradient(self):
         """The update equals w - (mu/2) * grad(e^2) for real signals, with the
@@ -348,3 +351,19 @@ class TestLmsBatch:
             assert errors[lane] is None and np.all(np.isfinite(y[lane]))
             np.testing.assert_array_equal(weights[lane], alone[lane][0])
             np.testing.assert_array_equal(y[lane], alone[lane][1])
+
+    def test_lane_overflowing_to_nan_reports_divergence(self):
+        """A frame near 1e160 overflows the update's products, and their
+        real-plus-imaginary sum inf - inf leaves nan weights: the lane is
+        still reported as diverged and zeroed, and the lane beside it is
+        bit-identical to its lone run."""
+        frames = _small_frames(2)
+        frames[1] *= 1e160
+        weights, y, errors = lms_batch(frames, [0.02, 0.02], ALE)
+        assert isinstance(errors[1], DivergenceError)
+        assert errors[1].sample_index == ALE.warmup
+        assert np.all(np.isfinite(weights)) and np.all(np.isfinite(y))
+        alone = _run_alone(frames[0], 0.02, ALE)
+        assert errors[0] is None and alone[2] is None
+        np.testing.assert_array_equal(weights[0], alone[0])
+        np.testing.assert_array_equal(y[0], alone[1])

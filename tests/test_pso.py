@@ -1,5 +1,7 @@
 """Tests for the swarm search over enhancer weights."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,16 +11,7 @@ from alebench.ale import AleConfig, filter_frame
 from alebench.channel import DEFAULT_PROFILES, ChannelConfig, transmit
 from alebench.lms import lms_batch
 from alebench.metrics import mse
-from alebench.pso import (
-    PsoConfig,
-    SwarmState,
-    evaluate_cost,
-    frame_costs,
-    init_swarm,
-    run_pso,
-    step_swarm,
-    update_bests,
-)
+from alebench.pso import PsoConfig, evaluate_cost, frame_costs, run_pso
 from alebench.signal import ModConfig, generate_bits, modulate
 from oracles import brute_force_cost, loop_pso, real_least_squares_weights, wiener_floor
 
@@ -80,39 +73,30 @@ class TestEvaluateCost:
             assert cost == pytest.approx(slow, rel=1e-9, abs=0.0)
 
 
-def _sum_of_squares(w):
-    return np.sum(w**2, axis=1)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: frame_costs(d, ALE),
+        lambda d: evaluate_cost(np.ones(5), d, ALE),
+        lambda d: run_pso(d, PsoConfig(), ALE),
+    ],
+    ids=["frame_costs", "evaluate_cost", "run_pso"],
+)
+def test_non_finite_frame_rejected(call):
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        d = np.ones(64, dtype=complex)
+        d[10] = bad
+        with pytest.raises(ValueError, match="finite"):
+            call(d)
 
 
-def _init(cfg, taps, cost_fn=_sum_of_squares):
-    return init_swarm(cfg, taps, cost_fn, np.random.default_rng(cfg.seed))
+def _first_draw(cfg, taps):
+    """The (N, taps) starting positions run_pso draws for `cfg`."""
+    rng = np.random.default_rng(cfg.seed)
+    return rng.uniform(-cfg.init_range, cfg.init_range, size=(cfg.n_particles, taps))
 
 
-class TestInitSwarm:
-    def test_velocities_start_at_zero(self):
-        swarm = _init(PsoConfig(n_particles=12, seed=62), taps=5)
-        np.testing.assert_array_equal(swarm.velocity, np.zeros((12, 5)))
-
-    def test_positions_within_init_range(self):
-        cfg = PsoConfig(n_particles=40, init_range=1.5, seed=63)
-        swarm = _init(cfg, taps=4)
-        assert swarm.position.shape == (40, 4)
-        assert np.all(np.abs(swarm.position) <= 1.5)
-
-    def test_single_particle_is_global_best(self):
-        swarm = _init(PsoConfig(n_particles=1, seed=64), taps=3)
-        np.testing.assert_array_equal(swarm.gbest_position, swarm.position[0])
-
-    def test_same_seed_same_swarm(self):
-        a = _init(PsoConfig(n_particles=8, seed=65), taps=5)
-        b = _init(PsoConfig(n_particles=8, seed=65), taps=5)
-        np.testing.assert_array_equal(a.position, b.position)
-
-    def test_global_best_is_cheapest_initial_cost(self):
-        swarm = _init(PsoConfig(n_particles=16, seed=66), taps=5)
-        assert swarm.gbest_cost == swarm.pbest_cost.min()
-        assert _sum_of_squares(swarm.gbest_position[None])[0] == swarm.gbest_cost
-
+class TestPsoConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PsoConfig(n_particles=0)
@@ -122,93 +106,153 @@ class TestInitSwarm:
             PsoConfig(tol=-1.0)
 
 
-def _swarm(position, velocity, pbest, gbest):
-    position = np.array(position, dtype=float)
-    return SwarmState(
-        position=position,
-        velocity=np.array(velocity, dtype=float),
-        pbest_position=np.array(pbest, dtype=float),
-        pbest_cost=np.ones(len(position)),
-        gbest_position=np.array(gbest, dtype=float),
-        gbest_cost=1.0,
-    )
+class TestInitSwarm:
+    """The swarm a search starts from, seen through run_pso."""
+
+    def test_velocities_start_at_zero(self):
+        # inertia scales only the previous velocity, so it leaves the first
+        # move unchanged exactly when the swarm starts at rest
+        d = _awgn_frame(0.0, 62, 63, h=128)
+        a, b = (
+            run_pso(d, PsoConfig(n_particles=12, max_iters=1, tol=0.0, inertia=i, seed=62), ALE)[1]
+            for i in (1.0, 0.3)
+        )
+        np.testing.assert_array_equal(a.velocity, b.velocity)
+        assert np.any(a.velocity != 0.0)
+
+    def test_positions_within_init_range(self):
+        cfg = PsoConfig(n_particles=40, init_range=1.5, c1=0.0, c2=0.0, max_iters=1, tol=0.0,
+                        seed=63)
+        _, state = run_pso(_awgn_frame(0.0, 63, 64, h=128), cfg, AleConfig(taps=4, delay=1))
+        assert state.position.shape == (40, 4)
+        assert np.all(np.abs(state.position) <= 1.5)
+        np.testing.assert_array_equal(state.position, _first_draw(cfg, 4))
+
+    def test_single_particle_is_global_best(self):
+        cfg = PsoConfig(n_particles=1, max_iters=5, tol=0.0, seed=64)
+        weights, state = run_pso(_awgn_frame(0.0, 64, 65, h=128), cfg, AleConfig(taps=3, delay=1))
+        np.testing.assert_array_equal(weights, state.pbest_position[0])
+        assert state.gbest_cost == state.pbest_cost[0]
+
+    def test_same_seed_same_swarm(self):
+        d = _awgn_frame(0.0, 65, 66, h=128)
+        a, b, c = (
+            run_pso(d, PsoConfig(n_particles=8, max_iters=3, seed=s), ALE)[1] for s in (65, 65, 66)
+        )
+        for name in ("position", "velocity", "pbest_position", "pbest_cost"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert not np.array_equal(a.position, c.position)
+
+    def test_global_best_is_cheapest_initial_cost(self):
+        d = _awgn_frame(0.0, 66, 67, h=128)
+        cfg = PsoConfig(n_particles=16, c1=0.0, c2=0.0, max_iters=1, tol=0.0, seed=66)
+        weights, state = run_pso(d, cfg, ALE)
+        start = _first_draw(cfg, ALE.taps)
+        start_costs = frame_costs(d, ALE)(start)
+        assert state.gbest_cost == start_costs.min()
+        np.testing.assert_array_equal(weights, start[np.argmin(start_costs)])
 
 
 class TestVelocityAndPosition:
+    """The move v' = inertia*v + c1*r1*(pbest - x) + c2*r2*(gbest - x),
+    clamped, then x' = x + v', seen through run_pso."""
+
     def test_no_pull_when_everything_coincides(self):
-        s = _swarm([[0.4, -0.1]], np.zeros((1, 2)), [[0.4, -0.1]], [0.4, -0.1])
-        step_swarm(s, PsoConfig(), 0.7, 0.3)
-        np.testing.assert_array_equal(s.velocity, np.zeros((1, 2)))
-        np.testing.assert_array_equal(s.position, [[0.4, -0.1]])
+        # a lone particle is its own personal and global best
+        cfg = PsoConfig(n_particles=1, max_iters=5, tol=0.0, seed=67)
+        _, state = run_pso(_awgn_frame(0.0, 67, 68, h=128), cfg, ALE)
+        np.testing.assert_array_equal(state.velocity, np.zeros((1, ALE.taps)))
+        np.testing.assert_array_equal(state.position, _first_draw(cfg, ALE.taps))
 
     def test_scalar_hand_case(self):
-        s = _swarm([[0.0]], [[0.0]], [[1.0]], [2.0])
-        step_swarm(s, PsoConfig(c1=1.0, c2=1.0, v_max=2.0), 0.5, 0.5)
-        np.testing.assert_allclose(s.velocity, [[1.5]])
+        d = _awgn_frame(0.0, 68, 69, h=128)
+        ale = AleConfig(taps=1, delay=1)
+        cfg = PsoConfig(n_particles=2, c1=1.0, c2=1.0, v_max=2.0, max_iters=1, tol=0.0, seed=68)
+        _, state = run_pso(d, cfg, ale)
+        rng = np.random.default_rng(cfg.seed)
+        x = rng.uniform(-cfg.init_range, cfg.init_range, size=(2, 1))
+        r2 = rng.uniform(size=(2, 2, 1))[:, 1]
+        gbest = x[np.argmin(frame_costs(d, ale)(x))]
+        # the swarm is at rest on its personal bests: only the global pull acts
+        v = np.clip(r2 * (gbest - x), -2.0, 2.0)
+        np.testing.assert_array_equal(state.velocity, v)
+        np.testing.assert_array_equal(state.position, x + v)
 
     def test_zero_coefficients_keep_old_velocity(self):
-        s = _swarm([[1.0, 1.0]], [[0.25, -0.5]], [[5.0, 5.0]], [-3.0, 2.0])
-        step_swarm(s, PsoConfig(c1=0.0, c2=0.0), 0.9, 0.9)
-        np.testing.assert_array_equal(s.velocity, [[0.25, -0.5]])
+        cfg = PsoConfig(n_particles=6, c1=0.0, c2=0.0, inertia=0.5, max_iters=5, tol=0.0, seed=69)
+        _, state = run_pso(_awgn_frame(0.0, 69, 70, h=128), cfg, ALE)
+        np.testing.assert_array_equal(state.velocity, np.zeros((6, ALE.taps)))
+        np.testing.assert_array_equal(state.position, _first_draw(cfg, ALE.taps))
 
     def test_clamping(self):
-        s = _swarm([[0.0]], [[0.0]], [[10.0]], [10.0])
-        step_swarm(s, PsoConfig(v_max=0.75), 1.0, 1.0)
-        np.testing.assert_array_equal(s.velocity, [[0.75]])
+        cfg = PsoConfig(n_particles=10, v_max=0.05, max_iters=10, tol=0.0, seed=70)
+        _, state = run_pso(_awgn_frame(0.0, 70, 71, h=128), cfg, ALE)
+        assert np.abs(state.velocity).max() == 0.05
 
     def test_position_update_is_vector_addition(self):
-        frozen = PsoConfig(c1=0.0, c2=0.0)
-        s = _swarm([[1.0, -1.0]], [[0.5, 0.5]], np.zeros((1, 2)), np.zeros(2))
-        step_swarm(s, frozen, 0.5, 0.5)
-        np.testing.assert_array_equal(s.position, [[1.5, -0.5]])
-        np.testing.assert_array_equal(s.position - s.velocity, [[1.0, -1.0]])
-        still = _swarm([[1.0, -1.0]], np.zeros((1, 2)), np.zeros((1, 2)), np.zeros(2))
-        step_swarm(still, frozen, 0.5, 0.5)
-        np.testing.assert_array_equal(still.position, [[1.0, -1.0]])
+        cfg = PsoConfig(n_particles=6, max_iters=1, tol=0.0, seed=71)
+        _, state = run_pso(_awgn_frame(0.0, 71, 72, h=128), cfg, ALE)
+        np.testing.assert_array_equal(state.position, _first_draw(cfg, ALE.taps) + state.velocity)
 
     def test_draws_broadcast_per_particle_or_per_component(self):
-        cfg = PsoConfig(c1=1.0, c2=0.0, v_max=10.0)
-        s = _swarm(np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 2)), np.zeros(2))
-        step_swarm(s, cfg, np.array([[0.5], [0.25]]), np.zeros((2, 1)))
-        np.testing.assert_array_equal(s.velocity, [[0.5, 0.5], [0.25, 0.25]])
-        s = _swarm(np.zeros((2, 2)), np.zeros((2, 2)), np.ones((2, 2)), np.zeros(2))
-        step_swarm(s, cfg, np.array([[0.5, 0.75], [0.25, 1.0]]), np.zeros((2, 2)))
-        np.testing.assert_array_equal(s.velocity, [[0.5, 0.75], [0.25, 1.0]])
+        """From rest, the first move is c2*r2*(gbest - x): one r2 per
+        particle scales its whole pull, one per component does not."""
+        d = _awgn_frame(0.0, 72, 73, h=128)
+        spreads = []
+        for per_dimension in (False, True):
+            cfg = PsoConfig(n_particles=8, v_max=np.inf, max_iters=1, tol=0.0, seed=72,
+                            per_dimension_draws=per_dimension)
+            _, state = run_pso(d, cfg, ALE)
+            start = _first_draw(cfg, ALE.taps)
+            pull = start[np.argmin(frame_costs(d, ALE)(start))] - start
+            moved = np.any(pull != 0.0, axis=1)
+            ratio = state.velocity[moved] / pull[moved]
+            spreads.append(np.ptp(ratio, axis=1).max() / ratio.max())
+        assert spreads[0] < 1e-12 and spreads[1] > 1e-3
 
 
 class TestUpdateBests:
+    """Personal- and global-best bookkeeping, seen through run_pso."""
+
     def test_personal_best_moves_only_on_strictly_lower_cost(self):
-        s = _swarm([[1.0], [2.0], [3.0]], np.zeros((3, 1)), [[0.0], [0.0], [0.0]], [0.0])
-        s.pbest_cost = np.array([1.0, 1.0, 1.0])
-        update_bests(s, np.array([0.5, 1.0, 2.0]))
-        np.testing.assert_array_equal(s.pbest_cost, [0.5, 1.0, 1.0])
-        np.testing.assert_array_equal(s.pbest_position, [[1.0], [0.0], [0.0]])
+        # on an all-zero frame every cost ties at 0.0, however far a particle moves
+        cfg = PsoConfig(n_particles=5, max_iters=8, tol=0.0, seed=73)
+        _, state = run_pso(np.zeros(64, dtype=complex), cfg, ALE)
+        np.testing.assert_array_equal(state.pbest_position, _first_draw(cfg, ALE.taps))
+        np.testing.assert_array_equal(state.pbest_cost, np.zeros(5))
+        assert not np.array_equal(state.position, state.pbest_position)
 
     def test_global_best_takes_first_of_tied_minimum(self):
-        s = _swarm([[1.0], [2.0], [3.0]], np.zeros((3, 1)), np.zeros((3, 1)), [9.0])
-        s.pbest_cost = np.full(3, np.inf)
-        s.gbest_cost = 2.0
-        update_bests(s, np.array([3.0, 1.0, 1.0]))
-        assert s.gbest_cost == 1.0
-        np.testing.assert_array_equal(s.gbest_position, [2.0])
-        assert s.history == [1.0]
+        """Every cost of an all-zero frame ties at 0.0: the global best is
+        the first particle's start, and the oracle agrees."""
+        d = np.zeros(64, dtype=complex)
+        cfg = PsoConfig(n_particles=5, max_iters=8, tol=0.0, seed=74)
+        weights, state = run_pso(d, cfg, ALE)
+        np.testing.assert_array_equal(weights, _first_draw(cfg, ALE.taps)[0])
+        assert state.history == [0.0] * cfg.max_iters
+        w_ref, h_ref = loop_pso(d, ALE.taps, ALE.delay, cfg)
+        np.testing.assert_array_equal(weights, w_ref)
+        assert h_ref == state.history
 
     def test_global_best_stays_on_a_tie(self):
-        s = _swarm([[1.0], [2.0]], np.zeros((2, 1)), np.zeros((2, 1)), [9.0])
-        s.pbest_cost = np.full(2, np.inf)
-        s.gbest_cost = 1.0
-        update_bests(s, np.array([1.0, 1.5]))
-        np.testing.assert_array_equal(s.gbest_position, [9.0])
-        assert s.history == [1.0]
+        # a swarm that never moves scores every particle's best again each
+        # iteration: a tie, so no best moves
+        d = _awgn_frame(0.0, 75, 76, h=128)
+        cfg = PsoConfig(n_particles=6, c1=0.0, c2=0.0, max_iters=6, tol=0.0, seed=75)
+        weights, state = run_pso(d, cfg, ALE)
+        start = _first_draw(cfg, ALE.taps)
+        start_costs = frame_costs(d, ALE)(start)
+        np.testing.assert_array_equal(state.pbest_cost, start_costs)
+        np.testing.assert_array_equal(weights, start[np.argmin(start_costs)])
+        assert state.history == [start_costs.min()] * cfg.max_iters
 
 
 class TestRunPso:
     def test_frozen_swarm_returns_initial_position(self):
         d = _awgn_frame(0.0, 70, 71, h=128)
         cfg = PsoConfig(n_particles=1, c1=0.0, c2=0.0, max_iters=1, tol=0.0, seed=72)
-        weights, state = run_pso(d, cfg, ALE)
-        init = _init(cfg, ALE.taps, frame_costs(d, ALE))
-        np.testing.assert_array_equal(weights, init.position[0])
+        weights, _ = run_pso(d, cfg, ALE)
+        np.testing.assert_array_equal(weights, _first_draw(cfg, ALE.taps)[0])
 
     def test_history_non_increasing(self):
         rng = np.random.default_rng(73)
@@ -249,6 +293,9 @@ class TestRunPso:
             {"per_dimension_draws": True},
             {"inertia": 0.7},
             {"inertia": 0.5, "per_dimension_draws": True, "c1": 1.5, "v_max": 0.5},
+            {"c1": 0.0, "c2": 0.0},
+            {"v_max": 0.05},
+            {"n_particles": 1},
         ],
     )
     def test_matches_loop_oracle(self, overrides):
@@ -256,7 +303,7 @@ class TestRunPso:
         ale = AleConfig(taps=3, delay=2)
         for seed in range(4):
             d = _random_frame(rng, 40)
-            cfg = PsoConfig(n_particles=7, max_iters=15, tol=0.0, seed=seed, **overrides)
+            cfg = replace(PsoConfig(n_particles=7, max_iters=15, tol=0.0, seed=seed), **overrides)
             weights, state = run_pso(d, cfg, ale)
             w_ref, h_ref = loop_pso(d, ale.taps, ale.delay, cfg)
             np.testing.assert_allclose(state.history, h_ref, rtol=1e-12, atol=0.0)
