@@ -12,7 +12,7 @@ from .channel import (
 from .errors import ConfigError, DivergenceError
 from .lms import LmsConfig, lms_batch, lms_step
 from .metrics import mse
-from .pso import PsoConfig, SwarmState, evaluate_cost, frame_costs, run_pso
+from .pso import PsoConfig, SwarmState, evaluate_cost, frame_costs, pso_batch, run_pso
 from .signal import ModConfig, align_and_compare, demodulate, generate_bits, modulate
 
 __version__ = "0.1.0"
@@ -37,6 +37,7 @@ __all__ = [
     "SwarmState",
     "evaluate_cost",
     "frame_costs",
+    "pso_batch",
     "run_pso",
     "ModConfig",
     "align_and_compare",

@@ -36,7 +36,7 @@ from .channel import DEFAULT_PROFILES, ChannelConfig, transmit
 from .errors import ConfigError
 from .lms import LmsConfig, lms_batch
 from .metrics import mse
-from .pso import PsoConfig, run_pso
+from .pso import PsoConfig, pso_batch
 from .signal import ModConfig, align_and_compare, demodulate, generate_bits, modulate
 
 __all__ = [
@@ -360,7 +360,7 @@ def _decisions(spec: ExperimentSpec, bits, x, run) -> tuple[float, float, int]:
         tx_bits = bits[k * (v0 - spec.ale.delay) :]
         clean_ref = x[v0 - spec.ale.delay : len(x) - spec.ale.delay]
     rx_bits = demodulate(samples, spec.mod)
-    compared, errors = align_and_compare(tx_bits, rx_bits, 0)
+    compared, errors = align_and_compare(tx_bits, rx_bits)
     clean_mse = float(np.mean(np.abs(samples - clean_ref) ** 2))
     return errors / compared, clean_mse, compared
 
@@ -368,14 +368,16 @@ def _decisions(spec: ExperimentSpec, bits, x, run) -> tuple[float, float, int]:
 def _metric_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]) -> list[dict]:
     lanes, frames = _batch_frames(spec, points, runs)
     _, outputs, diverged = lms_batch(frames, np.full(len(runs), spec.lms.mu), spec.ale)
-    valid = range(spec.ale.warmup, spec.h)
-    rows = []
-    for (point, seed_idx, run_seed, bits_seed, pso_seed), d, y, err in zip(lanes, frames, outputs, diverged):
+    for (point, seed_idx, *_), err in zip(lanes, diverged):
         if err is not None:
             raise RuntimeError(
                 f"{spec.kind} failed at sweep point {point}, seed index {seed_idx}: {err}"
             ) from err
-        weights, _ = run_pso(d, replace(spec.pso, seed=pso_seed), spec.ale)
+    cfgs = [replace(spec.pso, seed=pso_seed) for *_, pso_seed in lanes]
+    best, _ = pso_batch(frames, cfgs, spec.ale)
+    valid = range(spec.ale.warmup, spec.h)
+    rows = []
+    for (point, _, run_seed, bits_seed, _), d, y, weights in zip(lanes, frames, outputs, best):
         bits = generate_bits(spec.h * spec.mod.bits_per_symbol, bits_seed)
         x = modulate(bits, spec.mod)
         base = dict(point, seed=run_seed, L=spec.ale.taps, delta=spec.ale.delay)
@@ -418,27 +420,27 @@ def _step_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, i
 
 def _particle_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]) -> list[dict]:
     lanes, frames = _batch_frames(spec, points, runs)
-    rows = []
-    for (point, _, run_seed, _, pso_seed), d in zip(lanes, frames):
-        # the sweep value is a whole float; the row and the swarm take an int
-        n_particles = int(point["n_particles"])
-        # full-length histories: early stopping is disabled for this sweep
-        cfg = replace(spec.pso, n_particles=n_particles, tol=0.0, seed=pso_seed)
-        _, state = run_pso(d, cfg, spec.ale)
-        rows += [
-            dict(
-                point,
-                algorithm="PSO",
-                seed=run_seed,
-                n_particles=n_particles,
-                iteration=it + 1,
-                gbest_cost=cost,
-                L=spec.ale.taps,
-                delta=spec.ale.delay,
-            )
-            for it, cost in enumerate(state.history)
-        ]
-    return rows
+    # the sweep value is a whole float; the row and the swarm take an int.
+    # Full-length histories: early stopping is disabled for this sweep.
+    cfgs = [
+        replace(spec.pso, n_particles=int(point["n_particles"]), tol=0.0, seed=pso_seed)
+        for point, *_, pso_seed in lanes
+    ]
+    _, states = pso_batch(frames, cfgs, spec.ale)
+    return [
+        dict(
+            point,
+            algorithm="PSO",
+            seed=run_seed,
+            n_particles=cfg.n_particles,
+            iteration=it + 1,
+            gbest_cost=cost,
+            L=spec.ale.taps,
+            delta=spec.ale.delay,
+        )
+        for (point, _, run_seed, _, _), cfg, state in zip(lanes, cfgs, states)
+        for it, cost in enumerate(state.history)
+    ]
 
 
 @dataclass(frozen=True)

@@ -117,6 +117,7 @@ def lms_batch(
     prod = scratch[0]
     e_n = np.empty((2, lanes))
     errors: list[DivergenceError | None] = [None] * lanes
+    crossed = np.zeros(lanes, dtype=bool)
     # Each block is adapted unchecked, then all its rows are checked at
     # once.  A block with some |w| beyond the bound, inf or nan (a lane
     # overflows only after crossing it) is adapted again from row 0 with
@@ -139,6 +140,16 @@ def lms_batch(
                             errors[b] = errors[b] or DivergenceError(n, float(peaks[b]))
                             w_next[..., b] = 0.0
                             mus[b] = 0.0
+                            crossed[b] = True
+                if np.abs(W[1 : last - first + 1]).max() <= WEIGHT_BOUND:
+                    break
+                # Only an unchecked pass gets here.  A lane zeroed in an
+                # earlier block whose products overflow turns nan again
+                # (0 * inf): zero its rows and outputs, so that only a
+                # lane crossing in this block makes it adapted again.
+                gone = np.flatnonzero(crossed)
+                W[1 : last - first + 1, ..., gone] = 0.0
+                y[first:last, :, gone] = 0.0
                 if np.abs(W[1 : last - first + 1]).max() <= WEIGHT_BOUND:
                     break
             W[0] = W[last - first]

@@ -3,22 +3,24 @@
 A particle's position is a candidate weight vector; its cost is the mean
 squared residual of the whole frame filtered with those weights held fixed.
 That cost is a quadratic in the real weights, so each frame is reduced once
-to its sufficient statistics and every particle then costs O(L^2).  The
-swarm is held as (N, L) arrays, one row per particle.  Velocities start at
-zero, and every random draw of an iteration happens before any cost is
-computed, so a search is a pure function of its seed.
+to its sufficient statistics and every particle then costs O(L^2).  A
+final swarm is reported as (N, L) arrays, one row per particle.  Velocities
+start at zero, and every random draw of an iteration happens before any
+cost is computed, so a search is a pure function of its seed.  The
+searches of a batch of frames run as one loop over (B, L, N) arrays, one
+lane per frame, particles last.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ale import AleConfig, _check_frame, _check_weights
 
-__all__ = ["PsoConfig", "SwarmState", "frame_costs", "evaluate_cost", "run_pso"]
+__all__ = ["PsoConfig", "SwarmState", "frame_costs", "evaluate_cost", "run_pso", "pso_batch"]
 
 # A quadratic-form cost below this fraction of c + w'Rw has lost too many
 # digits to cancellation and is recomputed from the residual directly.
@@ -84,15 +86,9 @@ class SwarmState:
     history: list[float]
 
 
-def frame_costs(d: np.ndarray, ale: AleConfig):
-    """Cost function of one frame: (N, L) weights to N mean squared residuals.
-
-    With V[n, k] = d[n - delay - k] over the m valid samples, the cost is
-    J(w) = c - 2w'p + w'Rw where R = Re(V^H V)/m, p = Re(V^H d)/m and
-    c = mean|d|^2.  Each entry is one inner product of lagged slices of d,
-    so no regressor matrix is built.
-    """
-    d = _check_frame(d, ale)
+def _gram(d: np.ndarray, ale: AleConfig):
+    """The frame's (R, p, c), and the (target, lags) slices that a
+    particle's direct recompute reads."""
     target = d[ale.warmup :]
     lags = [d[ale.warmup - ale.delay - k : d.size - ale.delay - k] for k in range(ale.taps)]
     m = target.size
@@ -102,17 +98,43 @@ def frame_costs(d: np.ndarray, ale: AleConfig):
             R[j, k] = R[k, j] = np.vdot(lags[j], lags[k]).real / m
     p = np.array([np.vdot(lag, target).real for lag in lags]) / m
     c = np.vdot(target, target).real / m
+    return R, p, c, (target, lags)
+
+
+def _scores(w: np.ndarray, R: np.ndarray, p: np.ndarray, c: np.ndarray, frames: list) -> np.ndarray:
+    """(B, N) costs of (B, L, N) weights, particles last, lane b scored on
+    R[b], p[b], c[b].
+
+    Elementwise products and sums: a particle's cost does not depend on
+    the other particles or lanes scored with it.  The products are formed
+    particles last, where numpy's inner loops are long, and copied
+    particles first before the sums, so that each particle's products are
+    summed as one contiguous block, in numpy's order for an (N, L) swarm.
+    A particle whose quadratic form has cancelled is recomputed from the
+    residual of its lane's ``frames[b] = (target, lags)``.
+    """
+    quad = (w[:, :, None] * R[..., None] * w[:, None]).transpose(0, 3, 1, 2).copy().sum(axis=(2, 3))
+    out = c[:, None] - 2.0 * (w * p[..., None]).transpose(0, 2, 1).copy().sum(axis=2) + quad
+    for b, i in zip(*np.nonzero(out < GRAM_FALLBACK_RATIO * (c[:, None] + quad))):
+        target, lags = frames[b]
+        e = target - sum(wk * lag for wk, lag in zip(w[b, :, i], lags))
+        out[b, i] = np.vdot(e, e).real / target.size
+    return out
+
+
+def frame_costs(d: np.ndarray, ale: AleConfig):
+    """Cost function of one frame: (N, L) weights to N mean squared residuals.
+
+    With V[n, k] = d[n - delay - k] over the m valid samples, the cost is
+    J(w) = c - 2w'p + w'Rw where R = Re(V^H V)/m, p = Re(V^H d)/m and
+    c = mean|d|^2.  Each entry is one inner product of lagged slices of d,
+    so no regressor matrix is built.  The swarm scores with the same code.
+    """
+    R, p, c, frame = _gram(_check_frame(d, ale), ale)
 
     def costs(positions: np.ndarray) -> np.ndarray:
         w = np.asarray(positions, dtype=np.float64)
-        # elementwise products and row sums: a row's cost does not depend
-        # on the other rows scored with it
-        quad = (w[:, :, None] * R * w[:, None, :]).sum(axis=(1, 2))
-        out = c - 2.0 * (w * p).sum(axis=1) + quad
-        for i in np.flatnonzero(out < GRAM_FALLBACK_RATIO * (c + quad)):
-            e = target - sum(wk * lag for wk, lag in zip(w[i], lags))
-            out[i] = np.vdot(e, e).real / m
-        return out
+        return _scores(w.T[None], R[None], p[None], np.array([c]), [frame])[0]
 
     return costs
 
@@ -123,46 +145,105 @@ def evaluate_cost(w: np.ndarray, d: np.ndarray, ale: AleConfig) -> float:
     return float(frame_costs(d, ale)(w[None])[0])
 
 
-def run_pso(d: np.ndarray, cfg: PsoConfig, ale: AleConfig) -> tuple[np.ndarray, SwarmState]:
-    """Search for the weight vector minimizing the frame's residual cost.
+def pso_batch(
+    D: np.ndarray, cfgs: list[PsoConfig], ale: AleConfig
+) -> tuple[np.ndarray, list[SwarmState]]:
+    """Search B frames at once, frame b with cfgs[b], for the weight vector
+    minimizing each frame's residual cost.
 
-    Starting positions are drawn uniformly in [-init_range, init_range]^L
-    and each particle's best is its starting point.  Each iteration moves
-    every particle by
-    v' = inertia*v + c1*r1*(pbest - x) + c2*r2*(gbest - x), clamped to
-    [-v_max, v_max] per component, then x' = x + v'.  A personal best moves
-    only on a strictly lower cost; the global best moves to the first
-    particle with the lowest personal best, and only when that is strictly
-    below it.  Returns the global-best weights and the final swarm, whose
-    `history` holds the global-best cost after each iteration.
+    The configs may differ only in `seed` and `n_particles`.  Starting
+    positions are drawn uniformly in [-init_range, init_range]^L and each
+    particle's best is its starting point.  Each iteration moves every
+    particle by v' = inertia*v + c1*r1*(pbest - x) + c2*r2*(gbest - x),
+    clamped to [-v_max, v_max] per component, then x' = x + v'.  A personal
+    best moves only on a strictly lower cost; the global best moves to the
+    first particle with the lowest personal best, and only when that is
+    strictly below it.
+
+    The swarms are (B, L, N) arrays, N the largest swarm.  A smaller swarm's
+    extra particles stay at rest at the origin with cost +inf, so they
+    never become a best.  Each lane has its own generator; an iteration draws
+    every running lane's uniforms, in lane order, before any cost is
+    computed.  A lane that stops early leaves the arrays and draws nothing
+    more.  So a lane's result is bit for bit its frame searched alone.
+    Returns the (B, L) global-best weights and each lane's final swarm,
+    whose `history` holds the global-best cost after each iteration.
     """
-    costs = frame_costs(d, ale)
-    rng = np.random.default_rng(cfg.seed)
-    x = rng.uniform(-cfg.init_range, cfg.init_range, size=(cfg.n_particles, ale.taps))
+    cfgs = list(cfgs)
+    D = _check_frame(D, ale)
+    if D.ndim != 2 or not cfgs or len(cfgs) != len(D):
+        raise ValueError(f"need (B, H) frames and B configs, got {D.shape} and {len(cfgs)}")
+    cfg = cfgs[0]
+    if any(replace(other, seed=cfg.seed, n_particles=cfg.n_particles) != cfg for other in cfgs):
+        raise ValueError("the configs of a batch may differ only in seed and n_particles")
+    R, p, c, frames = (list(col) for col in zip(*(_gram(d, ale) for d in D)))
+    R, p, c = np.array(R), np.array(p), np.array(c)
+    counts = [other.n_particles for other in cfgs]
+    rngs = [np.random.default_rng(other.seed) for other in cfgs]
+    x = np.zeros((len(cfgs), ale.taps, max(counts)))
+    for row, (rng, count) in enumerate(zip(rngs, counts)):
+        x[row, :, :count] = rng.uniform(-cfg.init_range, cfg.init_range, size=(count, ale.taps)).T
+    pad = np.arange(x.shape[2]) >= np.array(counts)[:, None]
     v = np.zeros_like(x)
-    pbest, pcost = x.copy(), costs(x)
-    best = int(np.argmin(pcost))
-    gbest, gcost = x[best].copy(), float(pcost[best])
-    history = []
-    # (N, 2, 1) consumes the stream exactly as (N, 2) does; r1 and r2 are
-    # (N, 1) for one draw per particle, (N, L) for one per component
-    draw_shape = (cfg.n_particles, 2, ale.taps if cfg.per_dimension_draws else 1)
-    stall = 0
-    for _ in range(cfg.max_iters):
-        r1, r2 = rng.uniform(size=draw_shape).transpose(1, 0, 2)
-        v = np.clip(cfg.inertia * v + cfg.c1 * r1 * (pbest - x) + cfg.c2 * r2 * (gbest - x),
-                    -cfg.v_max, cfg.v_max)
+    pbest, pcost = x.copy(), _scores(x, R, p, c, frames)
+    pcost[pad] = np.inf
+    rows = np.arange(len(cfgs))
+    best = pcost.argmin(axis=1)
+    gbest, gcost = pbest[rows, :, best], pcost[rows, best]
+    # (N, 2, 1) consumes a stream exactly as (N, 2) does; r1 and r2 are
+    # (B, 1, N) for one draw per particle, (B, L, N) for one per component.
+    # A padded particle draws nothing, so its r1 and r2 stay 0.
+    r = np.zeros((len(cfgs), x.shape[2], 2, ale.taps if cfg.per_dimension_draws else 1))
+    r1, r2 = r.transpose(2, 0, 3, 1)
+    history = np.empty((cfg.max_iters, len(cfgs)))
+    stall = np.zeros(len(cfgs), dtype=int)
+    live = list(range(len(cfgs)))  # the lane of each row
+    states = [None] * len(cfgs)
+    for it in range(cfg.max_iters):
+        for row, lane in enumerate(live):
+            rngs[lane].random(out=r[row, : counts[lane]])  # as uniform(size=...), value for value
+        v = np.clip(
+            cfg.inertia * v + cfg.c1 * r1 * (pbest - x) + cfg.c2 * r2 * (gbest[..., None] - x),
+            -cfg.v_max, cfg.v_max,
+        )
         x = x + v
-        cost = costs(x)
+        cost = _scores(x, R, p, c, frames)
+        cost[pad] = np.inf
         better = cost < pcost
-        pcost[better] = cost[better]
-        pbest[better] = x[better]
-        best = int(np.argmin(pcost))
-        prev = gcost
-        if pcost[best] < gcost:
-            gbest, gcost = pbest[best].copy(), float(pcost[best])
-        history.append(gcost)
-        stall = stall + 1 if prev - gcost < cfg.tol else 0
-        if cfg.tol > 0.0 and stall >= cfg.patience:
+        np.copyto(pcost, cost, where=better)
+        np.copyto(pbest, x, where=better[:, None])
+        best = pcost.argmin(axis=1)
+        top = pcost[rows, best]
+        improved = top < gcost
+        gbest = np.where(improved[:, None], pbest[rows, :, best], gbest)
+        prev, gcost = gcost, np.where(improved, top, gcost)
+        stall = np.where(prev - gcost < cfg.tol, stall + 1, 0)
+        history[it, live] = gcost
+        done = (cfg.tol > 0.0) & (stall >= cfg.patience) | (it + 1 == cfg.max_iters)
+        if not done.any():
+            continue
+        for row in np.flatnonzero(done):
+            lane, n = live[row], counts[live[row]]
+            states[lane] = SwarmState(
+                x[row, :, :n].T.copy(), v[row, :, :n].T.copy(), pbest[row, :, :n].T.copy(),
+                pcost[row, :n].copy(), gbest[row].copy(), float(gcost[row]),
+                history[: it + 1, lane].tolist(),
+            )
+        keep = ~done
+        live = [lane for lane, k in zip(live, keep) if k]
+        frames = [frame for frame, k in zip(frames, keep) if k]
+        x, v, pbest, pcost, gbest, gcost, stall, r, R, p, c, pad = (
+            a[keep] for a in (x, v, pbest, pcost, gbest, gcost, stall, r, R, p, c, pad)
+        )
+        r1, r2 = r.transpose(2, 0, 3, 1)
+        rows = rows[: len(live)]
+        if not live:
             break
-    return gbest.copy(), SwarmState(x, v, pbest, pcost, gbest, gcost, history)
+    return np.array([state.gbest_position for state in states]), states
+
+
+def run_pso(d: np.ndarray, cfg: PsoConfig, ale: AleConfig) -> tuple[np.ndarray, SwarmState]:
+    """One frame's search: a one-lane pso_batch.  Returns the global-best
+    weights and the final swarm."""
+    weights, (state,) = pso_batch(np.asarray(d)[None], [cfg], ale)
+    return weights[0], state

@@ -126,10 +126,8 @@ def demodulate(samples: np.ndarray, cfg: ModConfig) -> np.ndarray:
     return ((values[:, None] >> shifts[None, :]) & 1).astype(np.uint8).reshape(-1)
 
 
-def align_and_compare(
-    tx_bits: np.ndarray, rx_bits: np.ndarray, lag: int = 0
-) -> tuple[int, int]:
-    """Compare tx_bits[i] against rx_bits[i + lag] over their overlap.
+def align_and_compare(tx_bits: np.ndarray, rx_bits: np.ndarray) -> tuple[int, int]:
+    """Compare tx_bits[i] against rx_bits[i] over their overlap.
 
     Returns
     -------
@@ -138,12 +136,8 @@ def align_and_compare(
     """
     tx_bits = np.asarray(tx_bits)
     rx_bits = np.asarray(rx_bits)
-    if lag < 0:
-        raise ValueError(f"lag must be >= 0, got {lag}")
-    if lag >= tx_bits.size or lag >= rx_bits.size:
-        raise ValueError(
-            f"lag {lag} exceeds stream lengths ({tx_bits.size}, {rx_bits.size})"
-        )
-    compared = min(tx_bits.size, rx_bits.size - lag)
-    errors = int(np.count_nonzero(tx_bits[:compared] != rx_bits[lag : lag + compared]))
+    if tx_bits.size == 0 or rx_bits.size == 0:
+        raise ValueError(f"cannot compare empty streams ({tx_bits.size}, {rx_bits.size})")
+    compared = min(tx_bits.size, rx_bits.size)
+    errors = int(np.count_nonzero(tx_bits[:compared] != rx_bits[:compared]))
     return compared, errors

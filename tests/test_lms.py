@@ -352,6 +352,25 @@ class TestLmsBatch:
             np.testing.assert_array_equal(weights[lane], alone[lane][0])
             np.testing.assert_array_equal(y[lane], alone[lane][1])
 
+    def test_no_replay_after_a_lane_overflows(self, monkeypatch):
+        """The 1e160 lane's products overflow again after it is zeroed, but
+        only the block where it crossed the bound is adapted twice."""
+        frames = _small_frames(2)
+        frames[1] *= 1e160
+        calls = []
+        update = lms._update
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            update(*args, **kwargs)
+
+        monkeypatch.setattr(lms, "_update", counted)
+        _, _, errors = lms_batch(frames, [0.02, 0.02], ALE)
+        h, start = frames.shape[1], ALE.warmup
+        first = start + (errors[1].sample_index - start) // lms._BLOCK * lms._BLOCK
+        assert first + lms._BLOCK < h  # later blocks exist to be replayed
+        assert len(calls) == (h - start) + (min(first + lms._BLOCK, h) - first)
+
     def test_lane_overflowing_to_nan_reports_divergence(self):
         """A frame near 1e160 overflows the update's products, and their
         real-plus-imaginary sum inf - inf leaves nan weights: the lane is

@@ -11,7 +11,14 @@ from alebench.ale import AleConfig, filter_frame
 from alebench.channel import DEFAULT_PROFILES, ChannelConfig, transmit
 from alebench.lms import lms_batch
 from alebench.metrics import mse
-from alebench.pso import PsoConfig, evaluate_cost, frame_costs, run_pso
+from alebench.pso import (
+    GRAM_FALLBACK_RATIO,
+    PsoConfig,
+    evaluate_cost,
+    frame_costs,
+    pso_batch,
+    run_pso,
+)
 from alebench.signal import ModConfig, generate_bits, modulate
 from oracles import brute_force_cost, loop_pso, real_least_squares_weights, wiener_floor
 
@@ -331,6 +338,93 @@ class TestRunPso:
             _, state = run_pso(d, PsoConfig(seed=s), ALE)
             gaps.append(mse(d, y, valid) - state.gbest_cost)
         assert np.mean(gaps) > 0.0
+
+
+def _assert_lane_is_searched_alone(d, cfg, ale, weights, state):
+    """Lane (weights, state) of pso_batch is, bit for bit, the search of
+    frame d alone."""
+    alone_weights, alone = run_pso(d, cfg, ale)
+    np.testing.assert_array_equal(weights, alone_weights)
+    for name in ("position", "velocity", "pbest_position", "pbest_cost", "gbest_position"):
+        np.testing.assert_array_equal(getattr(state, name), getattr(alone, name))
+    assert state.gbest_cost == alone.gbest_cost
+    assert state.history == alone.history
+
+
+_COUNTS = (1, 3, 17, 60)
+_ODD_COEFFICIENTS = {"c1": 1.37, "c2": 0.73, "inertia": 0.61}
+_EARLY_STOP = {"tol": 1e-2, "patience": 3}
+
+
+def _batch_cfgs(counts, **overrides):
+    base = replace(PsoConfig(max_iters=30, tol=0.0), **overrides)
+    return [replace(base, n_particles=n, seed=100 + i) for i, n in enumerate(counts)]
+
+
+class TestPsoBatch:
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"per_dimension_draws": True}, _ODD_COEFFICIENTS, _EARLY_STOP],
+        ids=["defaults", "per_dimension_draws", "odd_coefficients", "early_stop"],
+    )
+    def test_lanes_equal_lone_searches_exactly(self, overrides):
+        """Swarms of 1, 3, 17 and 60 particles search random frames beside a
+        60-particle swarm on a cosine, which two taps predict exactly.  With
+        inertia below 1 that swarm settles onto the predicting weights,
+        where only the direct recompute scores it."""
+        rng = np.random.default_rng(91)
+        cosine = np.cos(0.7 * np.arange(48)).astype(complex)
+        cfgs = _batch_cfgs(_COUNTS + (60,), **overrides)
+        for taps in range(1, 10):
+            ale = AleConfig(taps=taps, delay=1 + taps % 3)
+            frames = np.array([_random_frame(rng, 48) for _ in _COUNTS] + [cosine])
+            weights, states = pso_batch(frames, cfgs, ale)
+            assert weights.shape == (len(cfgs), taps)
+            for d, cfg, w, state in zip(frames, cfgs, weights, states):
+                _assert_lane_is_searched_alone(d, cfg, ale, w, state)
+                assert state.position.shape == (cfg.n_particles, taps)
+            lengths = [len(state.history) for state in states]
+            if overrides is _EARLY_STOP:
+                assert len(set(lengths)) > 1 and max(lengths) < cfgs[0].max_iters
+            if overrides is _ODD_COEFFICIENTS and taps >= 2:
+                # the quadratic form cannot score below this; the residual can
+                assert states[-1].gbest_cost < GRAM_FALLBACK_RATIO * np.mean(np.abs(cosine) ** 2)
+
+    @pytest.mark.parametrize(
+        "overrides", [{"per_dimension_draws": True, **_ODD_COEFFICIENTS}, _EARLY_STOP]
+    )
+    def test_lanes_match_loop_oracle(self, overrides):
+        """Random frames only: near a cosine's minimum the costs are rounding
+        noise, so which particle wins there depends on the order of rounding."""
+        rng = np.random.default_rng(92)
+        cfgs = [replace(cfg, max_iters=15) for cfg in _batch_cfgs(_COUNTS, **overrides)]
+        for taps in (1, 4, 9):
+            ale = AleConfig(taps=taps, delay=2)
+            frames = np.array([_random_frame(rng, 40) for _ in cfgs])
+            weights, states = pso_batch(frames, cfgs, ale)
+            for d, cfg, w, state in zip(frames, cfgs, weights, states):
+                w_ref, h_ref = loop_pso(d, taps, ale.delay, cfg)
+                assert len(state.history) == len(h_ref)
+                np.testing.assert_allclose(state.history, h_ref, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"c1": 1.5}, {"c2": 1.5}, {"inertia": 0.9}, {"max_iters": 7}, {"tol": 1e-3},
+         {"patience": 2}, {"init_range": 1.0}, {"v_max": 0.5}, {"per_dimension_draws": True}],
+    )
+    def test_configs_differ_only_in_seed_and_particle_count(self, change):
+        frames = np.array([_random_frame(np.random.default_rng(93), 40)] * 2)
+        cfgs = _batch_cfgs((4, 9))
+        with pytest.raises(ValueError, match="differ only"):
+            pso_batch(frames, [cfgs[0], replace(cfgs[1], **change)], ALE)
+
+    def test_bad_shapes_rejected(self):
+        frames = np.array([_random_frame(np.random.default_rng(94), 40)] * 2)
+        for bad_frames, cfgs in ((frames, _batch_cfgs((4,))), (frames[0], _batch_cfgs((4,))),
+                                 (frames[:0], [])):
+            with pytest.raises(ValueError):
+                pso_batch(bad_frames, cfgs, ALE)
 
 
 class TestCostFloor:
