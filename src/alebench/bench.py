@@ -227,6 +227,9 @@ def parse_config(
     if kind not in KINDS:
         raise ConfigError("experiment.kind", f"must be one of {', '.join(KINDS)}")
     values["experiment.kind"] = kind
+    # a batch holds at least one whole frame, so this caps a batch's memory
+    if values.get("frame.h", ExperimentSpec.h) > _BATCH_SAMPLES:
+        raise ConfigError("frame.h", f"must be at most {_BATCH_SAMPLES} samples, one batch")
     defaults = _KINDS[kind].defaults
     for key in _PER_KIND_KEYS:
         values[key] = values.get(key, defaults[key]) if key in defaults else ()
@@ -537,18 +540,25 @@ def _run_batch(args: tuple) -> list[dict]:
 # tables
 
 def _mean_rows(raw_rows: list[dict], kind: _Kind) -> list[dict]:
-    groups: dict[tuple, list[dict]] = {}
+    """One row per group of raw rows with equal key columns, in order of
+    first appearance, each averaged column the mean of its group's values
+    in raw-row order.  Groups of one size are averaged in one call over a
+    (groups, size) array, which gives np.mean's bits for each group."""
     key_columns = tuple(c for c in kind.mean if c not in kind.averaged and c != "n_seeds")
-    for row in raw_rows:
-        key = tuple(row[c] for c in key_columns)
-        groups.setdefault(key, []).append(row)
-    out = []
-    for key, rows in groups.items():
-        entry = dict(zip(key_columns, key))
-        entry["n_seeds"] = len(rows)
-        for col in kind.averaged:
-            entry[col] = float(np.mean([row[col] for row in rows]))
-        out.append(entry)
+    groups: dict[tuple, list[int]] = {}
+    for i, row in enumerate(raw_rows):
+        groups.setdefault(tuple(row[c] for c in key_columns), []).append(i)
+    out = [dict(zip(key_columns, key), n_seeds=len(members)) for key, members in groups.items()]
+    members = list(groups.values())
+    by_size: dict[int, list[int]] = {}
+    for g, group in enumerate(members):
+        by_size.setdefault(len(group), []).append(g)
+    for col in kind.averaged:
+        values = np.array([row[col] for row in raw_rows], dtype=np.float64)
+        for picked in by_size.values():
+            means = values[[members[g] for g in picked]].mean(axis=1)
+            for g, mean in zip(picked, means.tolist()):
+                out[g][col] = mean
     return out
 
 

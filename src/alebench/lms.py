@@ -8,7 +8,9 @@ real; for real-valued signals it reduces to the textbook update exactly.
 Runs are adapted in batches: one loop over the samples with the lanes as
 the last axis of every array, so each numpy call serves every lane.  With
 L ~ 5 taps, a call per run and sample would cost more in call overhead
-than the arithmetic it does.
+than the arithmetic it does.  That overhead is smallest on contiguous
+operands of one shape, so each block of samples is first copied into
+contiguous buffers laid out for the calls that read it.
 """
 
 from __future__ import annotations
@@ -40,21 +42,22 @@ class LmsConfig:
 
 
 def _scratch(taps: int, lanes: int) -> tuple[np.ndarray, ...]:
-    """_update's scratch: (L, 2, B) products, their halves, and the step."""
-    prod = np.empty((taps, 2, lanes))
-    return prod, prod[:, :1], prod[:, 1:], np.empty((taps, 1, lanes))
+    """_update's scratch: (2, L, B) products, one contiguous (L, B) half
+    each for the real and imaginary parts, and the (L, B) step."""
+    prod = np.empty((2, taps, lanes))
+    return prod, prod[0], prod[1], np.empty((taps, lanes))
 
 
 def _update(w, e_n, v, mus, scratch, out) -> None:
-    """out = w + mus * Re(e_n * conj(v)), lanes last: (L, 1, B) weights,
-    (2, B) real/imag errors, (L, 2, B) real/imag regressors, B step sizes
-    and _scratch(L, B).  Each tap's step is mu * (er*vr + ei*vi), in that
-    order; out may be w."""
+    """out = w + mus * Re(e_n * conj(v)), lanes last: (L, B) weights,
+    (2, 1, B) real/imag errors, (2, L, B) real/imag regressors, (L, B) step
+    sizes and _scratch(L, B).  Each tap's step is mu * (er*vr + ei*vi), in
+    that order; out may be w."""
     prod, re, im, step = scratch
-    np.multiply(e_n, v, out=prod)
-    np.add(re, im, out=step)
-    step *= mus
-    np.add(w, step, out=out)
+    np.multiply(v, e_n, prod)
+    np.add(re, im, step)
+    np.multiply(step, mus, step)
+    np.add(w, step, out)
 
 
 def lms_step(
@@ -71,10 +74,10 @@ def lms_step(
     if not (np.isfinite(mu) and mu >= 0.0):
         raise ValueError("step sizes must be finite and >= 0")
     taps = w.size
-    v = np.ascontiguousarray(v_n, dtype=np.complex128).view(np.float64).reshape(taps, 2, 1)
-    e = np.array([complex(e_n)]).view(np.float64).reshape(2, 1)
-    w3 = w.reshape(taps, 1, 1)
-    _update(w3, e, v, mu, _scratch(taps, 1), out=w3)
+    v = np.ascontiguousarray(v_n, dtype=np.complex128).view(np.float64).reshape(taps, 2)
+    e = np.array([complex(e_n)]).view(np.float64).reshape(2, 1, 1)
+    w2 = w.reshape(taps, 1)
+    _update(w2, e, v.T[..., None], np.full((taps, 1), mu), _scratch(taps, 1), w2)
     return w
 
 
@@ -94,7 +97,7 @@ def lms_batch(
     not depend on the other lanes of the batch.  Frames must be finite.
     """
     D = np.ascontiguousarray(D, dtype=np.complex128)
-    mus = np.array(mus, dtype=np.float64)  # a copy: a diverged lane's step is zeroed
+    mus = np.asarray(mus, dtype=np.float64)
     if D.ndim != 2 or D.shape[0] < 1 or mus.shape != D.shape[:1]:
         raise ValueError(f"need (B, H) frames and B step sizes, got {D.shape} and {mus.shape}")
     if not np.all(np.isfinite(mus) & (mus >= 0.0)):
@@ -108,16 +111,28 @@ def lms_batch(
     d = D.view(np.float64).reshape(lanes, h, 2).transpose(1, 2, 0)
     y = Y.view(np.float64).reshape(lanes, h, 2).transpose(1, 2, 0)
     windows = sliding_window_view(d, taps, axis=0).transpose(0, 3, 1, 2)
-    # W[i + 1] is the weights after a block's sample i, W[0] its start.
-    # Taps are summed over the leading axis, one running sum in tap order:
-    # numpy sums a contiguous axis of 8 or more pairwise instead.
-    W = np.zeros((_BLOCK + 1, taps, 1, lanes))
-    rows = list(zip(W[:-1], W[1:]))
+    # Each block's samples, outputs and regressors are copied into
+    # contiguous buffers, so that no call of the sample loop reads a
+    # strided operand and only the two products broadcast one.  The
+    # output's products are tap-leading and summed over that leading axis,
+    # one running sum in tap order: numpy would sum an innermost axis of 8
+    # or more pairwise.  The update reads the regressors as (re/im, tap,
+    # lane), so that its real and imaginary halves are each contiguous.
+    d_block = np.empty((_BLOCK, 2, lanes))
+    y_block = np.empty((_BLOCK, 2, lanes))
+    v_out = np.empty((_BLOCK, taps, 2, lanes))
+    v_up = np.empty((_BLOCK, 2, taps, lanes))
+    # W[i + 1] is the weights after a block's sample i, W[0] its start
+    W = np.zeros((_BLOCK + 1, taps, lanes))
+    rows = list(zip(W[:-1, :, None], W[:-1], W[1:], v_out, v_up, d_block, y_block))
+    steps = np.repeat(mus[None], taps, axis=0)  # a diverged lane's column is zeroed
     scratch = _scratch(taps, lanes)
-    prod = scratch[0]
-    e_n = np.empty((2, lanes))
+    prod = np.empty((taps, 2, lanes))
+    e_n = np.empty((2, 1, lanes))  # broadcast over the taps by the update
+    e_flat = e_n[:, 0]
     errors: list[DivergenceError | None] = [None] * lanes
     crossed = np.zeros(lanes, dtype=bool)
+    multiply, subtract, add_reduce, update = np.multiply, np.subtract, np.add.reduce, _update
     # Each block is adapted unchecked, then all its rows are checked at
     # once.  A block with some |w| beyond the bound, inf or nan (a lane
     # overflows only after crossing it) is adapted again from row 0 with
@@ -125,32 +140,37 @@ def lms_batch(
     with np.errstate(all="ignore"):
         for first in range(start, h, _BLOCK):
             last = min(first + _BLOCK, h)
+            size = last - first
+            d_block[:size] = d[first:last]
+            v_out[:size] = windows[first - start : last - start]
+            v_up[:size] = v_out[:size].transpose(0, 2, 1, 3)
             for checked in (False, True):
-                for n, (w, w_next), v, d_n, y_n in zip(
-                        range(first, last), rows, windows[first - start :], d[first:], y[first:]):
-                    np.add.reduce(np.multiply(w, v, out=prod), axis=0, out=y_n)
-                    np.subtract(d_n, y_n, out=e_n)
-                    _update(w, e_n, v, mus, scratch, out=w_next)
+                for n, (w_col, w, w_next, v, v_t, d_n, y_n) in zip(range(first, last), rows):
+                    multiply(v, w_col, prod)
+                    add_reduce(prod, 0, None, y_n)
+                    subtract(d_n, y_n, e_flat)
+                    update(w, e_n, v_t, steps, scratch, w_next)
                     if checked:
-                        peaks = np.abs(w_next).max(axis=(0, 1))
+                        peaks = np.abs(w_next).max(axis=0)
                         # not <=, so a nan peak crosses too.  A lane whose
                         # products overflow is flagged again after its
                         # zeroing (0 * inf is nan); it keeps its first crossing.
                         for b in np.flatnonzero(~(peaks <= WEIGHT_BOUND)):
                             errors[b] = errors[b] or DivergenceError(n, float(peaks[b]))
-                            w_next[..., b] = 0.0
-                            mus[b] = 0.0
+                            w_next[:, b] = 0.0
+                            steps[:, b] = 0.0
                             crossed[b] = True
-                if np.abs(W[1 : last - first + 1]).max() <= WEIGHT_BOUND:
+                if np.abs(W[1 : size + 1]).max() <= WEIGHT_BOUND:
                     break
                 # Only an unchecked pass gets here.  A lane zeroed in an
                 # earlier block whose products overflow turns nan again
                 # (0 * inf): zero its rows and outputs, so that only a
                 # lane crossing in this block makes it adapted again.
                 gone = np.flatnonzero(crossed)
-                W[1 : last - first + 1, ..., gone] = 0.0
-                y[first:last, :, gone] = 0.0
-                if np.abs(W[1 : last - first + 1]).max() <= WEIGHT_BOUND:
+                W[1 : size + 1, :, gone] = 0.0
+                y_block[:size, :, gone] = 0.0
+                if np.abs(W[1 : size + 1]).max() <= WEIGHT_BOUND:
                     break
-            W[0] = W[last - first]
-    return W[0, :, 0, :].T[:, ::-1].copy(), Y, errors
+            y[first:last] = y_block[:size]
+            W[0] = W[size]
+    return W[0].T[:, ::-1].copy(), Y, errors

@@ -428,6 +428,14 @@ class TestSpecValidation:
             parse_config("frame.h = 15\nale.taps = 20")
         assert excinfo.value.key == "frame.h"
 
+    def test_frame_longer_than_a_batch_rejected(self):
+        """Parse time only: a frame this long is never run."""
+        assert parse_config(f"frame.h = {bench._BATCH_SAMPLES}").h == bench._BATCH_SAMPLES
+        for h in (bench._BATCH_SAMPLES + 1, 100_000_000):
+            with pytest.raises(ConfigError) as excinfo:
+                parse_config("ale.taps = 0", overrides={"frame.h": str(h)})
+            assert excinfo.value.key == "frame.h"
+
     def test_first_rejected_key_in_schema_order_named(self):
         with pytest.raises(ConfigError) as excinfo:
             parse_config("pso.c2 = -1\npso.c1 = -2\nrun.n_seeds = 0")

@@ -102,6 +102,14 @@ def test_unknown_key_fails_with_diagnostic(tmp_path, capsys):
     assert "momentum" in capsys.readouterr().err
 
 
+def test_frame_longer_than_a_batch_fails_before_running(tmp_path, capsys):
+    out = tmp_path / "out"
+    code = main(["run-all", "--out", str(out), "--set", "frame.h=100000000"])
+    assert code == 1
+    assert "frame.h" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_jobs_flag_does_not_change_bytes(tmp_path):
     args = ["mse_vs_snr"] + TINY + ["--set", "run.snr_grid=-2,2", "--set", "run.n_seeds=2"]
     main(args + ["--out", str(tmp_path / "serial")])

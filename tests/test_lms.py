@@ -1,5 +1,6 @@
 """Tests for the sample-recursive gradient adaptation."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -270,6 +271,22 @@ class TestLmsBatch:
                     assert errors[lane] is None
                     _assert_rel(weights[lane], expected[0])
                     _assert_rel(y[lane], expected[1])
+
+    def test_operating_point_bits(self):
+        """The benchmark's step-sweep operating point, pinned bit for bit:
+        14 frames of 10,000 samples at -2 dB, the seven step sizes of the
+        step_lms sweep twice.  The mu = 0.3 lanes diverge (at samples 208
+        and 105), so the pin covers the block replay and the zeroed lanes
+        over a whole frame.  The digest covers the final weights' bytes,
+        the outputs' bytes and every lane's crossing."""
+        frames = np.array([_awgn_frame(-2.0, 500 + s, 600 + s) for s in range(14)])
+        mus = [0.005, 0.01, 0.02, 0.04, 0.08, 0.2, 0.3] * 2
+        weights, y, errors = lms_batch(frames, mus, ALE)
+        crossings = list(map(_crossing, errors))
+        assert [c and c[0] for c in crossings] == [None] * 6 + [208] + [None] * 6 + [105]
+        digest = hashlib.sha256(weights.tobytes() + y.tobytes() + repr(crossings).encode())
+        assert digest.hexdigest() == (
+            "f58e4cf5df61e7b7e5e7f47d339b02314a6baa5b0ce2e28bbd763f78861a67b0")
 
     def test_bad_input_rejected(self):
         frames = _small_frames(2)
