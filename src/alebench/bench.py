@@ -252,7 +252,10 @@ def parse_config(
         for v in values["run.sweep_values"]:
             if not (v > 0 and math.isfinite(v)):
                 raise ConfigError("run.sweep_values", f"step sizes must be finite and > 0, got {v}")
-    return _build(ExperimentSpec, fields)
+    spec = _build(ExperimentSpec, fields)
+    if len(_sweep_points(spec)) * spec.n_seeds > _MAX_RUNS:
+        raise ConfigError("run.n_seeds", f"sweep points x seeds must be at most {_MAX_RUNS} runs")
+    return spec
 
 
 def _build(cls, fields: dict, section: str | None = None):
@@ -523,6 +526,9 @@ KINDS = tuple(_KINDS)
 # larger batches are faster: 64 frames of 10,000 fit, and a default
 # ber_awgn sweep (110 frames) runs as two batches.
 _BATCH_SAMPLES = 640_000
+# Runs one experiment may hold: every run is listed and its raw rows kept
+# until written.  300 times the largest default sweep (ber_nonlinear, 330).
+_MAX_RUNS = 100_000
 
 
 def _split(runs: list, count: int) -> list[list]:

@@ -4,10 +4,11 @@ __all__ = ["DivergenceError", "ConfigError"]
 
 
 class DivergenceError(ArithmeticError):
-    """Raised when an adaptive run blows past the weight-magnitude bound.
+    """An adaptive run's crossing of the weight-magnitude bound.
 
-    Carries the sample index at which the bound was crossed; almost always
-    a sign that the step size is too large for the input power.
+    lms_batch returns one per diverged lane; the runner raises a
+    RuntimeError from it.  Carries the sample index of the crossing, almost
+    always a sign that the step size is too large for the input power.
     """
 
     def __init__(self, sample_index: int, max_weight: float):

@@ -91,10 +91,11 @@ def lms_batch(
     equals the input.  Returns (final_weights, Y, errors): the (B, L) final
     weights, weight k multiplying d[n - delay - k], the (B, H) outputs and,
     per lane, DivergenceError(n, max|w|) for the first sample n after whose
-    update some |w| exceeds WEIGHT_BOUND, or None.  A lane that diverges
-    has its weights and step size zeroed at the crossing, so no inf or nan
-    forms; its weights and outputs are meaningless.  A lane's result does
-    not depend on the other lanes of the batch.  Frames must be finite.
+    update some |w| exceeds WEIGHT_BOUND, or None.  From its crossing on, a
+    diverged lane's weights and step size are 0, so its final weights are 0
+    and its outputs after sample n are the zeros that zero weights give; no
+    inf or nan is returned.  A lane's result does not depend on the other
+    lanes of the batch.  Frames must be finite.
     """
     D = np.ascontiguousarray(D, dtype=np.complex128)
     mus = np.asarray(mus, dtype=np.float64)
@@ -131,12 +132,11 @@ def lms_batch(
     e_n = np.empty((2, 1, lanes))  # broadcast over the taps by the update
     e_flat = e_n[:, 0]
     errors: list[DivergenceError | None] = [None] * lanes
-    crossed = np.zeros(lanes, dtype=bool)
     multiply, subtract, add_reduce, update = np.multiply, np.subtract, np.add.reduce, _update
-    # Each block is adapted unchecked, then all its rows are checked at
-    # once.  A block with some |w| beyond the bound, inf or nan (a lane
-    # overflows only after crossing it) is adapted again from row 0 with
-    # the check and the zeroing after each sample.
+    # Each block is adapted once, then all its rows are checked at once.
+    # Lanes share no arithmetic, so a lane with a row beyond the bound, inf
+    # or nan is mended from its rows: after its first such row it gets what
+    # it would have had, zeroed right after that update.
     with np.errstate(all="ignore"):
         for first in range(start, h, _BLOCK):
             last = min(first + _BLOCK, h)
@@ -144,33 +144,22 @@ def lms_batch(
             d_block[:size] = d[first:last]
             v_out[:size] = windows[first - start : last - start]
             v_up[:size] = v_out[:size].transpose(0, 2, 1, 3)
-            for checked in (False, True):
-                for n, (w_col, w, w_next, v, v_t, d_n, y_n) in zip(range(first, last), rows):
-                    multiply(v, w_col, prod)
-                    add_reduce(prod, 0, None, y_n)
-                    subtract(d_n, y_n, e_flat)
-                    update(w, e_n, v_t, steps, scratch, w_next)
-                    if checked:
-                        peaks = np.abs(w_next).max(axis=0)
-                        # not <=, so a nan peak crosses too.  A lane whose
-                        # products overflow is flagged again after its
-                        # zeroing (0 * inf is nan); it keeps its first crossing.
-                        for b in np.flatnonzero(~(peaks <= WEIGHT_BOUND)):
-                            errors[b] = errors[b] or DivergenceError(n, float(peaks[b]))
-                            w_next[:, b] = 0.0
-                            steps[:, b] = 0.0
-                            crossed[b] = True
-                if np.abs(W[1 : size + 1]).max() <= WEIGHT_BOUND:
-                    break
-                # Only an unchecked pass gets here.  A lane zeroed in an
-                # earlier block whose products overflow turns nan again
-                # (0 * inf): zero its rows and outputs, so that only a
-                # lane crossing in this block makes it adapted again.
-                gone = np.flatnonzero(crossed)
-                W[1 : size + 1, :, gone] = 0.0
-                y_block[:size, :, gone] = 0.0
-                if np.abs(W[1 : size + 1]).max() <= WEIGHT_BOUND:
-                    break
+            for w_col, w, w_next, v, v_t, d_n, y_n in rows[:size]:
+                multiply(v, w_col, prod)
+                add_reduce(prod, 0, None, y_n)
+                subtract(d_n, y_n, e_flat)
+                update(w, e_n, v_t, steps, scratch, w_next)
+            if not np.abs(W[1 : size + 1]).max() <= WEIGHT_BOUND:
+                # not <=, so a nan peak crosses too.  A lane zeroed in an
+                # earlier block whose products overflow (0 * inf is nan)
+                # is mended again; it keeps its first crossing.
+                peaks = np.abs(W[1 : size + 1]).max(axis=1)
+                for b in np.flatnonzero(~np.all(peaks <= WEIGHT_BOUND, axis=0)):
+                    i = int(np.argmin(peaks[:, b] <= WEIGHT_BOUND))
+                    errors[b] = errors[b] or DivergenceError(first + i, float(peaks[i, b]))
+                    W[size, :, b] = steps[:, b] = 0.0
+                    # the zeroed weights' outputs, summed as the loop sums them
+                    add_reduce(v_out[i + 1 : size, :, :, b] * 0.0, 1, None, y_block[i + 1 : size, :, b])
             y[first:last] = y_block[:size]
             W[0] = W[size]
     return W[0].T[:, ::-1].copy(), Y, errors

@@ -436,6 +436,18 @@ class TestSpecValidation:
                 parse_config("ale.taps = 0", overrides={"frame.h": str(h)})
             assert excinfo.value.key == "frame.h"
 
+    def test_run_count_capped(self):
+        """Sweep points x seeds above bench._MAX_RUNS is rejected at parse
+        time, under run.n_seeds; those runs are never listed or run."""
+        cap = bench._MAX_RUNS
+        assert parse_config(f"run.n_seeds = {cap // 33}", kind="ber_nonlinear").n_seeds == cap // 33
+        assert parse_config(f"run.n_seeds = {cap}\nrun.snr_grid = 0").n_seeds == cap
+        for kind, seeds in (("ber_nonlinear", cap // 33 + 1), ("ber_nonlinear", 10**9),
+                            ("step_sweep", cap // 6 + 1), ("mse_vs_snr", cap // 11 + 1)):
+            with pytest.raises(ConfigError) as excinfo:
+                parse_config(f"run.n_seeds = {seeds}", kind=kind)
+            assert excinfo.value.key == "run.n_seeds"
+
     def test_first_rejected_key_in_schema_order_named(self):
         with pytest.raises(ConfigError) as excinfo:
             parse_config("pso.c2 = -1\npso.c1 = -2\nrun.n_seeds = 0")

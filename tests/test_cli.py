@@ -110,6 +110,18 @@ def test_frame_longer_than_a_batch_fails_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_count_above_the_cap_fails_before_running(tmp_path, capsys, monkeypatch):
+    """5,000 seeds fit every default sweep but ber_nonlinear's 33 points,
+    and ber_nonlinear comes last: run-all still runs nothing."""
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda spec, jobs: ran.append(spec.kind))
+    out = tmp_path / "out"
+    code = main(["run-all", "--out", str(out), "--seeds", "5000"])
+    assert code == 1
+    assert "run.n_seeds" in capsys.readouterr().err
+    assert ran == [] and not out.exists()
+
+
 def test_jobs_flag_does_not_change_bytes(tmp_path):
     args = ["mse_vs_snr"] + TINY + ["--set", "run.snr_grid=-2,2", "--set", "run.n_seeds=2"]
     main(args + ["--out", str(tmp_path / "serial")])

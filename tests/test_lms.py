@@ -231,8 +231,8 @@ class TestLmsBatch:
 
     def test_diverging_lanes_match_lone_runs_and_spare_the_rest(self):
         """mu = 0.3 and mu = 10 lanes diverge at the sample and with the peak
-        of the same frame run alone; the converging lanes beside them stay
-        bit-identical."""
+        of the same frame run alone, and from there on hold zero weights and
+        output zeros; the converging lanes beside them stay bit-identical."""
         frames = np.array([_awgn_frame(-2.0, 80 + s, 90 + s, h=2000) for s in range(8)])
         mus = [0.01, 0.3, 0.08, 10.0, 0.2, 0.3, 0.02, 10.0]
         weights, y, errors = lms_batch(frames, mus, ALE)
@@ -243,6 +243,9 @@ class TestLmsBatch:
         assert ended == ["diverged" if mu in (0.3, 10.0) else "converged" for mu in mus]
         assert len({err.sample_index for err in errors if err is not None}) > 1
         assert np.all(np.isfinite(weights)) and np.all(np.isfinite(y))
+        for b, err in enumerate(errors):
+            if err is not None:
+                assert np.all(weights[b] == 0) and np.all(y[b, err.sample_index + 1 :] == 0)
 
     def test_lane_result_independent_of_its_batch(self):
         frames = _small_frames(7)
@@ -276,9 +279,9 @@ class TestLmsBatch:
         """The benchmark's step-sweep operating point, pinned bit for bit:
         14 frames of 10,000 samples at -2 dB, the seven step sizes of the
         step_lms sweep twice.  The mu = 0.3 lanes diverge (at samples 208
-        and 105), so the pin covers the block replay and the zeroed lanes
-        over a whole frame.  The digest covers the final weights' bytes,
-        the outputs' bytes and every lane's crossing."""
+        and 105), so the pin covers the mending of a lane that crosses and
+        the zeroed lanes over a whole frame.  The digest covers the final
+        weights' bytes, the outputs' bytes and every lane's crossing."""
         frames = np.array([_awgn_frame(-2.0, 500 + s, 600 + s) for s in range(14)])
         mus = [0.005, 0.01, 0.02, 0.04, 0.08, 0.2, 0.3] * 2
         weights, y, errors = lms_batch(frames, mus, ALE)
@@ -352,8 +355,8 @@ class TestLmsBatch:
                 assert _crossing(alone[2]) == _crossing(expected[2][lane])
 
     def test_lane_overflowing_unchecked_is_contained(self, monkeypatch):
-        """A mu = 1e3 lane overflows to inf and nan in the unchecked pass of a
-        one-block frame; no warning escapes, it diverges where it does run
+        """A mu = 1e3 lane overflows to inf and nan before the one block of its
+        frame is checked; no warning escapes, it diverges where it does run
         alone, and the other lanes are bit-identical to their lone runs."""
         frames = _small_frames(3)
         mus = [0.02, 1e3, 0.08]
@@ -369,10 +372,13 @@ class TestLmsBatch:
             np.testing.assert_array_equal(weights[lane], alone[lane][0])
             np.testing.assert_array_equal(y[lane], alone[lane][1])
 
-    def test_no_replay_after_a_lane_overflows(self, monkeypatch):
-        """The 1e160 lane's products overflow again after it is zeroed, but
-        only the block where it crossed the bound is adapted twice."""
-        frames = _small_frames(2)
+    def test_each_sample_adapted_once(self, monkeypatch):
+        """_update runs once per adapted sample, h - warmup times, in a batch
+        where a mu = 0.3 lane crosses the bound mid-block, a 1e160 lane's
+        products overflow again after it is zeroed, and a third lane
+        converges: no block is adapted twice."""
+        ale = AleConfig(taps=6, delay=1)
+        frames = _small_frames(3)
         frames[1] *= 1e160
         calls = []
         update = lms._update
@@ -382,11 +388,11 @@ class TestLmsBatch:
             update(*args, **kwargs)
 
         monkeypatch.setattr(lms, "_update", counted)
-        _, _, errors = lms_batch(frames, [0.02, 0.02], ALE)
-        h, start = frames.shape[1], ALE.warmup
-        first = start + (errors[1].sample_index - start) // lms._BLOCK * lms._BLOCK
-        assert first + lms._BLOCK < h  # later blocks exist to be replayed
-        assert len(calls) == (h - start) + (min(first + lms._BLOCK, h) - first)
+        _, _, errors = lms_batch(frames, [0.3, 0.02, 0.02], ale)
+        h, start = frames.shape[1], ale.warmup
+        assert errors[0].sample_index - start == 47  # mid-block, later blocks follow
+        assert errors[1].sample_index == start and errors[2] is None
+        assert len(calls) == h - start
 
     def test_lane_overflowing_to_nan_reports_divergence(self):
         """A frame near 1e160 overflows the update's products, and their
