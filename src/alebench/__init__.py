@@ -13,7 +13,7 @@ from .errors import ConfigError, DivergenceError
 from .lms import LmsConfig, lms_batch, lms_step
 from .metrics import mse
 from .pso import PsoConfig, SwarmState, evaluate_cost, frame_costs, pso_batch, run_pso
-from .signal import ModConfig, align_and_compare, demodulate, generate_bits, modulate
+from .signal import ModConfig, demodulate, generate_bits, modulate
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "pso_batch",
     "run_pso",
     "ModConfig",
-    "align_and_compare",
     "demodulate",
     "generate_bits",
     "modulate",

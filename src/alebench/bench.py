@@ -1,7 +1,7 @@
 """Experiment runner: deterministic sweeps over SNR, step size, swarm size.
 
-Five experiment kinds are supported, each runnable from its own CLI
-subcommand:
+Five experiment kinds are supported, each runnable as its own CLI
+command:
 
 * ``particle_sweep``   global-best cost per iteration for several swarm sizes
 * ``step_sweep``       LMS residual power across a step-size grid
@@ -31,13 +31,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ale import AleConfig, FilterRun, filter_frame
+from .ale import AleConfig, filter_frame
 from .channel import DEFAULT_PROFILES, ChannelConfig, transmit
 from .errors import ConfigError
 from .lms import LmsConfig, lms_batch
 from .metrics import mse
 from .pso import PsoConfig, pso_batch
-from .signal import ModConfig, align_and_compare, demodulate, generate_bits, modulate
+from .signal import ModConfig, demodulate, generate_bits, modulate
 
 __all__ = [
     "KINDS",
@@ -72,6 +72,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
+        if len(_sweep_points(self)) * self.n_seeds > _MAX_RUNS:
+            raise ConfigError("run.n_seeds", f"sweep points x seeds must be at most {_MAX_RUNS} runs")
         if self.n_seeds < 1:
             raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
         if not (0 <= self.base_seed < 2**64):
@@ -252,10 +254,7 @@ def parse_config(
         for v in values["run.sweep_values"]:
             if not (v > 0 and math.isfinite(v)):
                 raise ConfigError("run.sweep_values", f"step sizes must be finite and > 0, got {v}")
-    spec = _build(ExperimentSpec, fields)
-    if len(_sweep_points(spec)) * spec.n_seeds > _MAX_RUNS:
-        raise ConfigError("run.n_seeds", f"sweep points x seeds must be at most {_MAX_RUNS} runs")
-    return spec
+    return _build(ExperimentSpec, fields)
 
 
 def _build(cls, fields: dict, section: str | None = None):
@@ -264,10 +263,13 @@ def _build(cls, fields: dict, section: str | None = None):
     That key is the first of the class's keys, in schema order, whose
     value the class rejects on its own: `section`'s keys for a sub-config,
     the keys outside _SECTIONS for the spec, whose frame-length check also
-    reads the sub-configs passed beside the value.
+    reads the sub-configs passed beside the value.  A ConfigError, which
+    names its key already, passes unchanged.
     """
     try:
         return cls(**fields)
+    except ConfigError:
+        raise
     except ValueError as err:
         nested = {name: fields[name] for name in _SECTIONS if name in fields}
         for key in _SCHEMA:
@@ -331,48 +333,27 @@ def _sweep_points(spec: ExperimentSpec) -> list[dict]:
 
 
 def _batch_frames(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]):
-    """One lane per run: its (point, seed index, run seed, bits seed, PSO
-    seed) and the (B, H) received samples.  Neither the bits nor the clean
-    symbols are kept; a run whose decisions need them draws them again
-    from the bits seed."""
+    """One lane per run: its (point, seed index, run seed, PSO seed), the
+    (B, H * bits per symbol) bits it sent and the (B, H) received samples."""
     lanes = []
+    bits = np.empty((len(runs), spec.h * spec.mod.bits_per_symbol), dtype=np.uint8)
     frames = np.empty((len(runs), spec.h), dtype=np.complex128)
     for lane, (sweep_idx, seed_idx) in enumerate(runs):
         point = points[sweep_idx]
         run_seed = derive_run_seed(spec.base_seed, sweep_idx, seed_idx)
         bits_seed, chan_seed, pso_seed = _subsystem_seeds(run_seed, 3)
-        bits = generate_bits(spec.h * spec.mod.bits_per_symbol, bits_seed)
+        bits[lane] = generate_bits(bits.shape[1], bits_seed)
         profile = DEFAULT_PROFILES[point["profile"]] if "profile" in point else None
         channel = ChannelConfig(snr_db=point["snr_db"], nonlinear=profile, seed=chan_seed)
-        frames[lane] = transmit(modulate(bits, spec.mod), channel)
-        lanes.append((point, seed_idx, run_seed, bits_seed, pso_seed))
-    return lanes, frames
-
-
-def _decisions(spec: ExperimentSpec, bits, x, run) -> tuple[float, float, int]:
-    """BER and clean-stream MSE for one filtering run.
-
-    Residual-stream decisions align with the transmitted bits directly;
-    output-stream decisions lag by the enhancer delay.
-    """
-    k = spec.mod.bits_per_symbol
-    v0 = run.valid.start
-    if spec.decision_stream == "error":
-        samples = run.e[v0:]
-        tx_bits = bits[k * v0 :]
-        clean_ref = x[v0:]
-    else:
-        samples = run.y[v0:]
-        tx_bits = bits[k * (v0 - spec.ale.delay) :]
-        clean_ref = x[v0 - spec.ale.delay : len(x) - spec.ale.delay]
-    rx_bits = demodulate(samples, spec.mod)
-    compared, errors = align_and_compare(tx_bits, rx_bits)
-    clean_mse = float(np.mean(np.abs(samples - clean_ref) ** 2))
-    return errors / compared, clean_mse, compared
+        frames[lane] = transmit(modulate(bits[lane], spec.mod), channel)
+        lanes.append((point, seed_idx, run_seed, pso_seed))
+    return lanes, bits, frames
 
 
 def _metric_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]) -> list[dict]:
-    lanes, frames = _batch_frames(spec, points, runs)
+    """An LMS and a PSO row per run.  Bits are decided from sample `warmup`
+    on, on the residual, or on the output, which lags them by the delay."""
+    lanes, bits, frames = _batch_frames(spec, points, runs)
     _, outputs, diverged = lms_batch(frames, np.full(len(runs), spec.lms.mu), spec.ale)
     for (point, seed_idx, *_), err in zip(lanes, diverged):
         if err is not None:
@@ -381,32 +362,36 @@ def _metric_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int,
             ) from err
     cfgs = [replace(spec.pso, seed=pso_seed) for *_, pso_seed in lanes]
     best, _ = pso_batch(frames, cfgs, spec.ale)
-    valid = range(spec.ale.warmup, spec.h)
+    k, v0 = spec.mod.bits_per_symbol, spec.ale.warmup
+    lag = spec.ale.delay if spec.decision_stream == "output" else 0
+    valid = range(v0, spec.h)
     rows = []
-    for (point, _, run_seed, bits_seed, _), d, y, weights in zip(lanes, frames, outputs, best):
-        bits = generate_bits(spec.h * spec.mod.bits_per_symbol, bits_seed)
-        x = modulate(bits, spec.mod)
+    for (point, _, run_seed, _), sent, d, lms_y, weights in zip(
+        lanes, bits[:, k * (v0 - lag) : k * (spec.h - lag)], frames, outputs, best
+    ):
         base = dict(point, seed=run_seed, L=spec.ale.taps, delta=spec.ale.delay)
-        for algorithm, run, mu, n_particles in (
-            ("LMS", FilterRun(y=y, e=d - y, valid=valid), spec.lms.mu, None),
-            ("PSO", filter_frame(d, weights, spec.ale), None, spec.pso.n_particles),
+        clean = modulate(sent, spec.mod)
+        for algorithm, y, mu, n_particles in (
+            ("LMS", lms_y, spec.lms.mu, None),
+            ("PSO", filter_frame(d, weights, spec.ale).y, None, spec.pso.n_particles),
         ):
-            ber, clean_mse, compared = _decisions(spec, bits, x, run)
+            samples = (d - y if lag == 0 else y)[v0:]
+            errors = int(np.count_nonzero(demodulate(samples, spec.mod) != sent))
             rows.append(dict(
                 base,
                 algorithm=algorithm,
-                ber=ber,
-                mse=mse(d, run.y, run.valid),
+                ber=errors / sent.size,
+                mse=mse(d, y, valid),
                 mu=mu,
                 n_particles=n_particles,
-                clean_mse=clean_mse,
-                compared_bits=compared,
+                clean_mse=float(np.mean(np.abs(samples - clean) ** 2)),
+                compared_bits=sent.size,
             ))
     return rows
 
 
 def _step_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]) -> list[dict]:
-    lanes, frames = _batch_frames(spec, points, runs)
+    lanes, _, frames = _batch_frames(spec, points, runs)
     _, outputs, diverged = lms_batch(frames, [point["mu"] for point, *_ in lanes], spec.ale)
     valid = range(spec.ale.warmup, spec.h)
     # the sweep deliberately crosses the stability boundary; a diverged
@@ -420,12 +405,12 @@ def _step_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, i
             L=spec.ale.taps,
             delta=spec.ale.delay,
         )
-        for (point, _, run_seed, _, _), d, y, err in zip(lanes, frames, outputs, diverged)
+        for (point, _, run_seed, _), d, y, err in zip(lanes, frames, outputs, diverged)
     ]
 
 
 def _particle_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]) -> list[dict]:
-    lanes, frames = _batch_frames(spec, points, runs)
+    lanes, _, frames = _batch_frames(spec, points, runs)
     # the sweep value is a whole float; the row and the swarm take an int.
     # Full-length histories: early stopping is disabled for this sweep.
     cfgs = [
@@ -444,7 +429,7 @@ def _particle_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[in
             L=spec.ale.taps,
             delta=spec.ale.delay,
         )
-        for (point, _, run_seed, _, _), cfg, state in zip(lanes, cfgs, states)
+        for (point, _, run_seed, _), cfg, state in zip(lanes, cfgs, states)
         for it, cost in enumerate(state.history)
     ]
 

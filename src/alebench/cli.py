@@ -1,4 +1,4 @@
-"""Command-line entry point: one subcommand per experiment kind.
+"""Command-line entry point: one command per experiment kind, plus run-all.
 
 Examples
 --------
@@ -32,22 +32,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deterministic noise-cancellation benchmarks (LMS vs PSO).",
     )
     parser.add_argument("--version", action="version", version=f"alebench {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    for kind in KINDS + ("run-all",):
-        cmd = sub.add_parser(kind, help=f"run the {kind} experiment" if kind != "run-all" else "run all five experiments")
-        cmd.add_argument("--config", type=Path, default=None, help="config file (flat key = value lines)")
-        cmd.add_argument("--out", type=Path, default=Path("results"), help="output directory (default: results)")
-        cmd.add_argument("--seed", type=int, default=None, help="override run.base_seed")
-        cmd.add_argument("--seeds", type=int, default=None, help="override run.n_seeds")
-        cmd.add_argument("--jobs", type=int, default=1, help="parallel worker processes (default: 1)")
-        cmd.add_argument(
-            "--set",
-            action="append",
-            default=[],
-            metavar="KEY=VALUE",
-            dest="overrides",
-            help="override any config key; repeatable",
-        )
+    parser.add_argument(
+        "command",
+        choices=KINDS + ("run-all",),
+        metavar="COMMAND",
+        help=f"experiment to run: {', '.join(KINDS)}, or run-all for all five",
+    )
+    parser.add_argument("--config", type=Path, default=None, help="config file (flat key = value lines)")
+    parser.add_argument("--out", type=Path, default=Path("results"), help="output directory (default: results)")
+    parser.add_argument("--seed", type=int, default=None, help="override run.base_seed")
+    parser.add_argument("--seeds", type=int, default=None, help="override run.n_seeds")
+    parser.add_argument("--jobs", type=int, default=1, help="parallel worker processes (default: 1)")
+    parser.add_argument(
+        "--set",
+        action="append",
+        default=[],
+        metavar="KEY=VALUE",
+        dest="overrides",
+        help="override any config key; repeatable",
+    )
     return parser
 
 

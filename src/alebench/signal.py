@@ -17,7 +17,6 @@ __all__ = [
     "generate_bits",
     "modulate",
     "demodulate",
-    "align_and_compare",
     "constellation",
 ]
 
@@ -29,7 +28,7 @@ class ModConfig:
     Parameters
     ----------
     m : int
-        Constellation order. Must be a power of two, at least 2.
+        Constellation order: a power of two from 2 to 16.
     phase_offset : float
         Common rotation of all constellation points, radians in [0, 2*pi).
     """
@@ -38,8 +37,8 @@ class ModConfig:
     phase_offset: float = 0.0
 
     def __post_init__(self):
-        if self.m < 2 or (self.m & (self.m - 1)) != 0:
-            raise ValueError(f"m must be a power of two >= 2, got {self.m}")
+        if not 2 <= self.m <= 16 or (self.m & (self.m - 1)) != 0:
+            raise ValueError(f"m must be a power of two from 2 to 16, got {self.m}")
         if not (0.0 <= self.phase_offset < 2.0 * np.pi):
             raise ValueError("phase_offset must lie in [0, 2*pi)")
 
@@ -125,19 +124,3 @@ def demodulate(samples: np.ndarray, cfg: ModConfig) -> np.ndarray:
     shifts = np.arange(k - 1, -1, -1)
     return ((values[:, None] >> shifts[None, :]) & 1).astype(np.uint8).reshape(-1)
 
-
-def align_and_compare(tx_bits: np.ndarray, rx_bits: np.ndarray) -> tuple[int, int]:
-    """Compare tx_bits[i] against rx_bits[i] over their overlap.
-
-    Returns
-    -------
-    (compared, errors) : tuple of int
-        Number of compared positions and number of mismatches.
-    """
-    tx_bits = np.asarray(tx_bits)
-    rx_bits = np.asarray(rx_bits)
-    if tx_bits.size == 0 or rx_bits.size == 0:
-        raise ValueError(f"cannot compare empty streams ({tx_bits.size}, {rx_bits.size})")
-    compared = min(tx_bits.size, rx_bits.size)
-    errors = int(np.count_nonzero(tx_bits[:compared] != rx_bits[:compared]))
-    return compared, errors

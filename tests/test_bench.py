@@ -20,6 +20,7 @@ from alebench.bench import (
     spec_to_text,
 )
 from alebench.errors import ConfigError
+from alebench.signal import generate_bits
 
 SMALL = """
 frame.h = 300
@@ -136,14 +137,33 @@ class TestRunExperiment:
             assert row["n_seeds"] == 2
 
     def test_metric_columns_schema(self):
-        table = run_experiment(parse_config(SMALL, kind="ber_awgn"))
-        assert table.raw_columns[:9] == (
-            "snr_db", "algorithm", "seed", "ber", "mse", "mu", "n_particles", "L", "delta",
-        )
-        for row in table.raw_rows:
-            assert 0.0 <= row["ber"] <= 1.0
-            assert row["mse"] >= 0.0
-            assert row["compared_bits"] > 0
+        """Either stream decides one symbol per sample from warmup on: the
+        output stream lags its bits by the delay but compares as many."""
+        for stream in ("error", "output"):
+            for extra in ("", "ale.delay = 3\nmod.m = 8\n"):
+                spec = parse_config(SMALL + extra + f"run.decision_stream = {stream}\n", kind="ber_awgn")
+                table = run_experiment(spec)
+                assert table.raw_columns[:9] == (
+                    "snr_db", "algorithm", "seed", "ber", "mse", "mu", "n_particles", "L", "delta",
+                )
+                for row in table.raw_rows:
+                    assert 0.0 <= row["ber"] <= 1.0
+                    assert row["mse"] >= 0.0
+                    assert row["compared_bits"] == spec.mod.bits_per_symbol * (spec.h - spec.ale.warmup)
+
+    def test_metric_batch_draws_each_runs_bits_once(self, monkeypatch):
+        calls = []
+
+        def counting(count, seed):
+            calls.append(seed)
+            return generate_bits(count, seed)
+
+        monkeypatch.setattr(bench, "generate_bits", counting)
+        spec = parse_config(SMALL, kind="mse_vs_snr")
+        table = run_experiment(spec)
+        runs = len(spec.snr_grid) * spec.n_seeds
+        assert len(calls) == runs == len(set(calls))
+        assert len(table.raw_rows) == 2 * runs
 
     def test_particle_sweep_emits_full_histories(self):
         spec = parse_config(
@@ -397,6 +417,7 @@ class TestSpecValidation:
         ("run.base_seed", "-1"),
         ("run.decision_stream", "both"),
         ("mod.m", "3"),
+        ("mod.m", "32"),
         ("mod.phase_offset", "7"),
         ("ale.taps", "0"),
         ("ale.delay", "0"),
@@ -446,6 +467,14 @@ class TestSpecValidation:
                             ("step_sweep", cap // 6 + 1), ("mse_vs_snr", cap // 11 + 1)):
             with pytest.raises(ConfigError) as excinfo:
                 parse_config(f"run.n_seeds = {seeds}", kind=kind)
+            assert excinfo.value.key == "run.n_seeds"
+
+    def test_run_count_capped_for_a_spec_built_directly(self):
+        cap = bench._MAX_RUNS
+        assert ExperimentSpec(kind="mse_vs_snr", snr_grid=(0.0,), n_seeds=cap).n_seeds == cap
+        for grid, seeds in (((0.0,), 10**9), ((0.0,), cap + 1), ((0.0, 1.0), cap // 2 + 1)):
+            with pytest.raises(ConfigError) as excinfo:
+                ExperimentSpec(kind="mse_vs_snr", snr_grid=grid, n_seeds=seeds)
             assert excinfo.value.key == "run.n_seeds"
 
     def test_first_rejected_key_in_schema_order_named(self):
