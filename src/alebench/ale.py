@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = ["AleConfig", "FilterRun", "filter_frame"]
 
 
@@ -34,9 +36,9 @@ class AleConfig:
 
     def __post_init__(self):
         if self.taps < 1:
-            raise ValueError(f"taps must be >= 1, got {self.taps}")
+            raise ConfigError("taps", f"must be >= 1, got {self.taps}")
         if self.delay < 1:
-            raise ValueError(f"delay must be >= 1, got {self.delay}")
+            raise ConfigError("delay", f"must be >= 1, got {self.delay}")
 
     @property
     def warmup(self) -> int:

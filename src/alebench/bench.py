@@ -70,23 +70,45 @@ class ExperimentSpec:
     profiles: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
-        if len(_sweep_points(self)) * self.n_seeds > _MAX_RUNS:
-            raise ConfigError("run.n_seeds", f"sweep points x seeds must be at most {_MAX_RUNS} runs")
+        """Reject a value under its config key, the first in schema order."""
+        if self.kind not in _KINDS:
+            raise ConfigError("experiment.kind", f"must be one of {', '.join(KINDS)}")
+        shortest = self.ale.taps + self.ale.delay + 1
+        if not shortest <= self.h <= _BATCH_SAMPLES:
+            raise ConfigError("frame.h", f"must be from taps + delay + 1 = {shortest} to {_BATCH_SAMPLES}, got {self.h}")
+        if any(math.isnan(s) or s == -math.inf for s in self.snr_grid):  # +inf: no noise
+            raise ConfigError("run.snr_grid", "SNR values must be numbers or inf, not nan or -inf")
+        _check_used_and_distinct("run.snr_grid", self.snr_grid, self.kind)
+        _check_used_and_distinct("run.sweep_values", self.sweep_values, self.kind)
+        for v in self.sweep_values:
+            if self.kind == "particle_sweep" and not (math.isfinite(v) and v == int(v) and v >= 1):
+                raise ConfigError("run.sweep_values", f"particle counts must be positive integers, got {v}")
+            if self.kind == "step_sweep" and not (v > 0 and math.isfinite(v)):
+                raise ConfigError("run.sweep_values", f"step sizes must be finite and > 0, got {v}")
         if self.n_seeds < 1:
-            raise ValueError(f"n_seeds must be >= 1, got {self.n_seeds}")
+            raise ConfigError("run.n_seeds", f"must be >= 1, got {self.n_seeds}")
+        runs = len(_sweep_points(self)) * self.n_seeds
+        if runs > _MAX_RUNS:
+            raise ConfigError("run.n_seeds", f"sweep points x seeds must be at most {_MAX_RUNS} runs")
+        if self.kind == "particle_sweep" and runs * self.pso.max_iters > _MAX_ROWS:
+            raise ConfigError("run.n_seeds", f"sweep points x seeds x pso.max_iters must be at most {_MAX_ROWS} rows")
         if not (0 <= self.base_seed < 2**64):
-            raise ValueError("base_seed must be an unsigned 64-bit value")
-        if self.h < self.ale.taps + self.ale.delay + 1:
-            raise ValueError(
-                f"h={self.h} too small for taps={self.ale.taps}, delay={self.ale.delay}"
-            )
+            raise ConfigError("run.base_seed", f"must be an unsigned 64-bit value, got {self.base_seed}")
         if self.decision_stream not in ("error", "output"):
-            raise ValueError(f"decision_stream must be 'error' or 'output', got {self.decision_stream!r}")
+            raise ConfigError("run.decision_stream", f"must be 'error' or 'output', got {self.decision_stream!r}")
+        _check_used_and_distinct("channel.profiles", self.profiles, self.kind)
         for name in self.profiles:
             if name not in DEFAULT_PROFILES:
-                raise ValueError(f"unknown profile {name!r}")
+                raise ConfigError("channel.profiles", f"unknown profile {name!r}")
+
+
+def _check_used_and_distinct(key: str, values: tuple, kind: str) -> None:
+    """A repeat would merge two sweep points into one mean row; values of a
+    key the kind ignores would be echoed in its meta file, though unused."""
+    if values and key not in _KINDS[kind].defaults:
+        raise ConfigError(key, f"not used by {kind}")
+    if len(set(values)) != len(values):
+        raise ConfigError(key, "values must be distinct")
 
 
 @dataclass(frozen=True)
@@ -126,19 +148,17 @@ def _parse_float(text: str) -> float:
         raise ValueError(f"expected a number, got {text!r}") from err
 
 
-def _parse_list(text: str, parse_item) -> tuple:
-    """Comma-separated values, each parsed; a repeat would merge two sweep
-    points into one mean row."""
-    items = tuple(parse_item(part.strip()) for part in text.split(",") if part.strip())
-    if not items:
-        raise ValueError("expected a non-empty comma-separated list")
-    if len(set(items)) != len(items):
-        raise ValueError("values must be distinct")
-    return items
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    return _parse_list(text, _parse_float)
+def _list_of(parse_item: Callable[[str], object]) -> Callable[[str], tuple]:
+    """Parser of comma-separated values, each parsed by `parse_item`; a
+    repeat would merge two sweep points into one mean row."""
+    def parse(text: str) -> tuple:
+        items = tuple(parse_item(part.strip()) for part in text.split(",") if part.strip())
+        if not items:
+            raise ValueError("expected a non-empty comma-separated list")
+        if len(set(items)) != len(items):
+            raise ValueError("values must be distinct")
+        return items
+    return parse
 
 
 def _parse_profile(name: str) -> str:
@@ -148,15 +168,17 @@ def _parse_profile(name: str) -> str:
     return name
 
 
-def _parse_profiles(text: str) -> tuple[str, ...]:
-    return _parse_list(text, _parse_profile)
+def _parse_kind(text: str) -> str:
+    if text not in _KINDS:
+        raise ValueError(f"must be one of {', '.join(KINDS)}")
+    return text
 
 
 # The only list of config keys.  Key ``section.name`` sets field ``name`` of
 # the sub-config in _SECTIONS, or of the spec itself for any other section;
 # spec_to_text echoes the keys in this order.
 _SCHEMA = {
-    "experiment.kind": str,
+    "experiment.kind": _parse_kind,
     "frame.h": _parse_int,
     "mod.m": _parse_int,
     "mod.phase_offset": _parse_float,
@@ -173,12 +195,12 @@ _SCHEMA = {
     "pso.v_max": _parse_float,
     "pso.inertia": _parse_float,
     "pso.per_dimension_draws": _parse_bool,
-    "run.snr_grid": _parse_float_list,
-    "run.sweep_values": _parse_float_list,
+    "run.snr_grid": _list_of(_parse_float),
+    "run.sweep_values": _list_of(_parse_float),
     "run.n_seeds": _parse_int,
     "run.base_seed": _parse_int,
     "run.decision_stream": str,
-    "channel.profiles": _parse_profiles,
+    "channel.profiles": _list_of(_parse_profile),
 }
 
 _SECTIONS = {"mod": ModConfig, "ale": AleConfig, "lms": LmsConfig, "pso": PsoConfig}
@@ -216,21 +238,20 @@ def parse_config(
     """Build a resolved spec from a flat dotted-key document.
 
     Missing keys take the benchmark defaults (H=10,000 BPSK samples, a
-    5-tap enhancer with delay 1, mu=0.01, 60 particles).  Unknown keys,
-    type mismatches, and invariant violations raise ConfigError naming
-    the offending key.  `kind` overrides any ``experiment.kind`` in the
-    document; `overrides` maps keys to raw value strings that replace
-    whatever the document says.
+    5-tap enhancer with delay 1, mu=0.01, 60 particles).  Unknown keys
+    and type mismatches raise ConfigError naming the offending key; so
+    does a value out of range, rejected by the config class that holds
+    it.  `kind` overrides any ``experiment.kind`` in the document;
+    `overrides` maps keys to raw value strings that replace whatever the
+    document says.
     """
     values = _parse_pairs(text)
+    if kind:
+        overrides = {**(overrides or {}), "experiment.kind": kind}
     for key, raw in (overrides or {}).items():
         values[key] = _parse_value(key, raw)
-    kind = kind or values.get("experiment.kind", ExperimentSpec.kind)
-    if kind not in KINDS:
-        raise ConfigError("experiment.kind", f"must be one of {', '.join(KINDS)}")
-    values["experiment.kind"] = kind
-    # a batch holds at least one whole frame, so this caps a batch's memory
-    if values.get("frame.h", ExperimentSpec.h) > _BATCH_SAMPLES:
+    kind = values.setdefault("experiment.kind", ExperimentSpec.kind)
+    if values.get("frame.h", ExperimentSpec.h) > _BATCH_SAMPLES:  # named before any section's value
         raise ConfigError("frame.h", f"must be at most {_BATCH_SAMPLES} samples, one batch")
     defaults = _KINDS[kind].defaults
     for key in _PER_KIND_KEYS:
@@ -242,45 +263,11 @@ def parse_config(
         section, _, name = key.partition(".")
         sections.get(section, fields)[name] = value
     for section, cls in _SECTIONS.items():
-        fields[section] = _build(cls, sections[section], section)
-
-    if any(math.isnan(s) or s == -math.inf for s in values["run.snr_grid"]):  # +inf: no noise
-        raise ConfigError("run.snr_grid", "SNR values must be numbers or inf, not nan or -inf")
-    if kind == "particle_sweep":
-        for v in values["run.sweep_values"]:
-            if not (math.isfinite(v) and v == int(v) and v >= 1):
-                raise ConfigError("run.sweep_values", f"particle counts must be positive integers, got {v}")
-    if kind == "step_sweep":
-        for v in values["run.sweep_values"]:
-            if not (v > 0 and math.isfinite(v)):
-                raise ConfigError("run.sweep_values", f"step sizes must be finite and > 0, got {v}")
-    return _build(ExperimentSpec, fields)
-
-
-def _build(cls, fields: dict, section: str | None = None):
-    """cls(**fields), a rejected value reported under its own key.
-
-    That key is the first of the class's keys, in schema order, whose
-    value the class rejects on its own: `section`'s keys for a sub-config,
-    the keys outside _SECTIONS for the spec, whose frame-length check also
-    reads the sub-configs passed beside the value.  A ConfigError, which
-    names its key already, passes unchanged.
-    """
-    try:
-        return cls(**fields)
-    except ConfigError:
-        raise
-    except ValueError as err:
-        nested = {name: fields[name] for name in _SECTIONS if name in fields}
-        for key in _SCHEMA:
-            owner, _, name = key.partition(".")
-            if (owner if owner in _SECTIONS else None) != section or name not in fields:
-                continue
-            try:
-                cls(**nested, **{name: fields[name]})
-            except ValueError as own:
-                raise ConfigError(key, str(own)) from err
-        raise ConfigError(section or "run", str(err)) from err
+        try:
+            fields[section] = cls(**sections[section])
+        except ConfigError as err:
+            raise ConfigError(f"{section}.{err.key}", err.reason) from err
+    return ExperimentSpec(**fields)
 
 
 def _format_value(value) -> str:
@@ -511,9 +498,15 @@ KINDS = tuple(_KINDS)
 # larger batches are faster: 64 frames of 10,000 fit, and a default
 # ber_awgn sweep (110 frames) runs as two batches.
 _BATCH_SAMPLES = 640_000
+# Frames one batch may hold, those of a full batch at the default frame.h:
+# the swarm and LMS buffers cost ~50 KB per frame, however short it is.
+_BATCH_LANES = 64
 # Runs one experiment may hold: every run is listed and its raw rows kept
 # until written.  300 times the largest default sweep (ber_nonlinear, 330).
 _MAX_RUNS = 100_000
+# Raw rows one experiment may keep, those of _MAX_RUNS metric runs; a
+# particle_sweep run keeps pso.max_iters rows.
+_MAX_ROWS = 2 * _MAX_RUNS
 
 
 def _split(runs: list, count: int) -> list[list]:
@@ -557,12 +550,13 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     """Run every (sweep point, seed) run and assemble the result table.
 
     Runs are independent.  They are cut into contiguous batches of at most
-    _BATCH_SAMPLES frame samples and at least one batch per worker; the
-    LMS of a batch adapts all its frames at once.  With ``jobs > 1`` the
-    batches execute in a process pool of at most ``min(jobs, runs, cpu
-    count)`` workers.  Rows are merged in (sweep index, seed index) order,
-    and every run's numbers are the same in any batch, so output bytes
-    never depend on the parallelism level or on the batch size.
+    _BATCH_SAMPLES frame samples and _BATCH_LANES frames, and at least one
+    batch per worker; the LMS of a batch adapts all its frames at once.
+    With ``jobs > 1`` the batches execute in a process pool of at most
+    ``min(jobs, runs, cpu count)`` workers.  Rows are merged in (sweep
+    index, seed index) order, and every run's numbers are the same in any
+    batch, so output bytes never depend on the parallelism level or on the
+    batch size.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -575,7 +569,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
         for seed_idx in range(spec.n_seeds)
     ]
     workers = min(jobs, len(runs), os.cpu_count() or 1)
-    count = min(len(runs), max(math.ceil(len(runs) * spec.h / _BATCH_SAMPLES), workers))
+    batches = max(math.ceil(len(runs) * spec.h / _BATCH_SAMPLES), math.ceil(len(runs) / _BATCH_LANES))
+    count = min(len(runs), max(batches, workers))
     tasks = [(spec, batch) for batch in _split(runs, count)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~10 ms to import

@@ -20,8 +20,10 @@ class DivergenceError(ArithmeticError):
 
 
 class ConfigError(ValueError):
-    """Raised by the benchmark config parser; names the offending key."""
+    """A rejected config value: `key` is its field in a config class (``m``),
+    its dotted key in a parsed config or a spec (``mod.m``)."""
 
-    def __init__(self, key: str, message: str):
+    def __init__(self, key: str, reason: str):
         self.key = key
-        super().__init__(f"{key}: {message}")
+        self.reason = reason
+        super().__init__(f"{key}: {reason}")

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .ale import AleConfig, _check_frame
-from .errors import DivergenceError
+from .errors import ConfigError, DivergenceError
 
 __all__ = ["LmsConfig", "lms_step", "lms_batch", "WEIGHT_BOUND"]
 
@@ -38,7 +38,7 @@ class LmsConfig:
 
     def __post_init__(self):
         if self.mu < 0.0 or not np.isfinite(self.mu):
-            raise ValueError(f"mu must be finite and >= 0, got {self.mu}")
+            raise ConfigError("mu", f"must be finite and >= 0, got {self.mu}")
 
 
 def _scratch(taps: int, lanes: int) -> tuple[np.ndarray, ...]:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ale import AleConfig, _check_frame, _check_weights
+from .errors import ConfigError
 
 __all__ = ["PsoConfig", "SwarmState", "frame_costs", "evaluate_cost", "run_pso", "pso_batch"]
 
@@ -52,23 +53,19 @@ class PsoConfig:
     per_dimension_draws: bool = False
 
     def __post_init__(self):
-        for name in ("c1", "c2", "inertia", "init_range"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.n_particles < 1:
-            raise ValueError(f"n_particles must be >= 1, got {self.n_particles}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (self.c1 >= 0.0 and self.c2 >= 0.0):
-            raise ValueError("learning coefficients must be >= 0")
-        if not self.init_range > 0.0:
-            raise ValueError(f"init_range must be > 0, got {self.init_range}")
-        if not self.v_max > 0.0:
-            raise ValueError(f"v_max must be > 0, got {self.v_max}")
-        if not self.tol >= 0.0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        for name, ok, rule in (
+            ("n_particles", self.n_particles >= 1, ">= 1"),
+            ("c1", math.isfinite(self.c1) and self.c1 >= 0.0, "finite and >= 0"),
+            ("c2", math.isfinite(self.c2) and self.c2 >= 0.0, "finite and >= 0"),
+            ("max_iters", self.max_iters >= 1, ">= 1"),
+            ("tol", self.tol >= 0.0, ">= 0"),
+            ("patience", self.patience >= 1, ">= 1"),
+            ("init_range", math.isfinite(self.init_range) and self.init_range > 0.0, "finite and > 0"),
+            ("v_max", self.v_max > 0.0, "> 0"),
+            ("inertia", math.isfinite(self.inertia), "finite"),
+        ):
+            if not ok:
+                raise ConfigError(name, f"must be {rule}, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

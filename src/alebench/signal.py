@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "ModConfig",
     "generate_bits",
@@ -38,9 +40,9 @@ class ModConfig:
 
     def __post_init__(self):
         if not 2 <= self.m <= 16 or (self.m & (self.m - 1)) != 0:
-            raise ValueError(f"m must be a power of two from 2 to 16, got {self.m}")
+            raise ConfigError("m", f"must be a power of two from 2 to 16, got {self.m}")
         if not (0.0 <= self.phase_offset < 2.0 * np.pi):
-            raise ValueError("phase_offset must lie in [0, 2*pi)")
+            raise ConfigError("phase_offset", f"must lie in [0, 2*pi), got {self.phase_offset}")
 
     @property
     def bits_per_symbol(self) -> int:

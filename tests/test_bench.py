@@ -3,12 +3,14 @@
 import concurrent.futures
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from alebench import bench
+from alebench.ale import AleConfig
 from alebench.bench import (
     DEFAULT_BASE_SEED,
     ExperimentSpec,
@@ -20,7 +22,9 @@ from alebench.bench import (
     spec_to_text,
 )
 from alebench.errors import ConfigError
-from alebench.signal import generate_bits
+from alebench.lms import LmsConfig
+from alebench.pso import PsoConfig
+from alebench.signal import ModConfig, generate_bits
 
 SMALL = """
 frame.h = 300
@@ -268,6 +272,21 @@ class TestRunExperiment:
             run_experiment(spec)
             assert seen == sizes, lanes
 
+    def test_short_frames_batched_at_most_64_lanes(self, monkeypatch):
+        """Lanes per batch are capped whatever the frame length: 65 runs of
+        12 samples fit one batch's sample budget but run as two batches."""
+        seen = []
+        lms_batch = bench.lms_batch
+
+        def recording(frames, mus, ale):
+            seen.append(len(frames))
+            return lms_batch(frames, mus, ale)
+
+        monkeypatch.setattr(bench, "lms_batch", recording)
+        doc = "frame.h = 12\nrun.snr_grid = 0\nrun.n_seeds = 65\npso.n_particles = 4\npso.max_iters = 2\n"
+        run_experiment(parse_config(doc))
+        assert seen == [32, 33]
+
     @pytest.mark.parametrize("kind", list(_DIVERGING_DOCS))
     def test_metric_divergence_names_first_diverging_run(self, kind):
         """The first diverging run in (sweep, seed) order is reported, with
@@ -482,6 +501,65 @@ class TestSpecValidation:
             parse_config("pso.c2 = -1\npso.c1 = -2\nrun.n_seeds = 0")
         assert excinfo.value.key == "pso.c1"
 
+    @pytest.mark.parametrize("fields, key", [
+        (dict(snr_grid=(0.0, 0.0), n_seeds=1), "run.snr_grid"),
+        (dict(snr_grid=(0.0,), sweep_values=(3.0,)), "run.sweep_values"),
+        (dict(snr_grid=(0.0,), profiles=("60MHz",)), "channel.profiles"),
+        (dict(kind="nope"), "experiment.kind"),
+    ], ids=["repeated_snr", "ignored_sweep_values", "ignored_profiles", "kind"])
+    def test_spec_built_directly_names_the_key(self, fields, key):
+        """Values the parser never passes on: it resolves a key the kind
+        ignores to (), and merges no repeats."""
+        with pytest.raises(ConfigError) as excinfo:
+            ExperimentSpec(**fields)
+        assert excinfo.value.key == key
+        assert str(excinfo.value).startswith(f"{key}: ")
+
+    @pytest.mark.parametrize("kind, key, value, named", [
+        ("mse_vs_snr", "frame.h", 5, "frame.h"),
+        ("mse_vs_snr", "frame.h", 640_001, "frame.h"),
+        ("mse_vs_snr", "ale.taps", 20_000, "frame.h"),
+        ("mse_vs_snr", "ale.delay", 10_000, "frame.h"),
+        ("mse_vs_snr", "run.snr_grid", (0.0, -0.0), "run.snr_grid"),
+        ("mse_vs_snr", "run.snr_grid", (0.0, math.nan), "run.snr_grid"),
+        ("mse_vs_snr", "run.snr_grid", (-math.inf,), "run.snr_grid"),
+        ("particle_sweep", "run.sweep_values", (2.7,), "run.sweep_values"),
+        ("particle_sweep", "run.sweep_values", (0.0,), "run.sweep_values"),
+        ("step_sweep", "run.sweep_values", (0.0,), "run.sweep_values"),
+        ("step_sweep", "run.sweep_values", (math.inf,), "run.sweep_values"),
+        ("step_sweep", "run.sweep_values", (0.01, 0.01), "run.sweep_values"),
+        ("mse_vs_snr", "run.n_seeds", 0, "run.n_seeds"),
+        ("ber_nonlinear", "run.n_seeds", 3031, "run.n_seeds"),
+        ("particle_sweep", "run.n_seeds", 556, "run.n_seeds"),
+        ("mse_vs_snr", "run.base_seed", -1, "run.base_seed"),
+        ("mse_vs_snr", "run.base_seed", 2**64, "run.base_seed"),
+        ("mse_vs_snr", "run.decision_stream", "both", "run.decision_stream"),
+        ("ber_nonlinear", "channel.profiles", ("60MHz", "60MHz"), "channel.profiles"),
+        ("ber_nonlinear", "channel.profiles", ("3.9GHz",), "channel.profiles"),
+    ])
+    def test_spec_rejects_what_the_parser_rejects_under_the_same_key(self, kind, key, value, named):
+        """A frame too short for the filter is named frame.h, whichever of
+        the three keys made it so."""
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(f"{key} = {bench._format_value(value)}", kind=kind)
+        assert parsed.value.key == named
+        spec = parse_config("", kind=kind)
+        section, _, name = key.partition(".")
+        if section in bench._SECTIONS:
+            fields = {section: replace(getattr(spec, section), **{name: value})}
+        else:
+            fields = {name: value}
+        with pytest.raises(ConfigError) as built:
+            replace(spec, **fields)
+        assert built.value.key == named
+
+    def test_particle_sweep_raw_rows_capped(self):
+        """6 default points x 60 iterations is 360 rows a seed, so 200,000
+        rows allow 555 seeds; 556 are rejected (see the test above) unless
+        fewer iterations are kept."""
+        assert parse_config("run.n_seeds = 555", kind="particle_sweep").n_seeds == 555
+        assert parse_config("run.n_seeds = 556\npso.max_iters = 55", kind="particle_sweep").n_seeds == 556
+
     def test_infinite_step_size_rejected(self):
         with pytest.raises(ConfigError, match="run.sweep_values"):
             parse_config("run.sweep_values = 0.01, inf", kind="step_sweep")
@@ -493,6 +571,38 @@ class TestSpecValidation:
             parse_config(f"channel.profiles = {profiles}", kind=kind)
         with pytest.raises(ConfigError, match="channel.profiles"):
             parse_config("", kind=kind, overrides={"channel.profiles": profiles})
+
+
+@pytest.mark.parametrize("cls, name, value", [
+    (ModConfig, "m", 3),
+    (ModConfig, "phase_offset", 7.0),
+    (AleConfig, "taps", 0),
+    (AleConfig, "delay", 0),
+    (LmsConfig, "mu", -0.1),
+    (PsoConfig, "n_particles", 0),
+    (PsoConfig, "c1", -1.0),
+    (PsoConfig, "c2", math.inf),
+    (PsoConfig, "max_iters", 0),
+    (PsoConfig, "tol", math.nan),
+    (PsoConfig, "patience", 0),
+    (PsoConfig, "init_range", 0.0),
+    (PsoConfig, "v_max", 0.0),
+    (PsoConfig, "inertia", math.nan),
+])
+def test_config_class_names_its_field(cls, name, value):
+    with pytest.raises(ConfigError) as excinfo:
+        cls(**{name: value})
+    assert excinfo.value.key == name
+    assert str(excinfo.value) == f"{name}: {excinfo.value.reason}"
+
+
+def test_config_class_checks_fields_in_declaration_order():
+    with pytest.raises(ConfigError) as excinfo:
+        PsoConfig(c2=-1.0, c1=-1.0)
+    assert excinfo.value.key == "c1"
+    with pytest.raises(ConfigError) as excinfo:
+        ModConfig(m=3, phase_offset=7.0)
+    assert excinfo.value.key == "m"
 
 
 def test_readme_key_table_matches_schema():
