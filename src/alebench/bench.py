@@ -1,12 +1,11 @@
 """Experiment runner: deterministic sweeps over SNR, step size, swarm size.
 
-Five experiment kinds are supported, each runnable as its own CLI
+Four experiment kinds are supported, each runnable as its own CLI
 command:
 
 * ``particle_sweep``   global-best cost per iteration for several swarm sizes
 * ``step_sweep``       LMS residual power across a step-size grid
-* ``mse_vs_snr``       LMS versus PSO residual power across an SNR grid
-* ``ber_awgn``         LMS versus PSO bit error rate, white noise only
+* ``ber_awgn``         LMS versus PSO BER and residual power, white noise only
 * ``ber_nonlinear``    the same comparison under the named distortion profiles
 
 Every run is a pure function of the resolved spec and the base seed.  The
@@ -56,7 +55,7 @@ DEFAULT_BASE_SEED = 12345
 class ExperimentSpec:
     """Fully-resolved description of one experiment."""
 
-    kind: str = "mse_vs_snr"
+    kind: str = "ber_awgn"
     h: int = 10_000
     mod: ModConfig = field(default_factory=ModConfig)
     ale: AleConfig = field(default_factory=AleConfig)
@@ -103,10 +102,11 @@ class ExperimentSpec:
 
 
 def _check_used_and_distinct(key: str, values: tuple, kind: str) -> None:
-    """A repeat would merge two sweep points into one mean row; values of a
-    key the kind ignores would be echoed in its meta file, though unused."""
-    if values and key not in _KINDS[kind].defaults:
-        raise ConfigError(key, f"not used by {kind}")
+    """A kind runs no point without a value of each key it uses; values of a
+    key it ignores would be echoed in its meta file, though unused; a repeat
+    would merge two sweep points into one mean row."""
+    if bool(values) != (key in _KINDS[kind].defaults):
+        raise ConfigError(key, f"not used by {kind}" if values else f"must not be empty for {kind}")
     if len(set(values)) != len(values):
         raise ConfigError(key, "values must be distinct")
 
@@ -473,9 +473,6 @@ _KINDS = {
         mean=("snr_db", "algorithm", "mu", "mse", "n_seeds", "L", "delta"),
         averaged=("mse",),
     ),
-    "mse_vs_snr": _Kind(
-        {"run.snr_grid": _SNR_GRID}, None, _metric_rows, _METRIC_RAW, _METRIC_MEAN, _METRIC_AVERAGED
-    ),
     "ber_awgn": _Kind(
         {"run.snr_grid": _SNR_GRID}, None, _metric_rows, _METRIC_RAW, _METRIC_MEAN, _METRIC_AVERAGED
     ),
@@ -561,8 +558,6 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     points = _sweep_points(spec)
-    if not points:
-        raise ValueError("experiment has an empty sweep grid")
     runs = [
         (sweep_idx, seed_idx)
         for sweep_idx in range(len(points))

@@ -4,13 +4,13 @@ Examples
 --------
 Run the SNR comparison with defaults and write CSV under ./results::
 
-    alebench mse_vs_snr --out results
+    alebench ber_awgn --out results
 
 Override config-file keys from the command line::
 
     alebench ber_awgn --config bench.cfg --set run.n_seeds=20 --seed 99
 
-``run-all`` executes all five experiments into one output directory.
+``run-all`` executes every experiment into one output directory.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "command",
         choices=KINDS + ("run-all",),
         metavar="COMMAND",
-        help=f"experiment to run: {', '.join(KINDS)}, or run-all for all five",
+        help=f"experiment to run: {', '.join(KINDS)}, or run-all for every one",
     )
     parser.add_argument("--config", type=Path, default=None, help="config file (flat key = value lines)")
     parser.add_argument("--out", type=Path, default=Path("results"), help="output directory (default: results)")

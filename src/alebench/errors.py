@@ -12,11 +12,12 @@ class DivergenceError(ArithmeticError):
     """
 
     def __init__(self, sample_index: int, max_weight: float):
+        super().__init__(sample_index, max_weight)  # the arguments, so pickle rebuilds it
         self.sample_index = sample_index
         self.max_weight = max_weight
-        super().__init__(
-            f"weight magnitude {max_weight:.3e} exceeded bound at sample {sample_index}"
-        )
+
+    def __str__(self) -> str:
+        return f"weight magnitude {self.max_weight:.3e} exceeded bound at sample {self.sample_index}"
 
 
 class ConfigError(ValueError):
@@ -24,6 +25,9 @@ class ConfigError(ValueError):
     its dotted key in a parsed config or a spec (``mod.m``)."""
 
     def __init__(self, key: str, reason: str):
+        super().__init__(key, reason)
         self.key = key
         self.reason = reason
-        super().__init__(f"{key}: {reason}")
+
+    def __str__(self) -> str:
+        return f"{self.key}: {self.reason}"

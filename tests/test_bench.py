@@ -42,11 +42,11 @@ _BATCH_DOCS = {
 }
 
 # Metric runs whose LMS diverges, and the error text the scalar per-run
-# runner gave for them.  mse_vs_snr: the first run to diverge is the 7th of 8.
+# runner gave for them.  ber_awgn: the first run to diverge is the 7th of 8.
 _DIVERGING_DOCS = {
-    "mse_vs_snr": (
+    "ber_awgn": (
         "lms.mu = 0.15\nrun.snr_grid = 10, -5\nrun.n_seeds = 4\n",
-        "mse_vs_snr failed at sweep point {'snr_db': -5.0}, seed index 2: "
+        "ber_awgn failed at sweep point {'snr_db': -5.0}, seed index 2: "
         "weight magnitude 1.234e+06 exceeded bound at sample 144",
     ),
     "ber_nonlinear": (
@@ -111,8 +111,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config("channel.profiles = 3.9GHz", kind="ber_nonlinear")
 
+    def test_kinds_and_default_kind(self):
+        assert bench.KINDS == ("particle_sweep", "step_sweep", "ber_awgn", "ber_nonlinear")
+        assert parse_config("").kind == "ber_awgn"
+
+    def test_removed_twin_kind_rejected_under_its_key(self):
+        """mse_vs_snr was ber_awgn under another name; it is now unknown."""
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config("experiment.kind = mse_vs_snr")
+        assert excinfo.value.key == "experiment.kind"
+
     def test_round_trip_through_echo(self):
-        for kind in ("mse_vs_snr", "step_sweep", "particle_sweep", "ber_nonlinear"):
+        for kind in ("ber_awgn", "step_sweep", "particle_sweep", "ber_nonlinear"):
             spec = parse_config(SMALL, kind=kind)
             again = parse_config(spec_to_text(spec))
             assert again == spec
@@ -132,7 +142,7 @@ class TestSeedDerivation:
 
 class TestRunExperiment:
     def test_metric_row_counts(self):
-        table = run_experiment(parse_config(SMALL, kind="mse_vs_snr"))
+        table = run_experiment(parse_config(SMALL, kind="ber_awgn"))
         # 2 SNR points x 2 seeds x 2 algorithms
         assert len(table.raw_rows) == 8
         # 2 SNR points x 2 algorithms
@@ -163,7 +173,7 @@ class TestRunExperiment:
             return generate_bits(count, seed)
 
         monkeypatch.setattr(bench, "generate_bits", counting)
-        spec = parse_config(SMALL, kind="mse_vs_snr")
+        spec = parse_config(SMALL, kind="ber_awgn")
         table = run_experiment(spec)
         runs = len(spec.snr_grid) * spec.n_seeds
         assert len(calls) == runs == len(set(calls))
@@ -192,8 +202,8 @@ class TestRunExperiment:
         assert by_mu[5.0] == math.inf
 
     def test_first_seeds_stable_when_extending(self):
-        base = parse_config(SMALL, kind="mse_vs_snr")
-        extended = parse_config(SMALL, overrides={"run.n_seeds": "4"}, kind="mse_vs_snr")
+        base = parse_config(SMALL, kind="ber_awgn")
+        extended = parse_config(SMALL, overrides={"run.n_seeds": "4"}, kind="ber_awgn")
         small_rows = run_experiment(base).raw_rows
         big_rows = run_experiment(extended).raw_rows
         small_by_key = {(r["snr_db"], r["algorithm"], r["seed"]): r for r in small_rows}
@@ -206,7 +216,7 @@ class TestRunExperiment:
         assert hits == len(small_rows)
 
     def test_parallel_jobs_identical(self, tmp_path):
-        spec = parse_config(SMALL, kind="mse_vs_snr")
+        spec = parse_config(SMALL, kind="ber_awgn")
         serial = run_experiment(spec, jobs=1)
         parallel = run_experiment(spec, jobs=2)
         a = emit_csv(serial, tmp_path / "serial")
@@ -332,7 +342,7 @@ class TestRunExperiment:
 
 class TestEmitCsv:
     def test_reemit_identical_bytes(self, tmp_path):
-        table = run_experiment(parse_config(SMALL, kind="mse_vs_snr"))
+        table = run_experiment(parse_config(SMALL, kind="ber_awgn"))
         first = emit_csv(table, tmp_path / "one")
         second = emit_csv(table, tmp_path / "two")
         for pa, pb in zip(first, second):
@@ -384,7 +394,7 @@ class TestEmitCsv:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_lf_line_endings(self, tmp_path):
-        table = run_experiment(parse_config(SMALL, kind="mse_vs_snr"))
+        table = run_experiment(parse_config(SMALL, kind="ber_awgn"))
         paths = emit_csv(table, tmp_path)
         data = paths[0].read_bytes()
         assert b"\r" not in data
@@ -483,17 +493,17 @@ class TestSpecValidation:
         assert parse_config(f"run.n_seeds = {cap // 33}", kind="ber_nonlinear").n_seeds == cap // 33
         assert parse_config(f"run.n_seeds = {cap}\nrun.snr_grid = 0").n_seeds == cap
         for kind, seeds in (("ber_nonlinear", cap // 33 + 1), ("ber_nonlinear", 10**9),
-                            ("step_sweep", cap // 6 + 1), ("mse_vs_snr", cap // 11 + 1)):
+                            ("step_sweep", cap // 6 + 1), ("ber_awgn", cap // 11 + 1)):
             with pytest.raises(ConfigError) as excinfo:
                 parse_config(f"run.n_seeds = {seeds}", kind=kind)
             assert excinfo.value.key == "run.n_seeds"
 
     def test_run_count_capped_for_a_spec_built_directly(self):
         cap = bench._MAX_RUNS
-        assert ExperimentSpec(kind="mse_vs_snr", snr_grid=(0.0,), n_seeds=cap).n_seeds == cap
+        assert ExperimentSpec(kind="ber_awgn", snr_grid=(0.0,), n_seeds=cap).n_seeds == cap
         for grid, seeds in (((0.0,), 10**9), ((0.0,), cap + 1), ((0.0, 1.0), cap // 2 + 1)):
             with pytest.raises(ConfigError) as excinfo:
-                ExperimentSpec(kind="mse_vs_snr", snr_grid=grid, n_seeds=seeds)
+                ExperimentSpec(kind="ber_awgn", snr_grid=grid, n_seeds=seeds)
             assert excinfo.value.key == "run.n_seeds"
 
     def test_first_rejected_key_in_schema_order_named(self):
@@ -506,34 +516,39 @@ class TestSpecValidation:
         (dict(snr_grid=(0.0,), sweep_values=(3.0,)), "run.sweep_values"),
         (dict(snr_grid=(0.0,), profiles=("60MHz",)), "channel.profiles"),
         (dict(kind="nope"), "experiment.kind"),
-    ], ids=["repeated_snr", "ignored_sweep_values", "ignored_profiles", "kind"])
+        (dict(kind="ber_awgn"), "run.snr_grid"),
+        (dict(kind="step_sweep", snr_grid=(0.0,)), "run.sweep_values"),
+        (dict(kind="ber_nonlinear", snr_grid=(0.0,)), "channel.profiles"),
+    ], ids=["repeated_snr", "ignored_sweep_values", "ignored_profiles", "kind",
+            "empty_snr", "empty_sweep_values", "empty_profiles"])
     def test_spec_built_directly_names_the_key(self, fields, key):
         """Values the parser never passes on: it resolves a key the kind
-        ignores to (), and merges no repeats."""
+        ignores to () and one it uses to a non-empty list, and merges no
+        repeats."""
         with pytest.raises(ConfigError) as excinfo:
             ExperimentSpec(**fields)
         assert excinfo.value.key == key
         assert str(excinfo.value).startswith(f"{key}: ")
 
     @pytest.mark.parametrize("kind, key, value, named", [
-        ("mse_vs_snr", "frame.h", 5, "frame.h"),
-        ("mse_vs_snr", "frame.h", 640_001, "frame.h"),
-        ("mse_vs_snr", "ale.taps", 20_000, "frame.h"),
-        ("mse_vs_snr", "ale.delay", 10_000, "frame.h"),
-        ("mse_vs_snr", "run.snr_grid", (0.0, -0.0), "run.snr_grid"),
-        ("mse_vs_snr", "run.snr_grid", (0.0, math.nan), "run.snr_grid"),
-        ("mse_vs_snr", "run.snr_grid", (-math.inf,), "run.snr_grid"),
+        ("ber_awgn", "frame.h", 5, "frame.h"),
+        ("ber_awgn", "frame.h", 640_001, "frame.h"),
+        ("ber_awgn", "ale.taps", 20_000, "frame.h"),
+        ("ber_awgn", "ale.delay", 10_000, "frame.h"),
+        ("ber_awgn", "run.snr_grid", (0.0, -0.0), "run.snr_grid"),
+        ("ber_awgn", "run.snr_grid", (0.0, math.nan), "run.snr_grid"),
+        ("ber_awgn", "run.snr_grid", (-math.inf,), "run.snr_grid"),
         ("particle_sweep", "run.sweep_values", (2.7,), "run.sweep_values"),
         ("particle_sweep", "run.sweep_values", (0.0,), "run.sweep_values"),
         ("step_sweep", "run.sweep_values", (0.0,), "run.sweep_values"),
         ("step_sweep", "run.sweep_values", (math.inf,), "run.sweep_values"),
         ("step_sweep", "run.sweep_values", (0.01, 0.01), "run.sweep_values"),
-        ("mse_vs_snr", "run.n_seeds", 0, "run.n_seeds"),
+        ("ber_awgn", "run.n_seeds", 0, "run.n_seeds"),
         ("ber_nonlinear", "run.n_seeds", 3031, "run.n_seeds"),
         ("particle_sweep", "run.n_seeds", 556, "run.n_seeds"),
-        ("mse_vs_snr", "run.base_seed", -1, "run.base_seed"),
-        ("mse_vs_snr", "run.base_seed", 2**64, "run.base_seed"),
-        ("mse_vs_snr", "run.decision_stream", "both", "run.decision_stream"),
+        ("ber_awgn", "run.base_seed", -1, "run.base_seed"),
+        ("ber_awgn", "run.base_seed", 2**64, "run.base_seed"),
+        ("ber_awgn", "run.decision_stream", "both", "run.decision_stream"),
         ("ber_nonlinear", "channel.profiles", ("60MHz", "60MHz"), "channel.profiles"),
         ("ber_nonlinear", "channel.profiles", ("3.9GHz",), "channel.profiles"),
     ])
@@ -605,12 +620,27 @@ def test_config_class_checks_fields_in_declaration_order():
     assert excinfo.value.key == "m"
 
 
-def test_readme_key_table_matches_schema():
+def _readme_first_cells(heading):
+    """Names in backticks in the first column of a README section's table;
+    a row may name two."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    section = readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
     rows = [line for line in section.splitlines() if line.startswith("| `")]
-    keys = {key for row in rows for key in re.findall(r"`([\w.]+)`", row.split("|")[1])}
-    assert keys == set(bench._SCHEMA)
+    return [name for row in rows for name in re.findall(r"`([\w.]+)`", row.split("|")[1])]
+
+
+def test_readme_key_table_matches_schema():
+    assert _readme_first_cells("Configuration") == list(bench._SCHEMA)
+
+
+def test_readme_command_table_lists_kinds():
+    assert _readme_first_cells("CLI") == list(bench.KINDS)
+
+
+def test_no_two_kinds_are_twins():
+    """Two equal kind entries would be one experiment computed and written twice."""
+    kinds = list(bench._KINDS.values())
+    assert all(a != b for i, a in enumerate(kinds) for b in kinds[i + 1:])
 
 
 # Exact *_meta.txt bytes: keys in schema order, floats as repr, bools in
@@ -641,7 +671,6 @@ _DEFAULT_META = {
     "run.sweep_values = 10.0, 20.0, 30.0, 40.0, 50.0, 60.0\n" + _META_TAIL,
     "step_sweep": "run.snr_grid = -2.0\n"
     "run.sweep_values = 0.005, 0.01, 0.02, 0.04, 0.08, 0.2\n" + _META_TAIL,
-    "mse_vs_snr": _SNR_GRID + _META_TAIL,
     "ber_awgn": _SNR_GRID + _META_TAIL,
     "ber_nonlinear": _SNR_GRID + _META_TAIL + "channel.profiles = 60MHz, 2.4GHz, 5.8GHz\n",
 }

@@ -29,7 +29,7 @@ def test_run_all_covers_every_kind(tmp_path):
     code = main(["run-all", "--out", str(tmp_path)] + TINY + ["--set", "pso.tol=0.1"])
     assert code == 0
     names = {p.name for p in tmp_path.iterdir()}
-    for kind in ("particle_sweep", "step_sweep", "mse_vs_snr", "ber_awgn", "ber_nonlinear"):
+    for kind in ("particle_sweep", "step_sweep", "ber_awgn", "ber_nonlinear"):
         assert f"{kind}_raw.csv" in names
 
 
@@ -49,7 +49,7 @@ def test_run_all_accepts_keys_some_kinds_ignore(tmp_path):
     assert code == 0
     assert "channel.profiles = 5.8GHz" in (tmp_path / "ber_nonlinear_meta.txt").read_text()
     assert "run.sweep_values = 2.0" in (tmp_path / "step_sweep_meta.txt").read_text()
-    assert "channel.profiles" not in (tmp_path / "mse_vs_snr_meta.txt").read_text()
+    assert "channel.profiles" not in (tmp_path / "ber_awgn_meta.txt").read_text()
 
 
 def test_run_all_rejects_bad_profile_before_running(tmp_path, capsys):
@@ -88,11 +88,11 @@ def test_config_file_plus_flag_override(tmp_path):
     cfg.write_text("frame.h = 200\nrun.n_seeds = 2\nrun.snr_grid = 0\n"
                    "pso.n_particles = 5\npso.max_iters = 5\n")
     code = main([
-        "mse_vs_snr", "--config", str(cfg), "--out", str(tmp_path),
+        "ber_awgn", "--config", str(cfg), "--out", str(tmp_path),
         "--seeds", "1",
     ])
     assert code == 0
-    raw = (tmp_path / "mse_vs_snr_raw.csv").read_text().splitlines()
+    raw = (tmp_path / "ber_awgn_raw.csv").read_text().splitlines()
     assert len(raw) == 1 + 2  # header + 1 seed x 2 algorithms
 
 
@@ -123,11 +123,11 @@ def test_run_count_above_the_cap_fails_before_running(tmp_path, capsys, monkeypa
 
 
 def test_jobs_flag_does_not_change_bytes(tmp_path):
-    args = ["mse_vs_snr"] + TINY + ["--set", "run.snr_grid=-2,2", "--set", "run.n_seeds=2"]
+    args = ["ber_awgn"] + TINY + ["--set", "run.snr_grid=-2,2", "--set", "run.n_seeds=2"]
     main(args + ["--out", str(tmp_path / "serial")])
     main(args + ["--out", str(tmp_path / "par"), "--jobs", "2"])
-    serial = (tmp_path / "serial" / "mse_vs_snr_raw.csv").read_bytes()
-    par = (tmp_path / "par" / "mse_vs_snr_raw.csv").read_bytes()
+    serial = (tmp_path / "serial" / "ber_awgn_raw.csv").read_bytes()
+    par = (tmp_path / "par" / "ber_awgn_raw.csv").read_bytes()
     assert serial == par
 
 
@@ -135,6 +135,14 @@ def test_jobs_below_one_fails_with_diagnostic(tmp_path, capsys):
     code = main(["ber_awgn", "--out", str(tmp_path), "--jobs", "0"] + TINY)
     assert code == 1
     assert "jobs" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_removed_twin_kind_is_an_invalid_choice(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["mse_vs_snr", "--out", str(tmp_path)] + TINY)
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 
