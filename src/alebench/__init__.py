@@ -3,7 +3,6 @@
 from .ale import AleConfig, FilterRun, filter_frame
 from .channel import (
     DEFAULT_PROFILES,
-    ChannelConfig,
     NonlinearProfile,
     add_awgn,
     apply_nonlinear,
@@ -21,7 +20,6 @@ __all__ = [
     "AleConfig",
     "FilterRun",
     "filter_frame",
-    "ChannelConfig",
     "NonlinearProfile",
     "DEFAULT_PROFILES",
     "add_awgn",

@@ -17,6 +17,11 @@ from .errors import ConfigError
 
 __all__ = ["AleConfig", "FilterRun", "filter_frame"]
 
+# The most taps L.  In a full batch of 64 lanes, lms_batch's (64, L, 2, 64)
+# float64 block buffers take 2 MiB each at L = 32, _gram 528 inner products
+# per frame for its L x L R, and _scores' (64, L, L, N) products 64 MiB at N = 128.
+MAX_TAPS = 32
+
 
 @dataclass(frozen=True)
 class AleConfig:
@@ -25,7 +30,7 @@ class AleConfig:
     Parameters
     ----------
     taps : int
-        Filter length L, >= 1.
+        Filter length L, from 1 to MAX_TAPS.
     delay : int
         Decorrelation delay in samples, >= 1.  The default of one sample
         is the canonical choice for broadband noise.
@@ -35,8 +40,8 @@ class AleConfig:
     delay: int = 1
 
     def __post_init__(self):
-        if self.taps < 1:
-            raise ConfigError("taps", f"must be >= 1, got {self.taps}")
+        if not 1 <= self.taps <= MAX_TAPS:
+            raise ConfigError("taps", f"must be from 1 to {MAX_TAPS}, got {self.taps}")
         if self.delay < 1:
             raise ConfigError("delay", f"must be >= 1, got {self.delay}")
 

@@ -31,11 +31,11 @@ import numpy as np
 
 from . import __version__
 from .ale import AleConfig, filter_frame
-from .channel import DEFAULT_PROFILES, ChannelConfig, transmit
+from .channel import DEFAULT_PROFILES, SNR_LIMIT_DB, transmit
 from .errors import ConfigError
 from .lms import LmsConfig, lms_batch
 from .metrics import mse
-from .pso import PsoConfig, pso_batch
+from .pso import MAX_PARTICLES, PsoConfig, pso_batch
 from .signal import ModConfig, demodulate, generate_bits, modulate
 
 __all__ = [
@@ -75,13 +75,14 @@ class ExperimentSpec:
         shortest = self.ale.taps + self.ale.delay + 1
         if not shortest <= self.h <= _BATCH_SAMPLES:
             raise ConfigError("frame.h", f"must be from taps + delay + 1 = {shortest} to {_BATCH_SAMPLES}, got {self.h}")
-        if any(math.isnan(s) or s == -math.inf for s in self.snr_grid):  # +inf: no noise
-            raise ConfigError("run.snr_grid", "SNR values must be numbers or inf, not nan or -inf")
+        for s in self.snr_grid:
+            if not (abs(s) <= SNR_LIMIT_DB or s == math.inf):  # +inf: no noise
+                raise ConfigError("run.snr_grid", f"SNR values must be inf or within +-{SNR_LIMIT_DB:g} dB, got {s}")
         _check_used_and_distinct("run.snr_grid", self.snr_grid, self.kind)
         _check_used_and_distinct("run.sweep_values", self.sweep_values, self.kind)
         for v in self.sweep_values:
-            if self.kind == "particle_sweep" and not (math.isfinite(v) and v == int(v) and v >= 1):
-                raise ConfigError("run.sweep_values", f"particle counts must be positive integers, got {v}")
+            if self.kind == "particle_sweep" and not (math.isfinite(v) and v == int(v) and 1 <= v <= MAX_PARTICLES):
+                raise ConfigError("run.sweep_values", f"particle counts must be integers from 1 to {MAX_PARTICLES}, got {v}")
             if self.kind == "step_sweep" and not (v > 0 and math.isfinite(v)):
                 raise ConfigError("run.sweep_values", f"step sizes must be finite and > 0, got {v}")
         if self.n_seeds < 1:
@@ -331,8 +332,7 @@ def _batch_frames(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int
         bits_seed, chan_seed, pso_seed = _subsystem_seeds(run_seed, 3)
         bits[lane] = generate_bits(bits.shape[1], bits_seed)
         profile = DEFAULT_PROFILES[point["profile"]] if "profile" in point else None
-        channel = ChannelConfig(snr_db=point["snr_db"], nonlinear=profile, seed=chan_seed)
-        frames[lane] = transmit(modulate(bits[lane], spec.mod), channel)
+        frames[lane] = transmit(modulate(bits[lane], spec.mod), point["snr_db"], chan_seed, profile)
         lanes.append((point, seed_idx, run_seed, pso_seed))
     return lanes, bits, frames
 
@@ -523,23 +523,18 @@ def _run_batch(args: tuple) -> list[dict]:
 def _mean_rows(raw_rows: list[dict], kind: _Kind) -> list[dict]:
     """One row per group of raw rows with equal key columns, in order of
     first appearance, each averaged column the mean of its group's values
-    in raw-row order.  Groups of one size are averaged in one call over a
-    (groups, size) array, which gives np.mean's bits for each group."""
+    in raw-row order.  Every group holds one row per seed, so the groups
+    are the rows of one (groups, n_seeds) index array, averaged in one call."""
     key_columns = tuple(c for c in kind.mean if c not in kind.averaged and c != "n_seeds")
     groups: dict[tuple, list[int]] = {}
     for i, row in enumerate(raw_rows):
         groups.setdefault(tuple(row[c] for c in key_columns), []).append(i)
-    out = [dict(zip(key_columns, key), n_seeds=len(members)) for key, members in groups.items()]
-    members = list(groups.values())
-    by_size: dict[int, list[int]] = {}
-    for g, group in enumerate(members):
-        by_size.setdefault(len(group), []).append(g)
+    members = np.array(list(groups.values()))
+    out = [dict(zip(key_columns, key), n_seeds=members.shape[1]) for key in groups]
     for col in kind.averaged:
         values = np.array([row[col] for row in raw_rows], dtype=np.float64)
-        for picked in by_size.values():
-            means = values[[members[g] for g in picked]].mean(axis=1)
-            for g, mean in zip(picked, means.tolist()):
-                out[g][col] = mean
+        for row, mean in zip(out, values[members].mean(axis=1).tolist()):
+            row[col] = mean
     return out
 
 

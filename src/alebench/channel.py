@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "NonlinearProfile",
-    "ChannelConfig",
     "DEFAULT_PROFILES",
     "add_awgn",
     "apply_nonlinear",
@@ -57,20 +56,10 @@ DEFAULT_PROFILES: dict[str, NonlinearProfile] = {
 }
 
 
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Per-run channel settings: target SNR, optional nonlinearity, RNG seed.
-
-    ``snr_db = math.inf`` disables the noise entirely.
-    """
-
-    snr_db: float
-    nonlinear: NonlinearProfile | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if math.isnan(self.snr_db) or self.snr_db == -math.inf:
-            raise ValueError(f"snr_db must be finite or +inf, got {self.snr_db}")
+# The largest finite |snr_db| a config may ask for.  The runner's frames have
+# power from 0.0025 (the 5.8GHz tones leave 0.05 of a unit symbol) to 5.1, so
+# within it their noise variance lies in [2.5e-303, 5.1e300]: finite, positive.
+SNR_LIMIT_DB = 3000.0
 
 
 def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
@@ -79,6 +68,8 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     The total noise variance is mean(|x|^2) / 10^(snr_db/10), split equally
     between the real and imaginary parts.  Draws consume the generator in
     strict sample order (re, im per sample), so output is reproducible.
+    ``snr_db = inf`` adds no noise; an SNR giving any variance but a finite
+    positive one (nan, -inf, or too far from 0 dB) raises ValueError.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.size == 0:
@@ -88,7 +79,10 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
         raise ValueError("input stream has zero power")
     if snr_db == math.inf:
         return x.copy()
-    sigma2 = power / 10.0 ** (snr_db / 10.0)
+    with np.errstate(all="ignore"):  # 10^400 is inf, 10^-400 is 0
+        sigma2 = power / np.float64(10.0) ** (snr_db / 10.0)
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"snr_db {snr_db} gives no finite positive noise variance at signal power {power}")
     rng = np.random.default_rng(seed)
     draws = rng.standard_normal((x.size, 2))
     noise = math.sqrt(sigma2 / 2.0) * (draws[:, 0] + 1j * draws[:, 1])
@@ -107,7 +101,7 @@ def apply_nonlinear(x: np.ndarray, profile: NonlinearProfile) -> np.ndarray:
     return y
 
 
-def transmit(x: np.ndarray, cfg: ChannelConfig) -> np.ndarray:
+def transmit(x: np.ndarray, snr_db: float, seed: int, nonlinear: NonlinearProfile | None = None) -> np.ndarray:
     """Distort (optionally) and add AWGN; SNR is calibrated after distortion."""
-    distorted = apply_nonlinear(x, cfg.nonlinear) if cfg.nonlinear is not None else x
-    return add_awgn(distorted, cfg.snr_db, cfg.seed)
+    distorted = apply_nonlinear(x, nonlinear) if nonlinear is not None else x
+    return add_awgn(distorted, snr_db, seed)

@@ -26,6 +26,12 @@ __all__ = ["PsoConfig", "SwarmState", "frame_costs", "evaluate_cost", "run_pso",
 # A quadratic-form cost below this fraction of c + w'Rw has lost too many
 # digits to cancellation and is recomputed from the residual directly.
 GRAM_FALLBACK_RATIO = 1e-6
+# The largest swarm: _scores forms (B, L, L, N) float64 products, 64 MiB
+# for a full batch of 64 lanes at ale.MAX_TAPS = 32 taps and N = 128.
+MAX_PARTICLES = 128
+# The longest search: pso_batch's (max_iters, B) float64 history takes 5 MB for
+# 64 lanes at 10,000 iterations, and its lists, 32 B an entry, 20 MB.
+MAX_ITERS = 10_000
 
 
 @dataclass(frozen=True)
@@ -54,10 +60,10 @@ class PsoConfig:
 
     def __post_init__(self):
         for name, ok, rule in (
-            ("n_particles", self.n_particles >= 1, ">= 1"),
+            ("n_particles", 1 <= self.n_particles <= MAX_PARTICLES, f"from 1 to {MAX_PARTICLES}"),
             ("c1", math.isfinite(self.c1) and self.c1 >= 0.0, "finite and >= 0"),
             ("c2", math.isfinite(self.c2) and self.c2 >= 0.0, "finite and >= 0"),
-            ("max_iters", self.max_iters >= 1, ">= 1"),
+            ("max_iters", 1 <= self.max_iters <= MAX_ITERS, f"from 1 to {MAX_ITERS}"),
             ("tol", self.tol >= 0.0, ">= 0"),
             ("patience", self.patience >= 1, ">= 1"),
             ("init_range", math.isfinite(self.init_range) and self.init_range > 0.0, "finite and > 0"),

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from alebench.ale import AleConfig, filter_frame
-from alebench.channel import ChannelConfig, transmit
+from alebench.channel import transmit
 from alebench.signal import ModConfig, generate_bits, modulate
 
 
 def _frame(h=256, seed=30, snr_db=2.0):
     x = modulate(generate_bits(h, seed), ModConfig(m=2))
-    return transmit(x, ChannelConfig(snr_db=snr_db, seed=seed + 1))
+    return transmit(x, snr_db, seed + 1)
 
 
 class TestRegressor:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from alebench import bench
-from alebench.ale import AleConfig
+from alebench.ale import MAX_TAPS, AleConfig
 from alebench.bench import (
     DEFAULT_BASE_SEED,
     ExperimentSpec,
@@ -23,7 +23,7 @@ from alebench.bench import (
 )
 from alebench.errors import ConfigError
 from alebench.lms import LmsConfig
-from alebench.pso import PsoConfig
+from alebench.pso import MAX_ITERS, MAX_PARTICLES, PsoConfig
 from alebench.signal import ModConfig, generate_bits
 
 SMALL = """
@@ -449,6 +449,7 @@ class TestSpecValidation:
         ("mod.m", "32"),
         ("mod.phase_offset", "7"),
         ("ale.taps", "0"),
+        ("ale.taps", "20000"),
         ("ale.delay", "0"),
         ("lms.mu", "-0.1"),
         ("pso.n_particles", "0"),
@@ -465,6 +466,7 @@ class TestSpecValidation:
         ("pso.tol", "nan"),
         ("channel.profiles", "60MHz, 60MHz"),
         ("run.snr_grid", "0, -0.0"),
+        ("run.snr_grid", "4000"),
     ])
     def test_rejected_value_names_its_key(self, key, raw):
         with pytest.raises(ConfigError) as excinfo:
@@ -533,13 +535,15 @@ class TestSpecValidation:
     @pytest.mark.parametrize("kind, key, value, named", [
         ("ber_awgn", "frame.h", 5, "frame.h"),
         ("ber_awgn", "frame.h", 640_001, "frame.h"),
-        ("ber_awgn", "ale.taps", 20_000, "frame.h"),
         ("ber_awgn", "ale.delay", 10_000, "frame.h"),
         ("ber_awgn", "run.snr_grid", (0.0, -0.0), "run.snr_grid"),
         ("ber_awgn", "run.snr_grid", (0.0, math.nan), "run.snr_grid"),
         ("ber_awgn", "run.snr_grid", (-math.inf,), "run.snr_grid"),
+        ("ber_awgn", "run.snr_grid", (4000.0,), "run.snr_grid"),
+        ("ber_awgn", "run.snr_grid", (0.0, -4000.0), "run.snr_grid"),
         ("particle_sweep", "run.sweep_values", (2.7,), "run.sweep_values"),
         ("particle_sweep", "run.sweep_values", (0.0,), "run.sweep_values"),
+        ("particle_sweep", "run.sweep_values", (10.0, MAX_PARTICLES + 1.0), "run.sweep_values"),
         ("step_sweep", "run.sweep_values", (0.0,), "run.sweep_values"),
         ("step_sweep", "run.sweep_values", (math.inf,), "run.sweep_values"),
         ("step_sweep", "run.sweep_values", (0.01, 0.01), "run.sweep_values"),
@@ -553,8 +557,9 @@ class TestSpecValidation:
         ("ber_nonlinear", "channel.profiles", ("3.9GHz",), "channel.profiles"),
     ])
     def test_spec_rejects_what_the_parser_rejects_under_the_same_key(self, kind, key, value, named):
-        """A frame too short for the filter is named frame.h, whichever of
-        the three keys made it so."""
+        """A frame too short for the filter is named frame.h, whichever key
+        made it so; a value its config class rejects is named by its own key
+        (see test_rejected_value_names_its_key)."""
         with pytest.raises(ConfigError) as parsed:
             parse_config(f"{key} = {bench._format_value(value)}", kind=kind)
         assert parsed.value.key == named
@@ -592,12 +597,15 @@ class TestSpecValidation:
     (ModConfig, "m", 3),
     (ModConfig, "phase_offset", 7.0),
     (AleConfig, "taps", 0),
+    (AleConfig, "taps", MAX_TAPS + 1),
     (AleConfig, "delay", 0),
     (LmsConfig, "mu", -0.1),
     (PsoConfig, "n_particles", 0),
+    (PsoConfig, "n_particles", MAX_PARTICLES + 1),
     (PsoConfig, "c1", -1.0),
     (PsoConfig, "c2", math.inf),
     (PsoConfig, "max_iters", 0),
+    (PsoConfig, "max_iters", 10**10),
     (PsoConfig, "tol", math.nan),
     (PsoConfig, "patience", 0),
     (PsoConfig, "init_range", 0.0),
@@ -609,6 +617,15 @@ def test_config_class_names_its_field(cls, name, value):
         cls(**{name: value})
     assert excinfo.value.key == name
     assert str(excinfo.value) == f"{name}: {excinfo.value.reason}"
+
+
+def test_caps_accept_their_bound():
+    """Constructors and parsing only: nothing of this size is run."""
+    assert AleConfig(taps=MAX_TAPS).taps == MAX_TAPS
+    cfg = PsoConfig(n_particles=MAX_PARTICLES, max_iters=MAX_ITERS)
+    assert (cfg.n_particles, cfg.max_iters) == (MAX_PARTICLES, MAX_ITERS)
+    spec = parse_config(f"run.sweep_values = 1, {MAX_PARTICLES}", kind="particle_sweep")
+    assert spec.sweep_values == (1.0, MAX_PARTICLES)
 
 
 def test_config_class_checks_fields_in_declaration_order():

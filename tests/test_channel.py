@@ -7,7 +7,7 @@ import pytest
 
 from alebench.channel import (
     DEFAULT_PROFILES,
-    ChannelConfig,
+    SNR_LIMIT_DB,
     NonlinearProfile,
     add_awgn,
     apply_nonlinear,
@@ -95,18 +95,18 @@ class TestTransmit:
     def test_no_profile_matches_awgn_alone(self):
         x = modulate(generate_bits(256, seed=18), ModConfig(m=2))
         direct = add_awgn(x, snr_db=4.0, seed=55)
-        via_transmit = transmit(x, ChannelConfig(snr_db=4.0, seed=55))
+        via_transmit = transmit(x, 4.0, 55)
         np.testing.assert_array_equal(direct, via_transmit)
 
     def test_infinite_snr_is_noiseless(self):
         x = modulate(generate_bits(128, seed=19), ModConfig(m=2))
-        d = transmit(x, ChannelConfig(snr_db=math.inf, seed=1))
+        d = transmit(x, math.inf, 1)
         np.testing.assert_array_equal(d, x)
 
     def test_snr_calibrated_after_distortion(self):
         x = modulate(generate_bits(BIG // 4, seed=20), ModConfig(m=2))
         prof = DEFAULT_PROFILES["2.4GHz"]
-        d = transmit(x, ChannelConfig(snr_db=6.0, nonlinear=prof, seed=21))
+        d = transmit(x, 6.0, 21, prof)
         distorted = apply_nonlinear(x, prof)
         noise = d - distorted
         measured = 10 * np.log10(
@@ -115,17 +115,34 @@ class TestTransmit:
         assert abs(measured - 6.0) < 0.1
 
     def test_invalid_snr_rejected(self):
-        with pytest.raises(ValueError):
-            ChannelConfig(snr_db=math.nan)
-        with pytest.raises(ValueError):
-            ChannelConfig(snr_db=-math.inf)
+        """An SNR whose noise variance is no finite positive number: nan,
+        -inf, 10^400 overflowing, 10^-400 underflowing to 0, and 10^-310
+        leaving power / 10^-310 infinite."""
+        x = modulate(generate_bits(64, seed=22), ModConfig(m=2))
+        for snr_db in (math.nan, -math.inf, 4000.0, -4000.0, -3100.0):
+            with pytest.raises(ValueError, match="noise variance"):
+                add_awgn(x, snr_db, 1)
+            with pytest.raises(ValueError, match="noise variance"):
+                transmit(x, snr_db, 1, DEFAULT_PROFILES["5.8GHz"])
+
+    def test_snr_limit_accepted_for_every_profile(self):
+        x = modulate(generate_bits(4096, seed=23), ModConfig(m=2))
+        for prof in (None, *DEFAULT_PROFILES.values()):
+            for snr_db in (-SNR_LIMIT_DB, SNR_LIMIT_DB):
+                assert np.all(np.isfinite(transmit(x, snr_db, 24, prof)))
+
+    def test_infinite_snr_returns_a_copy(self):
+        x = modulate(generate_bits(32, seed=25), ModConfig(m=2))
+        y = add_awgn(x, math.inf, 1)
+        np.testing.assert_array_equal(y, x)
+        assert not np.shares_memory(y, x)
 
     def test_golden_frame(self):
         """Frozen output of an audited run: cubic 0.1 plus one tone at 0.05,
         3 dB SNR, seed 424242, BPSK input [1,-1,-1,1,1,1,-1,1]."""
         x = np.array([1, -1, -1, 1, 1, 1, -1, 1], dtype=np.complex128)
         prof = NonlinearProfile(cubic_gain=0.1, tones=((0.5, 0.05, 0.25),))
-        d = transmit(x, ChannelConfig(snr_db=3.0, nonlinear=prof, seed=424242))
+        d = transmit(x, 3.0, 424242, prof)
         golden = np.array(
             [
                 0.027318533445486626 - 0.9765417840399341j,

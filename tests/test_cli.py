@@ -110,6 +110,15 @@ def test_frame_longer_than_a_batch_fails_before_running(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("snr", ["4000", "-4000"])
+def test_snr_beyond_the_limit_fails_before_running(tmp_path, capsys, snr):
+    out = tmp_path / "out"
+    code = main(["ber_awgn", "--out", str(out), "--set", f"run.snr_grid={snr}"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: run.snr_grid: ")
+    assert not out.exists()
+
+
 def test_run_count_above_the_cap_fails_before_running(tmp_path, capsys, monkeypatch):
     """5,000 seeds fit every default sweep but ber_nonlinear's 33 points,
     and ber_nonlinear comes last: run-all still runs nothing."""

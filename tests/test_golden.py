@@ -5,7 +5,7 @@ output of
 
     alebench <kind> --set frame.h=500 --seeds 2
 
-for each of the five kinds, at every other key's default.  The files named
+for each of the four kinds, at every other key's default.  The files named
 ``ber_nonlinear_qpsk_output_{raw,mean}.csv`` are the output of
 
     alebench ber_nonlinear --set frame.h=500 --seeds 2

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alebench.ale import AleConfig, filter_frame
-from alebench.channel import DEFAULT_PROFILES, ChannelConfig, transmit
+from alebench.channel import DEFAULT_PROFILES, transmit
 from alebench.lms import lms_batch
 from alebench.metrics import mse
 from alebench.pso import (
@@ -27,7 +27,7 @@ ALE = AleConfig(taps=5, delay=1)
 
 def _awgn_frame(snr_db, bits_seed, noise_seed, h):
     x = modulate(generate_bits(h, bits_seed), ModConfig(m=2))
-    return transmit(x, ChannelConfig(snr_db=snr_db, seed=noise_seed))
+    return transmit(x, snr_db, noise_seed)
 
 
 def _random_frame(rng, h):
@@ -444,7 +444,7 @@ class TestCostFloor:
         bounded by J*: its weights change from sample to sample."""
         ale = AleConfig(taps=taps, delay=delay)
         x = modulate(generate_bits(h, seed), ModConfig(m=2))
-        d = transmit(x, ChannelConfig(snr_db=snr_db, seed=seed + 1, nonlinear=profile))
+        d = transmit(x, snr_db, seed + 1, profile)
         floor = wiener_floor(d, taps, delay)
         reached = brute_force_cost(real_least_squares_weights(d, taps, delay), d, taps, delay)
         assert reached == pytest.approx(floor, rel=1e-9)
