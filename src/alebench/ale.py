@@ -19,7 +19,7 @@ __all__ = ["AleConfig", "FilterRun", "filter_frame"]
 
 # The most taps L.  In a full batch of 64 lanes, lms_batch's (64, L, 2, 64)
 # float64 block buffers take 2 MiB each at L = 32, _gram 528 inner products
-# per frame for its L x L R, and _scores' (64, L, L, N) products 64 MiB at N = 128.
+# per frame for its L x L R, and _scores' two (64, L, L, N) arrays 128 MiB at N = 128.
 MAX_TAPS = 32
 
 

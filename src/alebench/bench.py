@@ -294,17 +294,11 @@ def spec_to_text(spec: ExperimentSpec) -> str:
 # ---------------------------------------------------------------------------
 # seeds
 
-def derive_run_seed(base_seed: int, sweep_idx: int, seed_idx: int) -> int:
-    """64-bit seed of run (sweep_idx, seed_idx); independent of n_seeds."""
-    ss = np.random.SeedSequence(base_seed, spawn_key=(sweep_idx, seed_idx))
+def derive_run_seed(base_seed: int, *spawn_key: int) -> int:
+    """64-bit seed of the stream `spawn_key` under `base_seed`: run (sweep_idx,
+    seed_idx) of an experiment, independent of n_seeds, or subsystem k of a run."""
+    ss = np.random.SeedSequence(base_seed, spawn_key=spawn_key)
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _subsystem_seeds(run_seed: int, count: int) -> list[int]:
-    return [
-        int(np.random.SeedSequence(run_seed, spawn_key=(k,)).generate_state(1, np.uint64)[0])
-        for k in range(count)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +323,7 @@ def _batch_frames(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int
     for lane, (sweep_idx, seed_idx) in enumerate(runs):
         point = points[sweep_idx]
         run_seed = derive_run_seed(spec.base_seed, sweep_idx, seed_idx)
-        bits_seed, chan_seed, pso_seed = _subsystem_seeds(run_seed, 3)
+        bits_seed, chan_seed, pso_seed = (derive_run_seed(run_seed, k) for k in range(3))
         bits[lane] = generate_bits(bits.shape[1], bits_seed)
         profile = DEFAULT_PROFILES[point["profile"]] if "profile" in point else None
         frames[lane] = transmit(modulate(bits[lane], spec.mod), point["snr_db"], chan_seed, profile)

@@ -76,8 +76,11 @@ def main(argv: list[str] | None = None) -> int:
     kinds = list(KINDS) if args.command == "run-all" else [args.command]
     try:
         text, overrides = _assemble(args)
-        # every kind's config is checked before any of them runs
+        # every kind's config, --jobs and --out are checked before any kind runs
         specs = [parse_config(text, kind=kind, overrides=overrides) for kind in kinds]
+        if args.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {args.jobs}")
+        args.out.mkdir(parents=True, exist_ok=True)
         for spec in specs:
             table = run_experiment(spec, jobs=args.jobs)
             paths = emit_csv(table, args.out)

@@ -21,13 +21,13 @@ import numpy as np
 from .ale import AleConfig, _check_frame, _check_weights
 from .errors import ConfigError
 
-__all__ = ["PsoConfig", "SwarmState", "frame_costs", "evaluate_cost", "run_pso", "pso_batch"]
+__all__ = ["PsoConfig", "SwarmState", "evaluate_cost", "run_pso", "pso_batch"]
 
 # A quadratic-form cost below this fraction of c + w'Rw has lost too many
 # digits to cancellation and is recomputed from the residual directly.
 GRAM_FALLBACK_RATIO = 1e-6
-# The largest swarm: _scores forms (B, L, L, N) float64 products, 64 MiB
-# for a full batch of 64 lanes at ale.MAX_TAPS = 32 taps and N = 128.
+# The largest swarm: _scores holds two (B, L, L, N) float64 arrays at once,
+# 128 MiB for a full batch of 64 lanes at ale.MAX_TAPS = 32 taps and N = 128.
 MAX_PARTICLES = 128
 # The longest search: pso_batch's (max_iters, B) float64 history takes 5 MB for
 # 64 lanes at 10,000 iterations, and its lists, 32 B an entry, 20 MB.
@@ -125,27 +125,15 @@ def _scores(w: np.ndarray, R: np.ndarray, p: np.ndarray, c: np.ndarray, frames: 
     return out
 
 
-def frame_costs(d: np.ndarray, ale: AleConfig):
-    """Cost function of one frame: (N, L) weights to N mean squared residuals.
-
-    With V[n, k] = d[n - delay - k] over the m valid samples, the cost is
-    J(w) = c - 2w'p + w'Rw where R = Re(V^H V)/m, p = Re(V^H d)/m and
-    c = mean|d|^2.  Each entry is one inner product of lagged slices of d,
-    so no regressor matrix is built.  The swarm scores with the same code.
-    """
-    R, p, c, frame = _gram(_check_frame(d, ale), ale)
-
-    def costs(positions: np.ndarray) -> np.ndarray:
-        w = np.asarray(positions, dtype=np.float64)
-        return _scores(w.T[None], R[None], p[None], np.array([c]), [frame])[0]
-
-    return costs
-
-
 def evaluate_cost(w: np.ndarray, d: np.ndarray, ale: AleConfig) -> float:
-    """Mean |e[n]|^2 over the fully-populated range, weights held fixed."""
+    """Mean |e[n]|^2 over the fully-populated range, weights held fixed:
+    J(w) = c - 2w'p + w'Rw, where, with V[n, k] = d[n - delay - k] over the
+    m valid samples, R = Re(V^H V)/m, p = Re(V^H d)/m and c = mean|d|^2.
+    Each entry is one inner product of lagged slices of d, so no regressor
+    matrix is built.  The swarm scores with the same code."""
     w = _check_weights(w, ale)
-    return float(frame_costs(d, ale)(w[None])[0])
+    R, p, c, frame = _gram(_check_frame(d, ale), ale)
+    return float(_scores(w[None, :, None], R[None], p[None], np.array([c]), [frame])[0, 0])
 
 
 def pso_batch(

@@ -1,7 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
+from pathlib import Path
+
 import pytest
 
+import alebench
 from alebench import cli
 from alebench.bench import parse_config
 from alebench.cli import main
@@ -141,10 +144,21 @@ def test_jobs_flag_does_not_change_bytes(tmp_path):
 
 
 def test_jobs_below_one_fails_with_diagnostic(tmp_path, capsys):
-    code = main(["ber_awgn", "--out", str(tmp_path), "--jobs", "0"] + TINY)
+    code = main(["ber_awgn", "--out", str(tmp_path / "out"), "--jobs", "0"] + TINY)
     assert code == 1
     assert "jobs" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+def test_unusable_out_fails_before_running(tmp_path, capsys, monkeypatch):
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda spec, jobs: ran.append(spec.kind))
+    out = tmp_path / "taken"
+    out.write_text("not a directory")
+    code = main(["run-all", "--out", str(out)] + TINY)
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert ran == []
 
 
 def test_removed_twin_kind_is_an_invalid_choice(tmp_path, capsys):
@@ -156,7 +170,13 @@ def test_removed_twin_kind_is_an_invalid_choice(tmp_path, capsys):
 
 
 def test_version_flag(capsys):
+    """--version prints the package's version, which is pyproject.toml's."""
+    import tomllib  # Python 3.11+; the package itself supports 3.10
+
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as f:
+        version = tomllib.load(f)["project"]["version"]
+    assert alebench.__version__ == version
     with pytest.raises(SystemExit) as excinfo:
         main(["--version"])
     assert excinfo.value.code == 0
-    assert "alebench" in capsys.readouterr().out
+    assert capsys.readouterr().out == f"alebench {version}\n"

@@ -1,4 +1,4 @@
-"""Every exported name resolves, in the package and in each module."""
+"""Every name a module exports resolves."""
 
 import importlib
 import pkgutil
@@ -8,11 +8,6 @@ import pytest
 import alebench
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(alebench.__path__))
-
-
-def test_package_exports_resolve():
-    missing = [name for name in alebench.__all__ if not hasattr(alebench, name)]
-    assert missing == []
 
 
 @pytest.mark.parametrize("name", MODULES)

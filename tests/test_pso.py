@@ -1,5 +1,6 @@
 """Tests for the swarm search over enhancer weights."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,8 +15,9 @@ from alebench.metrics import mse
 from alebench.pso import (
     GRAM_FALLBACK_RATIO,
     PsoConfig,
+    _gram,
+    _scores,
     evaluate_cost,
-    frame_costs,
     pso_batch,
     run_pso,
 )
@@ -35,7 +37,7 @@ def _random_frame(rng, h):
 
 
 class TestEvaluateCost:
-    def test_zero_frame_costs_nothing(self):
+    def test_zero_frame_has_zero_cost(self):
         cost = evaluate_cost(np.ones(5), np.zeros(64, dtype=complex), ALE)
         assert type(cost) is float
         assert cost == 0.0
@@ -80,14 +82,32 @@ class TestEvaluateCost:
             assert cost == pytest.approx(slow, rel=1e-9, abs=0.0)
 
 
+def test_scores_peak_is_two_product_arrays():
+    """_scores holds its (B, L, L, N) float64 products and their particles-first
+    copy at once; pso.MAX_PARTICLES and ale.MAX_TAPS are sized by that peak."""
+    b, taps, n = 8, 16, 64
+    ale = AleConfig(taps=taps, delay=1)
+    rng = np.random.default_rng(62)
+    R, p, c, frames = (list(col) for col in zip(*(_gram(_random_frame(rng, 64), ale) for _ in range(b))))
+    R, p, c = np.array(R), np.array(p), np.array(c)
+    w = rng.uniform(-2.0, 2.0, size=(b, taps, n))
+    tracemalloc.start()
+    try:
+        _scores(w, R, p, c, frames)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    products = b * taps * taps * n * 8
+    assert 2 * products <= peak <= 2.25 * products
+
+
 @pytest.mark.parametrize(
     "call",
     [
-        lambda d: frame_costs(d, ALE),
         lambda d: evaluate_cost(np.ones(5), d, ALE),
         lambda d: run_pso(d, PsoConfig(), ALE),
     ],
-    ids=["frame_costs", "evaluate_cost", "run_pso"],
+    ids=["evaluate_cost", "run_pso"],
 )
 def test_non_finite_frame_rejected(call):
     for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
@@ -155,7 +175,7 @@ class TestInitSwarm:
         cfg = PsoConfig(n_particles=16, c1=0.0, c2=0.0, max_iters=1, tol=0.0, seed=66)
         weights, state = run_pso(d, cfg, ALE)
         start = _first_draw(cfg, ALE.taps)
-        start_costs = frame_costs(d, ALE)(start)
+        start_costs = np.array([evaluate_cost(w, d, ALE) for w in start])
         assert state.gbest_cost == start_costs.min()
         np.testing.assert_array_equal(weights, start[np.argmin(start_costs)])
 
@@ -179,7 +199,7 @@ class TestVelocityAndPosition:
         rng = np.random.default_rng(cfg.seed)
         x = rng.uniform(-cfg.init_range, cfg.init_range, size=(2, 1))
         r2 = rng.uniform(size=(2, 2, 1))[:, 1]
-        gbest = x[np.argmin(frame_costs(d, ale)(x))]
+        gbest = x[np.argmin(np.array([evaluate_cost(w, d, ale) for w in x]))]
         # the swarm is at rest on its personal bests: only the global pull acts
         v = np.clip(r2 * (gbest - x), -2.0, 2.0)
         np.testing.assert_array_equal(state.velocity, v)
@@ -211,7 +231,7 @@ class TestVelocityAndPosition:
                             per_dimension_draws=per_dimension)
             _, state = run_pso(d, cfg, ALE)
             start = _first_draw(cfg, ALE.taps)
-            pull = start[np.argmin(frame_costs(d, ALE)(start))] - start
+            pull = start[np.argmin(np.array([evaluate_cost(w, d, ALE) for w in start]))] - start
             moved = np.any(pull != 0.0, axis=1)
             ratio = state.velocity[moved] / pull[moved]
             spreads.append(np.ptp(ratio, axis=1).max() / ratio.max())
@@ -248,7 +268,7 @@ class TestUpdateBests:
         cfg = PsoConfig(n_particles=6, c1=0.0, c2=0.0, max_iters=6, tol=0.0, seed=75)
         weights, state = run_pso(d, cfg, ALE)
         start = _first_draw(cfg, ALE.taps)
-        start_costs = frame_costs(d, ALE)(start)
+        start_costs = np.array([evaluate_cost(w, d, ALE) for w in start])
         np.testing.assert_array_equal(state.pbest_cost, start_costs)
         np.testing.assert_array_equal(weights, start[np.argmin(start_costs)])
         assert state.history == [start_costs.min()] * cfg.max_iters
