@@ -341,20 +341,19 @@ def _metric_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int,
             raise RuntimeError(
                 f"{spec.kind} failed at sweep point {point}, seed index {seed_idx}: {err}"
             ) from err
-    cfgs = [replace(spec.pso, seed=pso_seed) for *_, pso_seed in lanes]
-    best, _ = pso_batch(frames, cfgs, spec.ale)
+    states = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
     k, v0 = spec.mod.bits_per_symbol, spec.ale.warmup
     lag = spec.ale.delay if spec.decision_stream == "output" else 0
     valid = range(v0, spec.h)
     rows = []
-    for (point, _, run_seed, _), sent, d, lms_y, weights in zip(
-        lanes, bits[:, k * (v0 - lag) : k * (spec.h - lag)], frames, outputs, best
+    for (point, _, run_seed, _), sent, d, lms_y, state in zip(
+        lanes, bits[:, k * (v0 - lag) : k * (spec.h - lag)], frames, outputs, states
     ):
         base = dict(point, seed=run_seed, L=spec.ale.taps, delta=spec.ale.delay)
         clean = modulate(sent, spec.mod)
         for algorithm, y, mu, n_particles in (
             ("LMS", lms_y, spec.lms.mu, None),
-            ("PSO", filter_frame(d, weights, spec.ale).y, None, spec.pso.n_particles),
+            ("PSO", filter_frame(d, state.gbest_position, spec.ale).y, None, spec.pso.n_particles),
         ):
             samples = (d - y if lag == 0 else y)[v0:]
             errors = int(np.count_nonzero(demodulate(samples, spec.mod) != sent))
@@ -394,23 +393,20 @@ def _particle_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[in
     lanes, _, frames = _batch_frames(spec, points, runs)
     # the sweep value is a whole float; the row and the swarm take an int.
     # Full-length histories: early stopping is disabled for this sweep.
-    cfgs = [
-        replace(spec.pso, n_particles=int(point["n_particles"]), tol=0.0, seed=pso_seed)
-        for point, *_, pso_seed in lanes
-    ]
-    _, states = pso_batch(frames, cfgs, spec.ale)
+    counts = [int(point["n_particles"]) for point, *_ in lanes]
+    states = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], replace(spec.pso, tol=0.0), spec.ale, counts)
     return [
         dict(
             point,
             algorithm="PSO",
             seed=run_seed,
-            n_particles=cfg.n_particles,
+            n_particles=count,
             iteration=it + 1,
             gbest_cost=cost,
             L=spec.ale.taps,
             delta=spec.ale.delay,
         )
-        for (point, _, run_seed, _), cfg, state in zip(lanes, cfgs, states)
+        for (point, _, run_seed, _), count, state in zip(lanes, counts, states)
         for it, cost in enumerate(state.history)
     ]
 

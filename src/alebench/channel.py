@@ -31,7 +31,7 @@ class NonlinearProfile:
     cubic_gain : float
         Coefficient of the x*|x|^2 term, >= 0.
     tones : tuple of (amplitude, normalized_frequency, phase)
-        Complex tones added to the signal; frequency strictly in (0, 0.5).
+        Complex tones added to the signal; frequency in (0, 0.5), phase finite.
     """
 
     cubic_gain: float = 0.0
@@ -40,11 +40,13 @@ class NonlinearProfile:
     def __post_init__(self):
         if not (self.cubic_gain >= 0.0 and math.isfinite(self.cubic_gain)):
             raise ValueError(f"cubic_gain must be finite and >= 0, got {self.cubic_gain}")
-        for amp, freq, _phase in self.tones:
+        for amp, freq, phase in self.tones:
             if not (amp >= 0.0 and math.isfinite(amp)):
                 raise ValueError(f"tone amplitude must be finite and >= 0, got {amp}")
             if not (0.0 < freq < 0.5):
                 raise ValueError(f"tone frequency must lie in (0, 0.5), got {freq}")
+            if not math.isfinite(phase):
+                raise ValueError(f"tone phase must be finite, got {phase}")
 
 
 # Tone placements and cubic gains are this library's defaults; the three
@@ -68,15 +70,15 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
     The total noise variance is mean(|x|^2) / 10^(snr_db/10), split equally
     between the real and imaginary parts.  Draws consume the generator in
     strict sample order (re, im per sample), so output is reproducible.
-    ``snr_db = inf`` adds no noise; an SNR giving any variance but a finite
-    positive one (nan, -inf, or too far from 0 dB) raises ValueError.
+    ``snr_db = inf`` adds no noise; an input power, or a noise variance, not
+    finite and positive (nan, -inf or far-off SNR) raises ValueError.
     """
     x = np.asarray(x, dtype=np.complex128)
     if x.size == 0:
         raise ValueError("input stream is empty")
     power = float(np.mean(np.abs(x) ** 2))
-    if power <= 0.0:
-        raise ValueError("input stream has zero power")
+    if not 0.0 < power < math.inf:  # 0, or nan or inf from a non-finite sample
+        raise ValueError(f"input stream power must be finite and > 0, got {power}")
     if snr_db == math.inf:
         return x.copy()
     with np.errstate(all="ignore"):  # 10^400 is inf, 10^-400 is 0

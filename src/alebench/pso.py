@@ -14,14 +14,14 @@ lane per frame, particles last.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ale import AleConfig, _check_frame, _check_weights
 from .errors import ConfigError
 
-__all__ = ["PsoConfig", "SwarmState", "evaluate_cost", "run_pso", "pso_batch"]
+__all__ = ["PsoConfig", "SwarmState", "evaluate_cost", "pso_batch"]
 
 # A quadratic-form cost below this fraction of c + w'Rw has lost too many
 # digits to cancellation and is recomputed from the residual directly.
@@ -54,7 +54,6 @@ class PsoConfig:
     patience: int = 5
     init_range: float = 2.0
     v_max: float = 1.0
-    seed: int = 0
     inertia: float = 1.0
     per_dimension_draws: bool = False
 
@@ -137,15 +136,15 @@ def evaluate_cost(w: np.ndarray, d: np.ndarray, ale: AleConfig) -> float:
 
 
 def pso_batch(
-    D: np.ndarray, cfgs: list[PsoConfig], ale: AleConfig
-) -> tuple[np.ndarray, list[SwarmState]]:
-    """Search B frames at once, frame b with cfgs[b], for the weight vector
-    minimizing each frame's residual cost.
+    D: np.ndarray, seeds: list[int], cfg: PsoConfig, ale: AleConfig, counts: list[int] | None = None
+) -> list[SwarmState]:
+    """Search B frames at once for the weight vector minimizing each
+    frame's residual cost: frame b with generator default_rng(seeds[b]) and
+    counts[b] particles, cfg.n_particles each when `counts` is None.
 
-    The configs may differ only in `seed` and `n_particles`.  Starting
-    positions are drawn uniformly in [-init_range, init_range]^L and each
-    particle's best is its starting point.  Each iteration moves every
-    particle by v' = inertia*v + c1*r1*(pbest - x) + c2*r2*(gbest - x),
+    Starting positions are drawn uniformly in [-init_range, init_range]^L
+    and each particle's best is its starting point.  Each iteration moves
+    every particle by v' = inertia*v + c1*r1*(pbest - x) + c2*r2*(gbest - x),
     clamped to [-v_max, v_max] per component, then x' = x + v'.  A personal
     best moves only on a strictly lower cost; the global best moves to the
     first particle with the lowest personal best, and only when that is
@@ -156,40 +155,39 @@ def pso_batch(
     never become a best.  Each lane has its own generator; an iteration draws
     every running lane's uniforms, in lane order, before any cost is
     computed.  A lane that stops early leaves the arrays and draws nothing
-    more.  So a lane's result is bit for bit its frame searched alone.
-    Returns the (B, L) global-best weights and each lane's final swarm,
-    whose `history` holds the global-best cost after each iteration.
+    more.  So a lane's result is bit for bit its frame searched alone, as a
+    one-lane batch.  Returns each lane's final swarm, whose `gbest_position`
+    is its weights and `history` its global-best cost after each iteration.
     """
-    cfgs = list(cfgs)
     D = _check_frame(D, ale)
-    if D.ndim != 2 or not cfgs or len(cfgs) != len(D):
-        raise ValueError(f"need (B, H) frames and B configs, got {D.shape} and {len(cfgs)}")
-    cfg = cfgs[0]
-    if any(replace(other, seed=cfg.seed, n_particles=cfg.n_particles) != cfg for other in cfgs):
-        raise ValueError("the configs of a batch may differ only in seed and n_particles")
+    counts = [cfg.n_particles] * len(seeds) if counts is None else list(counts)
+    if D.ndim != 2 or not seeds or not len(D) == len(seeds) == len(counts):
+        raise ValueError(f"need (B, H) frames, B seeds and B counts, got {D.shape}, {len(seeds)} and {len(counts)}")
+    for n in counts:  # checked before the (B, L, N) swarm is allocated
+        if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_PARTICLES):
+            raise ValueError(f"particle counts must be integers from 1 to {MAX_PARTICLES}, got {n}")
     R, p, c, frames = (list(col) for col in zip(*(_gram(d, ale) for d in D)))
     R, p, c = np.array(R), np.array(p), np.array(c)
-    counts = [other.n_particles for other in cfgs]
-    rngs = [np.random.default_rng(other.seed) for other in cfgs]
-    x = np.zeros((len(cfgs), ale.taps, max(counts)))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    x = np.zeros((len(seeds), ale.taps, max(counts)))
     for row, (rng, count) in enumerate(zip(rngs, counts)):
         x[row, :, :count] = rng.uniform(-cfg.init_range, cfg.init_range, size=(count, ale.taps)).T
     pad = np.arange(x.shape[2]) >= np.array(counts)[:, None]
     v = np.zeros_like(x)
     pbest, pcost = x.copy(), _scores(x, R, p, c, frames)
     pcost[pad] = np.inf
-    rows = np.arange(len(cfgs))
+    rows = np.arange(len(seeds))
     best = pcost.argmin(axis=1)
     gbest, gcost = pbest[rows, :, best], pcost[rows, best]
     # (N, 2, 1) consumes a stream exactly as (N, 2) does; r1 and r2 are
     # (B, 1, N) for one draw per particle, (B, L, N) for one per component.
     # A padded particle draws nothing, so its r1 and r2 stay 0.
-    r = np.zeros((len(cfgs), x.shape[2], 2, ale.taps if cfg.per_dimension_draws else 1))
+    r = np.zeros((len(seeds), x.shape[2], 2, ale.taps if cfg.per_dimension_draws else 1))
     r1, r2 = r.transpose(2, 0, 3, 1)
-    history = np.empty((cfg.max_iters, len(cfgs)))
-    stall = np.zeros(len(cfgs), dtype=int)
-    live = list(range(len(cfgs)))  # the lane of each row
-    states = [None] * len(cfgs)
+    history = np.empty((cfg.max_iters, len(seeds)))
+    stall = np.zeros(len(seeds), dtype=int)
+    live = list(range(len(seeds)))  # the lane of each row
+    states = [None] * len(seeds)
     for it in range(cfg.max_iters):
         for row, lane in enumerate(live):
             rngs[lane].random(out=r[row, : counts[lane]])  # as uniform(size=...), value for value
@@ -230,11 +228,4 @@ def pso_batch(
         rows = rows[: len(live)]
         if not live:
             break
-    return np.array([state.gbest_position for state in states]), states
-
-
-def run_pso(d: np.ndarray, cfg: PsoConfig, ale: AleConfig) -> tuple[np.ndarray, SwarmState]:
-    """One frame's search: a one-lane pso_batch.  Returns the global-best
-    weights and the final swarm."""
-    weights, (state,) = pso_batch(np.asarray(d)[None], [cfg], ale)
-    return weights[0], state
+    return states

@@ -25,15 +25,16 @@ def brute_force_cost(w, d, taps, delay):
 
 
 
-def loop_pso(d, taps, delay, cfg):
+def loop_pso(d, taps, delay, cfg, seed):
     """Particle-by-particle swarm search scored with brute_force_cost.
 
-    Reads the swarm settings off `cfg` and draws from the generator in the
-    library's documented order: the (N, taps) starting positions, then per
-    iteration all (N, 2) or (N, 2, taps) uniforms before any cost.  Returns
-    the global-best weights and the global-best cost after each iteration.
+    Reads the swarm settings off `cfg` and draws from the generator of
+    `seed` in the library's documented order: the (N, taps) starting
+    positions, then per iteration all (N, 2) or (N, 2, taps) uniforms before
+    any cost.  Returns the global-best weights and the global-best cost
+    after each iteration.
     """
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     n = cfg.n_particles
     start = rng.uniform(-cfg.init_range, cfg.init_range, size=(n, taps))
     pos = [[float(x) for x in row] for row in start]

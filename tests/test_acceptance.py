@@ -21,7 +21,7 @@ from alebench.bench import emit_csv, parse_config, run_experiment
 from alebench.channel import add_awgn, transmit
 from alebench.lms import lms_step
 from alebench.metrics import mse
-from alebench.pso import PsoConfig, evaluate_cost, run_pso
+from alebench.pso import PsoConfig, evaluate_cost, pso_batch
 from alebench.signal import ModConfig, demodulate, generate_bits, modulate
 from oracles import brute_force_cost, squared_error_gradient_fd
 
@@ -257,8 +257,8 @@ def test_exact_invariants():
     for trial in range(50):
         h = int(rng.integers(40, 100))
         d = rng.normal(size=h) + 1j * rng.normal(size=h)
-        cfg = PsoConfig(n_particles=6, max_iters=12, tol=0.0, seed=trial)
-        _, state = run_pso(d, cfg, AleConfig(taps=3, delay=1))
+        cfg = PsoConfig(n_particles=6, max_iters=12, tol=0.0)
+        (state,) = pso_batch(d[None], [trial], cfg, AleConfig(taps=3, delay=1))
         monotone &= bool(np.all(np.diff(state.history) <= 0.0))
     checks.append(("gbest history non-increasing on 50 runs", monotone))
 

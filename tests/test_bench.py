@@ -1,8 +1,11 @@
 """Tests for config parsing, the experiment runner, and CSV emission."""
 
 import concurrent.futures
+import dataclasses
+import importlib
 import math
 import re
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -637,21 +640,40 @@ def test_config_class_checks_fields_in_declaration_order():
     assert excinfo.value.key == "m"
 
 
-def _readme_first_cells(heading):
-    """Names in backticks in the first column of a README section's table;
-    a row may name two."""
+def _readme_cells(heading, column=1):
+    """Names in backticks in one column of a README section's table, a
+    call's name without its arguments; a row may name several."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
     rows = [line for line in section.splitlines() if line.startswith("| `")]
-    return [name for row in rows for name in re.findall(r"`([\w.]+)`", row.split("|")[1])]
+    return [name for row in rows for name in re.findall(r"`([\w.]+)[`(]", row.split("|")[column])]
 
 
 def test_readme_key_table_matches_schema():
-    assert _readme_first_cells("Configuration") == list(bench._SCHEMA)
+    assert _readme_cells("Configuration") == list(bench._SCHEMA)
 
 
 def test_readme_command_table_lists_kinds():
-    assert _readme_first_cells("CLI") == list(bench.KINDS)
+    assert _readme_cells("CLI") == list(bench.KINDS)
+
+
+def test_readme_library_table_names_exist():
+    """Every name the "Library layout" table gives as a module's contents
+    is an attribute of some alebench module."""
+    modules = [importlib.import_module(name) for name in _readme_cells("Library layout")]
+    names = _readme_cells("Library layout", column=2)
+    assert names
+    assert [name for name in names if not any(hasattr(m, name) for m in modules)] == []
+
+
+def test_every_config_field_has_one_key():
+    """Each field of a section record, and each other field of the spec, is
+    set by exactly one key: the key table lists every config value."""
+    expected = [
+        f"{section}.{f.name}" for section, cls in bench._SECTIONS.items() for f in dataclasses.fields(cls)
+    ] + [f.name for f in dataclasses.fields(ExperimentSpec) if f.name not in bench._SECTIONS]
+    keyed = [key if key.split(".")[0] in bench._SECTIONS else key.split(".")[1] for key in bench._SCHEMA]
+    assert Counter(keyed) == Counter(expected)
 
 
 def test_no_two_kinds_are_twins():

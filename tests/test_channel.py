@@ -56,6 +56,14 @@ class TestAddAwgn:
         with pytest.raises(ValueError):
             add_awgn(np.array([]), snr_db=0.0, seed=1)
 
+    def test_non_finite_input_rejected_as_input_power(self):
+        """A non-finite sample leaves the input power nan or inf: rejected as
+        such at any SNR, inf included, not blamed on the SNR."""
+        for bad in (math.nan, math.inf, complex(0.0, -math.inf)):
+            for snr_db in (10.0, math.inf):
+                with pytest.raises(ValueError, match="input stream power must be finite"):
+                    add_awgn(np.array([1.0, bad]), snr_db, 0)
+
 
 class TestApplyNonlinear:
     def test_identity_profile_bit_exact(self):
@@ -89,6 +97,11 @@ class TestApplyNonlinear:
             NonlinearProfile(tones=((0.5, 0.6, 0.0),))
         with pytest.raises(ValueError):
             NonlinearProfile(tones=((-1.0, 0.1, 0.0),))
+
+    def test_non_finite_tone_phase_rejected(self):
+        for phase in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="tone phase must be finite"):
+                NonlinearProfile(tones=((0.5, 0.1, phase),))
 
 
 class TestTransmit:

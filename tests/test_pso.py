@@ -14,12 +14,12 @@ from alebench.lms import lms_batch
 from alebench.metrics import mse
 from alebench.pso import (
     GRAM_FALLBACK_RATIO,
+    MAX_PARTICLES,
     PsoConfig,
     _gram,
     _scores,
     evaluate_cost,
     pso_batch,
-    run_pso,
 )
 from alebench.signal import ModConfig, generate_bits, modulate
 from oracles import brute_force_cost, loop_pso, real_least_squares_weights, wiener_floor
@@ -105,9 +105,9 @@ def test_scores_peak_is_two_product_arrays():
     "call",
     [
         lambda d: evaluate_cost(np.ones(5), d, ALE),
-        lambda d: run_pso(d, PsoConfig(), ALE),
+        lambda d: pso_batch(d[None], [0], PsoConfig(), ALE),
     ],
-    ids=["evaluate_cost", "run_pso"],
+    ids=["evaluate_cost", "pso_batch"],
 )
 def test_non_finite_frame_rejected(call):
     for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
@@ -117,9 +117,9 @@ def test_non_finite_frame_rejected(call):
             call(d)
 
 
-def _first_draw(cfg, taps):
-    """The (N, taps) starting positions run_pso draws for `cfg`."""
-    rng = np.random.default_rng(cfg.seed)
+def _first_draw(cfg, seed, taps):
+    """The (N, taps) starting positions pso_batch draws for `cfg` from `seed`."""
+    rng = np.random.default_rng(seed)
     return rng.uniform(-cfg.init_range, cfg.init_range, size=(cfg.n_particles, taps))
 
 
@@ -134,69 +134,67 @@ class TestPsoConfig:
 
 
 class TestInitSwarm:
-    """The swarm a search starts from, seen through run_pso."""
+    """The swarm a search starts from, seen through a one-lane pso_batch."""
 
     def test_velocities_start_at_zero(self):
         # inertia scales only the previous velocity, so it leaves the first
         # move unchanged exactly when the swarm starts at rest
         d = _awgn_frame(0.0, 62, 63, h=128)
-        a, b = (
-            run_pso(d, PsoConfig(n_particles=12, max_iters=1, tol=0.0, inertia=i, seed=62), ALE)[1]
+        (a,), (b,) = (
+            pso_batch(d[None], [62], PsoConfig(n_particles=12, max_iters=1, tol=0.0, inertia=i), ALE)
             for i in (1.0, 0.3)
         )
         np.testing.assert_array_equal(a.velocity, b.velocity)
         assert np.any(a.velocity != 0.0)
 
     def test_positions_within_init_range(self):
-        cfg = PsoConfig(n_particles=40, init_range=1.5, c1=0.0, c2=0.0, max_iters=1, tol=0.0,
-                        seed=63)
-        _, state = run_pso(_awgn_frame(0.0, 63, 64, h=128), cfg, AleConfig(taps=4, delay=1))
+        cfg = PsoConfig(n_particles=40, init_range=1.5, c1=0.0, c2=0.0, max_iters=1, tol=0.0)
+        (state,) = pso_batch(_awgn_frame(0.0, 63, 64, h=128)[None], [63], cfg, AleConfig(taps=4, delay=1))
         assert state.position.shape == (40, 4)
         assert np.all(np.abs(state.position) <= 1.5)
-        np.testing.assert_array_equal(state.position, _first_draw(cfg, 4))
+        np.testing.assert_array_equal(state.position, _first_draw(cfg, 63, 4))
 
     def test_single_particle_is_global_best(self):
-        cfg = PsoConfig(n_particles=1, max_iters=5, tol=0.0, seed=64)
-        weights, state = run_pso(_awgn_frame(0.0, 64, 65, h=128), cfg, AleConfig(taps=3, delay=1))
-        np.testing.assert_array_equal(weights, state.pbest_position[0])
+        cfg = PsoConfig(n_particles=1, max_iters=5, tol=0.0)
+        (state,) = pso_batch(_awgn_frame(0.0, 64, 65, h=128)[None], [64], cfg, AleConfig(taps=3, delay=1))
+        np.testing.assert_array_equal(state.gbest_position, state.pbest_position[0])
         assert state.gbest_cost == state.pbest_cost[0]
 
     def test_same_seed_same_swarm(self):
         d = _awgn_frame(0.0, 65, 66, h=128)
-        a, b, c = (
-            run_pso(d, PsoConfig(n_particles=8, max_iters=3, seed=s), ALE)[1] for s in (65, 65, 66)
-        )
+        cfg = PsoConfig(n_particles=8, max_iters=3)
+        (a,), (b,), (c,) = (pso_batch(d[None], [s], cfg, ALE) for s in (65, 65, 66))
         for name in ("position", "velocity", "pbest_position", "pbest_cost"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         assert not np.array_equal(a.position, c.position)
 
     def test_global_best_is_cheapest_initial_cost(self):
         d = _awgn_frame(0.0, 66, 67, h=128)
-        cfg = PsoConfig(n_particles=16, c1=0.0, c2=0.0, max_iters=1, tol=0.0, seed=66)
-        weights, state = run_pso(d, cfg, ALE)
-        start = _first_draw(cfg, ALE.taps)
+        cfg = PsoConfig(n_particles=16, c1=0.0, c2=0.0, max_iters=1, tol=0.0)
+        (state,) = pso_batch(d[None], [66], cfg, ALE)
+        start = _first_draw(cfg, 66, ALE.taps)
         start_costs = np.array([evaluate_cost(w, d, ALE) for w in start])
         assert state.gbest_cost == start_costs.min()
-        np.testing.assert_array_equal(weights, start[np.argmin(start_costs)])
+        np.testing.assert_array_equal(state.gbest_position, start[np.argmin(start_costs)])
 
 
 class TestVelocityAndPosition:
     """The move v' = inertia*v + c1*r1*(pbest - x) + c2*r2*(gbest - x),
-    clamped, then x' = x + v', seen through run_pso."""
+    clamped, then x' = x + v', seen through a one-lane pso_batch."""
 
     def test_no_pull_when_everything_coincides(self):
         # a lone particle is its own personal and global best
-        cfg = PsoConfig(n_particles=1, max_iters=5, tol=0.0, seed=67)
-        _, state = run_pso(_awgn_frame(0.0, 67, 68, h=128), cfg, ALE)
+        cfg = PsoConfig(n_particles=1, max_iters=5, tol=0.0)
+        (state,) = pso_batch(_awgn_frame(0.0, 67, 68, h=128)[None], [67], cfg, ALE)
         np.testing.assert_array_equal(state.velocity, np.zeros((1, ALE.taps)))
-        np.testing.assert_array_equal(state.position, _first_draw(cfg, ALE.taps))
+        np.testing.assert_array_equal(state.position, _first_draw(cfg, 67, ALE.taps))
 
     def test_scalar_hand_case(self):
         d = _awgn_frame(0.0, 68, 69, h=128)
         ale = AleConfig(taps=1, delay=1)
-        cfg = PsoConfig(n_particles=2, c1=1.0, c2=1.0, v_max=2.0, max_iters=1, tol=0.0, seed=68)
-        _, state = run_pso(d, cfg, ale)
-        rng = np.random.default_rng(cfg.seed)
+        cfg = PsoConfig(n_particles=2, c1=1.0, c2=1.0, v_max=2.0, max_iters=1, tol=0.0)
+        (state,) = pso_batch(d[None], [68], cfg, ale)
+        rng = np.random.default_rng(68)
         x = rng.uniform(-cfg.init_range, cfg.init_range, size=(2, 1))
         r2 = rng.uniform(size=(2, 2, 1))[:, 1]
         gbest = x[np.argmin(np.array([evaluate_cost(w, d, ale) for w in x]))]
@@ -206,20 +204,20 @@ class TestVelocityAndPosition:
         np.testing.assert_array_equal(state.position, x + v)
 
     def test_zero_coefficients_keep_old_velocity(self):
-        cfg = PsoConfig(n_particles=6, c1=0.0, c2=0.0, inertia=0.5, max_iters=5, tol=0.0, seed=69)
-        _, state = run_pso(_awgn_frame(0.0, 69, 70, h=128), cfg, ALE)
+        cfg = PsoConfig(n_particles=6, c1=0.0, c2=0.0, inertia=0.5, max_iters=5, tol=0.0)
+        (state,) = pso_batch(_awgn_frame(0.0, 69, 70, h=128)[None], [69], cfg, ALE)
         np.testing.assert_array_equal(state.velocity, np.zeros((6, ALE.taps)))
-        np.testing.assert_array_equal(state.position, _first_draw(cfg, ALE.taps))
+        np.testing.assert_array_equal(state.position, _first_draw(cfg, 69, ALE.taps))
 
     def test_clamping(self):
-        cfg = PsoConfig(n_particles=10, v_max=0.05, max_iters=10, tol=0.0, seed=70)
-        _, state = run_pso(_awgn_frame(0.0, 70, 71, h=128), cfg, ALE)
+        cfg = PsoConfig(n_particles=10, v_max=0.05, max_iters=10, tol=0.0)
+        (state,) = pso_batch(_awgn_frame(0.0, 70, 71, h=128)[None], [70], cfg, ALE)
         assert np.abs(state.velocity).max() == 0.05
 
     def test_position_update_is_vector_addition(self):
-        cfg = PsoConfig(n_particles=6, max_iters=1, tol=0.0, seed=71)
-        _, state = run_pso(_awgn_frame(0.0, 71, 72, h=128), cfg, ALE)
-        np.testing.assert_array_equal(state.position, _first_draw(cfg, ALE.taps) + state.velocity)
+        cfg = PsoConfig(n_particles=6, max_iters=1, tol=0.0)
+        (state,) = pso_batch(_awgn_frame(0.0, 71, 72, h=128)[None], [71], cfg, ALE)
+        np.testing.assert_array_equal(state.position, _first_draw(cfg, 71, ALE.taps) + state.velocity)
 
     def test_draws_broadcast_per_particle_or_per_component(self):
         """From rest, the first move is c2*r2*(gbest - x): one r2 per
@@ -227,10 +225,10 @@ class TestVelocityAndPosition:
         d = _awgn_frame(0.0, 72, 73, h=128)
         spreads = []
         for per_dimension in (False, True):
-            cfg = PsoConfig(n_particles=8, v_max=np.inf, max_iters=1, tol=0.0, seed=72,
+            cfg = PsoConfig(n_particles=8, v_max=np.inf, max_iters=1, tol=0.0,
                             per_dimension_draws=per_dimension)
-            _, state = run_pso(d, cfg, ALE)
-            start = _first_draw(cfg, ALE.taps)
+            (state,) = pso_batch(d[None], [72], cfg, ALE)
+            start = _first_draw(cfg, 72, ALE.taps)
             pull = start[np.argmin(np.array([evaluate_cost(w, d, ALE) for w in start]))] - start
             moved = np.any(pull != 0.0, axis=1)
             ratio = state.velocity[moved] / pull[moved]
@@ -239,13 +237,13 @@ class TestVelocityAndPosition:
 
 
 class TestUpdateBests:
-    """Personal- and global-best bookkeeping, seen through run_pso."""
+    """Personal- and global-best bookkeeping, seen through a one-lane pso_batch."""
 
     def test_personal_best_moves_only_on_strictly_lower_cost(self):
         # on an all-zero frame every cost ties at 0.0, however far a particle moves
-        cfg = PsoConfig(n_particles=5, max_iters=8, tol=0.0, seed=73)
-        _, state = run_pso(np.zeros(64, dtype=complex), cfg, ALE)
-        np.testing.assert_array_equal(state.pbest_position, _first_draw(cfg, ALE.taps))
+        cfg = PsoConfig(n_particles=5, max_iters=8, tol=0.0)
+        (state,) = pso_batch(np.zeros((1, 64), dtype=complex), [73], cfg, ALE)
+        np.testing.assert_array_equal(state.pbest_position, _first_draw(cfg, 73, ALE.taps))
         np.testing.assert_array_equal(state.pbest_cost, np.zeros(5))
         assert not np.array_equal(state.position, state.pbest_position)
 
@@ -253,47 +251,49 @@ class TestUpdateBests:
         """Every cost of an all-zero frame ties at 0.0: the global best is
         the first particle's start, and the oracle agrees."""
         d = np.zeros(64, dtype=complex)
-        cfg = PsoConfig(n_particles=5, max_iters=8, tol=0.0, seed=74)
-        weights, state = run_pso(d, cfg, ALE)
-        np.testing.assert_array_equal(weights, _first_draw(cfg, ALE.taps)[0])
+        cfg = PsoConfig(n_particles=5, max_iters=8, tol=0.0)
+        (state,) = pso_batch(d[None], [74], cfg, ALE)
+        np.testing.assert_array_equal(state.gbest_position, _first_draw(cfg, 74, ALE.taps)[0])
         assert state.history == [0.0] * cfg.max_iters
-        w_ref, h_ref = loop_pso(d, ALE.taps, ALE.delay, cfg)
-        np.testing.assert_array_equal(weights, w_ref)
+        w_ref, h_ref = loop_pso(d, ALE.taps, ALE.delay, cfg, 74)
+        np.testing.assert_array_equal(state.gbest_position, w_ref)
         assert h_ref == state.history
 
     def test_global_best_stays_on_a_tie(self):
         # a swarm that never moves scores every particle's best again each
         # iteration: a tie, so no best moves
         d = _awgn_frame(0.0, 75, 76, h=128)
-        cfg = PsoConfig(n_particles=6, c1=0.0, c2=0.0, max_iters=6, tol=0.0, seed=75)
-        weights, state = run_pso(d, cfg, ALE)
-        start = _first_draw(cfg, ALE.taps)
+        cfg = PsoConfig(n_particles=6, c1=0.0, c2=0.0, max_iters=6, tol=0.0)
+        (state,) = pso_batch(d[None], [75], cfg, ALE)
+        start = _first_draw(cfg, 75, ALE.taps)
         start_costs = np.array([evaluate_cost(w, d, ALE) for w in start])
         np.testing.assert_array_equal(state.pbest_cost, start_costs)
-        np.testing.assert_array_equal(weights, start[np.argmin(start_costs)])
+        np.testing.assert_array_equal(state.gbest_position, start[np.argmin(start_costs)])
         assert state.history == [start_costs.min()] * cfg.max_iters
 
 
-class TestRunPso:
+class TestSearch:
+    """One frame's search, a one-lane pso_batch."""
+
     def test_frozen_swarm_returns_initial_position(self):
         d = _awgn_frame(0.0, 70, 71, h=128)
-        cfg = PsoConfig(n_particles=1, c1=0.0, c2=0.0, max_iters=1, tol=0.0, seed=72)
-        weights, _ = run_pso(d, cfg, ALE)
-        np.testing.assert_array_equal(weights, _first_draw(cfg, ALE.taps)[0])
+        cfg = PsoConfig(n_particles=1, c1=0.0, c2=0.0, max_iters=1, tol=0.0)
+        (state,) = pso_batch(d[None], [72], cfg, ALE)
+        np.testing.assert_array_equal(state.gbest_position, _first_draw(cfg, 72, ALE.taps)[0])
 
     def test_history_non_increasing(self):
         rng = np.random.default_rng(73)
         for trial in range(10):
             h = int(rng.integers(40, 100))
             d = _random_frame(rng, h)
-            cfg = PsoConfig(n_particles=6, max_iters=12, tol=0.0, seed=trial)
-            _, state = run_pso(d, cfg, AleConfig(taps=3, delay=1))
+            cfg = PsoConfig(n_particles=6, max_iters=12, tol=0.0)
+            (state,) = pso_batch(d[None], [trial], cfg, AleConfig(taps=3, delay=1))
             hist = np.array(state.history)
             assert np.all(np.diff(hist) <= 0.0)
 
     def test_gbest_matches_min_personal_best(self):
         d = _awgn_frame(-2.0, 74, 75, h=256)
-        _, state = run_pso(d, PsoConfig(n_particles=10, max_iters=15, seed=76), ALE)
+        (state,) = pso_batch(d[None], [76], PsoConfig(n_particles=10, max_iters=15), ALE)
         assert state.gbest_cost == state.pbest_cost.min()
         best = int(np.argmin(state.pbest_cost))
         np.testing.assert_array_equal(state.gbest_position, state.pbest_position[best])
@@ -301,16 +301,15 @@ class TestRunPso:
 
     def test_deterministic(self):
         d = _awgn_frame(2.0, 77, 78, h=256)
-        cfg = PsoConfig(n_particles=8, max_iters=10, seed=79)
-        w1, s1 = run_pso(d, cfg, ALE)
-        w2, s2 = run_pso(d, cfg, ALE)
-        np.testing.assert_array_equal(w1, w2)
+        cfg = PsoConfig(n_particles=8, max_iters=10)
+        (s1,), (s2,) = (pso_batch(d[None], [79], cfg, ALE) for _ in range(2))
+        np.testing.assert_array_equal(s1.gbest_position, s2.gbest_position)
         assert s1.history == s2.history
 
     def test_early_stop_after_patience_stalls(self):
         d = _awgn_frame(0.0, 83, 84, h=128)
-        cfg = PsoConfig(n_particles=4, max_iters=50, tol=1e9, patience=3, seed=85)
-        _, state = run_pso(d, cfg, ALE)
+        cfg = PsoConfig(n_particles=4, max_iters=50, tol=1e9, patience=3)
+        (state,) = pso_batch(d[None], [85], cfg, ALE)
         assert len(state.history) == 3
 
     @pytest.mark.parametrize(
@@ -330,21 +329,21 @@ class TestRunPso:
         ale = AleConfig(taps=3, delay=2)
         for seed in range(4):
             d = _random_frame(rng, 40)
-            cfg = replace(PsoConfig(n_particles=7, max_iters=15, tol=0.0, seed=seed), **overrides)
-            weights, state = run_pso(d, cfg, ale)
-            w_ref, h_ref = loop_pso(d, ale.taps, ale.delay, cfg)
+            cfg = replace(PsoConfig(n_particles=7, max_iters=15, tol=0.0), **overrides)
+            (state,) = pso_batch(d[None], [seed], cfg, ale)
+            w_ref, h_ref = loop_pso(d, ale.taps, ale.delay, cfg, seed)
             np.testing.assert_allclose(state.history, h_ref, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(weights, w_ref, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(state.gbest_position, w_ref, rtol=1e-12, atol=0.0)
 
     def test_matches_loop_oracle_through_early_stop(self):
         d = _awgn_frame(0.0, 87, 88, h=48)
         for seed in range(4):
-            cfg = PsoConfig(n_particles=6, max_iters=40, tol=1e-3, patience=3, seed=seed)
-            weights, state = run_pso(d, cfg, ALE)
-            w_ref, h_ref = loop_pso(d, ALE.taps, ALE.delay, cfg)
+            cfg = PsoConfig(n_particles=6, max_iters=40, tol=1e-3, patience=3)
+            (state,) = pso_batch(d[None], [seed], cfg, ALE)
+            w_ref, h_ref = loop_pso(d, ALE.taps, ALE.delay, cfg, seed)
             assert len(state.history) == len(h_ref) < cfg.max_iters
             np.testing.assert_allclose(state.history, h_ref, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(weights, w_ref, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(state.gbest_position, w_ref, rtol=1e-12, atol=0.0)
 
     def test_beats_lms_residual_at_moderate_snr(self):
         """Averaged over 20 seeds the swarm's final cost sits at or below the
@@ -353,18 +352,15 @@ class TestRunPso:
         _, outputs, errors = lms_batch(frames, np.full(20, 0.01), ALE)
         assert errors == [None] * 20
         valid = range(ALE.warmup, 10_000)
-        gaps = []
-        for s, (d, y) in enumerate(zip(frames, outputs)):
-            _, state = run_pso(d, PsoConfig(seed=s), ALE)
-            gaps.append(mse(d, y, valid) - state.gbest_cost)
+        states = pso_batch(frames, list(range(20)), PsoConfig(), ALE)
+        gaps = [mse(d, y, valid) - state.gbest_cost for d, y, state in zip(frames, outputs, states)]
         assert np.mean(gaps) > 0.0
 
 
-def _assert_lane_is_searched_alone(d, cfg, ale, weights, state):
-    """Lane (weights, state) of pso_batch is, bit for bit, the search of
-    frame d alone."""
-    alone_weights, alone = run_pso(d, cfg, ale)
-    np.testing.assert_array_equal(weights, alone_weights)
+def _assert_lane_is_searched_alone(d, seed, cfg, count, ale, state):
+    """Lane `state` of pso_batch is, bit for bit, the search of frame d
+    alone with `count` particles."""
+    (alone,) = pso_batch(d[None], [seed], cfg, ale, [count])
     for name in ("position", "velocity", "pbest_position", "pbest_cost", "gbest_position"):
         np.testing.assert_array_equal(getattr(state, name), getattr(alone, name))
     assert state.gbest_cost == alone.gbest_cost
@@ -376,9 +372,12 @@ _ODD_COEFFICIENTS = {"c1": 1.37, "c2": 0.73, "inertia": 0.61}
 _EARLY_STOP = {"tol": 1e-2, "patience": 3}
 
 
-def _batch_cfgs(counts, **overrides):
-    base = replace(PsoConfig(max_iters=30, tol=0.0), **overrides)
-    return [replace(base, n_particles=n, seed=100 + i) for i, n in enumerate(counts)]
+def _batch_cfg(**overrides):
+    return replace(PsoConfig(max_iters=30, tol=0.0), **overrides)
+
+
+def _seeds(counts):
+    return [100 + i for i in range(len(counts))]
 
 
 class TestPsoBatch:
@@ -394,18 +393,19 @@ class TestPsoBatch:
         where only the direct recompute scores it."""
         rng = np.random.default_rng(91)
         cosine = np.cos(0.7 * np.arange(48)).astype(complex)
-        cfgs = _batch_cfgs(_COUNTS + (60,), **overrides)
+        cfg, counts = _batch_cfg(**overrides), _COUNTS + (60,)
+        seeds = _seeds(counts)
         for taps in range(1, 10):
             ale = AleConfig(taps=taps, delay=1 + taps % 3)
             frames = np.array([_random_frame(rng, 48) for _ in _COUNTS] + [cosine])
-            weights, states = pso_batch(frames, cfgs, ale)
-            assert weights.shape == (len(cfgs), taps)
-            for d, cfg, w, state in zip(frames, cfgs, weights, states):
-                _assert_lane_is_searched_alone(d, cfg, ale, w, state)
-                assert state.position.shape == (cfg.n_particles, taps)
+            states = pso_batch(frames, seeds, cfg, ale, counts)
+            assert len(states) == len(counts)
+            for d, seed, count, state in zip(frames, seeds, counts, states):
+                _assert_lane_is_searched_alone(d, seed, cfg, count, ale, state)
+                assert state.position.shape == (count, taps)
             lengths = [len(state.history) for state in states]
             if overrides is _EARLY_STOP:
-                assert len(set(lengths)) > 1 and max(lengths) < cfgs[0].max_iters
+                assert len(set(lengths)) > 1 and max(lengths) < cfg.max_iters
             if overrides is _ODD_COEFFICIENTS and taps >= 2:
                 # the quadratic form cannot score below this; the residual can
                 assert states[-1].gbest_cost < GRAM_FALLBACK_RATIO * np.mean(np.abs(cosine) ** 2)
@@ -417,34 +417,44 @@ class TestPsoBatch:
         """Random frames only: near a cosine's minimum the costs are rounding
         noise, so which particle wins there depends on the order of rounding."""
         rng = np.random.default_rng(92)
-        cfgs = [replace(cfg, max_iters=15) for cfg in _batch_cfgs(_COUNTS, **overrides)]
+        cfg, seeds = _batch_cfg(max_iters=15, **overrides), _seeds(_COUNTS)
         for taps in (1, 4, 9):
             ale = AleConfig(taps=taps, delay=2)
-            frames = np.array([_random_frame(rng, 40) for _ in cfgs])
-            weights, states = pso_batch(frames, cfgs, ale)
-            for d, cfg, w, state in zip(frames, cfgs, weights, states):
-                w_ref, h_ref = loop_pso(d, taps, ale.delay, cfg)
+            frames = np.array([_random_frame(rng, 40) for _ in _COUNTS])
+            states = pso_batch(frames, seeds, cfg, ale, _COUNTS)
+            for d, seed, count, state in zip(frames, seeds, _COUNTS, states):
+                w_ref, h_ref = loop_pso(d, taps, ale.delay, replace(cfg, n_particles=count), seed)
                 assert len(state.history) == len(h_ref)
                 np.testing.assert_allclose(state.history, h_ref, rtol=1e-12, atol=0.0)
-                np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0.0)
-
-    @pytest.mark.parametrize(
-        "change",
-        [{"c1": 1.5}, {"c2": 1.5}, {"inertia": 0.9}, {"max_iters": 7}, {"tol": 1e-3},
-         {"patience": 2}, {"init_range": 1.0}, {"v_max": 0.5}, {"per_dimension_draws": True}],
-    )
-    def test_configs_differ_only_in_seed_and_particle_count(self, change):
-        frames = np.array([_random_frame(np.random.default_rng(93), 40)] * 2)
-        cfgs = _batch_cfgs((4, 9))
-        with pytest.raises(ValueError, match="differ only"):
-            pso_batch(frames, [cfgs[0], replace(cfgs[1], **change)], ALE)
+                np.testing.assert_allclose(state.gbest_position, w_ref, rtol=1e-12, atol=0.0)
 
     def test_bad_shapes_rejected(self):
         frames = np.array([_random_frame(np.random.default_rng(94), 40)] * 2)
-        for bad_frames, cfgs in ((frames, _batch_cfgs((4,))), (frames[0], _batch_cfgs((4,))),
-                                 (frames[:0], [])):
+        for bad_frames, seeds in ((frames, [1]), (frames[0], [1]), (frames[:0], [])):
             with pytest.raises(ValueError):
-                pso_batch(bad_frames, cfgs, ALE)
+                pso_batch(bad_frames, seeds, PsoConfig(n_particles=4), ALE)
+
+    @pytest.mark.parametrize(
+        "seeds, counts", [([1, 2, 3], None), ([1, 2], [4]), ([1, 2], [4, 4, 4])]
+    )
+    def test_seeds_and_counts_must_match_the_frames(self, seeds, counts):
+        frames = np.array([_random_frame(np.random.default_rng(95), 40)] * 2)
+        with pytest.raises(ValueError, match="B seeds and B counts"):
+            pso_batch(frames, seeds, PsoConfig(), ALE, counts)
+
+    @pytest.mark.parametrize("count", [0, MAX_PARTICLES + 1, 10**9, 2.5])
+    def test_bad_particle_count_rejected_before_allocation(self, count):
+        """A count passed beside the config obeys its cap: 10**9 particles
+        would need a 40 GB swarm, so the check must come first."""
+        frames = np.array([_random_frame(np.random.default_rng(96), 40)] * 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="particle counts"):
+                pso_batch(frames, [1, 2], PsoConfig(), ALE, [4, count])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestCostFloor:
@@ -473,6 +483,6 @@ class TestCostFloor:
         lms_weights, _, _ = lms_batch(np.repeat(d[None], 4, axis=0), [0.005, 0.02, 0.08, 0.3], ale)
         for w in lms_weights:
             assert mse(d, filter_frame(d, w, ale).y, valid) >= least
-        w, state = run_pso(d, PsoConfig(n_particles=10, max_iters=20, seed=seed), ale)
-        assert mse(d, filter_frame(d, w, ale).y, valid) >= least
+        (state,) = pso_batch(d[None], [seed], PsoConfig(n_particles=10, max_iters=20), ale)
+        assert mse(d, filter_frame(d, state.gbest_position, ale).y, valid) >= least
         assert min(state.history) >= least
