@@ -4,18 +4,18 @@ The enhancer delays the received samples by `delay`, forms length-`taps`
 regressors from the delayed stream, and applies a real weight vector to
 produce the predictable component y.  The residual e = d - y is the
 noise-cancelled stream.  Samples whose regressor would reach before the
-start of the frame are zero-padded and excluded from `valid`.
+start of the frame are zero-padded.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["AleConfig", "FilterRun", "filter_frame"]
+__all__ = ["AleConfig", "filter_frame"]
 
 # The most taps L.  In a full batch of 64 lanes, lms_batch's (64, L, 2, 64)
 # float64 block buffers take 2 MiB each at L = 32, _gram 528 inner products
@@ -51,16 +51,6 @@ class AleConfig:
         return self.delay + self.taps - 1
 
 
-@dataclass(frozen=True)
-class FilterRun:
-    """One filtering pass: output y, residual e = d - y, and the index
-    range over which regressors were fully populated."""
-
-    y: np.ndarray
-    e: np.ndarray
-    valid: range = field(repr=False)
-
-
 def _check_weights(w: np.ndarray, cfg: AleConfig) -> np.ndarray:
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (cfg.taps,):
@@ -81,15 +71,13 @@ def _check_frame(d: np.ndarray, cfg: AleConfig) -> np.ndarray:
     return d
 
 
-def filter_frame(d: np.ndarray, w: np.ndarray, cfg: AleConfig) -> FilterRun:
-    """Apply fixed weights across a whole frame.
+def filter_frame(d: np.ndarray, w: np.ndarray, cfg: AleConfig) -> np.ndarray:
+    """Apply fixed weights across a whole frame and return the output y.
 
     y[n] = sum_k w[k] * d[n - delay - k], with zero padding ahead of the
-    frame; e = d - y everywhere.  `valid` excludes the warm-up prefix.
+    frame; the first `cfg.warmup` outputs see part of that padding.
     """
     d = _check_frame(d, cfg)
     w = _check_weights(w, cfg)
     delayed = np.concatenate([np.zeros(cfg.delay, dtype=np.complex128), d[: d.size - cfg.delay]])
-    y = np.convolve(delayed, w)[: d.size]
-    e = d - y
-    return FilterRun(y=y, e=e, valid=range(cfg.warmup, d.size))
+    return np.convolve(delayed, w)[: d.size]

@@ -34,7 +34,6 @@ from .ale import AleConfig, filter_frame
 from .channel import DEFAULT_PROFILES, SNR_LIMIT_DB, transmit
 from .errors import ConfigError
 from .lms import LmsConfig, lms_batch
-from .metrics import mse
 from .pso import MAX_PARTICLES, PsoConfig, pso_batch
 from .signal import ModConfig, demodulate, generate_bits, modulate
 
@@ -332,8 +331,9 @@ def _batch_frames(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int
 
 
 def _metric_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]) -> list[dict]:
-    """An LMS and a PSO row per run.  Bits are decided from sample `warmup`
-    on, on the residual, or on the output, which lags them by the delay."""
+    """An LMS and a PSO row per run.  From sample `warmup` on, `mse` is the
+    residual's power, and bits are decided on the residual, or on the
+    output, which lags them by the delay."""
     lanes, bits, frames = _batch_frames(spec, points, runs)
     _, outputs, diverged = lms_batch(frames, np.full(len(runs), spec.lms.mu), spec.ale)
     for (point, seed_idx, *_), err in zip(lanes, diverged):
@@ -344,7 +344,6 @@ def _metric_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int,
     states = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
     k, v0 = spec.mod.bits_per_symbol, spec.ale.warmup
     lag = spec.ale.delay if spec.decision_stream == "output" else 0
-    valid = range(v0, spec.h)
     rows = []
     for (point, _, run_seed, _), sent, d, lms_y, state in zip(
         lanes, bits[:, k * (v0 - lag) : k * (spec.h - lag)], frames, outputs, states
@@ -353,15 +352,16 @@ def _metric_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int,
         clean = modulate(sent, spec.mod)
         for algorithm, y, mu, n_particles in (
             ("LMS", lms_y, spec.lms.mu, None),
-            ("PSO", filter_frame(d, state.gbest_position, spec.ale).y, None, spec.pso.n_particles),
+            ("PSO", filter_frame(d, state.gbest_position, spec.ale), None, spec.pso.n_particles),
         ):
-            samples = (d - y if lag == 0 else y)[v0:]
+            residual = (d - y)[v0:]
+            samples = residual if lag == 0 else y[v0:]
             errors = int(np.count_nonzero(demodulate(samples, spec.mod) != sent))
             rows.append(dict(
                 base,
                 algorithm=algorithm,
                 ber=errors / sent.size,
-                mse=mse(d, y, valid),
+                mse=float(np.mean(np.abs(residual) ** 2)),
                 mu=mu,
                 n_particles=n_particles,
                 clean_mse=float(np.mean(np.abs(samples - clean) ** 2)),
@@ -373,7 +373,6 @@ def _metric_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int,
 def _step_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]) -> list[dict]:
     lanes, _, frames = _batch_frames(spec, points, runs)
     _, outputs, diverged = lms_batch(frames, [point["mu"] for point, *_ in lanes], spec.ale)
-    valid = range(spec.ale.warmup, spec.h)
     # the sweep deliberately crosses the stability boundary; a diverged
     # run reports infinite residual power instead of aborting the sweep
     return [
@@ -381,7 +380,7 @@ def _step_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, i
             point,
             algorithm="LMS",
             seed=run_seed,
-            mse=math.inf if err is not None else mse(d, y, valid),
+            mse=math.inf if err is not None else float(np.mean(np.abs((d - y)[spec.ale.warmup :]) ** 2)),
             L=spec.ale.taps,
             delta=spec.ale.delay,
         )

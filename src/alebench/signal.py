@@ -112,8 +112,8 @@ def demodulate(samples: np.ndarray, cfg: ModConfig) -> np.ndarray:
     at exactly 0 decides bit 1.  The inverse Gray map recovers the bits.
     """
     samples = np.asarray(samples)
-    if samples.size == 0:
-        raise ValueError("cannot demodulate an empty stream")
+    if samples.ndim != 1 or samples.size == 0:
+        raise ValueError(f"can only demodulate a non-empty 1-D stream, got shape {samples.shape}")
     points = constellation(cfg)
     dist = np.abs(samples[:, None] - points[None, :])
     nearest = np.argmin(dist, axis=1)

@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import importlib
 import math
+import pkgutil
 import re
 from collections import Counter
 from dataclasses import replace
@@ -12,8 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import alebench
 from alebench import bench
-from alebench.ale import MAX_TAPS, AleConfig
+from alebench.ale import MAX_TAPS, AleConfig, filter_frame
 from alebench.bench import (
     DEFAULT_BASE_SEED,
     ExperimentSpec,
@@ -25,9 +27,9 @@ from alebench.bench import (
     spec_to_text,
 )
 from alebench.errors import ConfigError
-from alebench.lms import LmsConfig
-from alebench.pso import MAX_ITERS, MAX_PARTICLES, PsoConfig
-from alebench.signal import ModConfig, generate_bits
+from alebench.lms import LmsConfig, lms_batch
+from alebench.pso import MAX_ITERS, MAX_PARTICLES, PsoConfig, evaluate_cost, pso_batch
+from alebench.signal import ModConfig, generate_bits, modulate
 
 SMALL = """
 frame.h = 300
@@ -326,6 +328,43 @@ class TestRunExperiment:
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             run_experiment(parse_config(SMALL, kind="step_sweep"), jobs=0)
+
+    @pytest.mark.parametrize("stream", ["error", "output"])
+    def test_mse_is_the_named_algorithms_residual_power(self, stream):
+        """A metric row's mse is mean |d - y|^2 from ale.warmup on, y the
+        output of the algorithm the row names, on either decision stream;
+        the PSO row's is the swarm's cost at its best weights.  clean_mse
+        follows the decided stream: the residual, or the output."""
+        spec = parse_config(_BATCH_DOCS["ber_nonlinear"] + f"run.decision_stream = {stream}\n", kind="ber_nonlinear")
+        points = bench._sweep_points(spec)
+        runs = [(i, j) for i in range(len(points)) for j in range(spec.n_seeds)]
+        lanes, bits, frames = bench._batch_frames(spec, points, runs)
+        _, lms_outputs, _ = lms_batch(frames, np.full(len(runs), spec.lms.mu), spec.ale)
+        states = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
+        rows = run_experiment(spec).raw_rows
+        v0, k = spec.ale.warmup, spec.mod.bits_per_symbol
+        lag = spec.ale.delay if stream == "output" else 0
+        assert len(rows) == 2 * len(runs)
+        for lane, (d, sent, lms_y, state) in enumerate(zip(frames, bits, lms_outputs, states)):
+            clean = modulate(sent[k * (v0 - lag) : k * (spec.h - lag)], spec.mod)
+            pso_y = filter_frame(d, state.gbest_position, spec.ale)
+            for row, algorithm, y in zip(rows[2 * lane : 2 * lane + 2], ("LMS", "PSO"), (lms_y, pso_y)):
+                assert row["algorithm"] == algorithm
+                assert row["mse"] == float(np.mean(np.abs(d - y)[v0:] ** 2))
+                decided = (d - y if stream == "error" else y)[v0:]
+                assert row["clean_mse"] == float(np.mean(np.abs(decided - clean) ** 2))
+            assert rows[2 * lane + 1]["mse"] == pytest.approx(
+                evaluate_cost(state.gbest_position, d, spec.ale), rel=1e-12
+            )
+
+    def test_step_sweep_mse_is_the_lms_residual_power(self):
+        spec = parse_config(
+            "frame.h = 300\nrun.sweep_values = 0.02\nrun.snr_grid = -2\nrun.n_seeds = 1\n", kind="step_sweep"
+        )
+        (row,) = run_experiment(spec).raw_rows
+        _, _, (d,) = bench._batch_frames(spec, bench._sweep_points(spec), [(0, 0)])
+        _, (y,), _ = lms_batch(d[None], [0.02], spec.ale)
+        assert row["mse"] == float(np.mean(np.abs(d - y)[spec.ale.warmup :] ** 2))
 
     def test_decision_stream_output_mode_runs(self):
         spec = parse_config(SMALL + "run.decision_stream = output\n", kind="ber_awgn")
@@ -658,9 +697,11 @@ def test_readme_command_table_lists_kinds():
 
 
 def test_readme_library_table_names_exist():
-    """Every name the "Library layout" table gives as a module's contents
-    is an attribute of some alebench module."""
-    modules = [importlib.import_module(name) for name in _readme_cells("Library layout")]
+    """The "Library layout" table lists each alebench module once, and
+    every name it gives as a module's contents is an attribute of one."""
+    listed = _readme_cells("Library layout")
+    assert sorted(listed) == sorted(f"alebench.{info.name}" for info in pkgutil.iter_modules(alebench.__path__))
+    modules = [importlib.import_module(name) for name in listed]
     names = _readme_cells("Library layout", column=2)
     assert names
     assert [name for name in names if not any(hasattr(m, name) for m in modules)] == []

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from alebench.ale import AleConfig, filter_frame
 from alebench.channel import DEFAULT_PROFILES, transmit
 from alebench.lms import lms_batch
-from alebench.metrics import mse
 from alebench.pso import (
     GRAM_FALLBACK_RATIO,
     MAX_PARTICLES,
@@ -351,9 +350,11 @@ class TestSearch:
         frames = np.array([_awgn_frame(-2.0, 90 + s, 190 + s, h=10_000) for s in range(20)])
         _, outputs, errors = lms_batch(frames, np.full(20, 0.01), ALE)
         assert errors == [None] * 20
-        valid = range(ALE.warmup, 10_000)
         states = pso_batch(frames, list(range(20)), PsoConfig(), ALE)
-        gaps = [mse(d, y, valid) - state.gbest_cost for d, y, state in zip(frames, outputs, states)]
+        gaps = [
+            np.mean(np.abs((d - y)[ALE.warmup :]) ** 2) - state.gbest_cost
+            for d, y, state in zip(frames, outputs, states)
+        ]
         assert np.mean(gaps) > 0.0
 
 
@@ -479,10 +480,9 @@ class TestCostFloor:
         reached = brute_force_cost(real_least_squares_weights(d, taps, delay), d, taps, delay)
         assert reached == pytest.approx(floor, rel=1e-9)
         least = floor * (1.0 - 1e-9)
-        valid = range(ale.warmup, h)
         lms_weights, _, _ = lms_batch(np.repeat(d[None], 4, axis=0), [0.005, 0.02, 0.08, 0.3], ale)
         for w in lms_weights:
-            assert mse(d, filter_frame(d, w, ale).y, valid) >= least
+            assert np.mean(np.abs((d - filter_frame(d, w, ale))[ale.warmup :]) ** 2) >= least
         (state,) = pso_batch(d[None], [seed], PsoConfig(n_particles=10, max_iters=20), ale)
-        assert mse(d, filter_frame(d, state.gbest_position, ale).y, valid) >= least
+        assert np.mean(np.abs((d - filter_frame(d, state.gbest_position, ale))[ale.warmup :]) ** 2) >= least
         assert min(state.history) >= least

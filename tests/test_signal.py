@@ -102,6 +102,15 @@ class TestDemodulate:
         with pytest.raises(ValueError):
             demodulate(np.array([]), ModConfig(m=2))
 
+    @pytest.mark.parametrize(
+        "samples", [np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0]]), np.array(1.0)], ids=["2-d", "0-d"]
+    )
+    def test_stream_that_is_not_1d_rejected(self, samples):
+        """Unchecked, a (3, 2) block compares column k with point k alone and
+        decides all six samples as bit 1, and a 0-d sample raises IndexError."""
+        with pytest.raises(ValueError, match="1-D"):
+            demodulate(samples, ModConfig(m=2))
+
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
     def test_noiseless_round_trip(self, m):
         k = int(np.log2(m))
