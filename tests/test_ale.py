@@ -5,6 +5,7 @@ import pytest
 
 from alebench.ale import AleConfig, filter_frame
 from alebench.channel import transmit
+from alebench.pso import evaluate_cost
 from alebench.signal import ModConfig, generate_bits, modulate
 
 
@@ -113,6 +114,18 @@ class TestFilterFrame:
         e = d - y
         sl = slice(cfg.warmup, len(d))
         np.testing.assert_allclose((e + y)[sl], d[sl], rtol=0, atol=1e-14)
+
+    def test_residual_power_matches_swarm_cost(self):
+        """The residual power of the filtered frame from cfg.warmup on is the
+        cost the swarm scores the same fixed weights by."""
+        rng = np.random.default_rng(102)
+        for _ in range(20):
+            cfg = AleConfig(taps=int(rng.integers(1, 9)), delay=int(rng.integers(1, 4)))
+            h = int(rng.integers(16, 80))
+            d = rng.normal(size=h) + 1j * rng.normal(size=h)
+            w = rng.normal(size=cfg.taps)
+            residual = (d - filter_frame(d, w, cfg))[cfg.warmup :]
+            assert np.mean(np.abs(residual) ** 2) == pytest.approx(evaluate_cost(w, d, cfg), rel=1e-12)
 
     def test_shift_property(self):
         """Delaying the input by one sample delays the output by one sample."""

@@ -330,12 +330,14 @@ class TestRunExperiment:
             run_experiment(parse_config(SMALL, kind="step_sweep"), jobs=0)
 
     @pytest.mark.parametrize("stream", ["error", "output"])
-    def test_mse_is_the_named_algorithms_residual_power(self, stream):
+    @pytest.mark.parametrize("kind", ["ber_awgn", "ber_nonlinear"])
+    def test_mse_is_the_named_algorithms_residual_power(self, kind, stream):
         """A metric row's mse is mean |d - y|^2 from ale.warmup on, y the
         output of the algorithm the row names, on either decision stream;
         the PSO row's is the swarm's cost at its best weights.  clean_mse
         follows the decided stream: the residual, or the output."""
-        spec = parse_config(_BATCH_DOCS["ber_nonlinear"] + f"run.decision_stream = {stream}\n", kind="ber_nonlinear")
+        doc = _BATCH_DOCS.get(kind, SMALL)
+        spec = parse_config(doc + f"run.decision_stream = {stream}\n", kind=kind)
         points = bench._sweep_points(spec)
         runs = [(i, j) for i in range(len(points)) for j in range(spec.n_seeds)]
         lanes, bits, frames = bench._batch_frames(spec, points, runs)
@@ -357,9 +359,13 @@ class TestRunExperiment:
                 evaluate_cost(state.gbest_position, d, spec.ale), rel=1e-12
             )
 
-    def test_step_sweep_mse_is_the_lms_residual_power(self):
+    @pytest.mark.parametrize("geometry", ["", "ale.taps = 3\nale.delay = 4\n"], ids=["default", "L3-delta4"])
+    def test_step_sweep_mse_is_the_lms_residual_power(self, geometry):
+        """A step_sweep row's mse is the LMS residual power from ale.warmup
+        on, whatever the enhancer geometry sets that start to."""
         spec = parse_config(
-            "frame.h = 300\nrun.sweep_values = 0.02\nrun.snr_grid = -2\nrun.n_seeds = 1\n", kind="step_sweep"
+            "frame.h = 300\nrun.sweep_values = 0.02\nrun.snr_grid = -2\nrun.n_seeds = 1\n" + geometry,
+            kind="step_sweep",
         )
         (row,) = run_experiment(spec).raw_rows
         _, _, (d,) = bench._batch_frames(spec, bench._sweep_points(spec), [(0, 0)])
