@@ -25,13 +25,14 @@ import math
 import os
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .ale import AleConfig, filter_frame
-from .channel import DEFAULT_PROFILES, SNR_LIMIT_DB, transmit
+from .channel import DEFAULT_PROFILES, SNR_LIMIT_DB, add_awgn, apply_nonlinear
 from .errors import ConfigError
 from .lms import LmsConfig, lms_batch
 from .pso import MAX_PARTICLES, PsoConfig, pso_batch
@@ -315,18 +316,29 @@ def _sweep_points(spec: ExperimentSpec) -> list[dict]:
 
 def _batch_frames(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]):
     """One lane per run: its (point, seed index, run seed, PSO seed), the
-    (B, H * bits per symbol) bits it sent and the (B, H) received samples."""
-    lanes = []
+    (B, H * bits per symbol) bits it sent and the (B, H) received samples.
+    Each profile distorts its lanes in one call, so its tones are computed
+    once per batch; each lane's noise is calibrated to its own distorted
+    frame and drawn from its own seed."""
+    lanes, chan_seeds = [], []
     bits = np.empty((len(runs), spec.h * spec.mod.bits_per_symbol), dtype=np.uint8)
     frames = np.empty((len(runs), spec.h), dtype=np.complex128)
     for lane, (sweep_idx, seed_idx) in enumerate(runs):
-        point = points[sweep_idx]
         run_seed = derive_run_seed(spec.base_seed, sweep_idx, seed_idx)
         bits_seed, chan_seed, pso_seed = (derive_run_seed(run_seed, k) for k in range(3))
         bits[lane] = generate_bits(bits.shape[1], bits_seed)
-        profile = DEFAULT_PROFILES[point["profile"]] if "profile" in point else None
-        frames[lane] = transmit(modulate(bits[lane], spec.mod), point["snr_db"], chan_seed, profile)
-        lanes.append((point, seed_idx, run_seed, pso_seed))
+        frames[lane] = modulate(bits[lane], spec.mod)
+        lanes.append((points[sweep_idx], seed_idx, run_seed, pso_seed))
+        chan_seeds.append(chan_seed)
+    # runs come in sweep order, profile outermost, so a profile's lanes are one slice
+    first = 0
+    for name, group in groupby(point.get("profile") for point, *_ in lanes):
+        last = first + len(list(group))
+        if name is not None:
+            frames[first:last] = apply_nonlinear(frames[first:last], DEFAULT_PROFILES[name])
+        first = last
+    for lane, ((point, *_), chan_seed) in enumerate(zip(lanes, chan_seeds)):
+        frames[lane] = add_awgn(frames[lane], point["snr_db"], chan_seed)
     return lanes, bits, frames
 
 
@@ -479,7 +491,10 @@ _PER_KIND_KEYS = {key for kind in _KINDS.values() for key in kind.defaults}
 KINDS = tuple(_KINDS)
 
 # Frame samples one batch of runs may hold.  A sample costs 32 bytes of
-# frame and LMS output while the batch runs, ~20 MB at this size.  The LMS
+# frame and LMS output while the batch runs, ~20 MB at this size.  Before the
+# LMS output exists, distorting a profile's lanes holds 24 bytes more per
+# sample of them (the distorted copy and |x|^2), so a batch under one
+# profile peaks at 40 bytes per sample, ~26 MB, while it distorts.  The LMS
 # kernel's per-sample call overhead is shared by the whole batch, so fewer,
 # larger batches are faster: 64 frames of 10,000 fit, and a default
 # ber_awgn sweep (110 frames) runs as two batches.

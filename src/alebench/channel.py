@@ -18,7 +18,6 @@ __all__ = [
     "DEFAULT_PROFILES",
     "add_awgn",
     "apply_nonlinear",
-    "transmit",
 ]
 
 
@@ -65,17 +64,19 @@ SNR_LIMIT_DB = 3000.0
 
 
 def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
-    """Add complex white Gaussian noise calibrated to `snr_db`.
+    """Add complex white Gaussian noise calibrated to `snr_db` to one frame.
 
     The total noise variance is mean(|x|^2) / 10^(snr_db/10), split equally
     between the real and imaginary parts.  Draws consume the generator in
     strict sample order (re, im per sample), so output is reproducible.
     ``snr_db = inf`` adds no noise; an input power, or a noise variance, not
-    finite and positive (nan, -inf or far-off SNR) raises ValueError.
+    finite and positive (nan, -inf or far-off SNR) raises ValueError, and so
+    does input that is not one non-empty 1-D frame: frames stacked in one
+    call would share one power and one noise stream.
     """
     x = np.asarray(x, dtype=np.complex128)
-    if x.size == 0:
-        raise ValueError("input stream is empty")
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError(f"input must be a non-empty 1-D stream, got shape {x.shape}")
     power = float(np.mean(np.abs(x) ** 2))
     if not 0.0 < power < math.inf:  # 0, or nan or inf from a non-finite sample
         raise ValueError(f"input stream power must be finite and > 0, got {power}")
@@ -92,18 +93,17 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
 
 
 def apply_nonlinear(x: np.ndarray, profile: NonlinearProfile) -> np.ndarray:
-    """Apply the cubic-plus-tones impairment; identity profile is bit-exact."""
+    """Apply the cubic-plus-tones impairment to a frame, or to frames along
+    the last axis, each frame's tones starting at its first sample; the
+    identity profile is bit-exact.  Each tone is computed once per call."""
     x = np.asarray(x, dtype=np.complex128)
     if profile.cubic_gain == 0.0 and not profile.tones:
         return x.copy()
-    y = x + profile.cubic_gain * x * np.abs(x) ** 2
-    n = np.arange(x.size)
+    # x + g * x * |x|^2, evaluated in place to hold one temporary per frame
+    y = profile.cubic_gain * x
+    y *= np.abs(x) ** 2
+    y += x
+    n = np.arange(x.shape[-1])
     for amp, freq, phase in profile.tones:
-        y = y + amp * np.exp(1j * (2.0 * np.pi * freq * n + phase))
+        y += amp * np.exp(1j * (2.0 * np.pi * freq * n + phase))
     return y
-
-
-def transmit(x: np.ndarray, snr_db: float, seed: int, nonlinear: NonlinearProfile | None = None) -> np.ndarray:
-    """Distort (optionally) and add AWGN; SNR is calibrated after distortion."""
-    distorted = apply_nonlinear(x, nonlinear) if nonlinear is not None else x
-    return add_awgn(distorted, snr_db, seed)

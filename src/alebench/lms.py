@@ -42,17 +42,18 @@ class LmsConfig:
 
 
 def _scratch(taps: int, lanes: int) -> tuple[np.ndarray, ...]:
-    """_update's scratch: (2, L, B) products, one contiguous (L, B) half
-    each for the real and imaginary parts, and the (L, B) step."""
-    prod = np.empty((2, taps, lanes))
-    return prod, prod[0], prod[1], np.empty((taps, lanes))
+    """_update's scratch: (2, L, 2, B) products, one contiguous (L, 2, B)
+    half each for the real and imaginary parts, and the (L, 2, B) step."""
+    prod = np.empty((2, taps, 2, lanes))
+    return prod, prod[0], prod[1], np.empty((taps, 2, lanes))
 
 
 def _update(w, e_n, v, mus, scratch, out) -> None:
-    """out = w + mus * Re(e_n * conj(v)), lanes last: (L, B) weights,
-    (2, 1, B) real/imag errors, (2, L, B) real/imag regressors, (L, B) step
+    """out = w + mus * Re(e_n * conj(v)), lanes last, each weight held
+    twice: (L, 2, B) weights, (2, 1, 1, B) real/imag errors, (2, L, 2, B)
+    real/imag regressors, each repeated over the copies, (L, 2, B) step
     sizes and _scratch(L, B).  Each tap's step is mu * (er*vr + ei*vi), in
-    that order; out may be w."""
+    that order, so both copies of a weight stay equal; out may be w."""
     prod, re, im, step = scratch
     np.multiply(v, e_n, prod)
     np.add(re, im, step)
@@ -75,10 +76,11 @@ def lms_step(
         raise ValueError("step sizes must be finite and >= 0")
     taps = w.size
     v = np.ascontiguousarray(v_n, dtype=np.complex128).view(np.float64).reshape(taps, 2)
-    e = np.array([complex(e_n)]).view(np.float64).reshape(2, 1, 1)
-    w2 = w.reshape(taps, 1)
-    _update(w2, e, v.T[..., None], np.full((taps, 1), mu), _scratch(taps, 1), w2)
-    return w
+    e = np.array([complex(e_n)]).view(np.float64).reshape(2, 1, 1, 1)
+    w2 = np.repeat(w.reshape(taps, 1, 1), 2, axis=1)
+    v2 = np.repeat(v.T.reshape(2, taps, 1, 1), 2, axis=2)
+    _update(w2, e, v2, np.full((taps, 2, 1), mu), _scratch(taps, 1), w2)
+    return w2[:, 0, 0].copy()
 
 
 def lms_batch(
@@ -114,52 +116,58 @@ def lms_batch(
     windows = sliding_window_view(d, taps, axis=0).transpose(0, 3, 1, 2)
     # Each block's samples, outputs and regressors are copied into
     # contiguous buffers, so that no call of the sample loop reads a
-    # strided operand and only the two products broadcast one.  The
-    # output's products are tap-leading and summed over that leading axis,
-    # one running sum in tap order: numpy would sum an innermost axis of 8
-    # or more pairwise.  The update reads the regressors as (re/im, tap,
-    # lane), so that its real and imaginary halves are each contiguous.
+    # strided operand and only the update's product broadcasts one, the
+    # error over the taps.  Each lane's weights are held twice, once beside
+    # the real and once beside the imaginary half of its regressor, so the
+    # output's product is of one shape.  That product is tap-leading and
+    # summed over its leading axis, one running sum in tap order: numpy
+    # would sum an innermost axis of 8 or more pairwise.  The update reads
+    # the regressors as (re/im, tap, copy, lane), each part repeated over
+    # the two copies, so that its real and imaginary halves are each
+    # contiguous and of the weights' shape.
     d_block = np.empty((_BLOCK, 2, lanes))
     y_block = np.empty((_BLOCK, 2, lanes))
     v_out = np.empty((_BLOCK, taps, 2, lanes))
-    v_up = np.empty((_BLOCK, 2, taps, lanes))
+    v_up = np.empty((_BLOCK, 2, taps, 2, lanes))
     # W[i + 1] is the weights after a block's sample i, W[0] its start
-    W = np.zeros((_BLOCK + 1, taps, lanes))
-    rows = list(zip(W[:-1, :, None], W[:-1], W[1:], v_out, v_up, d_block, y_block))
-    steps = np.repeat(mus[None], taps, axis=0)  # a diverged lane's column is zeroed
+    W = np.zeros((_BLOCK + 1, taps, 2, lanes))
+    rows = list(zip(W[:-1], W[1:], v_out, v_up, d_block, y_block))
+    steps = np.tile(mus, (taps, 2, 1))  # a diverged lane's column is zeroed
     scratch = _scratch(taps, lanes)
     prod = np.empty((taps, 2, lanes))
-    e_n = np.empty((2, 1, lanes))  # broadcast over the taps by the update
-    e_flat = e_n[:, 0]
+    e_n = np.empty((2, 1, 1, lanes))  # broadcast over the taps and copies by the update
+    e_flat = e_n[:, 0, 0]
     errors: list[DivergenceError | None] = [None] * lanes
     multiply, subtract, add_reduce, update = np.multiply, np.subtract, np.add.reduce, _update
-    # Each block is adapted once, then all its rows are checked at once.
-    # Lanes share no arithmetic, so a lane with a row beyond the bound, inf
-    # or nan is mended from its rows: after its first such row it gets what
-    # it would have had, zeroed right after that update.
+    # Each block is adapted once, then all its rows are checked at once,
+    # on one copy of the weights.  Lanes share no arithmetic, so a lane
+    # with a row beyond the bound, inf or nan is mended from its rows:
+    # after its first such row it gets what it would have had, zeroed right
+    # after that update.
     with np.errstate(all="ignore"):
         for first in range(start, h, _BLOCK):
             last = min(first + _BLOCK, h)
             size = last - first
             d_block[:size] = d[first:last]
             v_out[:size] = windows[first - start : last - start]
-            v_up[:size] = v_out[:size].transpose(0, 2, 1, 3)
-            for w_col, w, w_next, v, v_t, d_n, y_n in rows[:size]:
-                multiply(v, w_col, prod)
+            v_up[:size] = v_out[:size].transpose(0, 2, 1, 3)[:, :, :, None]
+            for w, w_next, v, v_t, d_n, y_n in rows[:size]:
+                multiply(v, w, prod)
                 add_reduce(prod, 0, None, y_n)
                 subtract(d_n, y_n, e_flat)
                 update(w, e_n, v_t, steps, scratch, w_next)
-            if not np.abs(W[1 : size + 1]).max() <= WEIGHT_BOUND:
+            weights = W[1 : size + 1, :, 0]
+            if not np.abs(weights).max() <= WEIGHT_BOUND:
                 # not <=, so a nan peak crosses too.  A lane zeroed in an
                 # earlier block whose products overflow (0 * inf is nan)
                 # is mended again; it keeps its first crossing.
-                peaks = np.abs(W[1 : size + 1]).max(axis=1)
+                peaks = np.abs(weights).max(axis=1)
                 for b in np.flatnonzero(~np.all(peaks <= WEIGHT_BOUND, axis=0)):
                     i = int(np.argmin(peaks[:, b] <= WEIGHT_BOUND))
                     errors[b] = errors[b] or DivergenceError(first + i, float(peaks[i, b]))
-                    W[size, :, b] = steps[:, b] = 0.0
+                    W[size, ..., b] = steps[..., b] = 0.0
                     # the zeroed weights' outputs, summed as the loop sums them
                     add_reduce(v_out[i + 1 : size, :, :, b] * 0.0, 1, None, y_block[i + 1 : size, :, b])
             y[first:last] = y_block[:size]
             W[0] = W[size]
-    return W[0].T[:, ::-1].copy(), Y, errors
+    return W[0, :, 0].T[:, ::-1].copy(), Y, errors

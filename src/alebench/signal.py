@@ -90,7 +90,8 @@ def modulate(bits: np.ndarray, cfg: ModConfig) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the stream length is not divisible by the group size.
+        If the stream length is not divisible by the group size, or a bit
+        is neither 0 nor 1.
     """
     bits = np.asarray(bits)
     k = cfg.bits_per_symbol
@@ -98,6 +99,8 @@ def modulate(bits: np.ndarray, cfg: ModConfig) -> np.ndarray:
         raise ValueError(
             f"bit count {bits.size} not divisible by bits per symbol {k}"
         )
+    if not np.all((bits == 0) | (bits == 1)):
+        raise ValueError("bits must be 0 or 1")
     groups = bits.reshape(-1, k).astype(np.int64)
     weights = 1 << np.arange(k - 1, -1, -1)
     values = groups @ weights
@@ -110,19 +113,32 @@ def demodulate(samples: np.ndarray, cfg: ModConfig) -> np.ndarray:
 
     Ties resolve to the lowest point index, which for m=2 means a sample
     at exactly 0 decides bit 1.  The inverse Gray map recovers the bits.
+    Samples must be finite.
     """
     samples = np.asarray(samples)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError(f"can only demodulate a non-empty 1-D stream, got shape {samples.shape}")
-    points = constellation(cfg)
-    dist = np.abs(samples[:, None] - points[None, :])
-    nearest = np.argmin(dist, axis=1)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("samples must be finite")
     # invert the group -> point permutation
     to_point = _point_index_for_group(cfg)
-    to_group = np.empty_like(to_point)
+    to_group = np.empty(cfg.m, dtype=np.uint8)
     to_group[to_point] = np.arange(cfg.m)
-    values = to_group[nearest]
+    # A running minimum of |s - p| over the points in index order: a point
+    # takes a sample only when strictly nearer, so the lowest index of equal
+    # distances wins, as in an argmin.  Every call after the first writes
+    # into a buffer of one entry per sample, so no (n, m) array is made.
+    points = constellation(cfg)
+    nearest = np.abs(samples - points[0])
+    values = np.full(samples.size, to_group[0])
+    diff = np.empty(samples.size, dtype=np.complex128)
+    dist = np.empty(samples.size)
+    closer = np.empty(samples.size, dtype=bool)
+    for i in range(1, cfg.m):
+        np.abs(np.subtract(samples, points[i], out=diff), out=dist)
+        np.less(dist, nearest, out=closer)
+        np.minimum(nearest, dist, out=nearest)
+        np.copyto(values, to_group[i], where=closer)
     k = cfg.bits_per_symbol
-    shifts = np.arange(k - 1, -1, -1)
-    return ((values[:, None] >> shifts[None, :]) & 1).astype(np.uint8).reshape(-1)
-
+    shifts = np.arange(k - 1, -1, -1, dtype=np.uint8)
+    return ((values[:, None] >> shifts) & 1).reshape(-1)

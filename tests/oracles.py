@@ -144,6 +144,22 @@ def squared_error_gradient_fd(w, d_n, v_n, h=1e-6):
     return grad
 
 
+def nearest_point(samples, points):
+    """Index of the point nearest each sample, by a plain loop over the
+    points: the first point of least |s - p| wins.  The distance is numpy's
+    complex magnitude of the complex128 difference, which need not round as
+    Python's abs does."""
+    out = []
+    for s in samples:
+        best, best_dist = 0, None
+        for i, p in enumerate(points):
+            dist = np.abs(np.complex128(s) - np.complex128(p))
+            if best_dist is None or dist < best_dist:
+                best, best_dist = i, dist
+        out.append(best)
+    return np.array(out)
+
+
 def count_ones(bits):
     """Plain counting loop, for checking bit-stream statistics."""
     total = 0

@@ -18,7 +18,7 @@ import pytest
 
 from alebench.ale import AleConfig, filter_frame
 from alebench.bench import emit_csv, parse_config, run_experiment
-from alebench.channel import add_awgn, transmit
+from alebench.channel import add_awgn
 from alebench.lms import lms_step
 from alebench.pso import PsoConfig, evaluate_cost, pso_batch
 from alebench.signal import ModConfig, demodulate, generate_bits, modulate

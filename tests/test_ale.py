@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from alebench.ale import AleConfig, filter_frame
-from alebench.channel import transmit
+from alebench.channel import add_awgn
 from alebench.pso import evaluate_cost
 from alebench.signal import ModConfig, generate_bits, modulate
 
 
 def _frame(h=256, seed=30, snr_db=2.0):
     x = modulate(generate_bits(h, seed), ModConfig(m=2))
-    return transmit(x, snr_db, seed + 1)
+    return add_awgn(x, snr_db, seed + 1)
 
 
 class TestRegressor:

@@ -11,7 +11,6 @@ from alebench.channel import (
     NonlinearProfile,
     add_awgn,
     apply_nonlinear,
-    transmit,
 )
 from alebench.signal import ModConfig, generate_bits, modulate
 
@@ -55,6 +54,21 @@ class TestAddAwgn:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             add_awgn(np.array([]), snr_db=0.0, seed=1)
+
+    @pytest.mark.parametrize("shape", [(2, 16), (1, 16), ()], ids=["stack", "one-frame stack", "0-d"])
+    def test_input_that_is_not_1d_rejected(self, shape):
+        """A stack of frames would get one power and one noise stream."""
+        with pytest.raises(ValueError, match="1-D"):
+            add_awgn(np.ones(shape, dtype=complex), snr_db=0.0, seed=1)
+
+    def test_snr_calibrated_to_distorted_frame(self):
+        x = modulate(generate_bits(BIG // 4, seed=20), ModConfig(m=2))
+        distorted = apply_nonlinear(x, DEFAULT_PROFILES["2.4GHz"])
+        noise = add_awgn(distorted, 6.0, 21) - distorted
+        measured = 10 * np.log10(
+            np.mean(np.abs(distorted) ** 2) / np.mean(np.abs(noise) ** 2)
+        )
+        assert abs(measured - 6.0) < 0.1
 
     def test_non_finite_input_rejected_as_input_power(self):
         """A non-finite sample leaves the input power nan or inf: rejected as
@@ -104,29 +118,20 @@ class TestApplyNonlinear:
                 NonlinearProfile(tones=((0.5, 0.1, phase),))
 
 
-class TestTransmit:
-    def test_no_profile_matches_awgn_alone(self):
-        x = modulate(generate_bits(256, seed=18), ModConfig(m=2))
-        direct = add_awgn(x, snr_db=4.0, seed=55)
-        via_transmit = transmit(x, 4.0, 55)
-        np.testing.assert_array_equal(direct, via_transmit)
+    @pytest.mark.parametrize("name", ["identity", *DEFAULT_PROFILES])
+    def test_stacked_frames_match_each_frame_alone(self, name):
+        """Frames along the last axis are distorted as if one at a time, bit
+        for bit: each frame's tones start at its own first sample."""
+        profile = DEFAULT_PROFILES.get(name, NonlinearProfile())
+        rng = np.random.default_rng(26)
+        frames = rng.normal(size=(6, 301)) + 1j * rng.normal(size=(6, 301))
+        alone = np.array([apply_nonlinear(frame, profile) for frame in frames])
+        np.testing.assert_array_equal(apply_nonlinear(frames, profile), alone)
+        stacked = apply_nonlinear(frames.reshape(2, 3, 301), profile)
+        np.testing.assert_array_equal(stacked, alone.reshape(2, 3, 301))
 
-    def test_infinite_snr_is_noiseless(self):
-        x = modulate(generate_bits(128, seed=19), ModConfig(m=2))
-        d = transmit(x, math.inf, 1)
-        np.testing.assert_array_equal(d, x)
 
-    def test_snr_calibrated_after_distortion(self):
-        x = modulate(generate_bits(BIG // 4, seed=20), ModConfig(m=2))
-        prof = DEFAULT_PROFILES["2.4GHz"]
-        d = transmit(x, 6.0, 21, prof)
-        distorted = apply_nonlinear(x, prof)
-        noise = d - distorted
-        measured = 10 * np.log10(
-            np.mean(np.abs(distorted) ** 2) / np.mean(np.abs(noise) ** 2)
-        )
-        assert abs(measured - 6.0) < 0.1
-
+class TestDistortedNoisyFrame:
     def test_invalid_snr_rejected(self):
         """An SNR whose noise variance is no finite positive number: nan,
         -inf, 10^400 overflowing, 10^-400 underflowing to 0, and 10^-310
@@ -136,13 +141,13 @@ class TestTransmit:
             with pytest.raises(ValueError, match="noise variance"):
                 add_awgn(x, snr_db, 1)
             with pytest.raises(ValueError, match="noise variance"):
-                transmit(x, snr_db, 1, DEFAULT_PROFILES["5.8GHz"])
+                add_awgn(apply_nonlinear(x, DEFAULT_PROFILES["5.8GHz"]), snr_db, 1)
 
     def test_snr_limit_accepted_for_every_profile(self):
         x = modulate(generate_bits(4096, seed=23), ModConfig(m=2))
-        for prof in (None, *DEFAULT_PROFILES.values()):
+        for prof in (NonlinearProfile(), *DEFAULT_PROFILES.values()):
             for snr_db in (-SNR_LIMIT_DB, SNR_LIMIT_DB):
-                assert np.all(np.isfinite(transmit(x, snr_db, 24, prof)))
+                assert np.all(np.isfinite(add_awgn(apply_nonlinear(x, prof), snr_db, 24)))
 
     def test_infinite_snr_returns_a_copy(self):
         x = modulate(generate_bits(32, seed=25), ModConfig(m=2))
@@ -155,7 +160,7 @@ class TestTransmit:
         3 dB SNR, seed 424242, BPSK input [1,-1,-1,1,1,1,-1,1]."""
         x = np.array([1, -1, -1, 1, 1, 1, -1, 1], dtype=np.complex128)
         prof = NonlinearProfile(cubic_gain=0.1, tones=((0.5, 0.05, 0.25),))
-        d = transmit(x, 3.0, 424242, prof)
+        d = add_awgn(apply_nonlinear(x, prof), 3.0, 424242)
         golden = np.array(
             [
                 0.027318533445486626 - 0.9765417840399341j,

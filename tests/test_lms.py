@@ -8,7 +8,7 @@ import pytest
 
 from alebench import lms
 from alebench.ale import AleConfig
-from alebench.channel import transmit
+from alebench.channel import add_awgn
 from alebench.errors import DivergenceError
 from alebench.lms import lms_batch, lms_step
 from alebench.signal import ModConfig, generate_bits, modulate
@@ -20,7 +20,7 @@ H = 10_000
 
 def _awgn_frame(snr_db, bits_seed, noise_seed, h=H):
     x = modulate(generate_bits(h, bits_seed), ModConfig(m=2))
-    return transmit(x, snr_db, noise_seed)
+    return add_awgn(x, snr_db, noise_seed)
 
 
 def _assert_rel(actual, expected, rel=1e-12):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alebench.ale import AleConfig, filter_frame
-from alebench.channel import DEFAULT_PROFILES, transmit
+from alebench.channel import DEFAULT_PROFILES, add_awgn, apply_nonlinear
 from alebench.lms import lms_batch
 from alebench.pso import (
     GRAM_FALLBACK_RATIO,
@@ -28,7 +28,7 @@ ALE = AleConfig(taps=5, delay=1)
 
 def _awgn_frame(snr_db, bits_seed, noise_seed, h):
     x = modulate(generate_bits(h, bits_seed), ModConfig(m=2))
-    return transmit(x, snr_db, noise_seed)
+    return add_awgn(x, snr_db, noise_seed)
 
 
 def _random_frame(rng, h):
@@ -475,7 +475,7 @@ class TestCostFloor:
         bounded by J*: its weights change from sample to sample."""
         ale = AleConfig(taps=taps, delay=delay)
         x = modulate(generate_bits(h, seed), ModConfig(m=2))
-        d = transmit(x, snr_db, seed + 1, profile)
+        d = add_awgn(x if profile is None else apply_nonlinear(x, profile), snr_db, seed + 1)
         floor = wiener_floor(d, taps, delay)
         reached = brute_force_cost(real_least_squares_weights(d, taps, delay), d, taps, delay)
         assert reached == pytest.approx(floor, rel=1e-9)

@@ -14,7 +14,7 @@ from alebench.signal import (
     generate_bits,
     modulate,
 )
-from oracles import count_ones
+from oracles import count_ones, nearest_point
 
 
 class TestGenerateBits:
@@ -65,6 +65,17 @@ class TestModulate:
         with pytest.raises(ValueError):
             modulate(np.array([0, 1, 0]), ModConfig(m=4))
 
+    @pytest.mark.parametrize(
+        "bits, m",
+        [([0, 2], 4), ([-1, 0], 2), ([2], 2), ([0.5, 1.0], 2), ([True, 3], 2)],
+        ids=["2 at m=4", "-1", "2 at m=2", "fraction", "3"],
+    )
+    def test_bit_that_is_not_0_or_1_rejected(self, bits, m):
+        """Unchecked, 2 at m=4 maps to a symbol, -1 wraps to the last point
+        and 2 at m=2 raises IndexError."""
+        with pytest.raises(ValueError, match="0 or 1"):
+            modulate(np.array(bits), ModConfig(m=m))
+
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError):
             ModConfig(m=3)
@@ -110,6 +121,39 @@ class TestDemodulate:
         decides all six samples as bit 1, and a 0-d sample raises IndexError."""
         with pytest.raises(ValueError, match="1-D"):
             demodulate(samples, ModConfig(m=2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(1.0, -np.inf)])
+    def test_non_finite_sample_rejected(self, bad):
+        """Unchecked, a nan sample is no nearer to any point than to another,
+        and would decide whatever the search started from."""
+        with pytest.raises(ValueError, match="finite"):
+            demodulate(np.array([1.0, bad, -1.0]), ModConfig(m=4))
+
+    def test_near_ties_decide_bit_one_at_m2(self):
+        """Both samples are as far from +1 as from -1 once rounded, so the
+        first point, +1, takes them: a sign test on the real part would
+        decide bit 0."""
+        bits = demodulate(np.array([-0.5 + 1e20j, -1e-17 + 0.5j]), ModConfig(m=2))
+        np.testing.assert_array_equal(bits, [1, 1])
+
+    @pytest.mark.parametrize("phase_offset", [0.0, 0.3])
+    @pytest.mark.parametrize("m", [2, 4, 8, 16])
+    def test_matches_nearest_point_oracle(self, m, phase_offset):
+        """Bit for bit the decisions of the plain-loop nearest point, on
+        noise, 0j, the points themselves, the midpoints between adjacent
+        points (at several radii) and the two near-ties of BPSK."""
+        cfg = ModConfig(m=m, phase_offset=phase_offset)
+        points = constellation(cfg)
+        rng = np.random.default_rng(27)
+        midpoints = (points + np.roll(points, -1)) / 2
+        samples = np.concatenate([
+            rng.normal(size=400) + 1j * rng.normal(size=400),
+            [0j, -0.5 + 1e20j, -1e-17 + 0.5j],
+            points,
+            *(radius * midpoints for radius in (1.0, 1e-300, 3.0, 1e20)),
+        ])
+        expected = demodulate(points[nearest_point(samples, points)], cfg)
+        np.testing.assert_array_equal(demodulate(samples, cfg), expected)
 
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
     def test_noiseless_round_trip(self, m):
