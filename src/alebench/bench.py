@@ -353,18 +353,18 @@ def _metric_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int,
             raise RuntimeError(
                 f"{spec.kind} failed at sweep point {point}, seed index {seed_idx}: {err}"
             ) from err
-    states = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
+    weights, _ = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
     k, v0 = spec.mod.bits_per_symbol, spec.ale.warmup
     lag = spec.ale.delay if spec.decision_stream == "output" else 0
     rows = []
-    for (point, _, run_seed, _), sent, d, lms_y, state in zip(
-        lanes, bits[:, k * (v0 - lag) : k * (spec.h - lag)], frames, outputs, states
+    for (point, _, run_seed, _), sent, d, lms_y, w in zip(
+        lanes, bits[:, k * (v0 - lag) : k * (spec.h - lag)], frames, outputs, weights
     ):
         base = dict(point, seed=run_seed, L=spec.ale.taps, delta=spec.ale.delay)
         clean = modulate(sent, spec.mod)
         for algorithm, y, mu, n_particles in (
             ("LMS", lms_y, spec.lms.mu, None),
-            ("PSO", filter_frame(d, state.gbest_position, spec.ale), None, spec.pso.n_particles),
+            ("PSO", filter_frame(d, w, spec.ale), None, spec.pso.n_particles),
         ):
             residual = (d - y)[v0:]
             samples = residual if lag == 0 else y[v0:]
@@ -405,7 +405,7 @@ def _particle_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[in
     # the sweep value is a whole float; the row and the swarm take an int.
     # Full-length histories: early stopping is disabled for this sweep.
     counts = [int(point["n_particles"]) for point, *_ in lanes]
-    states = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], replace(spec.pso, tol=0.0), spec.ale, counts)
+    _, histories = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], replace(spec.pso, tol=0.0), spec.ale, counts)
     return [
         dict(
             point,
@@ -417,8 +417,8 @@ def _particle_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[in
             L=spec.ale.taps,
             delta=spec.ale.delay,
         )
-        for (point, _, run_seed, _), count, state in zip(lanes, counts, states)
-        for it, cost in enumerate(state.history)
+        for (point, _, run_seed, _), count, history in zip(lanes, counts, histories)
+        for it, cost in enumerate(history)
     ]
 
 

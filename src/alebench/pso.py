@@ -4,11 +4,11 @@ A particle's position is a candidate weight vector; its cost is the mean
 squared residual of the whole frame filtered with those weights held fixed.
 That cost is a quadratic in the real weights, so each frame is reduced once
 to its sufficient statistics and every particle then costs O(L^2).  A
-final swarm is reported as (N, L) arrays, one row per particle.  Velocities
-start at zero, and every random draw of an iteration happens before any
-cost is computed, so a search is a pure function of its seed.  The
-searches of a batch of frames run as one loop over (B, L, N) arrays, one
-lane per frame, particles last.
+search reports only its global best: the weights, and the cost after each
+iteration.  Velocities start at zero, and every random draw of an
+iteration happens before any cost is computed, so a search is a pure
+function of its seed.  The searches of a batch of frames run as one loop
+over (B, L, N) arrays, one lane per frame, particles last.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .ale import AleConfig, _check_frame, _check_weights
 from .errors import ConfigError
 
-__all__ = ["PsoConfig", "SwarmState", "evaluate_cost", "pso_batch"]
+__all__ = ["PsoConfig", "evaluate_cost", "pso_batch"]
 
 # A quadratic-form cost below this fraction of c + w'Rw has lost too many
 # digits to cancellation and is recomputed from the residual directly.
@@ -73,21 +73,6 @@ class PsoConfig:
                 raise ConfigError(name, f"must be {rule}, got {getattr(self, name)}")
 
 
-@dataclass(frozen=True)
-class SwarmState:
-    """The swarm a search ended with: positions, velocities and personal
-    bests as (N, L) and (N,) arrays, the global best, and the global-best
-    cost after each iteration."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-    pbest_position: np.ndarray
-    pbest_cost: np.ndarray
-    gbest_position: np.ndarray
-    gbest_cost: float
-    history: list[float]
-
-
 def _gram(d: np.ndarray, ale: AleConfig):
     """The frame's (R, p, c), and the (target, lags) slices that a
     particle's direct recompute reads."""
@@ -137,7 +122,7 @@ def evaluate_cost(w: np.ndarray, d: np.ndarray, ale: AleConfig) -> float:
 
 def pso_batch(
     D: np.ndarray, seeds: list[int], cfg: PsoConfig, ale: AleConfig, counts: list[int] | None = None
-) -> list[SwarmState]:
+) -> tuple[np.ndarray, list[list[float]]]:
     """Search B frames at once for the weight vector minimizing each
     frame's residual cost: frame b with generator default_rng(seeds[b]) and
     counts[b] particles, cfg.n_particles each when `counts` is None.
@@ -156,8 +141,9 @@ def pso_batch(
     every running lane's uniforms, in lane order, before any cost is
     computed.  A lane that stops early leaves the arrays and draws nothing
     more.  So a lane's result is bit for bit its frame searched alone, as a
-    one-lane batch.  Returns each lane's final swarm, whose `gbest_position`
-    is its weights and `history` its global-best cost after each iteration.
+    one-lane batch.  Returns (weights, histories): weights[b] is lane b's
+    global best, a row of the (B, L) array, and histories[b] its global-best
+    cost after each iteration, whose last entry is the cost of weights[b].
     """
     D = _check_frame(D, ale)
     counts = [cfg.n_particles] * len(seeds) if counts is None else list(counts)
@@ -187,7 +173,7 @@ def pso_batch(
     history = np.empty((cfg.max_iters, len(seeds)))
     stall = np.zeros(len(seeds), dtype=int)
     live = list(range(len(seeds)))  # the lane of each row
-    states = [None] * len(seeds)
+    weights, histories = np.empty((len(seeds), ale.taps)), [None] * len(seeds)
     for it in range(cfg.max_iters):
         for row, lane in enumerate(live):
             rngs[lane].random(out=r[row, : counts[lane]])  # as uniform(size=...), value for value
@@ -212,12 +198,8 @@ def pso_batch(
         if not done.any():
             continue
         for row in np.flatnonzero(done):
-            lane, n = live[row], counts[live[row]]
-            states[lane] = SwarmState(
-                x[row, :, :n].T.copy(), v[row, :, :n].T.copy(), pbest[row, :, :n].T.copy(),
-                pcost[row, :n].copy(), gbest[row].copy(), float(gcost[row]),
-                history[: it + 1, lane].tolist(),
-            )
+            lane = live[row]
+            weights[lane], histories[lane] = gbest[row], history[: it + 1, lane].tolist()
         keep = ~done
         live = [lane for lane, k in zip(live, keep) if k]
         frames = [frame for frame, k in zip(frames, keep) if k]
@@ -228,4 +210,4 @@ def pso_batch(
         rows = rows[: len(live)]
         if not live:
             break
-    return states
+    return weights, histories

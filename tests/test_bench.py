@@ -342,22 +342,20 @@ class TestRunExperiment:
         runs = [(i, j) for i in range(len(points)) for j in range(spec.n_seeds)]
         lanes, bits, frames = bench._batch_frames(spec, points, runs)
         _, lms_outputs, _ = lms_batch(frames, np.full(len(runs), spec.lms.mu), spec.ale)
-        states = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
+        weights, _ = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
         rows = run_experiment(spec).raw_rows
         v0, k = spec.ale.warmup, spec.mod.bits_per_symbol
         lag = spec.ale.delay if stream == "output" else 0
         assert len(rows) == 2 * len(runs)
-        for lane, (d, sent, lms_y, state) in enumerate(zip(frames, bits, lms_outputs, states)):
+        for lane, (d, sent, lms_y, w) in enumerate(zip(frames, bits, lms_outputs, weights)):
             clean = modulate(sent[k * (v0 - lag) : k * (spec.h - lag)], spec.mod)
-            pso_y = filter_frame(d, state.gbest_position, spec.ale)
+            pso_y = filter_frame(d, w, spec.ale)
             for row, algorithm, y in zip(rows[2 * lane : 2 * lane + 2], ("LMS", "PSO"), (lms_y, pso_y)):
                 assert row["algorithm"] == algorithm
                 assert row["mse"] == float(np.mean(np.abs(d - y)[v0:] ** 2))
                 decided = (d - y if stream == "error" else y)[v0:]
                 assert row["clean_mse"] == float(np.mean(np.abs(decided - clean) ** 2))
-            assert rows[2 * lane + 1]["mse"] == pytest.approx(
-                evaluate_cost(state.gbest_position, d, spec.ale), rel=1e-12
-            )
+            assert rows[2 * lane + 1]["mse"] == pytest.approx(evaluate_cost(w, d, spec.ale), rel=1e-12)
 
     @pytest.mark.parametrize("geometry", ["", "ale.taps = 3\nale.delay = 4\n"], ids=["default", "L3-delta4"])
     def test_step_sweep_mse_is_the_lms_residual_power(self, geometry):
@@ -560,6 +558,18 @@ class TestSpecValidation:
         with pytest.raises(ConfigError) as excinfo:
             parse_config("pso.c2 = -1\npso.c1 = -2\nrun.n_seeds = 0")
         assert excinfo.value.key == "pso.c1"
+
+    @pytest.mark.parametrize("doc, key", [
+        ("pso.c1 = -1\nchannel.profiles = nope", "channel.profiles"),
+        ("pso.c1 = -1\nrun.snr_grid = 1, 1", "run.snr_grid"),
+        ("frame.h = 5\npso.c1 = -1", "pso.c1"),
+    ], ids=["profile_name", "repeated_snr", "spec_after_classes"])
+    def test_line_checks_named_before_range_checks(self, doc, key):
+        """A list value is checked as its line is read, before any range;
+        the spec checks its own keys after the config classes."""
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(doc)
+        assert excinfo.value.key == key
 
     @pytest.mark.parametrize("fields, key", [
         (dict(snr_grid=(0.0, 0.0), n_seeds=1), "run.snr_grid"),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from alebench import pso
 from alebench.ale import AleConfig, filter_frame
 from alebench.channel import DEFAULT_PROFILES, add_awgn, apply_nonlinear
 from alebench.lms import lms_batch
@@ -122,6 +123,31 @@ def _first_draw(cfg, seed, taps):
     return rng.uniform(-cfg.init_range, cfg.init_range, size=(cfg.n_particles, taps))
 
 
+def _search(d, seed, cfg, ale):
+    """A one-lane pso_batch of frame d: its weights, its history, and the
+    (N, taps) positions it scored, the start first, then one per iteration."""
+    score, scored = pso._scores, []
+
+    def spy(w, *args):
+        scored.append(w[0].T.copy())
+        return score(w, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pso, "_scores", spy)
+        (weights,), (history,) = pso_batch(d[None], [seed], cfg, ale)
+    return weights, history, np.array(scored)
+
+
+def _first_move(d, seed, cfg, ale):
+    """The positions a swarm at rest on its personal bests moves to in one
+    iteration: only the global pull c2*r2*(gbest - x) acts, clamped."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-cfg.init_range, cfg.init_range, size=(cfg.n_particles, ale.taps))
+    r2 = rng.uniform(size=(cfg.n_particles, 2, ale.taps if cfg.per_dimension_draws else 1))[:, 1]
+    gbest = x[np.argmin([evaluate_cost(w, d, ale) for w in x])]
+    return x + np.clip(cfg.c2 * r2 * (gbest - x), -cfg.v_max, cfg.v_max)
+
+
 class TestPsoConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -139,136 +165,150 @@ class TestInitSwarm:
         # inertia scales only the previous velocity, so it leaves the first
         # move unchanged exactly when the swarm starts at rest
         d = _awgn_frame(0.0, 62, 63, h=128)
-        (a,), (b,) = (
-            pso_batch(d[None], [62], PsoConfig(n_particles=12, max_iters=1, tol=0.0, inertia=i), ALE)
-            for i in (1.0, 0.3)
+        (*_, a), (*_, b) = (
+            _search(d, 62, PsoConfig(n_particles=12, max_iters=1, tol=0.0, inertia=i), ALE) for i in (1.0, 0.3)
         )
-        np.testing.assert_array_equal(a.velocity, b.velocity)
-        assert np.any(a.velocity != 0.0)
+        np.testing.assert_array_equal(a, b)
+        assert np.any(a[1] != a[0])
 
     def test_positions_within_init_range(self):
         cfg = PsoConfig(n_particles=40, init_range=1.5, c1=0.0, c2=0.0, max_iters=1, tol=0.0)
-        (state,) = pso_batch(_awgn_frame(0.0, 63, 64, h=128)[None], [63], cfg, AleConfig(taps=4, delay=1))
-        assert state.position.shape == (40, 4)
-        assert np.all(np.abs(state.position) <= 1.5)
-        np.testing.assert_array_equal(state.position, _first_draw(cfg, 63, 4))
+        *_, scored = _search(_awgn_frame(0.0, 63, 64, h=128), 63, cfg, AleConfig(taps=4, delay=1))
+        assert scored[0].shape == (40, 4)
+        assert np.all(np.abs(scored[0]) <= 1.5)
+        np.testing.assert_array_equal(scored[0], _first_draw(cfg, 63, 4))
 
     def test_single_particle_is_global_best(self):
+        # a lone particle's global best is its personal best, the cheapest
+        # position it has scored so far
+        d, ale = _awgn_frame(0.0, 64, 65, h=128), AleConfig(taps=3, delay=1)
         cfg = PsoConfig(n_particles=1, max_iters=5, tol=0.0)
-        (state,) = pso_batch(_awgn_frame(0.0, 64, 65, h=128)[None], [64], cfg, AleConfig(taps=3, delay=1))
-        np.testing.assert_array_equal(state.gbest_position, state.pbest_position[0])
-        assert state.gbest_cost == state.pbest_cost[0]
+        weights, history, scored = _search(d, 64, cfg, ale)
+        costs = [evaluate_cost(w, d, ale) for (w,) in scored]
+        assert history == np.minimum.accumulate(costs)[1:].tolist()
+        np.testing.assert_array_equal(weights, scored[np.argmin(costs), 0])
 
     def test_same_seed_same_swarm(self):
         d = _awgn_frame(0.0, 65, 66, h=128)
         cfg = PsoConfig(n_particles=8, max_iters=3)
-        (a,), (b,), (c,) = (pso_batch(d[None], [s], cfg, ALE) for s in (65, 65, 66))
-        for name in ("position", "velocity", "pbest_position", "pbest_cost"):
-            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-        assert not np.array_equal(a.position, c.position)
+        (wa, ha, a), (wb, hb, b), (*_, c) = (_search(d, s, cfg, ALE) for s in (65, 65, 66))
+        np.testing.assert_array_equal(wa, wb)
+        assert ha == hb
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_global_best_is_cheapest_initial_cost(self):
         d = _awgn_frame(0.0, 66, 67, h=128)
         cfg = PsoConfig(n_particles=16, c1=0.0, c2=0.0, max_iters=1, tol=0.0)
-        (state,) = pso_batch(d[None], [66], cfg, ALE)
+        weights, histories = pso_batch(d[None], [66], cfg, ALE)
         start = _first_draw(cfg, 66, ALE.taps)
         start_costs = np.array([evaluate_cost(w, d, ALE) for w in start])
-        assert state.gbest_cost == start_costs.min()
-        np.testing.assert_array_equal(state.gbest_position, start[np.argmin(start_costs)])
+        assert histories == [[start_costs.min()]]
+        np.testing.assert_array_equal(weights[0], start[np.argmin(start_costs)])
 
 
 class TestVelocityAndPosition:
     """The move v' = inertia*v + c1*r1*(pbest - x) + c2*r2*(gbest - x),
-    clamped, then x' = x + v', seen through a one-lane pso_batch."""
+    clamped, then x' = x + v', seen in the positions a one-lane pso_batch
+    scores."""
 
     def test_no_pull_when_everything_coincides(self):
         # a lone particle is its own personal and global best
         cfg = PsoConfig(n_particles=1, max_iters=5, tol=0.0)
-        (state,) = pso_batch(_awgn_frame(0.0, 67, 68, h=128)[None], [67], cfg, ALE)
-        np.testing.assert_array_equal(state.velocity, np.zeros((1, ALE.taps)))
-        np.testing.assert_array_equal(state.position, _first_draw(cfg, 67, ALE.taps))
+        *_, scored = _search(_awgn_frame(0.0, 67, 68, h=128), 67, cfg, ALE)
+        assert len(scored) == cfg.max_iters + 1
+        np.testing.assert_array_equal(scored, np.broadcast_to(_first_draw(cfg, 67, ALE.taps), scored.shape))
 
     def test_scalar_hand_case(self):
         d = _awgn_frame(0.0, 68, 69, h=128)
         ale = AleConfig(taps=1, delay=1)
         cfg = PsoConfig(n_particles=2, c1=1.0, c2=1.0, v_max=2.0, max_iters=1, tol=0.0)
-        (state,) = pso_batch(d[None], [68], cfg, ale)
+        *_, scored = _search(d, 68, cfg, ale)
         rng = np.random.default_rng(68)
         x = rng.uniform(-cfg.init_range, cfg.init_range, size=(2, 1))
         r2 = rng.uniform(size=(2, 2, 1))[:, 1]
         gbest = x[np.argmin(np.array([evaluate_cost(w, d, ale) for w in x]))]
         # the swarm is at rest on its personal bests: only the global pull acts
         v = np.clip(r2 * (gbest - x), -2.0, 2.0)
-        np.testing.assert_array_equal(state.velocity, v)
-        np.testing.assert_array_equal(state.position, x + v)
+        np.testing.assert_array_equal(scored[1], x + v)
 
     def test_zero_coefficients_keep_old_velocity(self):
         cfg = PsoConfig(n_particles=6, c1=0.0, c2=0.0, inertia=0.5, max_iters=5, tol=0.0)
-        (state,) = pso_batch(_awgn_frame(0.0, 69, 70, h=128)[None], [69], cfg, ALE)
-        np.testing.assert_array_equal(state.velocity, np.zeros((6, ALE.taps)))
-        np.testing.assert_array_equal(state.position, _first_draw(cfg, 69, ALE.taps))
+        *_, scored = _search(_awgn_frame(0.0, 69, 70, h=128), 69, cfg, ALE)
+        assert len(scored) == cfg.max_iters + 1
+        np.testing.assert_array_equal(scored, np.broadcast_to(_first_draw(cfg, 69, ALE.taps), scored.shape))
 
     def test_clamping(self):
         cfg = PsoConfig(n_particles=10, v_max=0.05, max_iters=10, tol=0.0)
-        (state,) = pso_batch(_awgn_frame(0.0, 70, 71, h=128)[None], [70], cfg, ALE)
-        assert np.abs(state.velocity).max() == 0.05
+        *_, scored = _search(_awgn_frame(0.0, 70, 71, h=128), 70, cfg, ALE)
+        # a step x' - x is the velocity up to the rounding of x + v
+        assert np.abs(np.diff(scored, axis=0)).max() == pytest.approx(0.05, rel=1e-12)
 
     def test_position_update_is_vector_addition(self):
         cfg = PsoConfig(n_particles=6, max_iters=1, tol=0.0)
-        (state,) = pso_batch(_awgn_frame(0.0, 71, 72, h=128)[None], [71], cfg, ALE)
-        np.testing.assert_array_equal(state.position, _first_draw(cfg, 71, ALE.taps) + state.velocity)
+        d = _awgn_frame(0.0, 71, 72, h=128)
+        *_, scored = _search(d, 71, cfg, ALE)
+        np.testing.assert_array_equal(scored[1], _first_move(d, 71, cfg, ALE))
 
     def test_draws_broadcast_per_particle_or_per_component(self):
         """From rest, the first move is c2*r2*(gbest - x): one r2 per
         particle scales its whole pull, one per component does not."""
         d = _awgn_frame(0.0, 72, 73, h=128)
-        spreads = []
+        moves = []
         for per_dimension in (False, True):
             cfg = PsoConfig(n_particles=8, v_max=np.inf, max_iters=1, tol=0.0,
                             per_dimension_draws=per_dimension)
-            (state,) = pso_batch(d[None], [72], cfg, ALE)
-            start = _first_draw(cfg, 72, ALE.taps)
-            pull = start[np.argmin(np.array([evaluate_cost(w, d, ALE) for w in start]))] - start
-            moved = np.any(pull != 0.0, axis=1)
-            ratio = state.velocity[moved] / pull[moved]
-            spreads.append(np.ptp(ratio, axis=1).max() / ratio.max())
-        assert spreads[0] < 1e-12 and spreads[1] > 1e-3
+            *_, scored = _search(d, 72, cfg, ALE)
+            np.testing.assert_array_equal(scored[1], _first_move(d, 72, cfg, ALE))
+            moves.append(scored[1])
+        assert not np.array_equal(*moves)
 
 
 class TestUpdateBests:
     """Personal- and global-best bookkeeping, seen through a one-lane pso_batch."""
 
     def test_personal_best_moves_only_on_strictly_lower_cost(self):
-        # on an all-zero frame every cost ties at 0.0, however far a particle moves
+        """On an all-zero frame every cost ties at 0.0, however far a
+        particle moves, so every personal best stays at its start and the
+        global best at the first particle's: the swarm scores the positions
+        of one pulled towards its starting points."""
         cfg = PsoConfig(n_particles=5, max_iters=8, tol=0.0)
-        (state,) = pso_batch(np.zeros((1, 64), dtype=complex), [73], cfg, ALE)
-        np.testing.assert_array_equal(state.pbest_position, _first_draw(cfg, 73, ALE.taps))
-        np.testing.assert_array_equal(state.pbest_cost, np.zeros(5))
-        assert not np.array_equal(state.position, state.pbest_position)
+        *_, scored = _search(np.zeros(64, dtype=complex), 73, cfg, ALE)
+        rng = np.random.default_rng(73)
+        x = start = rng.uniform(-cfg.init_range, cfg.init_range, size=(5, ALE.taps))
+        v = np.zeros_like(x)
+        for positions in scored[1:]:
+            r1, r2 = rng.uniform(size=(5, 2, 1)).transpose(1, 0, 2)
+            v = np.clip(
+                cfg.inertia * v + cfg.c1 * r1 * (start - x) + cfg.c2 * r2 * (start[0] - x),
+                -cfg.v_max, cfg.v_max,
+            )
+            x = x + v
+            np.testing.assert_array_equal(positions, x)
+        assert len(scored) == cfg.max_iters + 1 and not np.array_equal(x, start)
 
     def test_global_best_takes_first_of_tied_minimum(self):
         """Every cost of an all-zero frame ties at 0.0: the global best is
         the first particle's start, and the oracle agrees."""
         d = np.zeros(64, dtype=complex)
         cfg = PsoConfig(n_particles=5, max_iters=8, tol=0.0)
-        (state,) = pso_batch(d[None], [74], cfg, ALE)
-        np.testing.assert_array_equal(state.gbest_position, _first_draw(cfg, 74, ALE.taps)[0])
-        assert state.history == [0.0] * cfg.max_iters
+        (weights,), (history,) = pso_batch(d[None], [74], cfg, ALE)
+        np.testing.assert_array_equal(weights, _first_draw(cfg, 74, ALE.taps)[0])
+        assert history == [0.0] * cfg.max_iters
         w_ref, h_ref = loop_pso(d, ALE.taps, ALE.delay, cfg, 74)
-        np.testing.assert_array_equal(state.gbest_position, w_ref)
-        assert h_ref == state.history
+        np.testing.assert_array_equal(weights, w_ref)
+        assert h_ref == history
 
     def test_global_best_stays_on_a_tie(self):
         # a swarm that never moves scores every particle's best again each
         # iteration: a tie, so no best moves
         d = _awgn_frame(0.0, 75, 76, h=128)
         cfg = PsoConfig(n_particles=6, c1=0.0, c2=0.0, max_iters=6, tol=0.0)
-        (state,) = pso_batch(d[None], [75], cfg, ALE)
+        (weights,), (history,) = pso_batch(d[None], [75], cfg, ALE)
         start = _first_draw(cfg, 75, ALE.taps)
         start_costs = np.array([evaluate_cost(w, d, ALE) for w in start])
-        np.testing.assert_array_equal(state.pbest_cost, start_costs)
-        np.testing.assert_array_equal(state.gbest_position, start[np.argmin(start_costs)])
-        assert state.history == [start_costs.min()] * cfg.max_iters
+        np.testing.assert_array_equal(weights, start[np.argmin(start_costs)])
+        assert history == [start_costs.min()] * cfg.max_iters
 
 
 class TestSearch:
@@ -277,8 +317,8 @@ class TestSearch:
     def test_frozen_swarm_returns_initial_position(self):
         d = _awgn_frame(0.0, 70, 71, h=128)
         cfg = PsoConfig(n_particles=1, c1=0.0, c2=0.0, max_iters=1, tol=0.0)
-        (state,) = pso_batch(d[None], [72], cfg, ALE)
-        np.testing.assert_array_equal(state.gbest_position, _first_draw(cfg, 72, ALE.taps)[0])
+        (weights,), _ = pso_batch(d[None], [72], cfg, ALE)
+        np.testing.assert_array_equal(weights, _first_draw(cfg, 72, ALE.taps)[0])
 
     def test_history_non_increasing(self):
         rng = np.random.default_rng(73)
@@ -286,30 +326,31 @@ class TestSearch:
             h = int(rng.integers(40, 100))
             d = _random_frame(rng, h)
             cfg = PsoConfig(n_particles=6, max_iters=12, tol=0.0)
-            (state,) = pso_batch(d[None], [trial], cfg, AleConfig(taps=3, delay=1))
-            hist = np.array(state.history)
-            assert np.all(np.diff(hist) <= 0.0)
+            _, (history,) = pso_batch(d[None], [trial], cfg, AleConfig(taps=3, delay=1))
+            assert np.all(np.diff(history) <= 0.0)
 
     def test_gbest_matches_min_personal_best(self):
+        """The personal bests are the cheapest positions each particle has
+        scored, so the global best is the cheapest position scored so far."""
         d = _awgn_frame(-2.0, 74, 75, h=256)
-        (state,) = pso_batch(d[None], [76], PsoConfig(n_particles=10, max_iters=15), ALE)
-        assert state.gbest_cost == state.pbest_cost.min()
-        best = int(np.argmin(state.pbest_cost))
-        np.testing.assert_array_equal(state.gbest_position, state.pbest_position[best])
-        assert state.gbest_cost == evaluate_cost(state.gbest_position, d, ALE)
+        weights, history, scored = _search(d, 76, PsoConfig(n_particles=10, max_iters=15), ALE)
+        costs = np.array([[evaluate_cost(w, d, ALE) for w in positions] for positions in scored])
+        assert history == np.minimum.accumulate(costs.min(axis=1))[1:].tolist()
+        np.testing.assert_array_equal(weights, scored.reshape(-1, ALE.taps)[np.argmin(costs)])
+        assert history[-1] == evaluate_cost(weights, d, ALE)
 
     def test_deterministic(self):
         d = _awgn_frame(2.0, 77, 78, h=256)
         cfg = PsoConfig(n_particles=8, max_iters=10)
-        (s1,), (s2,) = (pso_batch(d[None], [79], cfg, ALE) for _ in range(2))
-        np.testing.assert_array_equal(s1.gbest_position, s2.gbest_position)
-        assert s1.history == s2.history
+        (w1, h1), (w2, h2) = (pso_batch(d[None], [79], cfg, ALE) for _ in range(2))
+        np.testing.assert_array_equal(w1, w2)
+        assert h1 == h2
 
     def test_early_stop_after_patience_stalls(self):
         d = _awgn_frame(0.0, 83, 84, h=128)
         cfg = PsoConfig(n_particles=4, max_iters=50, tol=1e9, patience=3)
-        (state,) = pso_batch(d[None], [85], cfg, ALE)
-        assert len(state.history) == 3
+        _, (history,) = pso_batch(d[None], [85], cfg, ALE)
+        assert len(history) == 3
 
     @pytest.mark.parametrize(
         "overrides",
@@ -329,20 +370,20 @@ class TestSearch:
         for seed in range(4):
             d = _random_frame(rng, 40)
             cfg = replace(PsoConfig(n_particles=7, max_iters=15, tol=0.0), **overrides)
-            (state,) = pso_batch(d[None], [seed], cfg, ale)
+            (weights,), (history,) = pso_batch(d[None], [seed], cfg, ale)
             w_ref, h_ref = loop_pso(d, ale.taps, ale.delay, cfg, seed)
-            np.testing.assert_allclose(state.history, h_ref, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(state.gbest_position, w_ref, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(history, h_ref, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(weights, w_ref, rtol=1e-12, atol=0.0)
 
     def test_matches_loop_oracle_through_early_stop(self):
         d = _awgn_frame(0.0, 87, 88, h=48)
         for seed in range(4):
             cfg = PsoConfig(n_particles=6, max_iters=40, tol=1e-3, patience=3)
-            (state,) = pso_batch(d[None], [seed], cfg, ALE)
+            (weights,), (history,) = pso_batch(d[None], [seed], cfg, ALE)
             w_ref, h_ref = loop_pso(d, ALE.taps, ALE.delay, cfg, seed)
-            assert len(state.history) == len(h_ref) < cfg.max_iters
-            np.testing.assert_allclose(state.history, h_ref, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(state.gbest_position, w_ref, rtol=1e-12, atol=0.0)
+            assert len(history) == len(h_ref) < cfg.max_iters
+            np.testing.assert_allclose(history, h_ref, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(weights, w_ref, rtol=1e-12, atol=0.0)
 
     def test_beats_lms_residual_at_moderate_snr(self):
         """Averaged over 20 seeds the swarm's final cost sits at or below the
@@ -350,22 +391,20 @@ class TestSearch:
         frames = np.array([_awgn_frame(-2.0, 90 + s, 190 + s, h=10_000) for s in range(20)])
         _, outputs, errors = lms_batch(frames, np.full(20, 0.01), ALE)
         assert errors == [None] * 20
-        states = pso_batch(frames, list(range(20)), PsoConfig(), ALE)
+        _, histories = pso_batch(frames, list(range(20)), PsoConfig(), ALE)
         gaps = [
-            np.mean(np.abs((d - y)[ALE.warmup :]) ** 2) - state.gbest_cost
-            for d, y, state in zip(frames, outputs, states)
+            np.mean(np.abs((d - y)[ALE.warmup :]) ** 2) - history[-1]
+            for d, y, history in zip(frames, outputs, histories)
         ]
         assert np.mean(gaps) > 0.0
 
 
-def _assert_lane_is_searched_alone(d, seed, cfg, count, ale, state):
-    """Lane `state` of pso_batch is, bit for bit, the search of frame d
-    alone with `count` particles."""
-    (alone,) = pso_batch(d[None], [seed], cfg, ale, [count])
-    for name in ("position", "velocity", "pbest_position", "pbest_cost", "gbest_position"):
-        np.testing.assert_array_equal(getattr(state, name), getattr(alone, name))
-    assert state.gbest_cost == alone.gbest_cost
-    assert state.history == alone.history
+def _assert_lane_is_searched_alone(d, seed, cfg, count, ale, weights, history):
+    """A lane's weights and history from pso_batch are, bit for bit, those
+    of the search of frame d alone with `count` particles."""
+    (alone,), (alone_history,) = pso_batch(d[None], [seed], cfg, ale, [count])
+    np.testing.assert_array_equal(weights, alone)
+    assert history == alone_history
 
 
 _COUNTS = (1, 3, 17, 60)
@@ -399,17 +438,16 @@ class TestPsoBatch:
         for taps in range(1, 10):
             ale = AleConfig(taps=taps, delay=1 + taps % 3)
             frames = np.array([_random_frame(rng, 48) for _ in _COUNTS] + [cosine])
-            states = pso_batch(frames, seeds, cfg, ale, counts)
-            assert len(states) == len(counts)
-            for d, seed, count, state in zip(frames, seeds, counts, states):
-                _assert_lane_is_searched_alone(d, seed, cfg, count, ale, state)
-                assert state.position.shape == (count, taps)
-            lengths = [len(state.history) for state in states]
+            weights, histories = pso_batch(frames, seeds, cfg, ale, counts)
+            assert weights.shape == (len(counts), taps) and len(histories) == len(counts)
+            for d, seed, count, w, history in zip(frames, seeds, counts, weights, histories):
+                _assert_lane_is_searched_alone(d, seed, cfg, count, ale, w, history)
+            lengths = [len(history) for history in histories]
             if overrides is _EARLY_STOP:
                 assert len(set(lengths)) > 1 and max(lengths) < cfg.max_iters
             if overrides is _ODD_COEFFICIENTS and taps >= 2:
                 # the quadratic form cannot score below this; the residual can
-                assert states[-1].gbest_cost < GRAM_FALLBACK_RATIO * np.mean(np.abs(cosine) ** 2)
+                assert histories[-1][-1] < GRAM_FALLBACK_RATIO * np.mean(np.abs(cosine) ** 2)
 
     @pytest.mark.parametrize(
         "overrides", [{"per_dimension_draws": True, **_ODD_COEFFICIENTS}, _EARLY_STOP]
@@ -422,12 +460,12 @@ class TestPsoBatch:
         for taps in (1, 4, 9):
             ale = AleConfig(taps=taps, delay=2)
             frames = np.array([_random_frame(rng, 40) for _ in _COUNTS])
-            states = pso_batch(frames, seeds, cfg, ale, _COUNTS)
-            for d, seed, count, state in zip(frames, seeds, _COUNTS, states):
+            weights, histories = pso_batch(frames, seeds, cfg, ale, _COUNTS)
+            for d, seed, count, w, history in zip(frames, seeds, _COUNTS, weights, histories):
                 w_ref, h_ref = loop_pso(d, taps, ale.delay, replace(cfg, n_particles=count), seed)
-                assert len(state.history) == len(h_ref)
-                np.testing.assert_allclose(state.history, h_ref, rtol=1e-12, atol=0.0)
-                np.testing.assert_allclose(state.gbest_position, w_ref, rtol=1e-12, atol=0.0)
+                assert len(history) == len(h_ref)
+                np.testing.assert_allclose(history, h_ref, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0.0)
 
     def test_bad_shapes_rejected(self):
         frames = np.array([_random_frame(np.random.default_rng(94), 40)] * 2)
@@ -483,6 +521,6 @@ class TestCostFloor:
         lms_weights, _, _ = lms_batch(np.repeat(d[None], 4, axis=0), [0.005, 0.02, 0.08, 0.3], ale)
         for w in lms_weights:
             assert np.mean(np.abs((d - filter_frame(d, w, ale))[ale.warmup :]) ** 2) >= least
-        (state,) = pso_batch(d[None], [seed], PsoConfig(n_particles=10, max_iters=20), ale)
-        assert np.mean(np.abs((d - filter_frame(d, state.gbest_position, ale))[ale.warmup :]) ** 2) >= least
-        assert min(state.history) >= least
+        (weights,), (history,) = pso_batch(d[None], [seed], PsoConfig(n_particles=10, max_iters=20), ale)
+        assert np.mean(np.abs((d - filter_frame(d, weights, ale))[ale.warmup :]) ** 2) >= least
+        assert min(history) >= least
