@@ -277,7 +277,7 @@ def _format_value(value) -> str:
         return str(value).lower()
     if isinstance(value, tuple):
         return ", ".join(map(_format_value, value))
-    return _format_cell(value)
+    return str(value)
 
 
 def spec_to_text(spec: ExperimentSpec) -> str:
@@ -286,7 +286,7 @@ def spec_to_text(spec: ExperimentSpec) -> str:
     for key in _SCHEMA:
         section, _, name = key.partition(".")
         value = getattr(getattr(spec, section) if section in _SECTIONS else spec, name)
-        if value != ():
+        if not isinstance(value, tuple) or value:
             lines.append(f"{key} = {_format_value(value)}")
     return "\n".join(lines) + "\n"
 
@@ -361,7 +361,7 @@ def _metric_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int,
         lanes, bits[:, k * (v0 - lag) : k * (spec.h - lag)], frames, outputs, weights
     ):
         base = dict(point, seed=run_seed, L=spec.ale.taps, delta=spec.ale.delay)
-        clean = modulate(sent, spec.mod)
+        clean = modulate(sent, spec.mod)  # re-modulated: ~70 us a lane, against one more (B, H) array per batch
         for algorithm, y, mu, n_particles in (
             ("LMS", lms_y, spec.lms.mu, None),
             ("PSO", filter_frame(d, w, spec.ale), None, spec.pso.n_particles),
@@ -585,20 +585,11 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     )
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _csv_text(columns: tuple[str, ...], rows: tuple[dict, ...]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_format_cell(row.get(col)) for col in columns])
+    writer.writerows([row.get(col) for col in columns] for row in rows)
     return buf.getvalue()
 
 
@@ -610,8 +601,10 @@ def _write_text(path: Path, text: str) -> None:
 def emit_csv(table: ResultTable, out_dir: str | Path) -> list[Path]:
     """Write ``<kind>_raw.csv``, ``<kind>_mean.csv`` and ``<kind>_meta.txt``.
 
-    Numeric cells use shortest round-trip formatting; re-emitting the same
-    table produces identical bytes.  All three are written to temporary
+    Cells are the csv module's own text: empty for no value, floats
+    (numpy's too) in shortest round-trip form, anything else by ``str``,
+    so a numpy scalar prints as a number; re-emitting the same table
+    produces identical bytes.  All three are written to temporary
     files in `out_dir` first and renamed over the old set only once every
     write has succeeded, so a failure leaves the previous outputs intact.
     """

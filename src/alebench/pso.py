@@ -98,7 +98,8 @@ def _scores(w: np.ndarray, R: np.ndarray, p: np.ndarray, c: np.ndarray, frames: 
     particles first before the sums, so that each particle's products are
     summed as one contiguous block, in numpy's order for an (N, L) swarm.
     A particle whose quadratic form has cancelled is recomputed from the
-    residual of its lane's ``frames[b] = (target, lags)``.
+    residual of its lane's ``frames[b] = (target, lags)``.  A cost that
+    overflows to nan (inf - inf) is +inf, never a best; callers silence it.
     """
     quad = (w[:, :, None] * R[..., None] * w[:, None]).transpose(0, 3, 1, 2).copy().sum(axis=(2, 3))
     out = c[:, None] - 2.0 * (w * p[..., None]).transpose(0, 2, 1).copy().sum(axis=2) + quad
@@ -106,9 +107,11 @@ def _scores(w: np.ndarray, R: np.ndarray, p: np.ndarray, c: np.ndarray, frames: 
         target, lags = frames[b]
         e = target - sum(wk * lag for wk, lag in zip(w[b, :, i], lags))
         out[b, i] = np.vdot(e, e).real / target.size
+    out[np.isnan(out)] = np.inf
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def evaluate_cost(w: np.ndarray, d: np.ndarray, ale: AleConfig) -> float:
     """Mean |e[n]|^2 over the fully-populated range, weights held fixed:
     J(w) = c - 2w'p + w'Rw, where, with V[n, k] = d[n - delay - k] over the
@@ -120,6 +123,7 @@ def evaluate_cost(w: np.ndarray, d: np.ndarray, ale: AleConfig) -> float:
     return float(_scores(w[None, :, None], R[None], p[None], np.array([c]), [frame])[0, 0])
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def pso_batch(
     D: np.ndarray, seeds: list[int], cfg: PsoConfig, ale: AleConfig, counts: list[int] | None = None
 ) -> tuple[np.ndarray, list[list[float]]]:
@@ -192,7 +196,7 @@ def pso_batch(
         improved = top < gcost
         gbest = np.where(improved[:, None], pbest[rows, :, best], gbest)
         prev, gcost = gcost, np.where(improved, top, gcost)
-        stall = np.where(prev - gcost < cfg.tol, stall + 1, 0)
+        stall = np.where(prev - gcost >= cfg.tol, 0, stall + 1)  # inf - inf: no improvement
         history[it, live] = gcost
         done = (cfg.tol > 0.0) & (stall >= cfg.patience) | (it + 1 == cfg.max_iters)
         if not done.any():

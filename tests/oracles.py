@@ -78,10 +78,10 @@ def loop_pso(d, taps, delay, cfg, seed):
                 gcost = pcost[i]
                 gbest = list(pbest[i])
         history.append(gcost)
-        if prev - gcost < cfg.tol:
-            stall += 1
-        else:
+        if prev - gcost >= cfg.tol:  # inf - inf is nan: no improvement
             stall = 0
+        else:
+            stall += 1
         if cfg.tol > 0.0 and stall >= cfg.patience:
             break
     return np.array(gbest), history

@@ -439,6 +439,37 @@ class TestEmitCsv:
             emit_csv(table("new"), tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_cells_take_the_csv_module_conversion(self, tmp_path):
+        """No value is an empty cell, a float (numpy's too) its shortest
+        round-trip text, anything else its str, quoted when it holds a comma."""
+        values = (None, -0.0, math.inf, math.nan, 1e-310, 2**64 - 1, "a,b", np.float64(0.5))
+        columns = tuple(f"c{i}" for i in range(len(values)))
+        table = ResultTable(
+            kind="ber_awgn",
+            raw_columns=columns,
+            raw_rows=(dict(zip(columns, values)),),
+            mean_columns=(),
+            mean_rows=(),
+            metadata="",
+        )
+        raw = emit_csv(table, tmp_path)[0].read_text().splitlines()
+        assert raw[1] == ',-0.0,inf,nan,1e-310,18446744073709551615,"a,b",0.5'
+
+    def test_numpy_scalar_spec_runs_and_echoes(self, tmp_path):
+        """A library caller may build a spec from numpy scalars: it runs, its
+        meta echo parses back to it, and its cells print as numbers."""
+        spec = replace(
+            parse_config("run.n_seeds = 1\npso.n_particles = 4\npso.max_iters = 3"),
+            h=np.int64(200),
+            lms=LmsConfig(mu=np.float64(0.02)),
+            snr_grid=(np.float64(-2.0),),
+        )
+        table = run_experiment(spec)
+        assert parse_config(table.metadata) == spec
+        raw = emit_csv(table, tmp_path)[0].read_text().splitlines()
+        mu = raw[0].split(",").index("mu")
+        assert [line.split(",")[mu] for line in raw[1:]] == ["0.02", ""]
+
     def test_lf_line_endings(self, tmp_path):
         table = run_experiment(parse_config(SMALL, kind="ber_awgn"))
         paths = emit_csv(table, tmp_path)

@@ -352,6 +352,18 @@ class TestSearch:
         _, (history,) = pso_batch(d[None], [85], cfg, ALE)
         assert len(history) == 3
 
+    def test_overflowing_costs_are_inf_and_stall(self):
+        """At -2990 dB the frame's power times 1e6-sized weights overflows
+        float64, and the quadratic form sums +inf and -inf products.  Such
+        a cost is +inf, never nan, raises no warning, and an inf global
+        best counts as no improvement, so the search stops after patience."""
+        d = _awgn_frame(-2990.0, 1, 2, h=64)
+        assert evaluate_cost(np.full(ALE.taps, 1e6), d, ALE) == np.inf
+        for tol, iters in ((0.0, 12), (1e-4, 5)):
+            cfg = PsoConfig(n_particles=8, max_iters=12, init_range=1e6, tol=tol, patience=5)
+            _, histories = pso_batch(np.array([d, d]), [3, 4], cfg, ALE)
+            assert histories == [[np.inf] * iters] * 2
+
     @pytest.mark.parametrize(
         "overrides",
         [
