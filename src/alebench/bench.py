@@ -34,7 +34,7 @@ from . import __version__
 from .ale import AleConfig, filter_frame
 from .channel import DEFAULT_PROFILES, SNR_LIMIT_DB, add_awgn, apply_nonlinear
 from .errors import ConfigError
-from .lms import LmsConfig, lms_batch
+from .lms import lms_batch
 from .pso import MAX_PARTICLES, PsoConfig, pso_batch
 from .signal import ModConfig, demodulate, generate_bits, modulate
 
@@ -59,7 +59,7 @@ class ExperimentSpec:
     h: int = 10_000
     mod: ModConfig = field(default_factory=ModConfig)
     ale: AleConfig = field(default_factory=AleConfig)
-    lms: LmsConfig = field(default_factory=LmsConfig)
+    mu: float = 0.01  # LMS step size
     pso: PsoConfig = field(default_factory=PsoConfig)
     snr_grid: tuple[float, ...] = ()
     sweep_values: tuple[float, ...] = ()
@@ -75,6 +75,8 @@ class ExperimentSpec:
         shortest = self.ale.taps + self.ale.delay + 1
         if not shortest <= self.h <= _BATCH_SAMPLES:
             raise ConfigError("frame.h", f"must be from taps + delay + 1 = {shortest} to {_BATCH_SAMPLES}, got {self.h}")
+        if not (math.isfinite(self.mu) and self.mu >= 0.0):
+            raise ConfigError("lms.mu", f"must be finite and >= 0, got {self.mu}")
         for s in self.snr_grid:
             if not (abs(s) <= SNR_LIMIT_DB or s == math.inf):  # +inf: no noise
                 raise ConfigError("run.snr_grid", f"SNR values must be inf or within +-{SNR_LIMIT_DB:g} dB, got {s}")
@@ -204,7 +206,7 @@ _SCHEMA = {
     "channel.profiles": _list_of(_parse_profile),
 }
 
-_SECTIONS = {"mod": ModConfig, "ale": AleConfig, "lms": LmsConfig, "pso": PsoConfig}
+_SECTIONS = {"mod": ModConfig, "ale": AleConfig, "pso": PsoConfig}
 
 
 def _parse_value(key: str, raw: str):
@@ -242,9 +244,9 @@ def parse_config(
     5-tap enhancer with delay 1, mu=0.01, 60 particles).  Unknown keys
     and type mismatches raise ConfigError naming the offending key; so
     does a value out of range, rejected by the config class that holds
-    it.  `kind` overrides any ``experiment.kind`` in the document;
-    `overrides` maps keys to raw value strings that replace whatever the
-    document says.
+    it or by the spec.  `kind` overrides any ``experiment.kind`` in the
+    document; `overrides` maps keys to raw value strings that replace
+    whatever the document says.
     """
     values = _parse_pairs(text)
     if kind:
@@ -342,12 +344,13 @@ def _batch_frames(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int
     return lanes, bits, frames
 
 
+@np.errstate(over="ignore")
 def _metric_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]) -> list[dict]:
     """An LMS and a PSO row per run.  From sample `warmup` on, `mse` is the
     residual's power, and bits are decided on the residual, or on the
-    output, which lags them by the delay."""
+    output, which lags them by the delay.  A power that overflows is inf."""
     lanes, bits, frames = _batch_frames(spec, points, runs)
-    _, outputs, diverged = lms_batch(frames, np.full(len(runs), spec.lms.mu), spec.ale)
+    _, outputs, diverged = lms_batch(frames, np.full(len(runs), spec.mu), spec.ale)
     for (point, seed_idx, *_), err in zip(lanes, diverged):
         if err is not None:
             raise RuntimeError(
@@ -363,7 +366,7 @@ def _metric_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int,
         base = dict(point, seed=run_seed, L=spec.ale.taps, delta=spec.ale.delay)
         clean = modulate(sent, spec.mod)  # re-modulated: ~70 us a lane, against one more (B, H) array per batch
         for algorithm, y, mu, n_particles in (
-            ("LMS", lms_y, spec.lms.mu, None),
+            ("LMS", lms_y, spec.mu, None),
             ("PSO", filter_frame(d, w, spec.ale), None, spec.pso.n_particles),
         ):
             residual = (d - y)[v0:]

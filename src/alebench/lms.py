@@ -15,30 +15,17 @@ contiguous buffers laid out for the calls that read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .ale import AleConfig, _check_frame
-from .errors import ConfigError, DivergenceError
+from .errors import DivergenceError
 
-__all__ = ["LmsConfig", "lms_step", "lms_batch", "WEIGHT_BOUND"]
+__all__ = ["lms_step", "lms_batch", "WEIGHT_BOUND"]
 
 # Any |w| beyond this is treated as divergence rather than a usable state.
 WEIGHT_BOUND = 1e6
 _BLOCK = 64  # samples adapted between two divergence checks
-
-
-@dataclass(frozen=True)
-class LmsConfig:
-    """Step size; adaptation always starts from zero weights."""
-
-    mu: float = 0.01
-
-    def __post_init__(self):
-        if self.mu < 0.0 or not np.isfinite(self.mu):
-            raise ConfigError("mu", f"must be finite and >= 0, got {self.mu}")
 
 
 def _scratch(taps: int, lanes: int) -> tuple[np.ndarray, ...]:

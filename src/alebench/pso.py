@@ -14,6 +14,7 @@ over (B, L, N) arrays, one lane per frame, particles last.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class PsoConfig:
     improvement stays below it for `patience` consecutive iterations the
     search stops early.  Set ``tol=0`` to always run `max_iters` iterations.
     The previous velocity carries weight `inertia`, exactly 1 by default.
-    `c1`, `c2`, `inertia` and `init_range` must be finite; ``v_max = inf``
-    turns the velocity clamp off.
+    `c1`, `c2` and `inertia` must be finite, and `init_range` at most half
+    the largest float; ``v_max = inf`` turns the velocity clamp off.
     """
 
     n_particles: int = 60
@@ -65,7 +66,8 @@ class PsoConfig:
             ("max_iters", 1 <= self.max_iters <= MAX_ITERS, f"from 1 to {MAX_ITERS}"),
             ("tol", self.tol >= 0.0, ">= 0"),
             ("patience", self.patience >= 1, ">= 1"),
-            ("init_range", math.isfinite(self.init_range) and self.init_range > 0.0, "finite and > 0"),
+            # uniform(-r, r) overflows for any wider start range
+            ("init_range", 0.0 < self.init_range <= sys.float_info.max / 2, "> 0 and at most half the largest float"),
             ("v_max", self.v_max > 0.0, "> 0"),
             ("inertia", math.isfinite(self.inertia), "finite"),
         ):

@@ -6,6 +6,7 @@ import importlib
 import math
 import pkgutil
 import re
+import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -27,7 +28,7 @@ from alebench.bench import (
     spec_to_text,
 )
 from alebench.errors import ConfigError
-from alebench.lms import LmsConfig, lms_batch
+from alebench.lms import lms_batch
 from alebench.pso import MAX_ITERS, MAX_PARTICLES, PsoConfig, evaluate_cost, pso_batch
 from alebench.signal import ModConfig, generate_bits, modulate
 
@@ -69,7 +70,7 @@ class TestParseConfig:
         assert spec.mod.m == 2
         assert spec.ale.taps == 5
         assert spec.pso.n_particles == 60
-        assert spec.lms.mu == 0.01
+        assert spec.mu == 0.01
         assert spec.n_seeds == 10
         assert spec.base_seed == DEFAULT_BASE_SEED
         assert spec.snr_grid == tuple(float(s) for s in range(-10, 11, 2))
@@ -106,11 +107,11 @@ class TestParseConfig:
 
     def test_comments_and_blanks_ignored(self):
         spec = parse_config("# a comment\n\nlms.mu = 0.03\n")
-        assert spec.lms.mu == 0.03
+        assert spec.mu == 0.03
 
     def test_overrides_replace_document_values(self):
         spec = parse_config("lms.mu = 0.01", overrides={"lms.mu": "0.05"})
-        assert spec.lms.mu == 0.05
+        assert spec.mu == 0.05
 
     def test_bad_profile_rejected(self):
         with pytest.raises(ConfigError):
@@ -341,7 +342,7 @@ class TestRunExperiment:
         points = bench._sweep_points(spec)
         runs = [(i, j) for i in range(len(points)) for j in range(spec.n_seeds)]
         lanes, bits, frames = bench._batch_frames(spec, points, runs)
-        _, lms_outputs, _ = lms_batch(frames, np.full(len(runs), spec.lms.mu), spec.ale)
+        _, lms_outputs, _ = lms_batch(frames, np.full(len(runs), spec.mu), spec.ale)
         weights, _ = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
         rows = run_experiment(spec).raw_rows
         v0, k = spec.ale.warmup, spec.mod.bits_per_symbol
@@ -374,6 +375,17 @@ class TestRunExperiment:
         spec = parse_config(SMALL + "run.decision_stream = output\n", kind="ber_awgn")
         table = run_experiment(spec)
         assert len(table.raw_rows) == 8
+
+    def test_overflowing_powers_are_inf_without_warning(self):
+        """Swarm weights drawn near 1e160 give an output whose squared
+        residual overflows: the PSO row's powers read inf, and no warning
+        escapes (warnings are errors under this suite), while the LMS row,
+        adapted from zero weights, stays finite."""
+        spec = parse_config("frame.h = 200\nrun.n_seeds = 1\nrun.snr_grid = 0\npso.init_range = 1e160")
+        lms_row, pso_row = run_experiment(spec).raw_rows
+        assert (lms_row["algorithm"], pso_row["algorithm"]) == ("LMS", "PSO")
+        assert pso_row["mse"] == pso_row["clean_mse"] == math.inf
+        assert math.isfinite(lms_row["mse"])
 
     def test_nonlinear_rows_carry_profile(self):
         spec = parse_config(
@@ -461,7 +473,7 @@ class TestEmitCsv:
         spec = replace(
             parse_config("run.n_seeds = 1\npso.n_particles = 4\npso.max_iters = 3"),
             h=np.int64(200),
-            lms=LmsConfig(mu=np.float64(0.02)),
+            mu=np.float64(0.02),
             snr_grid=(np.float64(-2.0),),
         )
         table = run_experiment(spec)
@@ -594,7 +606,8 @@ class TestSpecValidation:
         ("pso.c1 = -1\nchannel.profiles = nope", "channel.profiles"),
         ("pso.c1 = -1\nrun.snr_grid = 1, 1", "run.snr_grid"),
         ("frame.h = 5\npso.c1 = -1", "pso.c1"),
-    ], ids=["profile_name", "repeated_snr", "spec_after_classes"])
+        ("lms.mu = -1\npso.c1 = -1", "pso.c1"),
+    ], ids=["profile_name", "repeated_snr", "spec_after_classes", "mu_after_classes"])
     def test_line_checks_named_before_range_checks(self, doc, key):
         """A list value is checked as its line is read, before any range;
         the spec checks its own keys after the config classes."""
@@ -625,6 +638,9 @@ class TestSpecValidation:
         ("ber_awgn", "frame.h", 5, "frame.h"),
         ("ber_awgn", "frame.h", 640_001, "frame.h"),
         ("ber_awgn", "ale.delay", 10_000, "frame.h"),
+        ("ber_awgn", "lms.mu", -0.1, "lms.mu"),
+        ("ber_awgn", "lms.mu", math.nan, "lms.mu"),
+        ("ber_awgn", "lms.mu", math.inf, "lms.mu"),
         ("ber_awgn", "run.snr_grid", (0.0, -0.0), "run.snr_grid"),
         ("ber_awgn", "run.snr_grid", (0.0, math.nan), "run.snr_grid"),
         ("ber_awgn", "run.snr_grid", (-math.inf,), "run.snr_grid"),
@@ -688,7 +704,6 @@ class TestSpecValidation:
     (AleConfig, "taps", 0),
     (AleConfig, "taps", MAX_TAPS + 1),
     (AleConfig, "delay", 0),
-    (LmsConfig, "mu", -0.1),
     (PsoConfig, "n_particles", 0),
     (PsoConfig, "n_particles", MAX_PARTICLES + 1),
     (PsoConfig, "c1", -1.0),
@@ -698,6 +713,7 @@ class TestSpecValidation:
     (PsoConfig, "tol", math.nan),
     (PsoConfig, "patience", 0),
     (PsoConfig, "init_range", 0.0),
+    (PsoConfig, "init_range", 1e308),
     (PsoConfig, "v_max", 0.0),
     (PsoConfig, "inertia", math.nan),
 ])
@@ -711,8 +727,8 @@ def test_config_class_names_its_field(cls, name, value):
 def test_caps_accept_their_bound():
     """Constructors and parsing only: nothing of this size is run."""
     assert AleConfig(taps=MAX_TAPS).taps == MAX_TAPS
-    cfg = PsoConfig(n_particles=MAX_PARTICLES, max_iters=MAX_ITERS)
-    assert (cfg.n_particles, cfg.max_iters) == (MAX_PARTICLES, MAX_ITERS)
+    cfg = PsoConfig(n_particles=MAX_PARTICLES, max_iters=MAX_ITERS, init_range=sys.float_info.max / 2)
+    assert (cfg.n_particles, cfg.max_iters, cfg.init_range) == (MAX_PARTICLES, MAX_ITERS, sys.float_info.max / 2)
     spec = parse_config(f"run.sweep_values = 1, {MAX_PARTICLES}", kind="particle_sweep")
     assert spec.sweep_values == (1.0, MAX_PARTICLES)
 

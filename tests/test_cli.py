@@ -122,6 +122,17 @@ def test_snr_beyond_the_limit_fails_before_running(tmp_path, capsys, snr):
     assert not out.exists()
 
 
+def test_start_range_numpy_cannot_draw_fails_before_running(tmp_path, capsys):
+    """Generator.uniform(-r, r) overflows above half the largest float; the
+    range is rejected at parse time, not by the swarm's first draw."""
+    out = tmp_path / "out"
+    code = main(["run-all", "--out", str(out), "--seeds", "1", "--set", "pso.init_range=1e308"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: pso.init_range: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_run_count_above_the_cap_fails_before_running(tmp_path, capsys, monkeypatch):
     """5,000 seeds fit every default sweep but ber_nonlinear's 33 points,
     and ber_nonlinear comes last: run-all still runs nothing."""
