@@ -86,10 +86,10 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
         sigma2 = power / np.float64(10.0) ** (snr_db / 10.0)
     if not 0.0 < sigma2 < math.inf:
         raise ValueError(f"snr_db {snr_db} gives no finite positive noise variance at signal power {power}")
-    rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((x.size, 2))
-    noise = math.sqrt(sigma2 / 2.0) * (draws[:, 0] + 1j * draws[:, 1])
-    return x + noise
+    noise = np.random.default_rng(seed).standard_normal(2 * x.size).view(np.complex128)
+    noise *= math.sqrt(sigma2 / 2.0)
+    noise += x
+    return noise
 
 
 def apply_nonlinear(x: np.ndarray, profile: NonlinearProfile) -> np.ndarray:

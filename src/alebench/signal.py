@@ -49,29 +49,21 @@ class ModConfig:
         return self.m.bit_length() - 1
 
 
-def _gray(n: np.ndarray) -> np.ndarray:
-    return n ^ (n >> 1)
-
-
 def constellation(cfg: ModConfig) -> np.ndarray:
     """Constellation points indexed by position m on the unit circle."""
     m = np.arange(cfg.m)
     return np.exp(1j * (2.0 * np.pi * m / cfg.m + cfg.phase_offset))
 
 
-def _point_index_for_group(cfg: ModConfig) -> np.ndarray:
-    """Map a bit-group value to its constellation point index.
+def _groups(cfg: ModConfig) -> np.ndarray:
+    """The bit group each constellation point carries, by point index, as uint8.
 
-    For m=2 the antipodal convention (0 -> point at pi, 1 -> point at 0)
+    For m=2 the antipodal convention (point at 0 -> 1, point at pi -> 0)
     is pinned so that BER runs are reproducible across implementations.
-    Larger constellations use the standard reflected Gray assignment.
+    Larger constellations use the standard reflected Gray code.
     """
-    if cfg.m == 2:
-        return np.array([1, 0])
-    idx = np.arange(cfg.m)
-    table = np.empty(cfg.m, dtype=np.int64)
-    table[_gray(idx)] = idx
-    return table
+    idx = np.arange(cfg.m, dtype=np.uint8)
+    return np.array([1, 0], dtype=np.uint8) if cfg.m == 2 else idx ^ (idx >> 1)
 
 
 def generate_bits(count: int, seed: int) -> np.ndarray:
@@ -90,10 +82,12 @@ def modulate(bits: np.ndarray, cfg: ModConfig) -> np.ndarray:
     Raises
     ------
     ValueError
-        If the stream length is not divisible by the group size, or a bit
-        is neither 0 nor 1.
+        If the bits are not one non-empty 1-D stream, the stream length is
+        not divisible by the group size, or a bit is neither 0 nor 1.
     """
     bits = np.asarray(bits)
+    if bits.ndim != 1 or bits.size == 0:
+        raise ValueError(f"can only modulate a non-empty 1-D stream, got shape {bits.shape}")
     k = cfg.bits_per_symbol
     if bits.size % k != 0:
         raise ValueError(
@@ -104,26 +98,22 @@ def modulate(bits: np.ndarray, cfg: ModConfig) -> np.ndarray:
     groups = bits.reshape(-1, k).astype(np.int64)
     weights = 1 << np.arange(k - 1, -1, -1)
     values = groups @ weights
-    points = constellation(cfg)
-    return points[_point_index_for_group(cfg)[values]]
+    return constellation(cfg)[np.argsort(_groups(cfg))[values]]
 
 
 def demodulate(samples: np.ndarray, cfg: ModConfig) -> np.ndarray:
     """Hard-decide each sample to the nearest constellation point.
 
     Ties resolve to the lowest point index, which for m=2 means a sample
-    at exactly 0 decides bit 1.  The inverse Gray map recovers the bits.
-    Samples must be finite.
+    at exactly 0 decides bit 1.  Each point's bit group is read from the
+    table `modulate` inverts.  Samples must be finite.
     """
     samples = np.asarray(samples)
     if samples.ndim != 1 or samples.size == 0:
         raise ValueError(f"can only demodulate a non-empty 1-D stream, got shape {samples.shape}")
     if not np.all(np.isfinite(samples)):
         raise ValueError("samples must be finite")
-    # invert the group -> point permutation
-    to_point = _point_index_for_group(cfg)
-    to_group = np.empty(cfg.m, dtype=np.uint8)
-    to_group[to_point] = np.arange(cfg.m)
+    to_group = _groups(cfg)
     # A running minimum of |s - p| over the points in index order: a point
     # takes a sample only when strictly nearer, so the lowest index of equal
     # distances wins, as in an argmin.  Every call after the first writes

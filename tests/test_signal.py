@@ -76,6 +76,15 @@ class TestModulate:
         with pytest.raises(ValueError, match="0 or 1"):
             modulate(np.array(bits), ModConfig(m=m))
 
+    @pytest.mark.parametrize(
+        "bits", [np.array([[0, 1], [1, 0]]), np.array(1), np.array([])], ids=["2-d", "0-d", "empty"]
+    )
+    def test_bits_that_are_not_one_1d_stream_rejected(self, bits):
+        """Unchecked, a (2, 2) block is flattened into 4 symbols, a 0-d bit
+        gives one symbol and an empty array an empty frame."""
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            modulate(bits, ModConfig())
+
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError):
             ModConfig(m=3)
@@ -179,7 +188,21 @@ class TestDemodulate:
         cfg = ModConfig(m=m)
         np.testing.assert_array_equal(demodulate(modulate(bits, cfg), cfg), bits)
 
-    @pytest.mark.parametrize("m", [2, 4, 8])
+    @pytest.mark.parametrize("m", [2, 4, 8, 16])
+    def test_bit_map_pinned(self, m):
+        """Point i carries group 1 - i at m=2 (the antipodal map) and the
+        reflected Gray code i ^ (i >> 1) otherwise, most significant bit
+        first.  The m=4 code is its own inverse; from m=8 on, a map that
+        used the inverse table would fail here."""
+        cfg = ModConfig(m=m)
+        k = cfg.bits_per_symbol
+        for i, point in enumerate(constellation(cfg)):
+            group = 1 - i if m == 2 else i ^ (i >> 1)
+            bits = [(group >> shift) & 1 for shift in range(k - 1, -1, -1)]
+            np.testing.assert_array_equal(demodulate(np.array([point]), cfg), bits)
+            assert modulate(np.array(bits), cfg)[0] == point
+
+    @pytest.mark.parametrize("m", [2, 4, 8, 16])
     def test_gray_adjacency(self, m):
         """Neighbouring constellation points carry bit groups one bit apart."""
         cfg = ModConfig(m=m)
