@@ -21,53 +21,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .ale import AleConfig, _check_frame
 from .errors import DivergenceError
 
-__all__ = ["lms_step", "lms_batch", "WEIGHT_BOUND"]
+__all__ = ["lms_batch", "WEIGHT_BOUND"]
 
 # Any |w| beyond this is treated as divergence rather than a usable state.
 WEIGHT_BOUND = 1e6
 _BLOCK = 64  # samples adapted between two divergence checks
-
-
-def _scratch(taps: int, lanes: int) -> tuple[np.ndarray, ...]:
-    """_update's scratch: (2, L, 2, B) products, one contiguous (L, 2, B)
-    half each for the real and imaginary parts, and the (L, 2, B) step."""
-    prod = np.empty((2, taps, 2, lanes))
-    return prod, prod[0], prod[1], np.empty((taps, 2, lanes))
-
-
-def _update(w, e_n, v, mus, scratch, out) -> None:
-    """out = w + mus * Re(e_n * conj(v)), lanes last, each weight held
-    twice: (L, 2, B) weights, (2, 1, 1, B) real/imag errors, (2, L, 2, B)
-    real/imag regressors, each repeated over the copies, (L, 2, B) step
-    sizes and _scratch(L, B).  Each tap's step is mu * (er*vr + ei*vi), in
-    that order, so both copies of a weight stay equal; out may be w."""
-    prod, re, im, step = scratch
-    np.multiply(v, e_n, prod)
-    np.add(re, im, step)
-    np.multiply(step, mus, step)
-    np.add(w, step, out)
-
-
-def lms_step(
-    w: np.ndarray, e_n: complex, v_n: np.ndarray, mu: float
-) -> np.ndarray:
-    """Single weight update from one error sample and its regressor: the
-    update lms_batch makes, run on one lane."""
-    w = np.array(w, dtype=np.float64)
-    v_n = np.asarray(v_n)
-    if w.ndim != 1 or w.shape != v_n.shape:
-        raise ValueError(f"shape mismatch: weights {w.shape}, regressor {v_n.shape}")
-    if not (np.isfinite(e_n) and np.all(np.isfinite(v_n)) and np.all(np.isfinite(w))):
-        raise ValueError("non-finite input to weight update")
-    if not (np.isfinite(mu) and mu >= 0.0):
-        raise ValueError("step sizes must be finite and >= 0")
-    taps = w.size
-    v = np.ascontiguousarray(v_n, dtype=np.complex128).view(np.float64).reshape(taps, 2)
-    e = np.array([complex(e_n)]).view(np.float64).reshape(2, 1, 1, 1)
-    w2 = np.repeat(w.reshape(taps, 1, 1), 2, axis=1)
-    v2 = np.repeat(v.T.reshape(2, taps, 1, 1), 2, axis=2)
-    _update(w2, e, v2, np.full((taps, 2, 1), mu), _scratch(taps, 1), w2)
-    return w2[:, 0, 0].copy()
 
 
 def lms_batch(
@@ -120,12 +78,15 @@ def lms_batch(
     W = np.zeros((_BLOCK + 1, taps, 2, lanes))
     rows = list(zip(W[:-1], W[1:], v_out, v_up, d_block, y_block))
     steps = np.tile(mus, (taps, 2, 1))  # a diverged lane's column is zeroed
-    scratch = _scratch(taps, lanes)
     prod = np.empty((taps, 2, lanes))
     e_n = np.empty((2, 1, 1, lanes))  # broadcast over the taps and copies by the update
     e_flat = e_n[:, 0, 0]
+    # the update's (re/im, tap, copy, lane) products, each half contiguous
+    products = np.empty((2, taps, 2, lanes))
+    re, im = products
+    step = np.empty((taps, 2, lanes))
     errors: list[DivergenceError | None] = [None] * lanes
-    multiply, subtract, add_reduce, update = np.multiply, np.subtract, np.add.reduce, _update
+    multiply, subtract, add, add_reduce = np.multiply, np.subtract, np.add, np.add.reduce
     # Each block is adapted once, then all its rows are checked at once,
     # on one copy of the weights.  Lanes share no arithmetic, so a lane
     # with a row beyond the bound, inf or nan is mended from its rows:
@@ -142,7 +103,12 @@ def lms_batch(
                 multiply(v, w, prod)
                 add_reduce(prod, 0, None, y_n)
                 subtract(d_n, y_n, e_flat)
-                update(w, e_n, v_t, steps, scratch, w_next)
+                # each tap's step is mu * (er*vr + ei*vi), in that order,
+                # so both copies of a weight stay equal
+                multiply(v_t, e_n, products)
+                add(re, im, step)
+                multiply(step, steps, step)
+                add(w, step, w_next)
             weights = W[1 : size + 1, :, 0]
             if not np.abs(weights).max() <= WEIGHT_BOUND:
                 # not <=, so a nan peak crosses too.  A lane zeroed in an

@@ -19,7 +19,7 @@ import pytest
 from alebench.ale import AleConfig, filter_frame
 from alebench.bench import emit_csv, parse_config, run_experiment
 from alebench.channel import add_awgn
-from alebench.lms import lms_step
+from alebench.lms import lms_batch
 from alebench.pso import PsoConfig, evaluate_cost, pso_batch
 from alebench.signal import ModConfig, demodulate, generate_bits, modulate
 from oracles import brute_force_cost, squared_error_gradient_fd
@@ -204,17 +204,21 @@ def test_cost_matches_brute_force_oracle():
 
 
 def test_update_matches_finite_difference_gradient():
+    """lms_batch's update of sample n, from its weights w after the first n
+    samples of a real frame, is w - (mu/2) * grad(e^2), the gradient
+    measured by central finite differences."""
     rng = np.random.default_rng(502)
     worst = 0.0
     for _ in range(100):
         taps = int(rng.integers(1, 9))
-        w = rng.normal(size=taps)
-        v = rng.normal(size=taps)
-        d_n = rng.normal()
+        ale = AleConfig(taps=taps, delay=int(rng.integers(1, 4)))
         mu = float(rng.uniform(0.001, 0.1))
-        e_n = d_n - np.dot(w, v)
-        stepped = lms_step(w, e_n, v, mu)
-        expected = w - (mu / 2.0) * squared_error_gradient_fd(w, d_n, v)
+        n = int(rng.integers(ale.delay + taps + 1, 64))
+        d = rng.normal(size=n + 1)
+        (w,), _, _ = lms_batch(d[None, :n], [mu], ale)
+        (stepped,), _, _ = lms_batch(d[None], [mu], ale)
+        v = d[n - ale.delay - np.arange(taps)]
+        expected = w - (mu / 2.0) * squared_error_gradient_fd(w, d[n], v)
         scale = np.maximum(np.abs(expected), 1e-9)
         worst = max(worst, float(np.max(np.abs(stepped - expected) / scale)))
     ok = _report(

@@ -97,6 +97,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="frame.h"):
             parse_config("frame.h = ten")
 
+    @pytest.mark.parametrize("key, raw, reason", [
+        ("pso.per_dimension_draws", "maybe", "expected a boolean"),
+        ("lms.mu", "fast", "expected a number"),
+    ])
+    def test_unparsable_value_rejected(self, key, raw, reason):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(f"{key} = {raw}")
+        assert str(excinfo.value) == f"{key}: {reason}, got {raw!r}"
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("lms.mu = 0.01\nlms.mu = 0.02")

@@ -105,6 +105,12 @@ def test_unknown_key_fails_with_diagnostic(tmp_path, capsys):
     assert "momentum" in capsys.readouterr().err
 
 
+def test_override_without_equals_fails_with_diagnostic(tmp_path, capsys):
+    code = main(["ber_awgn", "--out", str(tmp_path), "--set", "foo"])
+    assert code == 1
+    assert capsys.readouterr().err == "error: foo: expected KEY=VALUE\n"
+
+
 def test_frame_longer_than_a_batch_fails_before_running(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run-all", "--out", str(out), "--set", "frame.h=100000000"])
