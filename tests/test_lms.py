@@ -76,6 +76,27 @@ class TestLmsRun:
         np.testing.assert_array_equal(weights, [[0.1], [0.1]])
         np.testing.assert_array_equal(y, [[0, 0, 0.1], [0, 0, 0.1j]])
 
+    def test_zero_error_fixes_weights(self):
+        """One tap, delay 1, mu = 1 on d[n] = a**n: sample 1 sets w = a, after
+        which every output a * d[n-1] is d[n] exactly, so the zero errors
+        leave w at a through every later block."""
+        d = np.array([0.5, -0.5])[:, None] ** np.arange(200)
+        weights, y, errors = lms_batch(d, [1.0, 1.0], AleConfig(taps=1, delay=1))
+        assert errors == [None, None]
+        np.testing.assert_array_equal(weights, [[0.5], [-0.5]])
+        np.testing.assert_array_equal(y[:, :2], 0.0)
+        np.testing.assert_array_equal(y[:, 2:], d[:, 2:])
+
+    def test_zero_step_fixes_weights(self):
+        """A mu = 0 lane keeps zero weights and zero outputs beside a lane of
+        the same frame that adapts."""
+        d = _awgn_frame(0.0, 41, 42, h=512)
+        weights, y, errors = lms_batch(np.stack([d, d]), [0.02, 0.0], ALE)
+        assert errors == [None, None]
+        assert np.abs(weights[0]).max() > 0.0
+        np.testing.assert_array_equal(weights[1], np.zeros(5))
+        np.testing.assert_array_equal(y[1], 0.0)
+
     def test_reproduces_a_plain_numpy_step(self):
         """A plain numpy update, stepped from zero weights over a frame with
         each output summed oldest tap first like the kernel, reproduces the
