@@ -316,12 +316,13 @@ def _sweep_points(spec: ExperimentSpec) -> list[dict]:
     return [{column: value, "snr_db": snr} for value in getattr(spec, name) for snr in spec.snr_grid]
 
 
-def _batch_frames(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]):
+def _batch_frames(spec: ExperimentSpec, runs: list[tuple[int, int]]):
     """One lane per run: its (point, seed index, run seed, PSO seed), the
     (B, H * bits per symbol) bits it sent and the (B, H) received samples.
     Each profile distorts its lanes in one call, so its tones are computed
     once per batch; each lane's noise is calibrated to its own distorted
     frame and drawn from its own seed."""
+    points = _sweep_points(spec)
     lanes, chan_seeds = [], []
     bits = np.empty((len(runs), spec.h * spec.mod.bits_per_symbol), dtype=np.uint8)
     frames = np.empty((len(runs), spec.h), dtype=np.complex128)
@@ -345,25 +346,19 @@ def _batch_frames(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int
 
 
 @np.errstate(over="ignore")
-def _metric_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]) -> list[dict]:
+def _metric_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, frames) -> list[dict]:
     """An LMS and a PSO row per run.  From sample `warmup` on, `mse` is the
     residual's power, and bits are decided on the residual, or on the
     output, which lags them by the delay.  A power that overflows is inf."""
-    lanes, bits, frames = _batch_frames(spec, points, runs)
-    _, outputs, diverged = lms_batch(frames, np.full(len(runs), spec.mu), spec.ale)
+    _, outputs, diverged = lms_batch(frames, np.full(len(lanes), spec.mu), spec.ale)
     for (point, seed_idx, *_), err in zip(lanes, diverged):
         if err is not None:
-            raise RuntimeError(
-                f"{spec.kind} failed at sweep point {point}, seed index {seed_idx}: {err}"
-            ) from err
+            raise RuntimeError(f"{spec.kind} failed at sweep point {point}, seed index {seed_idx}: {err}") from err
     weights, _ = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
     k, v0 = spec.mod.bits_per_symbol, spec.ale.warmup
     lag = spec.ale.delay if spec.decision_stream == "output" else 0
     rows = []
-    for (point, _, run_seed, _), sent, d, lms_y, w in zip(
-        lanes, bits[:, k * (v0 - lag) : k * (spec.h - lag)], frames, outputs, weights
-    ):
-        base = dict(point, seed=run_seed, L=spec.ale.taps, delta=spec.ale.delay)
+    for base, sent, d, lms_y, w in zip(bases, bits[:, k * (v0 - lag) : k * (spec.h - lag)], frames, outputs, weights):
         clean = modulate(sent, spec.mod)  # re-modulated: ~70 us a lane, against one more (B, H) array per batch
         for algorithm, y, mu, n_particles in (
             ("LMS", lms_y, spec.mu, None),
@@ -385,42 +380,24 @@ def _metric_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int,
     return rows
 
 
-def _step_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]) -> list[dict]:
-    lanes, _, frames = _batch_frames(spec, points, runs)
-    _, outputs, diverged = lms_batch(frames, [point["mu"] for point, *_ in lanes], spec.ale)
+def _step_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, frames) -> list[dict]:
+    _, outputs, diverged = lms_batch(frames, [base["mu"] for base in bases], spec.ale)
     # the sweep deliberately crosses the stability boundary; a diverged
     # run reports infinite residual power instead of aborting the sweep
     return [
-        dict(
-            point,
-            algorithm="LMS",
-            seed=run_seed,
-            mse=math.inf if err is not None else float(np.mean(np.abs((d - y)[spec.ale.warmup :]) ** 2)),
-            L=spec.ale.taps,
-            delta=spec.ale.delay,
-        )
-        for (point, _, run_seed, _), d, y, err in zip(lanes, frames, outputs, diverged)
+        dict(base, algorithm="LMS", mse=math.inf if err is not None else float(np.mean(np.abs((d - y)[spec.ale.warmup :]) ** 2)))
+        for base, d, y, err in zip(bases, frames, outputs, diverged)
     ]
 
 
-def _particle_rows(spec: ExperimentSpec, points: list[dict], runs: list[tuple[int, int]]) -> list[dict]:
-    lanes, _, frames = _batch_frames(spec, points, runs)
+def _particle_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, frames) -> list[dict]:
     # the sweep value is a whole float; the row and the swarm take an int.
     # Full-length histories: early stopping is disabled for this sweep.
-    counts = [int(point["n_particles"]) for point, *_ in lanes]
+    counts = [int(base["n_particles"]) for base in bases]
     _, histories = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], replace(spec.pso, tol=0.0), spec.ale, counts)
     return [
-        dict(
-            point,
-            algorithm="PSO",
-            seed=run_seed,
-            n_particles=count,
-            iteration=it + 1,
-            gbest_cost=cost,
-            L=spec.ale.taps,
-            delta=spec.ale.delay,
-        )
-        for (point, _, run_seed, _), count, history in zip(lanes, counts, histories)
+        dict(base, algorithm="PSO", n_particles=count, iteration=it + 1, gbest_cost=cost)
+        for base, count, history in zip(bases, counts, histories)
         for it, cost in enumerate(history)
     ]
 
@@ -434,15 +411,16 @@ class _Kind:
     still accepted, because ``run-all`` applies one config to every kind,
     but it resolves to () and so stays out of that kind's meta file.
     `axis` is the row column swept outside the SNR grid and the spec field
-    its values come from, or None.  `rows` takes a contiguous batch of
-    (sweep index, seed index) runs and returns their rows in that order.
+    its values come from, or None.  `rows(spec, lanes, bases, bits, frames)`
+    returns a batch's rows in run order: each run's `bases` dict, the key
+    columns the runner set (sweep point, ``seed``, ``L``, ``delta``), plus the cells it measured.
     `raw` and `mean` are the CSV columns.  `averaged` are the mean columns
     averaged over seeds; the other mean columns but ``n_seeds`` group rows.
     """
 
     defaults: dict
     axis: tuple[str, str] | None
-    rows: Callable[[ExperimentSpec, list, list], list[dict]]
+    rows: Callable[[ExperimentSpec, list, list, np.ndarray, np.ndarray], list[dict]]
     raw: tuple[str, ...]
     mean: tuple[str, ...]
     averaged: tuple[str, ...]
@@ -478,7 +456,12 @@ _KINDS = {
         averaged=("mse",),
     ),
     "ber_awgn": _Kind(
-        {"run.snr_grid": _SNR_GRID}, None, _metric_rows, _METRIC_RAW, _METRIC_MEAN, _METRIC_AVERAGED
+        defaults={"run.snr_grid": _SNR_GRID},
+        axis=None,
+        rows=_metric_rows,
+        raw=_METRIC_RAW,
+        mean=_METRIC_MEAN,
+        averaged=_METRIC_AVERAGED,
     ),
     "ber_nonlinear": _Kind(
         defaults={"run.snr_grid": _SNR_GRID, "channel.profiles": ("60MHz", "2.4GHz", "5.8GHz")},
@@ -520,8 +503,11 @@ def _split(runs: list, count: int) -> list[list]:
 
 
 def _run_batch(args: tuple) -> list[dict]:
+    """A batch's rows: each run's key columns plus the cells its kind measured."""
     spec, runs = args
-    return _KINDS[spec.kind].rows(spec, _sweep_points(spec), runs)
+    lanes, bits, frames = _batch_frames(spec, runs)
+    bases = [dict(point, seed=run_seed, L=spec.ale.taps, delta=spec.ale.delay) for point, _, run_seed, _ in lanes]
+    return _KINDS[spec.kind].rows(spec, lanes, bases, bits, frames)
 
 
 # ---------------------------------------------------------------------------

@@ -55,19 +55,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _assemble(args) -> tuple[str, dict[str, str]]:
-    text = ""
-    if args.config is not None:
-        text = Path(args.config).read_text(encoding="utf-8")
+    """Config text and overrides, --seed and --seeds among them; a key set twice is rejected."""
+    text = "" if args.config is None else Path(args.config).read_text(encoding="utf-8")
+    flags = (("run.base_seed", args.seed), ("run.n_seeds", args.seeds))
     overrides: dict[str, str] = {}
-    for item in args.overrides:
+    for item in args.overrides + [f"{key}={value}" for key, value in flags if value is not None]:
         if "=" not in item:
             raise ConfigError(item, "expected KEY=VALUE")
-        key, _, value = item.partition("=")
-        overrides[key.strip()] = value.strip()
-    if args.seed is not None:
-        overrides["run.base_seed"] = str(args.seed)
-    if args.seeds is not None:
-        overrides["run.n_seeds"] = str(args.seeds)
+        key, _, value = (part.strip() for part in item.partition("="))
+        if key in overrides:
+            raise ConfigError(key, "duplicate key")
+        overrides[key] = value
     return text, overrides
 
 

@@ -335,6 +335,28 @@ class TestRunExperiment:
         for row in table.mean_rows:
             assert set(row) == set(table.mean_columns)
 
+    @pytest.mark.parametrize("kind", bench.KINDS)
+    def test_rows_carry_their_runs_identity(self, kind, monkeypatch):
+        """Every raw row names its run: the run's sweep point, its seed
+        derive_run_seed(base_seed, sweep_idx, seed_idx) and the enhancer's
+        L and delta, its runs in (sweep, seed) order, whatever the batch
+        size or the parallelism, so any row can be rerun alone."""
+        spec = parse_config(_BATCH_DOCS.get(kind, SMALL) + "ale.taps = 3\nale.delay = 2\n", kind=kind)
+        points = bench._sweep_points(spec)
+        per_run = {"particle_sweep": spec.pso.max_iters, "step_sweep": 1}.get(kind, 2)
+        expected = [
+            dict(point, seed=derive_run_seed(spec.base_seed, sweep_idx, seed_idx), L=3, delta=2)
+            for sweep_idx, point in enumerate(points)
+            for seed_idx in range(spec.n_seeds)
+            for _ in range(per_run)
+        ]
+        monkeypatch.setattr(bench, "_BATCH_SAMPLES", spec.h)  # one run per batch
+        for jobs in (1, 2):
+            table = run_experiment(spec, jobs=jobs)
+            assert [{c: row[c] for c in key} for row, key in zip(table.raw_rows, expected)] == expected
+            assert len(table.raw_rows) == len(expected)
+            assert all((row["L"], row["delta"]) == (3, 2) for row in table.mean_rows)
+
     def test_jobs_below_one_rejected(self):
         with pytest.raises(ValueError, match="jobs"):
             run_experiment(parse_config(SMALL, kind="step_sweep"), jobs=0)
@@ -350,7 +372,7 @@ class TestRunExperiment:
         spec = parse_config(doc + f"run.decision_stream = {stream}\n", kind=kind)
         points = bench._sweep_points(spec)
         runs = [(i, j) for i in range(len(points)) for j in range(spec.n_seeds)]
-        lanes, bits, frames = bench._batch_frames(spec, points, runs)
+        lanes, bits, frames = bench._batch_frames(spec, runs)
         _, lms_outputs, _ = lms_batch(frames, np.full(len(runs), spec.mu), spec.ale)
         weights, _ = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
         rows = run_experiment(spec).raw_rows
@@ -376,7 +398,7 @@ class TestRunExperiment:
             kind="step_sweep",
         )
         (row,) = run_experiment(spec).raw_rows
-        _, _, (d,) = bench._batch_frames(spec, bench._sweep_points(spec), [(0, 0)])
+        _, _, (d,) = bench._batch_frames(spec, [(0, 0)])
         _, (y,), _ = lms_batch(d[None], [0.02], spec.ale)
         assert row["mse"] == float(np.mean(np.abs(d - y)[spec.ale.warmup :] ** 2))
 

@@ -111,6 +111,22 @@ def test_override_without_equals_fails_with_diagnostic(tmp_path, capsys):
     assert capsys.readouterr().err == "error: foo: expected KEY=VALUE\n"
 
 
+@pytest.mark.parametrize("flags, key", [
+    (["--set", "lms.mu=0.01", "--set", "lms.mu=0.02"], "lms.mu"),
+    (["--set", "lms.mu=0.01", "--set", " lms.mu = 0.01"], "lms.mu"),
+    (["--seeds", "1", "--set", "run.n_seeds=3"], "run.n_seeds"),
+    (["--set", "run.base_seed=7", "--seed", "7"], "run.base_seed"),
+])
+def test_key_set_twice_fails_before_running(tmp_path, capsys, flags, key):
+    """A key set twice on the command line, by --set or by a flag beside
+    its --set, is named before anything runs, not silently taken from the
+    last setting."""
+    out = tmp_path / "out"
+    assert main(["ber_awgn", "--out", str(out)] + flags) == 1
+    assert capsys.readouterr().err == f"error: {key}: duplicate key\n"
+    assert not out.exists()
+
+
 def test_frame_longer_than_a_batch_fails_before_running(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run-all", "--out", str(out), "--set", "frame.h=100000000"])
@@ -152,9 +168,10 @@ def test_run_count_above_the_cap_fails_before_running(tmp_path, capsys, monkeypa
 
 
 def test_jobs_flag_does_not_change_bytes(tmp_path):
-    args = ["ber_awgn"] + TINY + ["--set", "run.snr_grid=-2,2", "--set", "run.n_seeds=2"]
-    main(args + ["--out", str(tmp_path / "serial")])
-    main(args + ["--out", str(tmp_path / "par"), "--jobs", "2"])
+    args = ["ber_awgn", "--set", "frame.h=200", "--set", "run.n_seeds=2", "--set", "run.snr_grid=-2,2",
+            "--set", "pso.n_particles=5", "--set", "pso.max_iters=5"]
+    assert main(args + ["--out", str(tmp_path / "serial")]) == 0
+    assert main(args + ["--out", str(tmp_path / "par"), "--jobs", "2"]) == 0
     serial = (tmp_path / "serial" / "ber_awgn_raw.csv").read_bytes()
     par = (tmp_path / "par" / "ber_awgn_raw.csv").read_bytes()
     assert serial == par
