@@ -12,9 +12,7 @@ Every run is a pure function of the resolved spec and the base seed.  The
 seed of run (sweep_idx, seed_idx) is derived as
 ``SeedSequence(base_seed, spawn_key=(sweep_idx, seed_idx))`` collapsed to a
 64-bit value, and that value is what appears in the ``seed`` column, so any
-row can be reproduced in isolation.  Bit decisions are taken on the
-noise-cancelled residual stream by default; ``run.decision_stream = output``
-switches them to the filter output, aligned by the enhancer delay.
+row can be reproduced in isolation.
 """
 
 from __future__ import annotations
@@ -65,7 +63,6 @@ class ExperimentSpec:
     sweep_values: tuple[float, ...] = ()
     n_seeds: int = 10
     base_seed: int = DEFAULT_BASE_SEED
-    decision_stream: str = "error"
     profiles: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -96,8 +93,6 @@ class ExperimentSpec:
             raise ConfigError("run.n_seeds", f"sweep points x seeds x pso.max_iters must be at most {_MAX_ROWS} rows")
         if not (0 <= self.base_seed < 2**64):
             raise ConfigError("run.base_seed", f"must be an unsigned 64-bit value, got {self.base_seed}")
-        if self.decision_stream not in ("error", "output"):
-            raise ConfigError("run.decision_stream", f"must be 'error' or 'output', got {self.decision_stream!r}")
         _check_used_and_distinct("channel.profiles", self.profiles, self.kind)
         for name in self.profiles:
             if name not in DEFAULT_PROFILES:
@@ -202,7 +197,6 @@ _SCHEMA = {
     "run.sweep_values": _list_of(_parse_float),
     "run.n_seeds": _parse_int,
     "run.base_seed": _parse_int,
-    "run.decision_stream": str,
     "channel.profiles": _list_of(_parse_profile),
 }
 
@@ -244,15 +238,21 @@ def parse_config(
     5-tap enhancer with delay 1, mu=0.01, 60 particles).  Unknown keys
     and type mismatches raise ConfigError naming the offending key; so
     does a value out of range, rejected by the config class that holds
-    it or by the spec.  `kind` overrides any ``experiment.kind`` in the
-    document; `overrides` maps keys to raw value strings that replace
-    whatever the document says.
+    it or by the spec.  `overrides` maps keys to raw value strings that
+    replace whatever the document says.  `kind` is the kind to run: an
+    ``experiment.kind`` in the document or in `overrides` that names
+    another kind is rejected, and one that names the same kind is
+    accepted, so a meta file parses back under its own kind.
     """
     values = _parse_pairs(text)
-    if kind:
-        overrides = {**(overrides or {}), "experiment.kind": kind}
+    document_kind = values.get("experiment.kind")
     for key, raw in (overrides or {}).items():
         values[key] = _parse_value(key, raw)
+    if kind:
+        for named in (document_kind, values.get("experiment.kind")):
+            if named not in (None, kind):
+                raise ConfigError("experiment.kind", f"names {named}, but the kind to run is {kind}")
+        values["experiment.kind"] = _parse_value("experiment.kind", kind)
     kind = values.setdefault("experiment.kind", ExperimentSpec.kind)
     if values.get("frame.h", ExperimentSpec.h) > _BATCH_SAMPLES:  # named before any section's value
         raise ConfigError("frame.h", f"must be at most {_BATCH_SAMPLES} samples, one batch")
@@ -347,26 +347,24 @@ def _batch_frames(spec: ExperimentSpec, runs: list[tuple[int, int]]):
 
 @np.errstate(over="ignore")
 def _metric_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, frames) -> list[dict]:
-    """An LMS and a PSO row per run.  From sample `warmup` on, `mse` is the
-    residual's power, and bits are decided on the residual, or on the
-    output, which lags them by the delay.  A power that overflows is inf."""
+    """An LMS and a PSO row per run.  From sample `warmup` on, bits are
+    decided on the residual, and `mse` is its power.  A power that
+    overflows is inf."""
     _, outputs, diverged = lms_batch(frames, np.full(len(lanes), spec.mu), spec.ale)
     for (point, seed_idx, *_), err in zip(lanes, diverged):
         if err is not None:
             raise RuntimeError(f"{spec.kind} failed at sweep point {point}, seed index {seed_idx}: {err}") from err
     weights, _ = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
     k, v0 = spec.mod.bits_per_symbol, spec.ale.warmup
-    lag = spec.ale.delay if spec.decision_stream == "output" else 0
     rows = []
-    for base, sent, d, lms_y, w in zip(bases, bits[:, k * (v0 - lag) : k * (spec.h - lag)], frames, outputs, weights):
+    for base, sent, d, lms_y, w in zip(bases, bits[:, k * v0 :], frames, outputs, weights):
         clean = modulate(sent, spec.mod)  # re-modulated: ~70 us a lane, against one more (B, H) array per batch
         for algorithm, y, mu, n_particles in (
             ("LMS", lms_y, spec.mu, None),
             ("PSO", filter_frame(d, w, spec.ale), None, spec.pso.n_particles),
         ):
             residual = (d - y)[v0:]
-            samples = residual if lag == 0 else y[v0:]
-            errors = int(np.count_nonzero(demodulate(samples, spec.mod) != sent))
+            errors = int(np.count_nonzero(demodulate(residual, spec.mod) != sent))
             rows.append(dict(
                 base,
                 algorithm=algorithm,
@@ -374,7 +372,7 @@ def _metric_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, fra
                 mse=float(np.mean(np.abs(residual) ** 2)),
                 mu=mu,
                 n_particles=n_particles,
-                clean_mse=float(np.mean(np.abs(samples - clean) ** 2)),
+                clean_mse=float(np.mean(np.abs(residual - clean) ** 2)),
                 compared_bits=sent.size,
             ))
     return rows

@@ -13,14 +13,17 @@ always pay misadjustment; measured residual power is increasing in mu and
 the clause cannot hold.  It is kept as stated rather than loosened.
 """
 
+import math
+
 import numpy as np
 import pytest
 
+from alebench import bench
 from alebench.ale import AleConfig, filter_frame
 from alebench.bench import emit_csv, parse_config, run_experiment
-from alebench.channel import add_awgn
+from alebench.channel import DEFAULT_PROFILES, NonlinearProfile, add_awgn
 from alebench.lms import lms_batch
-from alebench.pso import PsoConfig, evaluate_cost, pso_batch
+from alebench.pso import PsoConfig, _gram, evaluate_cost, pso_batch
 from alebench.signal import ModConfig, demodulate, generate_bits, modulate
 from oracles import brute_force_cost, squared_error_gradient_fd
 
@@ -318,5 +321,53 @@ def test_csv_determinism(tmp_path):
         "CSV determinism",
         identical,
         "rerun and 3-process run produced identical bytes",
+    )
+    assert ok
+
+
+# ---------------------------------------------------------------------------
+# 8. theory: the prediction floor of a distorted frame in closed form
+
+def _floor_in_closed_form(profile, snr_db: float, ale: AleConfig) -> tuple[float, float]:
+    """(c, J*) of a unit-modulus symbol stream under `profile` at `snr_db`.
+    On PSK the cubic term is a gain of 1 + g, so the frame is (1 + g) s plus
+    the tones plus white noise of the symbol-plus-tone power over
+    10^(snr_db/10), with r(k) = ((1 + g)^2 + noise) delta(k)
+    + sum A^2 cos(2 pi f k).  For real weights R[j][k] = r(|j - k|),
+    p[k] = r(delay + k), c = r(0) and J* = c - p'R^-1 p (Wiener-Hopf)."""
+    symbols = (1.0 + profile.cubic_gain) ** 2
+    noise = (symbols + sum(amp**2 for amp, _, _ in profile.tones)) / 10.0 ** (snr_db / 10.0)
+
+    def r(k):
+        white = symbols + noise if k == 0 else 0.0
+        return white + sum(amp**2 * math.cos(2.0 * math.pi * freq * k) for amp, freq, _ in profile.tones)
+
+    R = np.array([[r(abs(j - k)) for k in range(ale.taps)] for j in range(ale.taps)])
+    p = np.array([r(ale.delay + k) for k in range(ale.taps)])
+    return r(0), r(0) - p @ np.linalg.solve(R, p)
+
+
+def test_prediction_floor_matches_closed_form():
+    """On the runner's own frames (default base seed, 10 seeds, 5 taps,
+    delay 1), the 10-seed mean of each frame's floor c - p'R^-1 p, from the
+    swarm's (R, p, c), over the closed form lies in [0.97, 1.03] for AWGN
+    and each default profile at -10, -2, 4 and 10 dB.  It checks the
+    tones, the cubic gain and the SNR calibration against theory."""
+    ratios: dict[tuple, list[float]] = {}
+    for kind in ("ber_awgn", "ber_nonlinear"):
+        spec = parse_config("run.snr_grid = -10, -2, 4, 10", kind=kind)
+        runs = [(i, j) for i in range(len(bench._sweep_points(spec))) for j in range(spec.n_seeds)]
+        lanes, _, frames = bench._batch_frames(spec, runs)
+        for (point, *_), d in zip(lanes, frames):
+            R, p, c, _ = _gram(d, spec.ale)
+            name = point.get("profile", "AWGN")
+            _, theory = _floor_in_closed_form(DEFAULT_PROFILES.get(name, NonlinearProfile()), point["snr_db"], spec.ale)
+            ratios.setdefault((name, point["snr_db"]), []).append((c - p @ np.linalg.solve(R, p)) / theory)
+    means = {key: float(np.mean(values)) for key, values in ratios.items()}
+    outside = [f"{name} {snr:g} dB: {mean:.4f}" for (name, snr), mean in means.items() if not 0.97 <= mean <= 1.03]
+    ok = _report(
+        "prediction floor vs closed form",
+        len(means) == 16 and not outside,
+        "; ".join(outside) or f"10-seed means {min(means.values()):.4f}-{max(means.values()):.4f} at all 16 points",
     )
     assert ok

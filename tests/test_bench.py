@@ -85,9 +85,12 @@ class TestParseConfig:
         assert nonlinear.profiles == ("60MHz", "2.4GHz", "5.8GHz")
         assert parse_config("", kind="ber_awgn").profiles == ()
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="momentum"):
-            parse_config("momentum = 0.9")
+    @pytest.mark.parametrize("key", ["momentum", "run.decision_stream"])
+    def test_unknown_key_rejected(self, key):
+        """Any key outside the schema, a removed one among them."""
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(f"{key} = 0.9")
+        assert str(excinfo.value) == f"{key}: unknown key"
 
     def test_zero_taps_rejected_with_key_path(self):
         with pytest.raises(ConfigError, match="ale"):
@@ -166,19 +169,17 @@ class TestRunExperiment:
             assert row["n_seeds"] == 2
 
     def test_metric_columns_schema(self):
-        """Either stream decides one symbol per sample from warmup on: the
-        output stream lags its bits by the delay but compares as many."""
-        for stream in ("error", "output"):
-            for extra in ("", "ale.delay = 3\nmod.m = 8\n"):
-                spec = parse_config(SMALL + extra + f"run.decision_stream = {stream}\n", kind="ber_awgn")
-                table = run_experiment(spec)
-                assert table.raw_columns[:9] == (
-                    "snr_db", "algorithm", "seed", "ber", "mse", "mu", "n_particles", "L", "delta",
-                )
-                for row in table.raw_rows:
-                    assert 0.0 <= row["ber"] <= 1.0
-                    assert row["mse"] >= 0.0
-                    assert row["compared_bits"] == spec.mod.bits_per_symbol * (spec.h - spec.ale.warmup)
+        """The residual decides one symbol per sample from warmup on."""
+        for extra in ("", "ale.delay = 3\nmod.m = 8\n"):
+            spec = parse_config(SMALL + extra, kind="ber_awgn")
+            table = run_experiment(spec)
+            assert table.raw_columns[:9] == (
+                "snr_db", "algorithm", "seed", "ber", "mse", "mu", "n_particles", "L", "delta",
+            )
+            for row in table.raw_rows:
+                assert 0.0 <= row["ber"] <= 1.0
+                assert row["mse"] >= 0.0
+                assert row["compared_bits"] == spec.mod.bits_per_symbol * (spec.h - spec.ale.warmup)
 
     def test_metric_batch_draws_each_runs_bits_once(self, monkeypatch):
         calls = []
@@ -361,15 +362,13 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="jobs"):
             run_experiment(parse_config(SMALL, kind="step_sweep"), jobs=0)
 
-    @pytest.mark.parametrize("stream", ["error", "output"])
     @pytest.mark.parametrize("kind", ["ber_awgn", "ber_nonlinear"])
-    def test_mse_is_the_named_algorithms_residual_power(self, kind, stream):
+    def test_mse_is_the_named_algorithms_residual_power(self, kind):
         """A metric row's mse is mean |d - y|^2 from ale.warmup on, y the
-        output of the algorithm the row names, on either decision stream;
-        the PSO row's is the swarm's cost at its best weights.  clean_mse
-        follows the decided stream: the residual, or the output."""
-        doc = _BATCH_DOCS.get(kind, SMALL)
-        spec = parse_config(doc + f"run.decision_stream = {stream}\n", kind=kind)
+        output of the algorithm the row names; the PSO row's is the
+        swarm's cost at its best weights.  clean_mse is the same
+        residual's power about the symbols sent."""
+        spec = parse_config(_BATCH_DOCS.get(kind, SMALL), kind=kind)
         points = bench._sweep_points(spec)
         runs = [(i, j) for i in range(len(points)) for j in range(spec.n_seeds)]
         lanes, bits, frames = bench._batch_frames(spec, runs)
@@ -377,16 +376,14 @@ class TestRunExperiment:
         weights, _ = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
         rows = run_experiment(spec).raw_rows
         v0, k = spec.ale.warmup, spec.mod.bits_per_symbol
-        lag = spec.ale.delay if stream == "output" else 0
         assert len(rows) == 2 * len(runs)
         for lane, (d, sent, lms_y, w) in enumerate(zip(frames, bits, lms_outputs, weights)):
-            clean = modulate(sent[k * (v0 - lag) : k * (spec.h - lag)], spec.mod)
+            clean = modulate(sent[k * v0 :], spec.mod)
             pso_y = filter_frame(d, w, spec.ale)
             for row, algorithm, y in zip(rows[2 * lane : 2 * lane + 2], ("LMS", "PSO"), (lms_y, pso_y)):
                 assert row["algorithm"] == algorithm
                 assert row["mse"] == float(np.mean(np.abs(d - y)[v0:] ** 2))
-                decided = (d - y if stream == "error" else y)[v0:]
-                assert row["clean_mse"] == float(np.mean(np.abs(decided - clean) ** 2))
+                assert row["clean_mse"] == float(np.mean(np.abs((d - y)[v0:] - clean) ** 2))
             assert rows[2 * lane + 1]["mse"] == pytest.approx(evaluate_cost(w, d, spec.ale), rel=1e-12)
 
     @pytest.mark.parametrize("geometry", ["", "ale.taps = 3\nale.delay = 4\n"], ids=["default", "L3-delta4"])
@@ -401,11 +398,6 @@ class TestRunExperiment:
         _, _, (d,) = bench._batch_frames(spec, [(0, 0)])
         _, (y,), _ = lms_batch(d[None], [0.02], spec.ale)
         assert row["mse"] == float(np.mean(np.abs(d - y)[spec.ale.warmup :] ** 2))
-
-    def test_decision_stream_output_mode_runs(self):
-        spec = parse_config(SMALL + "run.decision_stream = output\n", kind="ber_awgn")
-        table = run_experiment(spec)
-        assert len(table.raw_rows) == 8
 
     def test_overflowing_powers_are_inf_without_warning(self):
         """Swarm weights drawn near 1e160 give an output whose squared
@@ -530,10 +522,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(kind="nope")
 
-    def test_bad_decision_stream(self):
-        with pytest.raises(ConfigError):
-            parse_config("run.decision_stream = both")
-
     def test_fractional_particle_count_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("run.sweep_values = 10.5", kind="particle_sweep")
@@ -564,7 +552,6 @@ class TestSpecValidation:
         ("frame.h", "5"),
         ("run.n_seeds", "0"),
         ("run.base_seed", "-1"),
-        ("run.decision_stream", "both"),
         ("mod.m", "3"),
         ("mod.m", "32"),
         ("mod.phase_offset", "7"),
@@ -688,7 +675,6 @@ class TestSpecValidation:
         ("particle_sweep", "run.n_seeds", 556, "run.n_seeds"),
         ("ber_awgn", "run.base_seed", -1, "run.base_seed"),
         ("ber_awgn", "run.base_seed", 2**64, "run.base_seed"),
-        ("ber_awgn", "run.decision_stream", "both", "run.decision_stream"),
         ("ber_nonlinear", "channel.profiles", ("60MHz", "60MHz"), "channel.profiles"),
         ("ber_nonlinear", "channel.profiles", ("3.9GHz",), "channel.profiles"),
     ])
@@ -837,7 +823,7 @@ _META_BODY = (
     "pso.inertia = 1.0\n"
     "pso.per_dimension_draws = false\n"
 )
-_META_TAIL = "run.n_seeds = 10\nrun.base_seed = 12345\nrun.decision_stream = error\n"
+_META_TAIL = "run.n_seeds = 10\nrun.base_seed = 12345\n"
 _SNR_GRID = "run.snr_grid = -10.0, -8.0, -6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0\n"
 
 _DEFAULT_META = {
@@ -871,7 +857,6 @@ run.snr_grid = -3, 0.5, inf
 run.sweep_values = 0.003, 5e-2
 run.n_seeds = 3
 run.base_seed = 0x10
-run.decision_stream = output
 channel.profiles = 5.8GHz, 60MHz
 """
 
@@ -895,7 +880,7 @@ pso.inertia = 0.7
 pso.per_dimension_draws = true
 run.snr_grid = -3.0, 0.5, inf
 """
-_EVERY_KEY_TAIL = "run.n_seeds = 3\nrun.base_seed = 16\nrun.decision_stream = output\n"
+_EVERY_KEY_TAIL = "run.n_seeds = 3\nrun.base_seed = 16\n"
 
 
 class TestMetaGolden:
@@ -910,7 +895,8 @@ class TestMetaGolden:
             + "run.sweep_values = 0.003, 0.05\n"
             + _EVERY_KEY_TAIL
         )
-        assert spec_to_text(parse_config(_EVERY_KEY, kind="ber_nonlinear")) == (
+        every_key = _EVERY_KEY.replace("kind = step_sweep", "kind = ber_nonlinear")
+        assert spec_to_text(parse_config(every_key, kind="ber_nonlinear")) == (
             _EVERY_KEY_HEAD.format(kind="ber_nonlinear")
             + _EVERY_KEY_TAIL
             + "channel.profiles = 5.8GHz, 60MHz\n"

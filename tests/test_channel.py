@@ -104,6 +104,23 @@ class TestApplyNonlinear:
         spectrum = np.abs(np.fft.fft(y - x))
         assert np.argmax(spectrum) == round(freq * h)
 
+    @pytest.mark.parametrize("m", [2, 4])
+    @pytest.mark.parametrize("name", list(DEFAULT_PROFILES))
+    def test_cubic_term_is_a_gain_on_psk(self, name, m):
+        """Every PSK point has |x| = 1, so x + g x |x|^2 is (1 + g) x: each
+        default profile is a gain plus its tones, which are summed here
+        from cos and sin, not by the library's formula."""
+        profile = DEFAULT_PROFILES[name]
+        mod = ModConfig(m=m)
+        x = modulate(generate_bits(10_000 * mod.bits_per_symbol, seed=31), mod)
+        n = np.arange(x.size)
+        tones = sum(
+            amp * (np.cos(2 * np.pi * freq * n + phase) + 1j * np.sin(2 * np.pi * freq * n + phase))
+            for amp, freq, phase in profile.tones
+        )
+        expected = (1.0 + profile.cubic_gain) * x + tones
+        assert np.max(np.abs(apply_nonlinear(x, profile) - expected)) <= 1e-15
+
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             NonlinearProfile(cubic_gain=-0.1)

@@ -127,6 +127,29 @@ def test_key_set_twice_fails_before_running(tmp_path, capsys, flags, key):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("route", ["set", "config"])
+def test_kind_other_than_the_command_fails_before_running(tmp_path, capsys, route):
+    """An experiment.kind naming another kind than the command, from --set
+    or from the config file, is named before anything runs, not silently
+    overridden by the command."""
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text("experiment.kind = step_sweep\n")
+    source = ["--set", "experiment.kind=step_sweep"] if route == "set" else ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main(["ber_awgn", "--out", str(out)] + TINY + source) == 1
+    assert capsys.readouterr().err.startswith("error: experiment.kind: ")
+    assert not out.exists()
+
+
+def test_meta_file_runs_again_under_its_own_kind(tmp_path):
+    """A meta file names its kind, and parses back under that command."""
+    assert main(["step_sweep", "--out", str(tmp_path / "a")] + TINY) == 0
+    meta = tmp_path / "a" / "step_sweep_meta.txt"
+    assert main(["step_sweep", "--config", str(meta), "--out", str(tmp_path / "b")]) == 0
+    for suffix in ("raw.csv", "mean.csv", "meta.txt"):
+        assert (tmp_path / "a" / f"step_sweep_{suffix}").read_bytes() == (tmp_path / "b" / f"step_sweep_{suffix}").read_bytes()
+
+
 def test_frame_longer_than_a_batch_fails_before_running(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run-all", "--out", str(out), "--set", "frame.h=100000000"])

@@ -6,17 +6,19 @@ output of
     alebench <kind> --set frame.h=500 --seeds 2
 
 for each of the four kinds, at every other key's default.  The files named
-``ber_nonlinear_qpsk_output_{raw,mean}.csv`` are the output of
+``ber_nonlinear_qpsk_{raw,mean}.csv`` are the output of
 
     alebench ber_nonlinear --set frame.h=500 --seeds 2
-        --set "channel.profiles=5.8GHz, 60MHz"
-        --set run.decision_stream=output --set mod.m=4
+        --set "channel.profiles=5.8GHz, 60MHz" --set mod.m=4
 
-which reaches a reordered profile axis, output-stream decisions and QPSK,
-none of which the defaults touch.  They pin the numbers the benchmark
-publishes, so a change that moves any of them fails here.  They are never
-regenerated to make a change pass: a change that cannot keep them states
-its largest relative drift instead.
+which reaches a reordered profile axis and QPSK, neither of which the
+defaults touch.  That pair was written new when decisions on the filter
+output were removed; it replaced the output-stream pair of the same
+command, and was generated by the code before that removal, so both
+sides of it wrote these bytes.  The files pin the numbers the benchmark
+publishes, so a change that moves any of them fails here.  They are
+never regenerated to make a change pass: a change that cannot keep them
+states its largest relative drift instead.
 """
 
 from pathlib import Path
@@ -27,18 +29,16 @@ from alebench.bench import KINDS
 from alebench.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+_SUFFIXES = ("raw.csv", "mean.csv")
 
-_QPSK_OUTPUT = [
-    "--set", "channel.profiles=5.8GHz, 60MHz",
-    "--set", "run.decision_stream=output",
-    "--set", "mod.m=4",
-]
+_QPSK = "ber_nonlinear_qpsk"
+_QPSK_ARGS = ["--set", "channel.profiles=5.8GHz, 60MHz", "--set", "mod.m=4"]
 
 
 def _check(kind, name, extra, jobs, out):
     argv = [kind, "--set", "frame.h=500", "--seeds", "2", "--jobs", str(jobs), "--out", str(out)]
     assert main(argv + extra) == 0
-    for suffix in ("raw.csv", "mean.csv"):
+    for suffix in _SUFFIXES:
         written = out / f"{kind}_{suffix}"
         assert written.read_bytes() == (GOLDEN / f"{name}_{suffix}").read_bytes(), written.name
 
@@ -50,5 +50,12 @@ def test_outputs_match_golden_bytes(kind, jobs, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_qpsk_output_stream_profiles_match_golden_bytes(jobs, tmp_path, capsys):
-    _check("ber_nonlinear", "ber_nonlinear_qpsk_output", _QPSK_OUTPUT, jobs, tmp_path)
+def test_qpsk_profiles_match_golden_bytes(jobs, tmp_path, capsys):
+    _check("ber_nonlinear", _QPSK, _QPSK_ARGS, jobs, tmp_path)
+
+
+def test_every_golden_file_is_read():
+    """The tests above read exactly the files under tests/golden/, so a
+    replaced or renamed golden cannot linger there unchecked."""
+    read = {f"{name}_{suffix}" for name in (*KINDS, _QPSK) for suffix in _SUFFIXES}
+    assert {path.name for path in GOLDEN.iterdir()} == read
