@@ -219,13 +219,12 @@ def _parse_pairs(text: str) -> dict:
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, equals, value = (part.strip() for part in line.partition("="))
+        if not (equals and key):
             raise ConfigError(f"line {lineno}", f"expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
         if key in values:
             raise ConfigError(key, "duplicate key")
-        values[key] = _parse_value(key, value.strip())
+        values[key] = _parse_value(key, value)
     return values
 
 
@@ -350,10 +349,11 @@ def _metric_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, fra
     """An LMS and a PSO row per run.  From sample `warmup` on, bits are
     decided on the residual, and `mse` is its power.  A power that
     overflows is inf."""
-    _, outputs, diverged = lms_batch(frames, np.full(len(lanes), spec.mu), spec.ale)
-    for (point, seed_idx, *_), err in zip(lanes, diverged):
-        if err is not None:
-            raise RuntimeError(f"{spec.kind} failed at sweep point {point}, seed index {seed_idx}: {err}") from err
+    _, outputs, diverged_at, max_weight = lms_batch(frames, np.full(len(lanes), spec.mu), spec.ale)
+    for (point, seed_idx, *_), n, peak in zip(lanes, diverged_at, max_weight):
+        if n >= 0:
+            crossing = f"weight magnitude {peak:.3e} exceeded bound at sample {n}"
+            raise RuntimeError(f"{spec.kind} failed at sweep point {point}, seed index {seed_idx}: {crossing}")
     weights, _ = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
     k, v0 = spec.mod.bits_per_symbol, spec.ale.warmup
     rows = []
@@ -379,12 +379,12 @@ def _metric_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, fra
 
 
 def _step_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, frames) -> list[dict]:
-    _, outputs, diverged = lms_batch(frames, [base["mu"] for base in bases], spec.ale)
+    _, outputs, diverged_at, _ = lms_batch(frames, [base["mu"] for base in bases], spec.ale)
     # the sweep deliberately crosses the stability boundary; a diverged
     # run reports infinite residual power instead of aborting the sweep
     return [
-        dict(base, algorithm="LMS", mse=math.inf if err is not None else float(np.mean(np.abs((d - y)[spec.ale.warmup :]) ** 2)))
-        for base, d, y, err in zip(bases, frames, outputs, diverged)
+        dict(base, algorithm="LMS", mse=math.inf if n >= 0 else float(np.mean(np.abs((d - y)[spec.ale.warmup :]) ** 2)))
+        for base, d, y, n in zip(bases, frames, outputs, diverged_at)
     ]
 
 

@@ -60,9 +60,9 @@ def _assemble(args) -> tuple[str, dict[str, str]]:
     flags = (("run.base_seed", args.seed), ("run.n_seeds", args.seeds))
     overrides: dict[str, str] = {}
     for item in args.overrides + [f"{key}={value}" for key, value in flags if value is not None]:
-        if "=" not in item:
+        key, equals, value = (part.strip() for part in item.partition("="))
+        if not (equals and key):
             raise ConfigError(item, "expected KEY=VALUE")
-        key, _, value = (part.strip() for part in item.partition("="))
         if key in overrides:
             raise ConfigError(key, "duplicate key")
         overrides[key] = value

@@ -19,7 +19,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .ale import AleConfig, _check_frame
-from .errors import DivergenceError
 
 __all__ = ["lms_batch", "WEIGHT_BOUND"]
 
@@ -30,19 +29,20 @@ _BLOCK = 64  # samples adapted between two divergence checks
 
 def lms_batch(
     D: np.ndarray, mus: np.ndarray, ale: AleConfig
-) -> tuple[np.ndarray, np.ndarray, list[DivergenceError | None]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Adapt B frames at once, frame b with step size mus[b].
 
     Every lane starts from zero weights.  Warm-up samples (regressor not
     fully populated) are skipped: their output stays 0, so their residual
-    equals the input.  Returns (final_weights, Y, errors): the (B, L) final
-    weights, weight k multiplying d[n - delay - k], the (B, H) outputs and,
-    per lane, DivergenceError(n, max|w|) for the first sample n after whose
-    update some |w| exceeds WEIGHT_BOUND, or None.  From its crossing on, a
-    diverged lane's weights and step size are 0, so its final weights are 0
-    and its outputs after sample n are the zeros that zero weights give; no
-    inf or nan is returned.  A lane's result does not depend on the other
-    lanes of the batch.  Frames must be finite.
+    equals the input.  Returns (final_weights, Y, diverged_at, max_weight):
+    the (B, L) final weights, weight k multiplying d[n - delay - k], the
+    (B, H) outputs and, per lane, the first sample n after whose update some
+    |w| exceeds WEIGHT_BOUND (-1 if none) and that max |w| (0.0 if none).
+    From its crossing on, a diverged lane's weights and step size are 0, so
+    its final weights are 0 and its outputs after sample n are the zeros
+    that zero weights give; no weight or output is inf or nan.  A lane's
+    result does not depend on the other lanes of the batch.  Frames must be
+    finite.
     """
     D = np.ascontiguousarray(D, dtype=np.complex128)
     mus = np.asarray(mus, dtype=np.float64)
@@ -85,7 +85,8 @@ def lms_batch(
     products = np.empty((2, taps, 2, lanes))
     re, im = products
     step = np.empty((taps, 2, lanes))
-    errors: list[DivergenceError | None] = [None] * lanes
+    diverged_at = np.full(lanes, -1)
+    max_weight = np.zeros(lanes)
     multiply, subtract, add, add_reduce = np.multiply, np.subtract, np.add, np.add.reduce
     # Each block is adapted once, then all its rows are checked at once,
     # on one copy of the weights.  Lanes share no arithmetic, so a lane
@@ -117,10 +118,11 @@ def lms_batch(
                 peaks = np.abs(weights).max(axis=1)
                 for b in np.flatnonzero(~np.all(peaks <= WEIGHT_BOUND, axis=0)):
                     i = int(np.argmin(peaks[:, b] <= WEIGHT_BOUND))
-                    errors[b] = errors[b] or DivergenceError(first + i, float(peaks[i, b]))
+                    if diverged_at[b] < 0:
+                        diverged_at[b], max_weight[b] = first + i, peaks[i, b]
                     W[size, ..., b] = steps[..., b] = 0.0
                     # the zeroed weights' outputs, summed as the loop sums them
                     add_reduce(v_out[i + 1 : size, :, :, b] * 0.0, 1, None, y_block[i + 1 : size, :, b])
             y[first:last] = y_block[:size]
             W[0] = W[size]
-    return W[0, :, 0].T[:, ::-1].copy(), Y, errors
+    return W[0, :, 0].T[:, ::-1].copy(), Y, diverged_at, max_weight

@@ -25,7 +25,7 @@ from alebench.channel import DEFAULT_PROFILES, NonlinearProfile, add_awgn
 from alebench.lms import lms_batch
 from alebench.pso import PsoConfig, _gram, evaluate_cost, pso_batch
 from alebench.signal import ModConfig, demodulate, generate_bits, modulate
-from oracles import brute_force_cost, squared_error_gradient_fd
+from oracles import brute_force_cost, real_least_squares_weights, squared_error_gradient_fd
 
 
 def _report(label: str, ok: bool, detail: str) -> bool:
@@ -218,8 +218,8 @@ def test_update_matches_finite_difference_gradient():
         mu = float(rng.uniform(0.001, 0.1))
         n = int(rng.integers(ale.delay + taps + 1, 64))
         d = rng.normal(size=n + 1)
-        (w,), _, _ = lms_batch(d[None, :n], [mu], ale)
-        (stepped,), _, _ = lms_batch(d[None], [mu], ale)
+        (w,), _, _, _ = lms_batch(d[None, :n], [mu], ale)
+        (stepped,), _, _, _ = lms_batch(d[None], [mu], ale)
         v = d[n - ale.delay - np.arange(taps)]
         expected = w - (mu / 2.0) * squared_error_gradient_fd(w, d[n], v)
         scale = np.maximum(np.abs(expected), 1e-9)
@@ -369,5 +369,79 @@ def test_prediction_floor_matches_closed_form():
         "prediction floor vs closed form",
         len(means) == 16 and not outside,
         "; ".join(outside) or f"10-seed means {min(means.values()):.4f}-{max(means.values()):.4f} at all 16 points",
+    )
+    assert ok
+
+
+# ---------------------------------------------------------------------------
+# 9. theory: the channel and the demodulator against textbook BPSK
+
+def test_unfiltered_bpsk_errors_match_theory():
+    """On the runner's own ber_awgn frames (default base seed, 10 seeds, 11
+    SNR points), the received samples from ale.warmup on, decided without
+    any filter, err at BPSK's textbook rate q = Q(sqrt(2 SNR)) =
+    erfc(sqrt(SNR)) / 2: at every point with N q >= 20 expected errors
+    among its N bits, the binomial z-score (errors - N q) / sqrt(N q (1 - q))
+    lies within +-3.29 (99.9 %).  It checks the channel's SNR calibration
+    and the demodulator against theory, not against files the code wrote."""
+    spec = parse_config("", kind="ber_awgn")
+    runs = [(i, j) for i in range(len(bench._sweep_points(spec))) for j in range(spec.n_seeds)]
+    lanes, bits, frames = bench._batch_frames(spec, runs)
+    k, v0 = spec.mod.bits_per_symbol, spec.ale.warmup
+    errors: dict[float, int] = {}
+    counts: dict[float, int] = {}
+    for (point, *_), sent, d in zip(lanes, bits[:, k * v0 :], frames):
+        snr = point["snr_db"]
+        errors[snr] = errors.get(snr, 0) + int(np.count_nonzero(demodulate(d[v0:], spec.mod) != sent))
+        counts[snr] = counts.get(snr, 0) + sent.size
+    scores = {}
+    for snr, n in counts.items():
+        q = 0.5 * math.erfc(math.sqrt(10.0 ** (snr / 10.0)))
+        if n * q >= 20:
+            scores[snr] = (errors[snr] - n * q) / math.sqrt(n * q * (1.0 - q))
+    outside = [f"{snr:g} dB: z = {z:+.2f}" for snr, z in scores.items() if not abs(z) <= 3.29]
+    worst = max(scores, key=lambda snr: abs(scores[snr]))
+    ok = _report(
+        "unfiltered BPSK errors vs Q(sqrt(2 SNR))",
+        len(scores) == 9 and not outside,
+        "; ".join(outside)
+        or f"|z| <= {abs(scores[worst]):.2f} at {len(scores)} points, worst at {worst:g} dB "
+        f"({errors[worst]} errors in {counts[worst]} bits)",
+    )
+    assert ok
+
+
+# ---------------------------------------------------------------------------
+# 10. theory: LMS misadjustment from each frame's own statistics
+
+def test_lms_misadjustment_matches_small_step_theory():
+    """On step_sweep's default frames (-2 dB, 10 seeds), at mu = 0.005 and
+    0.01, the 10-seed mean of the excess power mse - J* over the 10-seed
+    mean of the small-step prediction mu tr(G) / 2 lies in [0.9, 1.25].
+    Per frame, from sample ale.warmup on, with v_n[k] = d[n - delay - k]
+    and w* the real least-squares weights: e*_n = d[n] - w*'v_n,
+    J* = mean |e*|^2, g_n = Re(e*_n) Re(v_n) + Im(e*_n) Im(v_n), the
+    update direction at w*, and tr(G) = mean |g_n|^2.  The mse is the
+    step_sweep raw row's."""
+    spec = parse_config("", kind="step_sweep")
+    mse = {row["seed"]: row["mse"] for row in run_experiment(spec).raw_rows}
+    points = bench._sweep_points(spec)
+    runs = [(i, j) for i, point in enumerate(points) if point["mu"] in (0.005, 0.01) for j in range(spec.n_seeds)]
+    lanes, _, frames = bench._batch_frames(spec, runs)
+    taps, delay, v0 = spec.ale.taps, spec.ale.delay, spec.ale.warmup
+    excess: dict[float, list[float]] = {}
+    predicted: dict[float, list[float]] = {}
+    for (point, _, run_seed, _), d in zip(lanes, frames):
+        v = np.stack([d[v0 - delay - k : d.size - delay - k] for k in range(taps)], axis=1)
+        e = d[v0:] - v @ real_least_squares_weights(d, taps, delay)
+        g = e.real[:, None] * v.real + e.imag[:, None] * v.imag
+        mu = point["mu"]
+        excess.setdefault(mu, []).append(mse[run_seed] - np.mean(np.abs(e) ** 2))
+        predicted.setdefault(mu, []).append(mu * np.mean(np.sum(g**2, axis=1)) / 2.0)
+    ratios = {mu: float(np.mean(excess[mu]) / np.mean(predicted[mu])) for mu in excess}
+    ok = _report(
+        "LMS misadjustment vs mu tr(G) / 2",
+        sorted(ratios) == [0.005, 0.01] and all(0.9 <= r <= 1.25 for r in ratios.values()),
+        "; ".join(f"mu = {mu:g}: {r:.3f}" for mu, r in ratios.items()),
     )
     assert ok

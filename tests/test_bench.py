@@ -116,6 +116,9 @@ class TestParseConfig:
     def test_malformed_line_rejected(self):
         with pytest.raises(ConfigError):
             parse_config("this is not a key value pair")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config("lms.mu = 0.02\n= 5\n")
+        assert str(excinfo.value) == "line 2: expected 'key = value', got '= 5'"
 
     def test_comments_and_blanks_ignored(self):
         spec = parse_config("# a comment\n\nlms.mu = 0.03\n")
@@ -372,7 +375,7 @@ class TestRunExperiment:
         points = bench._sweep_points(spec)
         runs = [(i, j) for i in range(len(points)) for j in range(spec.n_seeds)]
         lanes, bits, frames = bench._batch_frames(spec, runs)
-        _, lms_outputs, _ = lms_batch(frames, np.full(len(runs), spec.mu), spec.ale)
+        _, lms_outputs, _, _ = lms_batch(frames, np.full(len(runs), spec.mu), spec.ale)
         weights, _ = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
         rows = run_experiment(spec).raw_rows
         v0, k = spec.ale.warmup, spec.mod.bits_per_symbol
@@ -396,7 +399,7 @@ class TestRunExperiment:
         )
         (row,) = run_experiment(spec).raw_rows
         _, _, (d,) = bench._batch_frames(spec, [(0, 0)])
-        _, (y,), _ = lms_batch(d[None], [0.02], spec.ale)
+        _, (y,), _, _ = lms_batch(d[None], [0.02], spec.ale)
         assert row["mse"] == float(np.mean(np.abs(d - y)[spec.ale.warmup :] ** 2))
 
     def test_overflowing_powers_are_inf_without_warning(self):

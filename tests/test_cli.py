@@ -106,9 +106,11 @@ def test_unknown_key_fails_with_diagnostic(tmp_path, capsys):
 
 
 def test_override_without_equals_fails_with_diagnostic(tmp_path, capsys):
-    code = main(["ber_awgn", "--out", str(tmp_path), "--set", "foo"])
-    assert code == 1
-    assert capsys.readouterr().err == "error: foo: expected KEY=VALUE\n"
+    """An item with no '=' or with nothing before it is malformed."""
+    for item in ("foo", "=5", " = 5"):
+        code = main(["ber_awgn", "--out", str(tmp_path), "--set", item])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {item}: expected KEY=VALUE\n"
 
 
 @pytest.mark.parametrize("flags, key", [

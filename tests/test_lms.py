@@ -10,7 +10,6 @@ import pytest
 from alebench import lms
 from alebench.ale import AleConfig
 from alebench.channel import add_awgn
-from alebench.errors import DivergenceError
 from alebench.lms import lms_batch
 from alebench.signal import ModConfig, generate_bits, modulate
 from oracles import loop_lms, real_least_squares_weights
@@ -30,10 +29,15 @@ def _assert_rel(actual, expected, rel=1e-12):
 
 
 def _run_alone(d, mu, ale):
-    """(final weights, outputs, DivergenceError or None) of frame d adapted
-    in a one-lane batch."""
-    (weights,), (y,), (err,) = lms_batch(d[None], [mu], ale)
-    return weights, y, err
+    """(final weights, outputs, crossing sample or -1, peak or 0.0) of frame
+    d adapted in a one-lane batch."""
+    (weights,), (y,), (diverged_at,), (max_weight,) = lms_batch(d[None], [mu], ale)
+    return weights, y, diverged_at, max_weight
+
+
+def _assert_no_crossing(diverged_at, max_weight):
+    np.testing.assert_array_equal(diverged_at, -1)
+    np.testing.assert_array_equal(max_weight, 0.0)
 
 
 def _plain_step(w, e_n, v, mu):
@@ -48,14 +52,13 @@ def _assert_matches_loop_oracle(d, taps, delay, mu):
     ended."""
     ale = AleConfig(taps=taps, delay=delay)
     expected = loop_lms(d, taps, delay, mu)
-    weights, y, err = _run_alone(d, mu, ale)
+    weights, y, diverged_at, max_weight = _run_alone(d, mu, ale)
     if isinstance(expected[0], int):
         index, peak = expected
-        assert isinstance(err, DivergenceError)
-        assert err.sample_index == index
-        assert err.max_weight == pytest.approx(peak, rel=1e-12)
+        assert diverged_at == index
+        assert max_weight == pytest.approx(peak, rel=1e-12)
         return "diverged"
-    assert err is None
+    _assert_no_crossing(diverged_at, max_weight)
     _assert_rel(weights, expected[0])
     _assert_rel(y, expected[1])
     _assert_rel(d - y, d - expected[1])
@@ -71,8 +74,8 @@ class TestLmsRun:
         d[0], so w = 0.1 * Re(d[1] * conj(d[0])) = 0.1; sample 2's output
         0.1 * d[1] equals d[2], so its zero error leaves w at 0.1."""
         frames = np.array([[1, 1, 0.1], [1j, 1j, 0.1j]])
-        weights, y, errors = lms_batch(frames, [0.1, 0.1], AleConfig(taps=1, delay=1))
-        assert errors == [None, None]
+        weights, y, *crossings = lms_batch(frames, [0.1, 0.1], AleConfig(taps=1, delay=1))
+        _assert_no_crossing(*crossings)
         np.testing.assert_array_equal(weights, [[0.1], [0.1]])
         np.testing.assert_array_equal(y, [[0, 0, 0.1], [0, 0, 0.1j]])
 
@@ -81,8 +84,8 @@ class TestLmsRun:
         which every output a * d[n-1] is d[n] exactly, so the zero errors
         leave w at a through every later block."""
         d = np.array([0.5, -0.5])[:, None] ** np.arange(200)
-        weights, y, errors = lms_batch(d, [1.0, 1.0], AleConfig(taps=1, delay=1))
-        assert errors == [None, None]
+        weights, y, *crossings = lms_batch(d, [1.0, 1.0], AleConfig(taps=1, delay=1))
+        _assert_no_crossing(*crossings)
         np.testing.assert_array_equal(weights, [[0.5], [-0.5]])
         np.testing.assert_array_equal(y[:, :2], 0.0)
         np.testing.assert_array_equal(y[:, 2:], d[:, 2:])
@@ -91,8 +94,8 @@ class TestLmsRun:
         """A mu = 0 lane keeps zero weights and zero outputs beside a lane of
         the same frame that adapts."""
         d = _awgn_frame(0.0, 41, 42, h=512)
-        weights, y, errors = lms_batch(np.stack([d, d]), [0.02, 0.0], ALE)
-        assert errors == [None, None]
+        weights, y, *crossings = lms_batch(np.stack([d, d]), [0.02, 0.0], ALE)
+        _assert_no_crossing(*crossings)
         assert np.abs(weights[0]).max() > 0.0
         np.testing.assert_array_equal(weights[1], np.zeros(5))
         np.testing.assert_array_equal(y[1], 0.0)
@@ -105,8 +108,8 @@ class TestLmsRun:
         for taps in range(1, 9):
             for delay in range(1, 4):
                 ale = AleConfig(taps=taps, delay=delay)
-                weights, y, err = _run_alone(d, 0.02, ale)
-                assert err is None
+                weights, y, *crossing = _run_alone(d, 0.02, ale)
+                _assert_no_crossing(*crossing)
                 w = np.zeros(taps)  # oldest tap first, like the window
                 stepped = np.zeros_like(d)
                 for n in range(ale.warmup, d.size):
@@ -118,13 +121,13 @@ class TestLmsRun:
 
     def test_zero_step_never_adapts(self):
         d = _awgn_frame(0.0, 41, 42, h=512)
-        weights, y, _ = _run_alone(d, 0.0, ALE)
+        weights, y, _, _ = _run_alone(d, 0.0, ALE)
         np.testing.assert_array_equal(weights, np.zeros(5))
         np.testing.assert_array_equal(d - y, d)
 
     def test_reconstruction_and_mse_trace(self):
         d = _awgn_frame(-2.0, 43, 44, h=2048)
-        _, y, _ = _run_alone(d, 0.01, ALE)
+        _, y, _, _ = _run_alone(d, 0.01, ALE)
         e = d - y
         np.testing.assert_allclose(e + y, d, rtol=0, atol=1e-14)
 
@@ -143,16 +146,15 @@ class TestLmsRun:
         tone = np.exp(1j * (2 * np.pi * 0.04 * n + 0.7))
         noise = np.sqrt(0.25 / 2) * (rng.standard_normal(H) + 1j * rng.standard_normal(H))
         d = tone + noise
-        weights, _, _ = _run_alone(d, 0.01, ALE)
+        weights, _, _, _ = _run_alone(d, 0.01, ALE)
         wiener = real_least_squares_weights(d, ALE.taps, ALE.delay)
         distance = np.linalg.norm(weights - wiener) / np.linalg.norm(wiener)
         assert distance < 0.10
 
     def test_oversized_step_diverges(self):
         d = _awgn_frame(0.0, 48, 49, h=4096)
-        _, _, err = _run_alone(d, 10.0, ALE)
-        assert isinstance(err, DivergenceError)
-        assert err.sample_index >= ALE.warmup
+        _, _, diverged_at, _ = _run_alone(d, 10.0, ALE)
+        assert diverged_at >= ALE.warmup
 
     def test_short_frame_rejected(self):
         with pytest.raises(ValueError):
@@ -181,8 +183,8 @@ class TestLmsRun:
         """With mu in the low-residual band, the residual power over the last
         tenth of the frame stays below the first tenth (20-seed average)."""
         frames = np.array([_awgn_frame(-2.0, s, 10_000 + s) for s in range(20)])
-        _, outputs, errors = lms_batch(frames, np.full(20, 0.02), ALE)
-        assert errors == [None] * 20
+        _, outputs, *crossings = lms_batch(frames, np.full(20, 0.02), ALE)
+        _assert_no_crossing(*crossings)
         firsts, lasts = [], []
         for d, y in zip(frames, outputs):
             body = np.abs((d - y)[ALE.warmup :]) ** 2
@@ -196,20 +198,15 @@ def _small_frames(count, h=300):
     return np.array([_awgn_frame(0.0, 60 + s, 70 + s, h=h) for s in range(count)])
 
 
-def _crossing(err):
-    return None if err is None else (err.sample_index, err.max_weight)
-
-
-def _assert_lane_is_run_alone(d, mu, ale, weights, y, err):
-    """Lane (weights, y, err) of lms_batch is, bit for bit, the result of
-    frame d adapted alone."""
-    alone_weights, alone_y, expected = _run_alone(d, mu, ale)
-    if expected is not None:
-        assert err is not None
-        assert err.sample_index == expected.sample_index
-        assert err.max_weight == expected.max_weight
+def _assert_lane_is_run_alone(d, mu, ale, result, b):
+    """Lane b of the lms_batch result is, bit for bit, the result of frame d
+    adapted alone."""
+    weights, y, diverged_at, max_weight = (part[b] for part in result)
+    alone_weights, alone_y, alone_at, alone_peak = _run_alone(d, mu, ale)
+    np.testing.assert_array_equal(diverged_at, alone_at)
+    np.testing.assert_array_equal(max_weight, alone_peak)
+    if alone_at >= 0:
         return "diverged"
-    assert err is None
     np.testing.assert_array_equal(weights, alone_weights)
     np.testing.assert_array_equal(y, alone_y)
     return "converged"
@@ -223,12 +220,10 @@ class TestLmsBatch:
         for taps in range(1, 9):
             for delay in range(1, 4):
                 ale = AleConfig(taps=taps, delay=delay)
-                weights, y, errors = lms_batch(frames, mus, ale)
-                assert weights.shape == (lanes, taps) and y.shape == frames.shape
+                result = lms_batch(frames, mus, ale)
+                assert result[0].shape == (lanes, taps) and result[1].shape == frames.shape
                 for lane in range(lanes):
-                    ended = _assert_lane_is_run_alone(
-                        frames[lane], mus[lane], ale, weights[lane], y[lane], errors[lane])
-                    assert ended == "converged"
+                    assert _assert_lane_is_run_alone(frames[lane], mus[lane], ale, result, lane) == "converged"
 
     def test_diverging_lanes_match_lone_runs_and_spare_the_rest(self):
         """mu = 0.3 and mu = 10 lanes diverge at the sample and with the peak
@@ -236,43 +231,37 @@ class TestLmsBatch:
         output zeros; the converging lanes beside them stay bit-identical."""
         frames = np.array([_awgn_frame(-2.0, 80 + s, 90 + s, h=2000) for s in range(8)])
         mus = [0.01, 0.3, 0.08, 10.0, 0.2, 0.3, 0.02, 10.0]
-        weights, y, errors = lms_batch(frames, mus, ALE)
-        ended = [
-            _assert_lane_is_run_alone(frames[b], mus[b], ALE, weights[b], y[b], errors[b])
-            for b in range(len(mus))
-        ]
+        result = weights, y, diverged_at, _ = lms_batch(frames, mus, ALE)
+        ended = [_assert_lane_is_run_alone(frames[b], mus[b], ALE, result, b) for b in range(len(mus))]
         assert ended == ["diverged" if mu in (0.3, 10.0) else "converged" for mu in mus]
-        assert len({err.sample_index for err in errors if err is not None}) > 1
+        assert len(set(diverged_at[diverged_at >= 0])) > 1
         assert np.all(np.isfinite(weights)) and np.all(np.isfinite(y))
-        for b, err in enumerate(errors):
-            if err is not None:
-                assert np.all(weights[b] == 0) and np.all(y[b, err.sample_index + 1 :] == 0)
+        for b, n in enumerate(diverged_at):
+            if n >= 0:
+                assert np.all(weights[b] == 0) and np.all(y[b, n + 1 :] == 0)
 
     def test_lane_result_independent_of_its_batch(self):
         frames = _small_frames(7)
         mus = np.array([0.01, 10.0, 0.08, 0.3, 0.02, 0.2, 0.005])
         ale = AleConfig(taps=7, delay=2)
-        weights, y, errors = lms_batch(frames, mus, ale)
+        whole = lms_batch(frames, mus, ale)
         for picked in ([3], [0, 2], [6, 1, 4, 3], [5, 5]):
-            sub_weights, sub_y, sub_errors = lms_batch(frames[picked], mus[picked], ale)
-            for i, lane in enumerate(picked):
-                np.testing.assert_array_equal(sub_weights[i], weights[lane])
-                np.testing.assert_array_equal(sub_y[i], y[lane])
-                assert str(sub_errors[i]) == str(errors[lane])
+            for part, full in zip(lms_batch(frames[picked], mus[picked], ale), whole):
+                np.testing.assert_array_equal(part, full[picked])
 
     def test_matches_loop_oracle(self):
         frames = _small_frames(6)
         mus = [0.005, 0.08, 0.2, 0.3, 10.0, 0.02]
         for taps in range(1, 9):
             for delay in range(1, 4):
-                weights, y, errors = lms_batch(frames, mus, AleConfig(taps=taps, delay=delay))
+                weights, y, diverged_at, max_weight = lms_batch(frames, mus, AleConfig(taps=taps, delay=delay))
                 for lane, mu in enumerate(mus):
                     expected = loop_lms(frames[lane], taps, delay, mu)
                     if isinstance(expected[0], int):
-                        assert errors[lane].sample_index == expected[0]
-                        assert errors[lane].max_weight == pytest.approx(expected[1], rel=1e-12)
+                        assert diverged_at[lane] == expected[0]
+                        assert max_weight[lane] == pytest.approx(expected[1], rel=1e-12)
                         continue
-                    assert errors[lane] is None
+                    _assert_no_crossing(diverged_at[lane], max_weight[lane])
                     _assert_rel(weights[lane], expected[0])
                     _assert_rel(y[lane], expected[1])
 
@@ -285,9 +274,9 @@ class TestLmsBatch:
         weights' bytes, the outputs' bytes and every lane's crossing."""
         frames = np.array([_awgn_frame(-2.0, 500 + s, 600 + s) for s in range(14)])
         mus = [0.005, 0.01, 0.02, 0.04, 0.08, 0.2, 0.3] * 2
-        weights, y, errors = lms_batch(frames, mus, ALE)
-        crossings = list(map(_crossing, errors))
-        assert [c and c[0] for c in crossings] == [None] * 6 + [208] + [None] * 6 + [105]
+        weights, y, diverged_at, max_weight = lms_batch(frames, mus, ALE)
+        assert list(diverged_at) == [-1] * 6 + [208] + [-1] * 6 + [105]
+        crossings = [None if n < 0 else (int(n), float(peak)) for n, peak in zip(diverged_at, max_weight)]
         digest = hashlib.sha256(weights.tobytes() + y.tobytes() + repr(crossings).encode())
         assert digest.hexdigest() == (
             "f58e4cf5df61e7b7e5e7f47d339b02314a6baa5b0ce2e28bbd763f78861a67b0")
@@ -324,8 +313,8 @@ class TestLmsBatch:
             return np.concatenate([np.zeros(silent, dtype=complex), burst])[:h]
 
         monkeypatch.setattr(lms, "_BLOCK", 1)  # a check after every sample
-        (_, _, (probe,)) = lms_batch(burst_after(start)[None], [10.0], ale)
-        lag = probe.sample_index - start  # from the burst to the crossing
+        _, _, probe, _ = _run_alone(burst_after(start), 10.0, ale)
+        lag = probe - start  # from the burst to the crossing
         frames = np.array([
             recovers,
             *(burst_after(start + j - lag) for j in (64, 127, 270)),
@@ -333,7 +322,7 @@ class TestLmsBatch:
         ])
         mus = [0.3, 10.0, 10.0, 10.0, 0.02, 0.08, 10.0]
         expected = lms_batch(frames, mus, ale)
-        offsets = [None if err is None else err.sample_index - start for err in expected[2]]
+        offsets = [None if n < 0 else n - start for n in expected[2]]
         assert offsets[:6] == [47, 64, 127, 270, None, None] and offsets[6] < 64
         # Unchecked, the mu = 0.3 lane is back under the bound by the end of
         # the first 64-sample block: a check of the block's last weights
@@ -346,16 +335,12 @@ class TestLmsBatch:
         assert peaks[47] > lms.WEIGHT_BOUND >= peaks[-1]
         for block in (2, 7, 64, h):
             monkeypatch.setattr(lms, "_BLOCK", block)
-            weights, y, errors = lms_batch(frames, mus, ale)
-            np.testing.assert_array_equal(weights, expected[0])
-            np.testing.assert_array_equal(y, expected[1])
-            assert list(map(_crossing, errors)) == list(map(_crossing, expected[2]))
+            for part, full in zip(lms_batch(frames, mus, ale), expected):
+                np.testing.assert_array_equal(part, full)
             # alone, so that no other lane's crossing makes its block checked
             for lane, mu in enumerate(mus):
-                alone = _run_alone(frames[lane], mu, ale)
-                np.testing.assert_array_equal(alone[0], expected[0][lane])
-                np.testing.assert_array_equal(alone[1], expected[1][lane])
-                assert _crossing(alone[2]) == _crossing(expected[2][lane])
+                for part, full in zip(_run_alone(frames[lane], mu, ale), expected):
+                    np.testing.assert_array_equal(part, full[lane])
 
     def test_lane_overflowing_unchecked_is_contained(self, monkeypatch):
         """A mu = 1e3 lane overflows to inf and nan before the one block of its
@@ -367,11 +352,12 @@ class TestLmsBatch:
         monkeypatch.setattr(lms, "_BLOCK", frames.shape[1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            weights, y, errors = lms_batch(frames, mus, ALE)
-        assert errors[1] is not None
-        assert _crossing(errors[1]) == _crossing(alone[1][2])
+            weights, y, diverged_at, max_weight = lms_batch(frames, mus, ALE)
+        assert diverged_at[1] >= 0
+        np.testing.assert_array_equal(diverged_at[1], alone[1][2])
+        np.testing.assert_array_equal(max_weight[1], alone[1][3])
         for lane in (0, 2):
-            assert errors[lane] is None and np.all(np.isfinite(y[lane]))
+            assert diverged_at[lane] == -1 and np.all(np.isfinite(y[lane]))
             np.testing.assert_array_equal(weights[lane], alone[lane][0])
             np.testing.assert_array_equal(y[lane], alone[lane][1])
 
@@ -391,10 +377,10 @@ class TestLmsBatch:
             return np.subtract(*args)
 
         monkeypatch.setattr(lms, "np", SimpleNamespace(**{**vars(np), "subtract": counted}))
-        _, _, errors = lms_batch(frames, [0.3, 0.02, 0.02], ale)
+        _, _, diverged_at, _ = lms_batch(frames, [0.3, 0.02, 0.02], ale)
         h, start = frames.shape[1], ale.warmup
-        assert errors[0].sample_index - start == 47  # mid-block, later blocks follow
-        assert errors[1].sample_index == start and errors[2] is None
+        assert diverged_at[0] - start == 47  # mid-block, later blocks follow
+        assert diverged_at[1] == start and diverged_at[2] == -1
         assert len(calls) == h - start
 
     def test_lane_overflowing_to_nan_reports_divergence(self):
@@ -404,11 +390,10 @@ class TestLmsBatch:
         bit-identical to its lone run."""
         frames = _small_frames(2)
         frames[1] *= 1e160
-        weights, y, errors = lms_batch(frames, [0.02, 0.02], ALE)
-        assert isinstance(errors[1], DivergenceError)
-        assert errors[1].sample_index == ALE.warmup
+        weights, y, diverged_at, _ = lms_batch(frames, [0.02, 0.02], ALE)
+        assert diverged_at[1] == ALE.warmup
         assert np.all(np.isfinite(weights)) and np.all(np.isfinite(y))
         alone = _run_alone(frames[0], 0.02, ALE)
-        assert errors[0] is None and alone[2] is None
+        assert diverged_at[0] == -1 and alone[2] == -1
         np.testing.assert_array_equal(weights[0], alone[0])
         np.testing.assert_array_equal(y[0], alone[1])
