@@ -77,8 +77,8 @@ class ExperimentSpec:
         for s in self.snr_grid:
             if not (abs(s) <= SNR_LIMIT_DB or s == math.inf):  # +inf: no noise
                 raise ConfigError("run.snr_grid", f"SNR values must be inf or within +-{SNR_LIMIT_DB:g} dB, got {s}")
-        _check_used_and_distinct("run.snr_grid", self.snr_grid, self.kind)
-        _check_used_and_distinct("run.sweep_values", self.sweep_values, self.kind)
+        _check_list("run.snr_grid", self.snr_grid, self.kind)
+        _check_list("run.sweep_values", self.sweep_values, self.kind)
         for v in self.sweep_values:
             if self.kind == "particle_sweep" and not (math.isfinite(v) and v == int(v) and 1 <= v <= MAX_PARTICLES):
                 raise ConfigError("run.sweep_values", f"particle counts must be integers from 1 to {MAX_PARTICLES}, got {v}")
@@ -93,18 +93,18 @@ class ExperimentSpec:
             raise ConfigError("run.n_seeds", f"sweep points x seeds x pso.max_iters must be at most {_MAX_ROWS} rows")
         if not (0 <= self.base_seed < 2**64):
             raise ConfigError("run.base_seed", f"must be an unsigned 64-bit value, got {self.base_seed}")
-        _check_used_and_distinct("channel.profiles", self.profiles, self.kind)
+        _check_list("channel.profiles", self.profiles, self.kind)
         for name in self.profiles:
             if name not in DEFAULT_PROFILES:
-                raise ConfigError("channel.profiles", f"unknown profile {name!r}")
+                known = ", ".join(DEFAULT_PROFILES)
+                raise ConfigError("channel.profiles", f"unknown profile {name!r}, expected one of {known}")
 
 
-def _check_used_and_distinct(key: str, values: tuple, kind: str) -> None:
-    """A kind runs no point without a value of each key it uses; values of a
-    key it ignores would be echoed in its meta file, though unused; a repeat
+def _check_list(key: str, values: tuple, kind: str) -> None:
+    """A kind runs no point without a value of each list it reads; a repeat
     would merge two sweep points into one mean row."""
-    if bool(values) != (key in _KINDS[kind].defaults):
-        raise ConfigError(key, f"not used by {kind}" if values else f"must not be empty for {kind}")
+    if not (values or key.startswith(_KINDS[kind].ignores)):
+        raise ConfigError(key, f"must not be empty for {kind}")
     if len(set(values)) != len(values):
         raise ConfigError(key, "values must be distinct")
 
@@ -147,23 +147,13 @@ def _parse_float(text: str) -> float:
 
 
 def _list_of(parse_item: Callable[[str], object]) -> Callable[[str], tuple]:
-    """Parser of comma-separated values, each parsed by `parse_item`; a
-    repeat would merge two sweep points into one mean row."""
+    """Parser of comma-separated values, each parsed by `parse_item`."""
     def parse(text: str) -> tuple:
         items = tuple(parse_item(part.strip()) for part in text.split(",") if part.strip())
         if not items:
             raise ValueError("expected a non-empty comma-separated list")
-        if len(set(items)) != len(items):
-            raise ValueError("values must be distinct")
         return items
     return parse
-
-
-def _parse_profile(name: str) -> str:
-    if name not in DEFAULT_PROFILES:
-        known = ", ".join(DEFAULT_PROFILES)
-        raise ValueError(f"unknown profile {name!r}, expected one of {known}")
-    return name
 
 
 def _parse_kind(text: str) -> str:
@@ -197,7 +187,7 @@ _SCHEMA = {
     "run.sweep_values": _list_of(_parse_float),
     "run.n_seeds": _parse_int,
     "run.base_seed": _parse_int,
-    "channel.profiles": _list_of(_parse_profile),
+    "channel.profiles": _list_of(str),
 }
 
 _SECTIONS = {"mod": ModConfig, "ale": AleConfig, "pso": PsoConfig}
@@ -234,14 +224,15 @@ def parse_config(
     """Build a resolved spec from a flat dotted-key document.
 
     Missing keys take the benchmark defaults (H=10,000 BPSK samples, a
-    5-tap enhancer with delay 1, mu=0.01, 60 particles).  Unknown keys
-    and type mismatches raise ConfigError naming the offending key; so
-    does a value out of range, rejected by the config class that holds
-    it or by the spec.  `overrides` maps keys to raw value strings that
-    replace whatever the document says.  `kind` is the kind to run: an
-    ``experiment.kind`` in the document or in `overrides` that names
-    another kind is rejected, and one that names the same kind is
-    accepted, so a meta file parses back under its own kind.
+    5-tap enhancer with delay 1, mu=0.01, 60 particles, the kind's grids).
+    Unknown keys and type mismatches raise ConfigError naming the key; so
+    does a value out of range, whether or not the kind reads it, rejected
+    by the config class that holds it or by the spec.  `overrides` maps
+    keys to raw value strings that replace whatever the document says.
+    `kind` is the kind to run: an ``experiment.kind`` in the document or
+    in `overrides` that names another kind is rejected, and one that
+    names the same kind is accepted, so a meta file parses back under
+    its own kind.
     """
     values = _parse_pairs(text)
     document_kind = values.get("experiment.kind")
@@ -255,9 +246,7 @@ def parse_config(
     kind = values.setdefault("experiment.kind", ExperimentSpec.kind)
     if values.get("frame.h", ExperimentSpec.h) > _BATCH_SAMPLES:  # named before any section's value
         raise ConfigError("frame.h", f"must be at most {_BATCH_SAMPLES} samples, one batch")
-    defaults = _KINDS[kind].defaults
-    for key in _PER_KIND_KEYS:
-        values[key] = values.get(key, defaults[key]) if key in defaults else ()
+    values = {**_KINDS[kind].defaults, **values}
 
     fields: dict = {}
     sections: dict = {section: {} for section in _SECTIONS}
@@ -282,12 +271,14 @@ def _format_value(value) -> str:
 
 
 def spec_to_text(spec: ExperimentSpec) -> str:
-    """Echo a spec as config text that parses back to the same spec."""
+    """Echo a spec as config text, leaving out the keys its kind ignores;
+    it parses back into an experiment that writes the same CSV bytes."""
     lines = [f"# alebench {__version__}"]
+    ignores = _KINDS[spec.kind].ignores
     for key in _SCHEMA:
         section, _, name = key.partition(".")
         value = getattr(getattr(spec, section) if section in _SECTIONS else spec, name)
-        if not isinstance(value, tuple) or value:
+        if not key.startswith(ignores):
             lines.append(f"{key} = {_format_value(value)}")
     return "\n".join(lines) + "\n"
 
@@ -405,9 +396,9 @@ class _Kind:
     """Everything that sets one experiment kind apart.
 
     `defaults` holds the kind's values of the keys whose meaning depends
-    on the kind.  A key missing from it is one the kind ignores: it is
-    still accepted, because ``run-all`` applies one config to every kind,
-    but it resolves to () and so stays out of that kind's meta file.
+    on the kind.  `ignores` are the keys, or key prefixes, the kind never
+    reads: their values are still checked, because ``run-all`` applies one
+    config to every kind, but they stay out of that kind's meta file.
     `axis` is the row column swept outside the SNR grid and the spec field
     its values come from, or None.  `rows(spec, lanes, bases, bits, frames)`
     returns a batch's rows in run order: each run's `bases` dict, the key
@@ -417,6 +408,7 @@ class _Kind:
     """
 
     defaults: dict
+    ignores: tuple[str, ...]
     axis: tuple[str, str] | None
     rows: Callable[[ExperimentSpec, list, list, np.ndarray, np.ndarray], list[dict]]
     raw: tuple[str, ...]
@@ -439,6 +431,7 @@ _METRIC_AVERAGED = ("ber", "mse", "clean_mse")
 _KINDS = {
     "particle_sweep": _Kind(
         defaults={"run.snr_grid": (-2.0,), "run.sweep_values": (10.0, 20.0, 30.0, 40.0, 50.0, 60.0)},
+        ignores=("lms.mu", "pso.n_particles", "pso.tol", "pso.patience", "channel.profiles"),
         axis=("n_particles", "sweep_values"),
         rows=_particle_rows,
         raw=("snr_db", "algorithm", "seed", "n_particles", "iteration", "gbest_cost", "L", "delta"),
@@ -447,6 +440,7 @@ _KINDS = {
     ),
     "step_sweep": _Kind(
         defaults={"run.snr_grid": (-2.0,), "run.sweep_values": (0.005, 0.01, 0.02, 0.04, 0.08, 0.2)},
+        ignores=("lms.mu", "pso.", "channel.profiles"),
         axis=("mu", "sweep_values"),
         rows=_step_rows,
         raw=("snr_db", "algorithm", "seed", "mu", "mse", "L", "delta"),
@@ -455,6 +449,7 @@ _KINDS = {
     ),
     "ber_awgn": _Kind(
         defaults={"run.snr_grid": _SNR_GRID},
+        ignores=("run.sweep_values", "channel.profiles"),
         axis=None,
         rows=_metric_rows,
         raw=_METRIC_RAW,
@@ -463,6 +458,7 @@ _KINDS = {
     ),
     "ber_nonlinear": _Kind(
         defaults={"run.snr_grid": _SNR_GRID, "channel.profiles": ("60MHz", "2.4GHz", "5.8GHz")},
+        ignores=("run.sweep_values",),
         axis=("profile", "profiles"),
         rows=_metric_rows,
         raw=_METRIC_RAW + ("profile",),
@@ -470,7 +466,6 @@ _KINDS = {
         averaged=_METRIC_AVERAGED,
     ),
 }
-_PER_KIND_KEYS = {key for kind in _KINDS.values() for key in kind.defaults}
 
 KINDS = tuple(_KINDS)
 

@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _assemble(args) -> tuple[str, dict[str, str]]:
     """Config text and overrides, --seed and --seeds among them; a key set twice is rejected."""
-    text = "" if args.config is None else Path(args.config).read_text(encoding="utf-8")
+    text = "" if args.config is None else Path(args.config).read_text(encoding="utf-8-sig")
     flags = (("run.base_seed", args.seed), ("run.n_seeds", args.seeds))
     overrides: dict[str, str] = {}
     for item in args.overrides + [f"{key}={value}" for key, value in flags if value is not None]:

@@ -99,6 +99,14 @@ def test_config_file_plus_flag_override(tmp_path):
     assert len(raw) == 1 + 2  # header + 1 seed x 2 algorithms
 
 
+def test_config_file_with_byte_order_mark(tmp_path):
+    """A UTF-8 BOM, as some editors save one, is not part of the first key."""
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_text("run.base_seed = 7\n", encoding="utf-8-sig")
+    assert main(["ber_awgn", "--config", str(cfg), "--out", str(tmp_path)] + TINY) == 0
+    assert "run.base_seed = 7\n" in (tmp_path / "ber_awgn_meta.txt").read_text()
+
+
 def test_unknown_key_fails_with_diagnostic(tmp_path, capsys):
     code = main(["ber_awgn", "--out", str(tmp_path), "--set", "momentum=1"])
     assert code == 1
