@@ -62,10 +62,12 @@ def _check_weights(w: np.ndarray, cfg: AleConfig) -> np.ndarray:
     return w
 
 
-def _check_frame(d: np.ndarray, cfg: AleConfig) -> np.ndarray:
-    """A frame, or frames along the last axis, as complex128: long enough
-    for the enhancer and finite."""
+def _check_frame(d: np.ndarray, cfg: AleConfig, stacked: bool = False) -> np.ndarray:
+    """A 1-D frame, or if `stacked` frames along the last axis, as
+    complex128: long enough for the enhancer and finite."""
     d = np.atleast_1d(np.asarray(d, dtype=np.complex128))
+    if d.ndim != 1 and not stacked:
+        raise ValueError(f"input must be a non-empty 1-D stream, got shape {d.shape}")
     if d.shape[-1] <= cfg.delay + cfg.taps:
         raise ValueError(f"frame of length {d.shape[-1]} too short for delay {cfg.delay} and {cfg.taps} taps")
     if not np.all(np.isfinite(d)):

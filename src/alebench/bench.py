@@ -340,7 +340,7 @@ def _metric_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, fra
     """An LMS and a PSO row per run.  From sample `warmup` on, bits are
     decided on the residual, and `mse` is its power.  A power that
     overflows is inf."""
-    _, outputs, diverged_at, max_weight = lms_batch(frames, np.full(len(lanes), spec.mu), spec.ale)
+    _, residuals, diverged_at, max_weight = lms_batch(frames, np.full(len(lanes), spec.mu), spec.ale)
     for (point, seed_idx, *_), n, peak in zip(lanes, diverged_at, max_weight):
         if n >= 0:
             crossing = f"weight magnitude {peak:.3e} exceeded bound at sample {n}"
@@ -348,13 +348,13 @@ def _metric_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, fra
     weights, _ = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
     k, v0 = spec.mod.bits_per_symbol, spec.ale.warmup
     rows = []
-    for base, sent, d, lms_y, w in zip(bases, bits[:, k * v0 :], frames, outputs, weights):
+    for base, sent, d, lms_e, w in zip(bases, bits[:, k * v0 :], frames, residuals, weights):
         clean = modulate(sent, spec.mod)  # re-modulated: ~70 us a lane, against one more (B, H) array per batch
-        for algorithm, y, mu, n_particles in (
-            ("LMS", lms_y, spec.mu, None),
-            ("PSO", filter_frame(d, w, spec.ale), None, spec.pso.n_particles),
+        for algorithm, e, mu, n_particles in (
+            ("LMS", lms_e, spec.mu, None),
+            ("PSO", d - filter_frame(d, w, spec.ale), None, spec.pso.n_particles),
         ):
-            residual = (d - y)[v0:]
+            residual = e[v0:]
             errors = int(np.count_nonzero(demodulate(residual, spec.mod) != sent))
             rows.append(dict(
                 base,
@@ -370,12 +370,12 @@ def _metric_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, fra
 
 
 def _step_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, frames) -> list[dict]:
-    _, outputs, diverged_at, _ = lms_batch(frames, [base["mu"] for base in bases], spec.ale)
+    _, residuals, diverged_at, _ = lms_batch(frames, [base["mu"] for base in bases], spec.ale)
     # the sweep deliberately crosses the stability boundary; a diverged
     # run reports infinite residual power instead of aborting the sweep
     return [
-        dict(base, algorithm="LMS", mse=math.inf if n >= 0 else float(np.mean(np.abs((d - y)[spec.ale.warmup :]) ** 2)))
-        for base, d, y, n in zip(bases, frames, outputs, diverged_at)
+        dict(base, algorithm="LMS", mse=math.inf if n >= 0 else float(np.mean(np.abs(e[spec.ale.warmup :]) ** 2)))
+        for base, e, n in zip(bases, residuals, diverged_at)
     ]
 
 
@@ -470,9 +470,9 @@ _KINDS = {
 KINDS = tuple(_KINDS)
 
 # Frame samples one batch of runs may hold.  A sample costs 32 bytes of
-# frame and LMS output while the batch runs, ~20 MB at this size.  Before the
-# LMS output exists, distorting a profile's lanes holds 24 bytes more per
-# sample of them (the distorted copy and |x|^2), so a batch under one
+# frame and LMS residual while the batch runs, ~20 MB at this size.  Before
+# the LMS residual exists, distorting a profile's lanes holds 24 bytes more
+# per sample of them (the distorted copy and |x|^2), so a batch under one
 # profile peaks at 40 bytes per sample, ~26 MB, while it distorts.  The LMS
 # kernel's per-sample call overhead is shared by the whole batch, so fewer,
 # larger batches are faster: 64 frames of 10,000 fit, and a default

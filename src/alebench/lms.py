@@ -1,9 +1,9 @@
 """Sample-recursive least mean squares adaptation of the enhancer weights.
 
-Each sample's residual is fed straight back into the weight update
-w <- w + mu * Re(e[n] * conj(v[n])), the stochastic-gradient step on the
-instantaneous squared error.  The real projection keeps the weight vector
-real; for real-valued signals it reduces to the textbook update exactly.
+Each sample's residual e[n] = d[n] - y[n], which a run returns, drives the
+weight update w <- w + mu * Re(e[n] * conj(v[n])), the stochastic-gradient
+step on the instantaneous squared error.  The real projection keeps the
+weight vector real; for real-valued signals it is the textbook update.
 
 Runs are adapted in batches: one loop over the samples with the lanes as
 the last axis of every array, so each numpy call serves every lane.  With
@@ -34,15 +34,15 @@ def lms_batch(
 
     Every lane starts from zero weights.  Warm-up samples (regressor not
     fully populated) are skipped: their output stays 0, so their residual
-    equals the input.  Returns (final_weights, Y, diverged_at, max_weight):
+    equals the input.  Returns (final_weights, E, diverged_at, max_weight):
     the (B, L) final weights, weight k multiplying d[n - delay - k], the
-    (B, H) outputs and, per lane, the first sample n after whose update some
-    |w| exceeds WEIGHT_BOUND (-1 if none) and that max |w| (0.0 if none).
-    From its crossing on, a diverged lane's weights and step size are 0, so
-    its final weights are 0 and its outputs after sample n are the zeros
-    that zero weights give; no weight or output is inf or nan.  A lane's
-    result does not depend on the other lanes of the batch.  Frames must be
-    finite.
+    (B, H) residuals d - y and, per lane, the first sample n after whose
+    update some |w| exceeds WEIGHT_BOUND (-1 if none) and that max |w|
+    (0.0 if none).  From its crossing on, a diverged lane's weights and
+    step size are 0, so its final weights are 0 and its residuals after
+    sample n are its frame less the zeros that zero weights give; no weight
+    or residual is inf or nan.  A lane's result does not depend on the
+    other lanes of the batch.  Frames must be finite.
     """
     D = np.ascontiguousarray(D, dtype=np.complex128)
     mus = np.asarray(mus, dtype=np.float64)
@@ -50,43 +50,40 @@ def lms_batch(
         raise ValueError(f"need (B, H) frames and B step sizes, got {D.shape} and {mus.shape}")
     if not np.all(np.isfinite(mus) & (mus >= 0.0)):
         raise ValueError("step sizes must be finite and >= 0")
-    _check_frame(D, ale)
+    _check_frame(D, ale, stacked=True)
     lanes, h = D.shape
     start, taps = ale.warmup, ale.taps
-    Y = np.zeros_like(D)
-    # (sample, re/im, lane) float views of the frames and the outputs, and
+    E = D.copy()
+    # (sample, re/im, lane) float views of the frames and the residuals, and
     # the (window, tap, re/im, lane) regressors, oldest tap first
     d = D.view(np.float64).reshape(lanes, h, 2).transpose(1, 2, 0)
-    y = Y.view(np.float64).reshape(lanes, h, 2).transpose(1, 2, 0)
+    e = E.view(np.float64).reshape(lanes, h, 2).transpose(1, 2, 0)
     windows = sliding_window_view(d, taps, axis=0).transpose(0, 3, 1, 2)
-    # Each block's samples, outputs and regressors are copied into
-    # contiguous buffers, so that no call of the sample loop reads a
-    # strided operand and only the update's product broadcasts one, the
-    # error over the taps.  Each lane's weights are held twice, once beside
-    # the real and once beside the imaginary half of its regressor, so the
-    # output's product is of one shape.  That product is tap-leading and
-    # summed over its leading axis, one running sum in tap order: numpy
-    # would sum an innermost axis of 8 or more pairwise.  The update reads
-    # the regressors as (re/im, tap, copy, lane), each part repeated over
-    # the two copies, so that its real and imaginary halves are each
-    # contiguous and of the weights' shape.
-    d_block = np.empty((_BLOCK, 2, lanes))
-    y_block = np.empty((_BLOCK, 2, lanes))
-    v_out = np.empty((_BLOCK, taps, 2, lanes))
+    # Each block's regressors are copied into contiguous buffers, so that
+    # no call of the sample loop reads a strided operand and only the
+    # update's product broadcasts one, the error over the taps.  The output
+    # regressors end in the sample itself, at a weight fixed at -1, so their
+    # product sums to y - d, the error negated.  Each lane's weights are
+    # held twice, beside the real and the imaginary half of its regressor,
+    # so that product is of one shape.  It is summed over its leading axis,
+    # one running sum in tap order, sample last: numpy would sum an
+    # innermost axis of 8 or more pairwise.  The update reads the regressors
+    # as (re/im, tap, copy, lane), each part repeated over the two copies,
+    # so that its real and imaginary halves are contiguous and of the
+    # weights' shape.
+    v_out = np.empty((_BLOCK, taps + 1, 2, lanes))
     v_up = np.empty((_BLOCK, 2, taps, 2, lanes))
+    ne_block = np.empty((_BLOCK, 2, lanes))  # y - d, broadcast by the update as (re/im, 1, 1, lane)
     # W[i + 1] is the weights after a block's sample i, W[0] its start
-    W = np.zeros((_BLOCK + 1, taps, 2, lanes))
-    rows = list(zip(W[:-1], W[1:], v_out, v_up, d_block, y_block))
+    W = np.zeros((_BLOCK + 1, taps + 1, 2, lanes))
+    W[:, taps] = -1.0
+    rows = list(zip(W[:-1], W[1:], W[:-1, :taps], W[1:, :taps], v_out, v_up, ne_block, ne_block[:, :, None, None]))
     steps = np.tile(mus, (taps, 2, 1))  # a diverged lane's column is zeroed
-    prod = np.empty((taps, 2, lanes))
-    e_n = np.empty((2, 1, 1, lanes))  # broadcast over the taps and copies by the update
-    e_flat = e_n[:, 0, 0]
+    prod = np.empty((taps + 1, 2, lanes))
     # the update's (re/im, tap, copy, lane) products, each half contiguous
-    products = np.empty((2, taps, 2, lanes))
-    re, im = products
+    re, im = products = np.empty((2, taps, 2, lanes))
     step = np.empty((taps, 2, lanes))
-    diverged_at = np.full(lanes, -1)
-    max_weight = np.zeros(lanes)
+    diverged_at, max_weight = np.full(lanes, -1), np.zeros(lanes)
     multiply, subtract, add, add_reduce = np.multiply, np.subtract, np.add, np.add.reduce
     # Each block is adapted once, then all its rows are checked at once,
     # on one copy of the weights.  Lanes share no arithmetic, so a lane
@@ -97,20 +94,19 @@ def lms_batch(
         for first in range(start, h, _BLOCK):
             last = min(first + _BLOCK, h)
             size = last - first
-            d_block[:size] = d[first:last]
-            v_out[:size] = windows[first - start : last - start]
-            v_up[:size] = v_out[:size].transpose(0, 2, 1, 3)[:, :, :, None]
-            for w, w_next, v, v_t, d_n, y_n in rows[:size]:
+            v_out[:size, :taps] = windows[first - start : last - start]
+            v_out[:size, taps] = d[first:last]
+            v_up[:size] = v_out[:size, :taps].transpose(0, 2, 1, 3)[:, :, :, None]
+            for w, w_next, w_t, w_next_t, v, v_t, ne_n, ne_t in rows[:size]:
                 multiply(v, w, prod)
-                add_reduce(prod, 0, None, y_n)
-                subtract(d_n, y_n, e_flat)
-                # each tap's step is mu * (er*vr + ei*vi), in that order,
-                # so both copies of a weight stay equal
-                multiply(v_t, e_n, products)
+                add_reduce(prod, 0, None, ne_n)
+                # each tap's step is mu * (er*vr + ei*vi) negated, in that
+                # order, so both copies of a weight stay equal
+                multiply(v_t, ne_t, products)
                 add(re, im, step)
                 multiply(step, steps, step)
-                add(w, step, w_next)
-            weights = W[1 : size + 1, :, 0]
+                subtract(w_t, step, w_next_t)
+            weights = W[1 : size + 1, :taps, 0]
             if not np.abs(weights).max() <= WEIGHT_BOUND:
                 # not <=, so a nan peak crosses too.  A lane zeroed in an
                 # earlier block whose products overflow (0 * inf is nan)
@@ -120,9 +116,10 @@ def lms_batch(
                     i = int(np.argmin(peaks[:, b] <= WEIGHT_BOUND))
                     if diverged_at[b] < 0:
                         diverged_at[b], max_weight[b] = first + i, peaks[i, b]
-                    W[size, ..., b] = steps[..., b] = 0.0
-                    # the zeroed weights' outputs, summed as the loop sums them
-                    add_reduce(v_out[i + 1 : size, :, :, b] * 0.0, 1, None, y_block[i + 1 : size, :, b])
-            y[first:last] = y_block[:size]
+                    W[size, :taps, :, b] = steps[..., b] = 0.0
+                    # the mended rows' y - d, summed as the loop sums them
+                    add_reduce(v_out[i + 1 : size, :, :, b] * W[size, :, :1, b], 1, None, ne_block[i + 1 : size, :, b])
+            # 0 - (y - d), not -(y - d), so that d == y gives +0 as d - y does
+            e[first:last] = 0.0 - ne_block[:size]
             W[0] = W[size]
-    return W[0, :, 0].T[:, ::-1].copy(), Y, diverged_at, max_weight
+    return W[0, :taps, 0].T[:, ::-1].copy(), E, diverged_at, max_weight

@@ -151,9 +151,9 @@ def pso_batch(
     global best, a row of the (B, L) array, and histories[b] its global-best
     cost after each iteration, whose last entry is the cost of weights[b].
     """
-    D = _check_frame(D, ale)
+    D = _check_frame(D, ale, stacked=True)
     counts = [cfg.n_particles] * len(seeds) if counts is None else list(counts)
-    if D.ndim != 2 or not seeds or not len(D) == len(seeds) == len(counts):
+    if D.ndim != 2 or not len(seeds) or not len(D) == len(seeds) == len(counts):
         raise ValueError(f"need (B, H) frames, B seeds and B counts, got {D.shape}, {len(seeds)} and {len(counts)}")
     for n in counts:  # checked before the (B, L, N) swarm is allocated
         if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_PARTICLES):

@@ -78,8 +78,12 @@ class TestFilterFrame:
         assert range(cfg.warmup, len(d)) == range(2, 4)
 
     def test_short_frame_rejected(self):
+        """A frame too short for the enhancer is rejected, and so is
+        anything but one 1-D frame."""
         with pytest.raises(ValueError):
             filter_frame(np.ones(6), np.ones(5), AleConfig(taps=5, delay=1))
+        with pytest.raises(ValueError, match=r"input must be a non-empty 1-D stream, got shape \(2, 20\)"):
+            filter_frame(np.ones((2, 20), complex), np.ones(5), AleConfig())
 
     def test_non_finite_frame_rejected(self):
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):

@@ -372,26 +372,27 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("kind", ["ber_awgn", "ber_nonlinear"])
     def test_mse_is_the_named_algorithms_residual_power(self, kind):
-        """A metric row's mse is mean |d - y|^2 from ale.warmup on, y the
-        output of the algorithm the row names; the PSO row's is the
-        swarm's cost at its best weights.  clean_mse is the same
-        residual's power about the symbols sent."""
+        """A metric row's mse is mean |e|^2 from ale.warmup on, e the
+        residual of the algorithm the row names: lms_batch's, or d - y with
+        y the output of the swarm's best weights, whose mse is also their
+        cost.  clean_mse is the same residual's power about the symbols
+        sent."""
         spec = parse_config(_BATCH_DOCS.get(kind, SMALL), kind=kind)
         points = bench._sweep_points(spec)
         runs = [(i, j) for i in range(len(points)) for j in range(spec.n_seeds)]
         lanes, bits, frames = bench._batch_frames(spec, runs)
-        _, lms_outputs, _, _ = lms_batch(frames, np.full(len(runs), spec.mu), spec.ale)
+        _, lms_residuals, _, _ = lms_batch(frames, np.full(len(runs), spec.mu), spec.ale)
         weights, _ = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
         rows = run_experiment(spec).raw_rows
         v0, k = spec.ale.warmup, spec.mod.bits_per_symbol
         assert len(rows) == 2 * len(runs)
-        for lane, (d, sent, lms_y, w) in enumerate(zip(frames, bits, lms_outputs, weights)):
+        for lane, (d, sent, lms_e, w) in enumerate(zip(frames, bits, lms_residuals, weights)):
             clean = modulate(sent[k * v0 :], spec.mod)
-            pso_y = filter_frame(d, w, spec.ale)
-            for row, algorithm, y in zip(rows[2 * lane : 2 * lane + 2], ("LMS", "PSO"), (lms_y, pso_y)):
+            pso_e = d - filter_frame(d, w, spec.ale)
+            for row, algorithm, e in zip(rows[2 * lane : 2 * lane + 2], ("LMS", "PSO"), (lms_e, pso_e)):
                 assert row["algorithm"] == algorithm
-                assert row["mse"] == float(np.mean(np.abs(d - y)[v0:] ** 2))
-                assert row["clean_mse"] == float(np.mean(np.abs((d - y)[v0:] - clean) ** 2))
+                assert row["mse"] == float(np.mean(np.abs(e)[v0:] ** 2))
+                assert row["clean_mse"] == float(np.mean(np.abs(e[v0:] - clean) ** 2))
             assert rows[2 * lane + 1]["mse"] == pytest.approx(evaluate_cost(w, d, spec.ale), rel=1e-12)
 
     @pytest.mark.parametrize("geometry", ["", "ale.taps = 3\nale.delay = 4\n"], ids=["default", "L3-delta4"])
@@ -404,8 +405,8 @@ class TestRunExperiment:
         )
         (row,) = run_experiment(spec).raw_rows
         _, _, (d,) = bench._batch_frames(spec, [(0, 0)])
-        _, (y,), _, _ = lms_batch(d[None], [0.02], spec.ale)
-        assert row["mse"] == float(np.mean(np.abs(d - y)[spec.ale.warmup :] ** 2))
+        _, (e,), _, _ = lms_batch(d[None], [0.02], spec.ale)
+        assert row["mse"] == float(np.mean(np.abs(e)[spec.ale.warmup :] ** 2))
 
     def test_overflowing_powers_are_inf_without_warning(self):
         """Swarm weights drawn near 1e160 give an output whose squared

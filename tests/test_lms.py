@@ -29,10 +29,10 @@ def _assert_rel(actual, expected, rel=1e-12):
 
 
 def _run_alone(d, mu, ale):
-    """(final weights, outputs, crossing sample or -1, peak or 0.0) of frame
-    d adapted in a one-lane batch."""
-    (weights,), (y,), (diverged_at,), (max_weight,) = lms_batch(d[None], [mu], ale)
-    return weights, y, diverged_at, max_weight
+    """(final weights, residuals, crossing sample or -1, peak or 0.0) of
+    frame d adapted in a one-lane batch."""
+    (weights,), (e,), (diverged_at,), (max_weight,) = lms_batch(d[None], [mu], ale)
+    return weights, e, diverged_at, max_weight
 
 
 def _assert_no_crossing(diverged_at, max_weight):
@@ -52,7 +52,7 @@ def _assert_matches_loop_oracle(d, taps, delay, mu):
     ended."""
     ale = AleConfig(taps=taps, delay=delay)
     expected = loop_lms(d, taps, delay, mu)
-    weights, y, diverged_at, max_weight = _run_alone(d, mu, ale)
+    weights, e, diverged_at, max_weight = _run_alone(d, mu, ale)
     if isinstance(expected[0], int):
         index, peak = expected
         assert diverged_at == index
@@ -60,9 +60,8 @@ def _assert_matches_loop_oracle(d, taps, delay, mu):
         return "diverged"
     _assert_no_crossing(diverged_at, max_weight)
     _assert_rel(weights, expected[0])
-    _assert_rel(y, expected[1])
-    _assert_rel(d - y, d - expected[1])
-    np.testing.assert_array_equal(y[: ale.warmup], 0.0)
+    _assert_rel(e, d - expected[1])
+    np.testing.assert_array_equal(e[: ale.warmup], d[: ale.warmup])
     return "converged"
 
 
@@ -72,43 +71,45 @@ class TestLmsRun:
     def test_three_sample_hand_computation(self):
         """One tap, delay 1, mu = 0.1: sample 1 has error d[1] and regressor
         d[0], so w = 0.1 * Re(d[1] * conj(d[0])) = 0.1; sample 2's output
-        0.1 * d[1] equals d[2], so its zero error leaves w at 0.1."""
+        0.1 * d[1] equals d[2], so its zero error leaves w at 0.1.  Sample
+        0 is warm-up, its residual the sample."""
         frames = np.array([[1, 1, 0.1], [1j, 1j, 0.1j]])
-        weights, y, *crossings = lms_batch(frames, [0.1, 0.1], AleConfig(taps=1, delay=1))
+        weights, e, *crossings = lms_batch(frames, [0.1, 0.1], AleConfig(taps=1, delay=1))
         _assert_no_crossing(*crossings)
         np.testing.assert_array_equal(weights, [[0.1], [0.1]])
-        np.testing.assert_array_equal(y, [[0, 0, 0.1], [0, 0, 0.1j]])
+        np.testing.assert_array_equal(e, [[1, 1, 0], [1j, 1j, 0]])
 
     def test_zero_error_fixes_weights(self):
         """One tap, delay 1, mu = 1 on d[n] = a**n: sample 1 sets w = a, after
         which every output a * d[n-1] is d[n] exactly, so the zero errors
-        leave w at a through every later block."""
+        leave w at a through every later block, and the residual is +0, as
+        d - y is, not -0."""
         d = np.array([0.5, -0.5])[:, None] ** np.arange(200)
-        weights, y, *crossings = lms_batch(d, [1.0, 1.0], AleConfig(taps=1, delay=1))
+        weights, e, *crossings = lms_batch(d, [1.0, 1.0], AleConfig(taps=1, delay=1))
         _assert_no_crossing(*crossings)
         np.testing.assert_array_equal(weights, [[0.5], [-0.5]])
-        np.testing.assert_array_equal(y[:, :2], 0.0)
-        np.testing.assert_array_equal(y[:, 2:], d[:, 2:])
+        np.testing.assert_array_equal(e[:, :2], d[:, :2])
+        assert e[:, 2:].tobytes() == bytes(e[:, 2:].nbytes)
 
     def test_zero_step_fixes_weights(self):
-        """A mu = 0 lane keeps zero weights and zero outputs beside a lane of
-        the same frame that adapts."""
+        """A mu = 0 lane keeps zero weights, its residual its frame, beside a
+        lane of the same frame that adapts."""
         d = _awgn_frame(0.0, 41, 42, h=512)
-        weights, y, *crossings = lms_batch(np.stack([d, d]), [0.02, 0.0], ALE)
+        weights, e, *crossings = lms_batch(np.stack([d, d]), [0.02, 0.0], ALE)
         _assert_no_crossing(*crossings)
         assert np.abs(weights[0]).max() > 0.0
         np.testing.assert_array_equal(weights[1], np.zeros(5))
-        np.testing.assert_array_equal(y[1], 0.0)
+        np.testing.assert_array_equal(e[1], d)
 
     def test_reproduces_a_plain_numpy_step(self):
         """A plain numpy update, stepped from zero weights over a frame with
         each output summed oldest tap first like the kernel, reproduces the
-        kernel's outputs and final weights bit for bit."""
+        kernel's residuals and final weights bit for bit."""
         d = _awgn_frame(0.0, 60, 70, h=300)
         for taps in range(1, 9):
             for delay in range(1, 4):
                 ale = AleConfig(taps=taps, delay=delay)
-                weights, y, *crossing = _run_alone(d, 0.02, ale)
+                weights, e, *crossing = _run_alone(d, 0.02, ale)
                 _assert_no_crossing(*crossing)
                 w = np.zeros(taps)  # oldest tap first, like the window
                 stepped = np.zeros_like(d)
@@ -116,19 +117,21 @@ class TestLmsRun:
                     v = d[n - ale.warmup : n - delay + 1]
                     stepped[n] = sum(w * v)
                     w = _plain_step(w, d[n] - stepped[n], v, 0.02)
-                np.testing.assert_array_equal(stepped, y)
+                np.testing.assert_array_equal(d - stepped, e)
                 np.testing.assert_array_equal(w[::-1], weights)
 
     def test_zero_step_never_adapts(self):
         d = _awgn_frame(0.0, 41, 42, h=512)
-        weights, y, _, _ = _run_alone(d, 0.0, ALE)
+        weights, e, _, _ = _run_alone(d, 0.0, ALE)
         np.testing.assert_array_equal(weights, np.zeros(5))
-        np.testing.assert_array_equal(d - y, d)
+        np.testing.assert_array_equal(e, d)
 
     def test_reconstruction_and_mse_trace(self):
+        """The residual plus the explicit loop's output reconstructs the
+        frame to the last rounding."""
         d = _awgn_frame(-2.0, 43, 44, h=2048)
-        _, y, _, _ = _run_alone(d, 0.01, ALE)
-        e = d - y
+        _, e, _, _ = _run_alone(d, 0.01, ALE)
+        _, y = loop_lms(d, ALE.taps, ALE.delay, 0.01)
         np.testing.assert_allclose(e + y, d, rtol=0, atol=1e-14)
 
     def test_deterministic(self):
@@ -183,11 +186,11 @@ class TestLmsRun:
         """With mu in the low-residual band, the residual power over the last
         tenth of the frame stays below the first tenth (20-seed average)."""
         frames = np.array([_awgn_frame(-2.0, s, 10_000 + s) for s in range(20)])
-        _, outputs, *crossings = lms_batch(frames, np.full(20, 0.02), ALE)
+        _, residuals, *crossings = lms_batch(frames, np.full(20, 0.02), ALE)
         _assert_no_crossing(*crossings)
         firsts, lasts = [], []
-        for d, y in zip(frames, outputs):
-            body = np.abs((d - y)[ALE.warmup :]) ** 2
+        for e in residuals:
+            body = np.abs(e[ALE.warmup :]) ** 2
             tenth = len(body) // 10
             firsts.append(np.mean(body[:tenth]))
             lasts.append(np.mean(body[-tenth:]))
@@ -201,14 +204,14 @@ def _small_frames(count, h=300):
 def _assert_lane_is_run_alone(d, mu, ale, result, b):
     """Lane b of the lms_batch result is, bit for bit, the result of frame d
     adapted alone."""
-    weights, y, diverged_at, max_weight = (part[b] for part in result)
-    alone_weights, alone_y, alone_at, alone_peak = _run_alone(d, mu, ale)
+    weights, e, diverged_at, max_weight = (part[b] for part in result)
+    alone_weights, alone_e, alone_at, alone_peak = _run_alone(d, mu, ale)
     np.testing.assert_array_equal(diverged_at, alone_at)
     np.testing.assert_array_equal(max_weight, alone_peak)
     if alone_at >= 0:
         return "diverged"
     np.testing.assert_array_equal(weights, alone_weights)
-    np.testing.assert_array_equal(y, alone_y)
+    np.testing.assert_array_equal(e, alone_e)
     return "converged"
 
 
@@ -227,18 +230,19 @@ class TestLmsBatch:
 
     def test_diverging_lanes_match_lone_runs_and_spare_the_rest(self):
         """mu = 0.3 and mu = 10 lanes diverge at the sample and with the peak
-        of the same frame run alone, and from there on hold zero weights and
-        output zeros; the converging lanes beside them stay bit-identical."""
+        of the same frame run alone, and from there on hold zero weights, so
+        that their residual is their frame; the converging lanes beside them
+        stay bit-identical."""
         frames = np.array([_awgn_frame(-2.0, 80 + s, 90 + s, h=2000) for s in range(8)])
         mus = [0.01, 0.3, 0.08, 10.0, 0.2, 0.3, 0.02, 10.0]
-        result = weights, y, diverged_at, _ = lms_batch(frames, mus, ALE)
+        result = weights, e, diverged_at, _ = lms_batch(frames, mus, ALE)
         ended = [_assert_lane_is_run_alone(frames[b], mus[b], ALE, result, b) for b in range(len(mus))]
         assert ended == ["diverged" if mu in (0.3, 10.0) else "converged" for mu in mus]
         assert len(set(diverged_at[diverged_at >= 0])) > 1
-        assert np.all(np.isfinite(weights)) and np.all(np.isfinite(y))
+        assert np.all(np.isfinite(weights)) and np.all(np.isfinite(e))
         for b, n in enumerate(diverged_at):
             if n >= 0:
-                assert np.all(weights[b] == 0) and np.all(y[b, n + 1 :] == 0)
+                assert np.all(weights[b] == 0) and np.all(e[b, n + 1 :] == frames[b, n + 1 :])
 
     def test_lane_result_independent_of_its_batch(self):
         frames = _small_frames(7)
@@ -254,7 +258,7 @@ class TestLmsBatch:
         mus = [0.005, 0.08, 0.2, 0.3, 10.0, 0.02]
         for taps in range(1, 9):
             for delay in range(1, 4):
-                weights, y, diverged_at, max_weight = lms_batch(frames, mus, AleConfig(taps=taps, delay=delay))
+                weights, e, diverged_at, max_weight = lms_batch(frames, mus, AleConfig(taps=taps, delay=delay))
                 for lane, mu in enumerate(mus):
                     expected = loop_lms(frames[lane], taps, delay, mu)
                     if isinstance(expected[0], int):
@@ -263,7 +267,7 @@ class TestLmsBatch:
                         continue
                     _assert_no_crossing(diverged_at[lane], max_weight[lane])
                     _assert_rel(weights[lane], expected[0])
-                    _assert_rel(y[lane], expected[1])
+                    _assert_rel(e[lane], frames[lane] - expected[1])
 
     def test_operating_point_bits(self):
         """The benchmark's step-sweep operating point, pinned bit for bit:
@@ -271,15 +275,29 @@ class TestLmsBatch:
         step_lms sweep twice.  The mu = 0.3 lanes diverge (at samples 208
         and 105), so the pin covers the mending of a lane that crosses and
         the zeroed lanes over a whole frame.  The digest covers the final
-        weights' bytes, the outputs' bytes and every lane's crossing."""
+        weights' bytes, the residuals' bytes and every lane's crossing; it
+        is the one that the frames less the outputs gave when the kernel
+        returned outputs, so the residual is unchanged bit for bit."""
         frames = np.array([_awgn_frame(-2.0, 500 + s, 600 + s) for s in range(14)])
         mus = [0.005, 0.01, 0.02, 0.04, 0.08, 0.2, 0.3] * 2
-        weights, y, diverged_at, max_weight = lms_batch(frames, mus, ALE)
+        weights, e, diverged_at, max_weight = lms_batch(frames, mus, ALE)
         assert list(diverged_at) == [-1] * 6 + [208] + [-1] * 6 + [105]
         crossings = [None if n < 0 else (int(n), float(peak)) for n, peak in zip(diverged_at, max_weight)]
-        digest = hashlib.sha256(weights.tobytes() + y.tobytes() + repr(crossings).encode())
+        digest = hashlib.sha256(weights.tobytes() + e.tobytes() + repr(crossings).encode())
         assert digest.hexdigest() == (
-            "f58e4cf5df61e7b7e5e7f47d339b02314a6baa5b0ce2e28bbd763f78861a67b0")
+            "7d7ff2e8b4ff81efbd4e1876fbca5c9fe492d25729ec587988a8724aee768be7")
+
+    def test_residual_contract(self):
+        """In one batch at the step_lms operating point: a warm-up sample's
+        residual is the sample, a mu = 0 lane's residual is its frame, and
+        a mu = 0.3 lane that diverges has its frame as its residual from the
+        sample after its crossing on."""
+        frames = np.array([_awgn_frame(-2.0, 500 + s, 600 + s) for s in (0, 1, 6)])
+        _, e, diverged_at, _ = lms_batch(frames, [0.02, 0.0, 0.3], ALE)
+        assert list(diverged_at) == [-1, -1, 208]
+        assert e[:, : ALE.warmup].tobytes() == frames[:, : ALE.warmup].tobytes()
+        assert e[1].tobytes() == frames[1].tobytes()
+        assert e[2, 209:].tobytes() == frames[2, 209:].tobytes()
 
     def test_bad_input_rejected(self):
         frames = _small_frames(2)
@@ -352,17 +370,17 @@ class TestLmsBatch:
         monkeypatch.setattr(lms, "_BLOCK", frames.shape[1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            weights, y, diverged_at, max_weight = lms_batch(frames, mus, ALE)
+            weights, e, diverged_at, max_weight = lms_batch(frames, mus, ALE)
         assert diverged_at[1] >= 0
         np.testing.assert_array_equal(diverged_at[1], alone[1][2])
         np.testing.assert_array_equal(max_weight[1], alone[1][3])
         for lane in (0, 2):
-            assert diverged_at[lane] == -1 and np.all(np.isfinite(y[lane]))
+            assert diverged_at[lane] == -1 and np.all(np.isfinite(e[lane]))
             np.testing.assert_array_equal(weights[lane], alone[lane][0])
-            np.testing.assert_array_equal(y[lane], alone[lane][1])
+            np.testing.assert_array_equal(e[lane], alone[lane][1])
 
     def test_each_sample_adapted_once(self, monkeypatch):
-        """The error of a sample, its one np.subtract call, is formed once
+        """The update of a sample, its one np.subtract call, is made once
         per adapted sample, h - warmup times, in a batch where a mu = 0.3
         lane crosses the bound mid-block, a 1e160 lane's products overflow
         again after it is zeroed, and a third lane converges: no block is
@@ -390,10 +408,10 @@ class TestLmsBatch:
         bit-identical to its lone run."""
         frames = _small_frames(2)
         frames[1] *= 1e160
-        weights, y, diverged_at, _ = lms_batch(frames, [0.02, 0.02], ALE)
+        weights, e, diverged_at, _ = lms_batch(frames, [0.02, 0.02], ALE)
         assert diverged_at[1] == ALE.warmup
-        assert np.all(np.isfinite(weights)) and np.all(np.isfinite(y))
+        assert np.all(np.isfinite(weights)) and np.all(np.isfinite(e))
         alone = _run_alone(frames[0], 0.02, ALE)
         assert diverged_at[0] == -1 and alone[2] == -1
         np.testing.assert_array_equal(weights[0], alone[0])
-        np.testing.assert_array_equal(y[0], alone[1])
+        np.testing.assert_array_equal(e[0], alone[1])

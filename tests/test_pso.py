@@ -81,6 +81,12 @@ class TestEvaluateCost:
             # the direct sum keeps relative accuracy the Gram form cannot
             assert cost == pytest.approx(slow, rel=1e-9, abs=0.0)
 
+    def test_stacked_frames_rejected(self):
+        """One frame is costed; frames stacked in a 2-D array are refused
+        with their shape named."""
+        with pytest.raises(ValueError, match=r"input must be a non-empty 1-D stream, got shape \(2, 20\)"):
+            evaluate_cost(np.ones(5), np.ones((2, 20), complex), AleConfig())
+
 
 def test_scores_peak_is_two_product_arrays():
     """_scores holds its (B, L, L, N) float64 products and their particles-first
@@ -401,12 +407,12 @@ class TestSearch:
         """Averaged over 20 seeds the swarm's final cost sits at or below the
         gradient loop's mean residual power on the same frame."""
         frames = np.array([_awgn_frame(-2.0, 90 + s, 190 + s, h=10_000) for s in range(20)])
-        _, outputs, diverged_at, _ = lms_batch(frames, np.full(20, 0.01), ALE)
+        _, residuals, diverged_at, _ = lms_batch(frames, np.full(20, 0.01), ALE)
         assert np.all(diverged_at == -1)
         _, histories = pso_batch(frames, list(range(20)), PsoConfig(), ALE)
         gaps = [
-            np.mean(np.abs((d - y)[ALE.warmup :]) ** 2) - history[-1]
-            for d, y, history in zip(frames, outputs, histories)
+            np.mean(np.abs(e[ALE.warmup :]) ** 2) - history[-1]
+            for e, history in zip(residuals, histories)
         ]
         assert np.mean(gaps) > 0.0
 
@@ -484,6 +490,18 @@ class TestPsoBatch:
         for bad_frames, seeds in ((frames, [1]), (frames[0], [1]), (frames[:0], [])):
             with pytest.raises(ValueError):
                 pso_batch(bad_frames, seeds, PsoConfig(n_particles=4), ALE)
+
+    def test_seeds_as_an_array_equal_the_list(self):
+        """Seeds given as a numpy array search exactly as the same seeds
+        given as a list; an empty list is still refused as a bad count."""
+        rng = np.random.default_rng(97)
+        frames = np.array([_random_frame(rng, 40) for _ in range(3)])
+        cfg = _batch_cfg(max_iters=5)
+        weights, histories = pso_batch(frames, [1, 2, 3], cfg, ALE)
+        array_weights, array_histories = pso_batch(frames, np.array([1, 2, 3]), cfg, ALE)
+        assert array_weights.tobytes() == weights.tobytes() and array_histories == histories
+        with pytest.raises(ValueError, match=r"need \(B, H\) frames, B seeds and B counts, got \(0, 40\), 0 and 0"):
+            pso_batch(frames[:0], [], cfg, ALE)
 
     @pytest.mark.parametrize(
         "seeds, counts", [([1, 2, 3], None), ([1, 2], [4]), ([1, 2], [4, 4, 4])]
