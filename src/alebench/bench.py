@@ -124,14 +124,6 @@ class ResultTable:
 # ---------------------------------------------------------------------------
 # configuration parsing
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _parse_int(text: str) -> int:
     try:
         return int(text, 0)
@@ -169,7 +161,6 @@ _SCHEMA = {
     "experiment.kind": _parse_kind,
     "frame.h": _parse_int,
     "mod.m": _parse_int,
-    "mod.phase_offset": _parse_float,
     "ale.taps": _parse_int,
     "ale.delay": _parse_int,
     "lms.mu": _parse_float,
@@ -182,7 +173,6 @@ _SCHEMA = {
     "pso.init_range": _parse_float,
     "pso.v_max": _parse_float,
     "pso.inertia": _parse_float,
-    "pso.per_dimension_draws": _parse_bool,
     "run.snr_grid": _list_of(_parse_float),
     "run.sweep_values": _list_of(_parse_float),
     "run.n_seeds": _parse_int,
@@ -262,12 +252,8 @@ def parse_config(
 
 
 def _format_value(value) -> str:
-    """Meta-file text of one value: bools in lower case, lists joined by ", "."""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, tuple):
-        return ", ".join(map(_format_value, value))
-    return str(value)
+    """Meta-file text of one value: lists joined by ", "."""
+    return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
 def spec_to_text(spec: ExperimentSpec) -> str:
@@ -339,22 +325,26 @@ def _batch_frames(spec: ExperimentSpec, runs: list[tuple[int, int]]):
 def _metric_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, frames) -> list[dict]:
     """An LMS and a PSO row per run.  From sample `warmup` on, bits are
     decided on the residual, and `mse` is its power.  A power that
-    overflows is inf."""
+    overflows is inf; a residual that overflows fails the run."""
+    def failed(lane, reason):  # lane = (point, seed_idx, run_seed, pso_seed)
+        return RuntimeError(f"{spec.kind} failed at sweep point {lane[0]}, seed index {lane[1]}: {reason}")
+
     _, residuals, diverged_at, max_weight = lms_batch(frames, np.full(len(lanes), spec.mu), spec.ale)
-    for (point, seed_idx, *_), n, peak in zip(lanes, diverged_at, max_weight):
+    for lane, n, peak in zip(lanes, diverged_at, max_weight):
         if n >= 0:
-            crossing = f"weight magnitude {peak:.3e} exceeded bound at sample {n}"
-            raise RuntimeError(f"{spec.kind} failed at sweep point {point}, seed index {seed_idx}: {crossing}")
+            raise failed(lane, f"weight magnitude {peak:.3e} exceeded bound at sample {n}")
     weights, _ = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
     k, v0 = spec.mod.bits_per_symbol, spec.ale.warmup
     rows = []
-    for base, sent, d, lms_e, w in zip(bases, bits[:, k * v0 :], frames, residuals, weights):
+    for lane, base, sent, d, lms_e, w in zip(lanes, bases, bits[:, k * v0 :], frames, residuals, weights):
         clean = modulate(sent, spec.mod)  # re-modulated: ~70 us a lane, against one more (B, H) array per batch
         for algorithm, e, mu, n_particles in (
             ("LMS", lms_e, spec.mu, None),
             ("PSO", d - filter_frame(d, w, spec.ale), None, spec.pso.n_particles),
         ):
             residual = e[v0:]
+            if not np.isfinite(residual).all():
+                raise failed(lane, f"{algorithm} residual is not finite")
             errors = int(np.count_nonzero(demodulate(residual, spec.mod) != sent))
             rows.append(dict(
                 base,

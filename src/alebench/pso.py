@@ -42,7 +42,8 @@ class PsoConfig:
     `tol` is an absolute threshold on global-best improvement; once the
     improvement stays below it for `patience` consecutive iterations the
     search stops early.  Set ``tol=0`` to always run `max_iters` iterations.
-    The previous velocity carries weight `inertia`, exactly 1 by default.
+    The previous velocity carries weight `inertia`, exactly 1 by default;
+    each iteration a particle draws one r1 and one r2, shared by its weights.
     `c1`, `c2` and `inertia` must be finite, and `init_range` at most half
     the largest float; ``v_max = inf`` turns the velocity clamp off.
     """
@@ -56,7 +57,6 @@ class PsoConfig:
     init_range: float = 2.0
     v_max: float = 1.0
     inertia: float = 1.0
-    per_dimension_draws: bool = False
 
     def __post_init__(self):
         for name, ok, rule in (
@@ -171,10 +171,10 @@ def pso_batch(
     rows = np.arange(len(seeds))
     best = pcost.argmin(axis=1)
     gbest, gcost = pbest[rows, :, best], pcost[rows, best]
-    # (N, 2, 1) consumes a stream exactly as (N, 2) does; r1 and r2 are
-    # (B, 1, N) for one draw per particle, (B, L, N) for one per component.
+    # One r1 and one r2 per particle, shared by its components: (N, 2, 1)
+    # consumes a stream exactly as (N, 2) does, and r1 and r2 are (B, 1, N).
     # A padded particle draws nothing, so its r1 and r2 stay 0.
-    r = np.zeros((len(seeds), x.shape[2], 2, ale.taps if cfg.per_dimension_draws else 1))
+    r = np.zeros((len(seeds), x.shape[2], 2, 1))
     r1, r2 = r.transpose(2, 0, 3, 1)
     history = np.empty((cfg.max_iters, len(seeds)))
     stall = np.zeros(len(seeds), dtype=int)

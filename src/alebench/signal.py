@@ -25,24 +25,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ModConfig:
-    """Constellation order and phase offset of the PSK mapper.
+    """Constellation order of the PSK mapper; point k sits at angle 2*pi*k/m.
 
     Parameters
     ----------
     m : int
         Constellation order: a power of two from 2 to 16.
-    phase_offset : float
-        Common rotation of all constellation points, radians in [0, 2*pi).
     """
 
     m: int = 2
-    phase_offset: float = 0.0
 
     def __post_init__(self):
         if not 2 <= self.m <= 16 or (self.m & (self.m - 1)) != 0:
             raise ConfigError("m", f"must be a power of two from 2 to 16, got {self.m}")
-        if not (0.0 <= self.phase_offset < 2.0 * np.pi):
-            raise ConfigError("phase_offset", f"must lie in [0, 2*pi), got {self.phase_offset}")
 
     @property
     def bits_per_symbol(self) -> int:
@@ -52,7 +47,7 @@ class ModConfig:
 def constellation(cfg: ModConfig) -> np.ndarray:
     """Constellation points indexed by position m on the unit circle."""
     m = np.arange(cfg.m)
-    return np.exp(1j * (2.0 * np.pi * m / cfg.m + cfg.phase_offset))
+    return np.exp(1j * (2.0 * np.pi * m / cfg.m))
 
 
 def _groups(cfg: ModConfig) -> np.ndarray:

@@ -30,9 +30,9 @@ def loop_pso(d, taps, delay, cfg, seed):
 
     Reads the swarm settings off `cfg` and draws from the generator of
     `seed` in the library's documented order: the (N, taps) starting
-    positions, then per iteration all (N, 2) or (N, 2, taps) uniforms before
-    any cost.  Returns the global-best weights and the global-best cost
-    after each iteration.
+    positions, then per iteration all (N, 2) uniforms before any cost.
+    Returns the global-best weights and the global-best cost after each
+    iteration.
     """
     rng = np.random.default_rng(seed)
     n = cfg.n_particles
@@ -50,16 +50,10 @@ def loop_pso(d, taps, delay, cfg, seed):
     history = []
     stall = 0
     for _ in range(cfg.max_iters):
-        if cfg.per_dimension_draws:
-            draws = rng.uniform(size=(n, 2, taps))
-        else:
-            draws = rng.uniform(size=(n, 2))
+        draws = rng.uniform(size=(n, 2))
         for i in range(n):
+            r1, r2 = draws[i]
             for k in range(taps):
-                if cfg.per_dimension_draws:
-                    r1, r2 = draws[i, 0, k], draws[i, 1, k]
-                else:
-                    r1, r2 = draws[i, 0], draws[i, 1]
                 v = (
                     cfg.inertia * vel[i][k]
                     + cfg.c1 * r1 * (pbest[i][k] - pos[i][k])

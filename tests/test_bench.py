@@ -101,7 +101,6 @@ class TestParseConfig:
             parse_config("frame.h = ten")
 
     @pytest.mark.parametrize("key, raw, reason", [
-        ("pso.per_dimension_draws", "maybe", "expected a boolean"),
         ("lms.mu", "fast", "expected a number"),
     ])
     def test_unparsable_value_rejected(self, key, raw, reason):
@@ -419,6 +418,21 @@ class TestRunExperiment:
         assert pso_row["mse"] == pso_row["clean_mse"] == math.inf
         assert math.isfinite(lms_row["mse"])
 
+    @pytest.mark.parametrize("kind, point", [
+        ("ber_awgn", "{'snr_db': 0.0}"),
+        ("ber_nonlinear", "{'profile': '60MHz', 'snr_db': 0.0}"),
+    ])
+    def test_overflowing_pso_output_names_its_run(self, kind, point):
+        """Seed index 1's swarm starts near the largest float: its global
+        best costs a finite amount, but its filtered output overflows, so no
+        bit can be decided on its residual.  The error names the run, at any
+        parallelism, as an LMS divergence does."""
+        doc = "frame.h = 200\nrun.n_seeds = 2\nrun.snr_grid = 0\npso.init_range = 8.98e307\npso.max_iters = 1\n"
+        for jobs in (1, 2):
+            with pytest.raises(RuntimeError) as excinfo:
+                run_experiment(parse_config(doc, kind=kind), jobs=jobs)
+            assert str(excinfo.value) == f"{kind} failed at sweep point {point}, seed index 1: PSO residual is not finite"
+
     def test_nonlinear_rows_carry_profile(self):
         spec = parse_config(
             "frame.h = 300\nrun.n_seeds = 1\nrun.snr_grid = 4\n"
@@ -563,7 +577,6 @@ class TestSpecValidation:
         ("run.base_seed", "-1"),
         ("mod.m", "3"),
         ("mod.m", "32"),
-        ("mod.phase_offset", "7"),
         ("ale.taps", "0"),
         ("ale.taps", "20000"),
         ("ale.delay", "0"),
@@ -722,7 +735,6 @@ class TestSpecValidation:
 
 @pytest.mark.parametrize("cls, name, value", [
     (ModConfig, "m", 3),
-    (ModConfig, "phase_offset", 7.0),
     (AleConfig, "taps", 0),
     (AleConfig, "taps", MAX_TAPS + 1),
     (AleConfig, "delay", 0),
@@ -760,8 +772,8 @@ def test_config_class_checks_fields_in_declaration_order():
         PsoConfig(c2=-1.0, c1=-1.0)
     assert excinfo.value.key == "c1"
     with pytest.raises(ConfigError) as excinfo:
-        ModConfig(m=3, phase_offset=7.0)
-    assert excinfo.value.key == "m"
+        AleConfig(delay=0, taps=0)
+    assert excinfo.value.key == "taps"
 
 
 def _readme_rows(heading, column=1):
@@ -814,12 +826,11 @@ def test_no_two_kinds_are_twins():
     assert all(a != b for i, a in enumerate(kinds) for b in kinds[i + 1:])
 
 
-# Exact *_meta.txt bytes: keys in schema order, floats as repr, bools in
-# lower case, lists joined by ", ", keys a kind ignores left out.
+# Exact *_meta.txt bytes: keys in schema order, floats as repr, lists
+# joined by ", ", keys a kind ignores left out.
 _META_HEAD = (
     "frame.h = 10000\n"
     "mod.m = 2\n"
-    "mod.phase_offset = 0.0\n"
     "ale.taps = 5\n"
     "ale.delay = 1\n"
 )
@@ -834,7 +845,6 @@ _META_BODY = _META_HEAD + (
     "pso.init_range = 2.0\n"
     "pso.v_max = 1.0\n"
     "pso.inertia = 1.0\n"
-    "pso.per_dimension_draws = false\n"
 )
 _META_TAIL = "run.n_seeds = 10\nrun.base_seed = 12345\n"
 _SNR_GRID = "run.snr_grid = -10.0, -8.0, -6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0\n"
@@ -847,7 +857,6 @@ _DEFAULT_META = {
         "pso.init_range = 2.0\n"
         "pso.v_max = 1.0\n"
         "pso.inertia = 1.0\n"
-        "pso.per_dimension_draws = false\n"
         "run.snr_grid = -2.0\n"
         "run.sweep_values = 10.0, 20.0, 30.0, 40.0, 50.0, 60.0\n"
     ) + _META_TAIL,
@@ -861,7 +870,6 @@ _EVERY_KEY = """
 experiment.kind = step_sweep
 frame.h = 4096
 mod.m = 4
-mod.phase_offset = 0.25
 ale.taps = 3
 ale.delay = 2
 lms.mu = 0.02
@@ -874,7 +882,6 @@ pso.patience = 3
 pso.init_range = 1.5
 pso.v_max = 0.5
 pso.inertia = 0.7
-pso.per_dimension_draws = yes
 run.snr_grid = -3, 0.5, inf
 run.sweep_values = 0.003, 5e-2
 run.n_seeds = 3
@@ -886,7 +893,6 @@ _EVERY_KEY_HEAD = """# alebench 0.1.0
 experiment.kind = {kind}
 frame.h = 4096
 mod.m = 4
-mod.phase_offset = 0.25
 ale.taps = 3
 ale.delay = 2
 lms.mu = 0.02
@@ -899,7 +905,6 @@ pso.patience = 3
 pso.init_range = 1.5
 pso.v_max = 0.5
 pso.inertia = 0.7
-pso.per_dimension_draws = true
 run.snr_grid = -3.0, 0.5, inf
 """
 _EVERY_KEY_TAIL = "run.n_seeds = 3\nrun.base_seed = 16\n"
@@ -917,7 +922,6 @@ class TestMetaGolden:
             "experiment.kind = step_sweep\n"
             "frame.h = 4096\n"
             "mod.m = 4\n"
-            "mod.phase_offset = 0.25\n"
             "ale.taps = 3\n"
             "ale.delay = 2\n"
             "run.snr_grid = -3.0, 0.5, inf\n"
@@ -944,7 +948,6 @@ _IGNORED_VALUES = {
     "pso.init_range": "1.5",
     "pso.v_max": "0.5",
     "pso.inertia": "0.7",
-    "pso.per_dimension_draws": "true",
     "run.sweep_values": "3",
     "channel.profiles": "5.8GHz",
 }

@@ -113,6 +113,20 @@ def test_unknown_key_fails_with_diagnostic(tmp_path, capsys):
     assert "momentum" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("route", ["set", "config"])
+@pytest.mark.parametrize("key, value", [("pso.per_dimension_draws", "true"), ("mod.phase_offset", "0.25")])
+def test_removed_key_fails_before_running(tmp_path, capsys, key, value, route):
+    """A key the config no longer has, from --set or from the config file,
+    is rejected as unknown before anything is written."""
+    cfg = tmp_path / "bench.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    source = ["--set", f"{key}={value}"] if route == "set" else ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert main(["ber_awgn", "--out", str(out)] + TINY + source) == 1
+    assert capsys.readouterr().err == f"error: {key}: unknown key\n"
+    assert not out.exists()
+
+
 def test_override_without_equals_fails_with_diagnostic(tmp_path, capsys):
     """An item with no '=' or with nothing before it is malformed."""
     for item in ("foo", "=5", " = 5"):

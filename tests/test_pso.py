@@ -149,7 +149,7 @@ def _first_move(d, seed, cfg, ale):
     iteration: only the global pull c2*r2*(gbest - x) acts, clamped."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(-cfg.init_range, cfg.init_range, size=(cfg.n_particles, ale.taps))
-    r2 = rng.uniform(size=(cfg.n_particles, 2, ale.taps if cfg.per_dimension_draws else 1))[:, 1]
+    r2 = rng.uniform(size=(cfg.n_particles, 2, 1))[:, 1]
     gbest = x[np.argmin([evaluate_cost(w, d, ale) for w in x])]
     return x + np.clip(cfg.c2 * r2 * (gbest - x), -cfg.v_max, cfg.v_max)
 
@@ -256,19 +256,6 @@ class TestVelocityAndPosition:
         *_, scored = _search(d, 71, cfg, ALE)
         np.testing.assert_array_equal(scored[1], _first_move(d, 71, cfg, ALE))
 
-    def test_draws_broadcast_per_particle_or_per_component(self):
-        """From rest, the first move is c2*r2*(gbest - x): one r2 per
-        particle scales its whole pull, one per component does not."""
-        d = _awgn_frame(0.0, 72, 73, h=128)
-        moves = []
-        for per_dimension in (False, True):
-            cfg = PsoConfig(n_particles=8, v_max=np.inf, max_iters=1, tol=0.0,
-                            per_dimension_draws=per_dimension)
-            *_, scored = _search(d, 72, cfg, ALE)
-            np.testing.assert_array_equal(scored[1], _first_move(d, 72, cfg, ALE))
-            moves.append(scored[1])
-        assert not np.array_equal(*moves)
-
 
 class TestUpdateBests:
     """Personal- and global-best bookkeeping, seen through a one-lane pso_batch."""
@@ -374,9 +361,8 @@ class TestSearch:
         "overrides",
         [
             {},
-            {"per_dimension_draws": True},
             {"inertia": 0.7},
-            {"inertia": 0.5, "per_dimension_draws": True, "c1": 1.5, "v_max": 0.5},
+            {"inertia": 0.5, "c1": 1.5, "v_max": 0.5},
             {"c1": 0.0, "c2": 0.0},
             {"v_max": 0.05},
             {"n_particles": 1},
@@ -441,8 +427,8 @@ def _seeds(counts):
 class TestPsoBatch:
     @pytest.mark.parametrize(
         "overrides",
-        [{}, {"per_dimension_draws": True}, _ODD_COEFFICIENTS, _EARLY_STOP],
-        ids=["defaults", "per_dimension_draws", "odd_coefficients", "early_stop"],
+        [{}, _ODD_COEFFICIENTS, _EARLY_STOP],
+        ids=["defaults", "odd_coefficients", "early_stop"],
     )
     def test_lanes_equal_lone_searches_exactly(self, overrides):
         """Swarms of 1, 3, 17 and 60 particles search random frames beside a
@@ -467,9 +453,7 @@ class TestPsoBatch:
                 # the quadratic form cannot score below this; the residual can
                 assert histories[-1][-1] < GRAM_FALLBACK_RATIO * np.mean(np.abs(cosine) ** 2)
 
-    @pytest.mark.parametrize(
-        "overrides", [{"per_dimension_draws": True, **_ODD_COEFFICIENTS}, _EARLY_STOP]
-    )
+    @pytest.mark.parametrize("overrides", [_ODD_COEFFICIENTS, _EARLY_STOP])
     def test_lanes_match_loop_oracle(self, overrides):
         """Random frames only: near a cosine's minimum the costs are rounding
         noise, so which particle wins there depends on the order of rounding."""

@@ -47,10 +47,6 @@ class TestModulate:
         symbols = modulate(np.array([1, 0, 1]), ModConfig(m=2))
         np.testing.assert_allclose(symbols, [1.0, -1.0, 1.0], atol=1e-15)
 
-    def test_qpsk_with_offset(self):
-        symbols = modulate(np.array([0, 0]), ModConfig(m=4, phase_offset=np.pi / 4))
-        np.testing.assert_allclose(symbols, [np.exp(1j * np.pi / 4)], atol=1e-15)
-
     def test_unit_magnitude(self):
         bits = generate_bits(300, seed=6)
         for m in (2, 4, 8):
@@ -90,8 +86,6 @@ class TestModulate:
             ModConfig(m=3)
         with pytest.raises(ValueError):
             ModConfig(m=1)
-        with pytest.raises(ValueError):
-            ModConfig(m=2, phase_offset=7.0)
 
     def test_order_capped_at_16_before_any_allocation(self):
         """A 2**30-point constellation would take 16 GiB; the order is
@@ -145,13 +139,12 @@ class TestDemodulate:
         bits = demodulate(np.array([-0.5 + 1e20j, -1e-17 + 0.5j]), ModConfig(m=2))
         np.testing.assert_array_equal(bits, [1, 1])
 
-    @pytest.mark.parametrize("phase_offset", [0.0, 0.3])
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
-    def test_matches_nearest_point_oracle(self, m, phase_offset):
+    def test_matches_nearest_point_oracle(self, m):
         """Bit for bit the decisions of the plain-loop nearest point, on
         noise, 0j, the points themselves, the midpoints between adjacent
         points (at several radii) and the two near-ties of BPSK."""
-        cfg = ModConfig(m=m, phase_offset=phase_offset)
+        cfg = ModConfig(m=m)
         points = constellation(cfg)
         rng = np.random.default_rng(27)
         midpoints = (points + np.roll(points, -1)) / 2
