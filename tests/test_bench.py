@@ -101,6 +101,7 @@ class TestParseConfig:
             parse_config("frame.h = ten")
 
     @pytest.mark.parametrize("key, raw, reason", [
+        ("frame.h", "ten", "expected an integer"),
         ("lms.mu", "fast", "expected a number"),
     ])
     def test_unparsable_value_rejected(self, key, raw, reason):
@@ -575,6 +576,7 @@ class TestSpecValidation:
         ("frame.h", "5"),
         ("run.n_seeds", "0"),
         ("run.base_seed", "-1"),
+        ("mod.m", "1"),
         ("mod.m", "3"),
         ("mod.m", "32"),
         ("ale.taps", "0"),
@@ -735,6 +737,7 @@ class TestSpecValidation:
 
 @pytest.mark.parametrize("cls, name, value", [
     (ModConfig, "m", 3),
+    (ModConfig, "m", 32),
     (AleConfig, "taps", 0),
     (AleConfig, "taps", MAX_TAPS + 1),
     (AleConfig, "delay", 0),

@@ -366,6 +366,7 @@ class TestSearch:
             {"c1": 0.0, "c2": 0.0},
             {"v_max": 0.05},
             {"n_particles": 1},
+            {"c2": 0.0},
         ],
     )
     def test_matches_loop_oracle(self, overrides):

@@ -47,6 +47,15 @@ class TestModulate:
         symbols = modulate(np.array([1, 0, 1]), ModConfig(m=2))
         np.testing.assert_allclose(symbols, [1.0, -1.0, 1.0], atol=1e-15)
 
+    @pytest.mark.parametrize("m", [2, 4, 8, 16])
+    def test_point_k_at_angle_2pi_k_over_m(self, m):
+        """Point 0 is exactly 1 and the others step counter-clockwise by
+        2*pi/m: no rotation is added to the constellation."""
+        points = constellation(ModConfig(m=m))
+        assert points[0] == 1.0
+        np.testing.assert_allclose(np.mod(np.angle(points), 2 * np.pi), 2 * np.pi * np.arange(m) / m, atol=1e-15)
+        np.testing.assert_allclose(np.abs(points), 1.0, atol=1e-15)
+
     def test_unit_magnitude(self):
         bits = generate_bits(300, seed=6)
         for m in (2, 4, 8):
