@@ -20,8 +20,8 @@ __all__ = ["AleConfig", "filter_frame"]
 # The most taps L.  In a full batch of 64 lanes at L = 32, lms_batch's float64
 # (64, L, 2, 64) output regressors and (65, L, 2, 64) weight rows take 2 MiB
 # each and its (64, 2, L, 2, 64) update regressors 4 MiB, _gram makes 528
-# inner products per frame for its L x L R, and _scores' two (64, L, L, N)
-# arrays take 128 MiB at N = 128.
+# inner products per frame for its L x L R, and _scores' two (L, L, P)
+# arrays take 128 MiB at P = 64 x 128 particles.
 MAX_TAPS = 32
 
 

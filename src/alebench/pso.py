@@ -8,7 +8,8 @@ search reports only its global best: the weights, and the cost after each
 iteration.  Velocities start at zero, and every random draw of an
 iteration happens before any cost is computed, so a search is a pure
 function of its seed.  The searches of a batch of frames run as one loop
-over (B, L, N) arrays, one lane per frame, particles last.
+over (L, P) arrays, P the batch's particles, each lane's swarm one
+contiguous segment of the particle axis, in lane order.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ __all__ = ["PsoConfig", "evaluate_cost", "pso_batch"]
 # A quadratic-form cost below this fraction of c + w'Rw has lost too many
 # digits to cancellation and is recomputed from the residual directly.
 GRAM_FALLBACK_RATIO = 1e-6
-# The largest swarm: _scores holds two (B, L, L, N) float64 arrays at once,
-# 128 MiB for a full batch of 64 lanes at ale.MAX_TAPS = 32 taps and N = 128.
+# The largest swarm: _scores holds two (L, L, P) float64 arrays at once,
+# 128 MiB for a full batch of 64 lanes of 128 particles at ale.MAX_TAPS = 32.
 MAX_PARTICLES = 128
 # The longest search: pso_batch's (max_iters, B) float64 history takes 5 MB for
 # 64 lanes at 10,000 iterations, and its lists, 32 B an entry, 20 MB.
@@ -90,9 +91,9 @@ def _gram(d: np.ndarray, ale: AleConfig):
     return R, p, c, (target, lags)
 
 
-def _scores(w: np.ndarray, R: np.ndarray, p: np.ndarray, c: np.ndarray, frames: list) -> np.ndarray:
-    """(B, N) costs of (B, L, N) weights, particles last, lane b scored on
-    R[b], p[b], c[b].
+def _scores(w: np.ndarray, R: np.ndarray, p: np.ndarray, c: np.ndarray, frames: list, lane: np.ndarray) -> np.ndarray:
+    """(P,) costs of (L, P) weights, particle i scored on its lane's
+    statistics: R[:, :, lane[i]], p[:, lane[i]] and c[lane[i]].
 
     Elementwise products and sums: a particle's cost does not depend on
     the other particles or lanes scored with it.  The products are formed
@@ -100,17 +101,28 @@ def _scores(w: np.ndarray, R: np.ndarray, p: np.ndarray, c: np.ndarray, frames: 
     particles first before the sums, so that each particle's products are
     summed as one contiguous block, in numpy's order for an (N, L) swarm.
     A particle whose quadratic form has cancelled is recomputed from the
-    residual of its lane's ``frames[b] = (target, lags)``.  A cost that
-    overflows to nan (inf - inf) is +inf, never a best; callers silence it.
+    residual of its lane's ``frames[lane[i]] = (target, lags)``.  A cost
+    that overflows to nan (inf - inf) is +inf, never a best; callers silence it.
     """
-    quad = (w[:, :, None] * R[..., None] * w[:, None]).transpose(0, 3, 1, 2).copy().sum(axis=(2, 3))
-    out = c[:, None] - 2.0 * (w * p[..., None]).transpose(0, 2, 1).copy().sum(axis=2) + quad
-    for b, i in zip(*np.nonzero(out < GRAM_FALLBACK_RATIO * (c[:, None] + quad))):
-        target, lags = frames[b]
-        e = target - sum(wk * lag for wk, lag in zip(w[b, :, i], lags))
-        out[b, i] = np.vdot(e, e).real / target.size
+    prod = R.take(lane, axis=2)
+    prod *= w[:, None]
+    prod *= w[None]
+    quad = prod.transpose(2, 0, 1).copy().sum(axis=(1, 2))
+    c = c[lane]
+    out = c - 2.0 * (w * p.take(lane, axis=1)).T.copy().sum(axis=1) + quad
+    for i in np.flatnonzero(out < GRAM_FALLBACK_RATIO * (c + quad)):
+        target, lags = frames[lane[i]]
+        e = target - sum(wk * lag for wk, lag in zip(w[:, i], lags))
+        out[i] = np.vdot(e, e).real / target.size
     out[np.isnan(out)] = np.inf
     return out
+
+
+def _lane_best(pcost: np.ndarray, starts: np.ndarray, lane: np.ndarray):
+    """Each lane's first particle of least cost, argmin's rule per segment, and that cost."""
+    top = np.minimum.reduceat(pcost, starts)
+    hits = np.flatnonzero(pcost == top[lane])
+    return hits[np.searchsorted(hits, starts)], top
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -122,7 +134,7 @@ def evaluate_cost(w: np.ndarray, d: np.ndarray, ale: AleConfig) -> float:
     matrix is built.  The swarm scores with the same code."""
     w = _check_weights(w, ale)
     R, p, c, frame = _gram(_check_frame(d, ale), ale)
-    return float(_scores(w[None, :, None], R[None], p[None], np.array([c]), [frame])[0, 0])
+    return float(_scores(w[:, None], R[..., None], p[:, None], np.array([c]), [frame], np.zeros(1, int))[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -141,10 +153,10 @@ def pso_batch(
     first particle with the lowest personal best, and only when that is
     strictly below it.
 
-    The swarms are (B, L, N) arrays, N the largest swarm.  A smaller swarm's
-    extra particles stay at rest at the origin with cost +inf, so they
-    never become a best.  Each lane has its own generator; an iteration draws
-    every running lane's uniforms, in lane order, before any cost is
+    The swarms are (L, P) arrays, P the sum of the counts: lane b's
+    particles are one contiguous segment of the particle axis, the lanes'
+    segments in lane order.  Each lane has its own generator; an iteration
+    draws every running lane's uniforms, in lane order, before any cost is
     computed.  A lane that stops early leaves the arrays and draws nothing
     more.  So a lane's result is bit for bit its frame searched alone, as a
     one-lane batch.  Returns (weights, histories): weights[b] is lane b's
@@ -155,48 +167,41 @@ def pso_batch(
     counts = [cfg.n_particles] * len(seeds) if counts is None else list(counts)
     if D.ndim != 2 or not len(seeds) or not len(D) == len(seeds) == len(counts):
         raise ValueError(f"need (B, H) frames, B seeds and B counts, got {D.shape}, {len(seeds)} and {len(counts)}")
-    for n in counts:  # checked before the (B, L, N) swarm is allocated
+    for n in counts:  # checked before the (L, P) swarm is allocated
         if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_PARTICLES):
             raise ValueError(f"particle counts must be integers from 1 to {MAX_PARTICLES}, got {n}")
     R, p, c, frames = (list(col) for col in zip(*(_gram(d, ale) for d in D)))
-    R, p, c = np.array(R), np.array(p), np.array(c)
+    R, p, c = np.stack(R, axis=2), np.stack(p, axis=1), np.array(c)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    x = np.zeros((len(seeds), ale.taps, max(counts)))
-    for row, (rng, count) in enumerate(zip(rngs, counts)):
-        x[row, :, :count] = rng.uniform(-cfg.init_range, cfg.init_range, size=(count, ale.taps)).T
-    pad = np.arange(x.shape[2]) >= np.array(counts)[:, None]
+    x = np.hstack([rng.uniform(-cfg.init_range, cfg.init_range, size=(n, ale.taps)).T for rng, n in zip(rngs, counts)])
+    live, counts = np.arange(len(seeds)), np.array(counts)  # the lane and particle count of each per-lane row
+    lane, starts = np.repeat(live, counts), np.cumsum(counts) - counts
     v = np.zeros_like(x)
-    pbest, pcost = x.copy(), _scores(x, R, p, c, frames)
-    pcost[pad] = np.inf
-    rows = np.arange(len(seeds))
-    best = pcost.argmin(axis=1)
-    gbest, gcost = pbest[rows, :, best], pcost[rows, best]
-    # One r1 and one r2 per particle, shared by its components: (N, 2, 1)
-    # consumes a stream exactly as (N, 2) does, and r1 and r2 are (B, 1, N).
-    # A padded particle draws nothing, so its r1 and r2 stay 0.
-    r = np.zeros((len(seeds), x.shape[2], 2, 1))
-    r1, r2 = r.transpose(2, 0, 3, 1)
-    history = np.empty((cfg.max_iters, len(seeds)))
-    stall = np.zeros(len(seeds), dtype=int)
-    live = list(range(len(seeds)))  # the lane of each row
+    pbest, pcost = x.copy(), _scores(x, R, p, c, frames, lane)
+    best, gcost = _lane_best(pcost, starts, lane)
+    gbest = pbest.take(best, axis=1)
+    history, stall = np.empty((cfg.max_iters, len(seeds))), np.zeros(len(seeds), dtype=int)
     weights, histories = np.empty((len(seeds), ale.taps)), [None] * len(seeds)
+    draws = None  # the draw buffer and each lane's rows of it, made anew with the segments
     for it in range(cfg.max_iters):
-        for row, lane in enumerate(live):
-            rngs[lane].random(out=r[row, : counts[lane]])  # as uniform(size=...), value for value
+        if draws is None:  # one r1 and one r2 per particle, shared by its components
+            r = np.empty((lane.size, 2))
+            r1, r2 = r.T
+            draws = [(rngs[b], r[s : s + n]) for b, s, n in zip(live.tolist(), starts.tolist(), counts.tolist())]
+        for rng, out in draws:
+            rng.random(out=out)  # as uniform(size=(n, 2, 1)), value for value
         v = np.clip(
-            cfg.inertia * v + cfg.c1 * r1 * (pbest - x) + cfg.c2 * r2 * (gbest[..., None] - x),
+            cfg.inertia * v + cfg.c1 * r1 * (pbest - x) + cfg.c2 * r2 * (gbest.take(lane, axis=1) - x),
             -cfg.v_max, cfg.v_max,
         )
         x = x + v
-        cost = _scores(x, R, p, c, frames)
-        cost[pad] = np.inf
+        cost = _scores(x, R, p, c, frames, lane)
         better = cost < pcost
         np.copyto(pcost, cost, where=better)
-        np.copyto(pbest, x, where=better[:, None])
-        best = pcost.argmin(axis=1)
-        top = pcost[rows, best]
+        np.copyto(pbest, x, where=better)
+        best, top = _lane_best(pcost, starts, lane)
         improved = top < gcost
-        gbest = np.where(improved[:, None], pbest[rows, :, best], gbest)
+        gbest = np.where(improved, pbest.take(best, axis=1), gbest)
         prev, gcost = gcost, np.where(improved, top, gcost)
         stall = np.where(prev - gcost >= cfg.tol, 0, stall + 1)  # inf - inf: no improvement
         history[it, live] = gcost
@@ -204,16 +209,13 @@ def pso_batch(
         if not done.any():
             continue
         for row in np.flatnonzero(done):
-            lane = live[row]
-            weights[lane], histories[lane] = gbest[row], history[: it + 1, lane].tolist()
-        keep = ~done
-        live = [lane for lane, k in zip(live, keep) if k]
-        frames = [frame for frame, k in zip(frames, keep) if k]
-        x, v, pbest, pcost, gbest, gcost, stall, r, R, p, c, pad = (
-            a[keep] for a in (x, v, pbest, pcost, gbest, gcost, stall, r, R, p, c, pad)
-        )
-        r1, r2 = r.transpose(2, 0, 3, 1)
-        rows = rows[: len(live)]
-        if not live:
+            weights[live[row]], histories[live[row]] = gbest[:, row], history[: it + 1, live[row]].tolist()
+        keep, cut = np.flatnonzero(~done), np.flatnonzero(~done[lane])
+        if not keep.size:
             break
+        frames = [frames[row] for row in keep]
+        x, v, pbest, pcost = (a.take(cut, axis=-1) for a in (x, v, pbest, pcost))
+        gbest, R, p = (a.take(keep, axis=-1) for a in (gbest, R, p))
+        gcost, stall, live, counts, c = (a[keep] for a in (gcost, stall, live, counts, c))
+        lane, starts, draws = np.repeat(np.arange(keep.size), counts), np.cumsum(counts) - counts, None
     return weights, histories

@@ -89,17 +89,18 @@ class TestEvaluateCost:
 
 
 def test_scores_peak_is_two_product_arrays():
-    """_scores holds its (B, L, L, N) float64 products and their particles-first
+    """_scores holds its (L, L, P) float64 products and their particles-first
     copy at once; pso.MAX_PARTICLES and ale.MAX_TAPS are sized by that peak."""
     b, taps, n = 8, 16, 64
     ale = AleConfig(taps=taps, delay=1)
     rng = np.random.default_rng(62)
     R, p, c, frames = (list(col) for col in zip(*(_gram(_random_frame(rng, 64), ale) for _ in range(b))))
-    R, p, c = np.array(R), np.array(p), np.array(c)
-    w = rng.uniform(-2.0, 2.0, size=(b, taps, n))
+    R, p, c = np.stack(R, axis=2), np.stack(p, axis=1), np.array(c)
+    w = rng.uniform(-2.0, 2.0, size=(taps, b * n))
+    lane = np.repeat(np.arange(b), n)
     tracemalloc.start()
     try:
-        _scores(w, R, p, c, frames)
+        _scores(w, R, p, c, frames, lane)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -135,7 +136,7 @@ def _search(d, seed, cfg, ale):
     score, scored = pso._scores, []
 
     def spy(w, *args):
-        scored.append(w[0].T.copy())
+        scored.append(w.T.copy())
         return score(w, *args)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -282,15 +283,19 @@ class TestUpdateBests:
 
     def test_global_best_takes_first_of_tied_minimum(self):
         """Every cost of an all-zero frame ties at 0.0: the global best is
-        the first particle's start, and the oracle agrees."""
-        d = np.zeros(64, dtype=complex)
-        cfg = PsoConfig(n_particles=5, max_iters=8, tol=0.0)
-        (weights,), (history,) = pso_batch(d[None], [74], cfg, ALE)
-        np.testing.assert_array_equal(weights, _first_draw(cfg, 74, ALE.taps)[0])
-        assert history == [0.0] * cfg.max_iters
-        w_ref, h_ref = loop_pso(d, ALE.taps, ALE.delay, cfg, 74)
-        np.testing.assert_array_equal(weights, w_ref)
-        assert h_ref == history
+        the first particle's start, and the oracle agrees.  In a batch each
+        lane takes the first particle of its own segment, not the batch's."""
+        cfg = PsoConfig(max_iters=8, tol=0.0)
+        for counts, seeds in (((5,), [74]), ((3, 5), [74, 75])):
+            frames = np.zeros((len(counts), 64), dtype=complex)
+            weights, histories = pso_batch(frames, seeds, cfg, ALE, counts)
+            for d, seed, count, w, history in zip(frames, seeds, counts, weights, histories):
+                lone = replace(cfg, n_particles=count)
+                np.testing.assert_array_equal(w, _first_draw(lone, seed, ALE.taps)[0])
+                assert history == [0.0] * cfg.max_iters
+                w_ref, h_ref = loop_pso(d, ALE.taps, ALE.delay, lone, seed)
+                np.testing.assert_array_equal(w, w_ref)
+                assert h_ref == history
 
     def test_global_best_stays_on_a_tie(self):
         # a swarm that never moves scores every particle's best again each
@@ -469,6 +474,26 @@ class TestPsoBatch:
                 assert len(history) == len(h_ref)
                 np.testing.assert_allclose(history, h_ref, rtol=1e-12, atol=0.0)
                 np.testing.assert_allclose(w, w_ref, rtol=1e-12, atol=0.0)
+
+    def test_no_padded_slot_is_scored(self):
+        """Every scoring call costs exactly the particles of the lanes still
+        running: the counts' sum at the start, fewer after each early stop."""
+        rng = np.random.default_rng(98)
+        cfg = _batch_cfg(**_EARLY_STOP)
+        frames = np.array([_random_frame(rng, 48) for _ in _COUNTS])
+        score, scored = pso._scores, []
+
+        def spy(w, *args):
+            scored.append(w.size // ALE.taps)
+            return score(w, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pso, "_scores", spy)
+            _, histories = pso_batch(frames, _seeds(_COUNTS), cfg, ALE, _COUNTS)
+        lengths = [len(history) for history in histories]
+        running = [sum(n for n, k in zip(_COUNTS, lengths) if k > it) for it in range(max(lengths))]
+        assert scored == [sum(_COUNTS)] + running
+        assert scored[0] == 81 and scored[-1] < 81 and len(set(lengths)) > 1
 
     def test_bad_shapes_rejected(self):
         frames = np.array([_random_frame(np.random.default_rng(94), 40)] * 2)
