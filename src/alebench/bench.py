@@ -24,6 +24,7 @@ import os
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -337,7 +338,7 @@ def _metric_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, fra
     k, v0 = spec.mod.bits_per_symbol, spec.ale.warmup
     rows = []
     for lane, base, sent, d, lms_e, w in zip(lanes, bases, bits[:, k * v0 :], frames, residuals, weights):
-        clean = modulate(sent, spec.mod)  # re-modulated: ~70 us a lane, against one more (B, H) array per batch
+        clean = modulate(sent, spec.mod)  # re-modulated: ~30 us a BPSK lane, against one more (B, H) array per batch
         for algorithm, e, mu, n_particles in (
             ("LMS", lms_e, spec.mu, None),
             ("PSO", d - filter_frame(d, w, spec.ale), None, spec.pso.n_particles),
@@ -496,6 +497,12 @@ def _run_batch(args: tuple) -> list[dict]:
 # ---------------------------------------------------------------------------
 # tables
 
+def _cells(columns: tuple[str, ...]) -> Callable[[dict], tuple]:
+    """A row's values in `columns` order, as a tuple; a missing column raises
+    KeyError.  itemgetter takes at least one key, and returns one bare."""
+    return itemgetter(*columns) if len(columns) > 1 else lambda row: tuple(row[c] for c in columns)
+
+
 def _mean_rows(raw_rows: list[dict], kind: _Kind) -> list[dict]:
     """One row per group of raw rows with equal key columns, in order of
     first appearance, each averaged column the mean of its group's values
@@ -503,8 +510,8 @@ def _mean_rows(raw_rows: list[dict], kind: _Kind) -> list[dict]:
     are the rows of one (groups, n_seeds) index array, averaged in one call."""
     key_columns = tuple(c for c in kind.mean if c not in kind.averaged and c != "n_seeds")
     groups: dict[tuple, list[int]] = {}
-    for i, row in enumerate(raw_rows):
-        groups.setdefault(tuple(row[c] for c in key_columns), []).append(i)
+    for i, key in enumerate(map(_cells(key_columns), raw_rows)):
+        groups.setdefault(key, []).append(i)
     members = np.array(list(groups.values()))
     out = [dict(zip(key_columns, key), n_seeds=members.shape[1]) for key in groups]
     for col in kind.averaged:
@@ -559,9 +566,7 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
 
 def _csv_text(columns: tuple[str, ...], rows: tuple[dict, ...]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([row.get(col) for col in columns] for row in rows)
+    csv.writer(buf, lineterminator="\n").writerows([columns, *map(_cells(columns), rows)])
     return buf.getvalue()
 
 
@@ -573,12 +578,12 @@ def _write_text(path: Path, text: str) -> None:
 def emit_csv(table: ResultTable, out_dir: str | Path) -> list[Path]:
     """Write ``<kind>_raw.csv``, ``<kind>_mean.csv`` and ``<kind>_meta.txt``.
 
-    Cells are the csv module's own text: empty for no value, floats
-    (numpy's too) in shortest round-trip form, anything else by ``str``,
-    so a numpy scalar prints as a number; re-emitting the same table
-    produces identical bytes.  All three are written to temporary
-    files in `out_dir` first and renamed over the old set only once every
-    write has succeeded, so a failure leaves the previous outputs intact.
+    A row missing a column of its table raises KeyError.  Cells are the csv
+    module's own text: empty for None, floats (numpy's too) in shortest
+    round-trip form, anything else by ``str``, so a numpy scalar prints as
+    a number; re-emitting the same table produces identical bytes.  All
+    three go to temporary files in `out_dir` first, renamed over the old set
+    only once every write has succeeded, so a failure leaves it intact.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

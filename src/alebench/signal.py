@@ -90,9 +90,9 @@ def modulate(bits: np.ndarray, cfg: ModConfig) -> np.ndarray:
         )
     if not np.all((bits == 0) | (bits == 1)):
         raise ValueError("bits must be 0 or 1")
-    groups = bits.reshape(-1, k).astype(np.int64)
-    weights = 1 << np.arange(k - 1, -1, -1)
-    values = groups @ weights
+    values = bits[::k].astype(np.intp)
+    for i in range(1, k):
+        values = (values << 1) | bits[i::k].astype(np.intp)
     return constellation(cfg)[np.argsort(_groups(cfg))[values]]
 
 

@@ -335,8 +335,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("kind", bench.KINDS)
     def test_row_keys_are_the_table_columns(self, kind):
         """Every row holds exactly its CSV's columns: the CSV writer reads
-        rows with dict.get, so a stray key would be dropped and a missing
-        one written blank without notice."""
+        each row by its table's columns, so a stray key would be dropped
+        without notice and a missing one fails the write."""
         table = run_experiment(parse_config(SMALL, kind=kind))
         assert table.raw_rows and table.mean_rows
         for row in table.raw_rows:
@@ -497,10 +497,17 @@ class TestEmitCsv:
         with pytest.raises(OSError, match="disk full"):
             emit_csv(table("new"), tmp_path)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        # a row without one of its table's columns fails before any file is written
+        monkeypatch.undo()
+        with pytest.raises(KeyError, match="algorithm"):
+            emit_csv(replace(table("new"), mean_rows=({"snr_db": 0.0},)), tmp_path)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_cells_take_the_csv_module_conversion(self, tmp_path):
         """No value is an empty cell, a float (numpy's too) its shortest
-        round-trip text, anything else its str, quoted when it holds a comma."""
+        round-trip text, anything else its str, quoted when it holds a comma.
+        A one-column row is one cell, a string too; a zero-column row is an
+        empty line."""
         values = (None, -0.0, math.inf, math.nan, 1e-310, 2**64 - 1, "a,b", np.float64(0.5))
         columns = tuple(f"c{i}" for i in range(len(values)))
         table = ResultTable(
@@ -508,11 +515,14 @@ class TestEmitCsv:
             raw_columns=columns,
             raw_rows=(dict(zip(columns, values)),),
             mean_columns=(),
-            mean_rows=(),
+            mean_rows=({}, {}),
             metadata="",
         )
-        raw = emit_csv(table, tmp_path)[0].read_text().splitlines()
-        assert raw[1] == ',-0.0,inf,nan,1e-310,18446744073709551615,"a,b",0.5'
+        paths = emit_csv(table, tmp_path)
+        assert paths[0].read_text().splitlines()[1] == ',-0.0,inf,nan,1e-310,18446744073709551615,"a,b",0.5'
+        assert paths[1].read_text() == "\n\n\n"
+        one_column = replace(table, raw_columns=("algorithm",), raw_rows=({"algorithm": "PSO"},))
+        assert emit_csv(one_column, tmp_path)[0].read_text() == "algorithm\nPSO\n"
 
     def test_numpy_scalar_spec_runs_and_echoes(self, tmp_path):
         """A library caller may build a spec from numpy scalars: it runs, its
