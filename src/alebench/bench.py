@@ -235,8 +235,6 @@ def parse_config(
                 raise ConfigError("experiment.kind", f"names {named}, but the kind to run is {kind}")
         values["experiment.kind"] = _parse_value("experiment.kind", kind)
     kind = values.setdefault("experiment.kind", ExperimentSpec.kind)
-    if values.get("frame.h", ExperimentSpec.h) > _BATCH_SAMPLES:  # named before any section's value
-        raise ConfigError("frame.h", f"must be at most {_BATCH_SAMPLES} samples, one batch")
     values = {**_KINDS[kind].defaults, **values}
 
     fields: dict = {}
@@ -322,39 +320,41 @@ def _batch_frames(spec: ExperimentSpec, runs: list[tuple[int, int]]):
     return lanes, bits, frames
 
 
+def _power(x: np.ndarray, crossed: bool) -> float:
+    """Mean |x|^2, or inf on a lane whose LMS weights crossed WEIGHT_BOUND,
+    in every kind: not the power of the frame its reset weights leave."""
+    return math.inf if crossed else float(np.mean(np.abs(x) ** 2))
+
+
 @np.errstate(over="ignore")
 def _metric_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, frames) -> list[dict]:
     """An LMS and a PSO row per run.  From sample `warmup` on, bits are
     decided on the residual, and `mse` is its power.  A power that
-    overflows is inf; a residual that overflows fails the run."""
-    def failed(lane, reason):  # lane = (point, seed_idx, run_seed, pso_seed)
-        return RuntimeError(f"{spec.kind} failed at sweep point {lane[0]}, seed index {lane[1]}: {reason}")
-
-    _, residuals, diverged_at, max_weight = lms_batch(frames, np.full(len(lanes), spec.mu), spec.ale)
-    for lane, n, peak in zip(lanes, diverged_at, max_weight):
-        if n >= 0:
-            raise failed(lane, f"weight magnitude {peak:.3e} exceeded bound at sample {n}")
+    overflows is inf, as are a crossed LMS lane's (_power); a residual
+    that overflows fails the run."""
+    _, residuals, diverged_at, _ = lms_batch(frames, np.full(len(lanes), spec.mu), spec.ale)
     weights, _ = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
     k, v0 = spec.mod.bits_per_symbol, spec.ale.warmup
     rows = []
-    for lane, base, sent, d, lms_e, w in zip(lanes, bases, bits[:, k * v0 :], frames, residuals, weights):
+    for lane, base, sent, d, lms_e, n, w in zip(lanes, bases, bits[:, k * v0 :], frames, residuals, diverged_at, weights):
         clean = modulate(sent, spec.mod)  # re-modulated: ~30 us a BPSK lane, against one more (B, H) array per batch
-        for algorithm, e, mu, n_particles in (
-            ("LMS", lms_e, spec.mu, None),
-            ("PSO", d - filter_frame(d, w, spec.ale), None, spec.pso.n_particles),
+        for algorithm, e, crossed, mu, n_particles in (
+            ("LMS", lms_e, n >= 0, spec.mu, None),
+            ("PSO", d - filter_frame(d, w, spec.ale), False, None, spec.pso.n_particles),
         ):
             residual = e[v0:]
             if not np.isfinite(residual).all():
-                raise failed(lane, f"{algorithm} residual is not finite")
+                reason = f"{algorithm} residual is not finite"  # lane = (point, seed_idx, run_seed, pso_seed)
+                raise RuntimeError(f"{spec.kind} failed at sweep point {lane[0]}, seed index {lane[1]}: {reason}")
             errors = int(np.count_nonzero(demodulate(residual, spec.mod) != sent))
             rows.append(dict(
                 base,
                 algorithm=algorithm,
                 ber=errors / sent.size,
-                mse=float(np.mean(np.abs(residual) ** 2)),
+                mse=_power(residual, crossed),
                 mu=mu,
                 n_particles=n_particles,
-                clean_mse=float(np.mean(np.abs(residual - clean) ** 2)),
+                clean_mse=_power(residual - clean, crossed),
                 compared_bits=sent.size,
             ))
     return rows
@@ -362,10 +362,8 @@ def _metric_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, fra
 
 def _step_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, frames) -> list[dict]:
     _, residuals, diverged_at, _ = lms_batch(frames, [base["mu"] for base in bases], spec.ale)
-    # the sweep deliberately crosses the stability boundary; a diverged
-    # run reports infinite residual power instead of aborting the sweep
     return [
-        dict(base, algorithm="LMS", mse=math.inf if n >= 0 else float(np.mean(np.abs(e[spec.ale.warmup :]) ** 2)))
+        dict(base, algorithm="LMS", mse=_power(e[spec.ale.warmup :], n >= 0))
         for base, e, n in zip(bases, residuals, diverged_at)
     ]
 

@@ -30,7 +30,7 @@ from alebench.bench import (
 from alebench.errors import ConfigError
 from alebench.lms import lms_batch
 from alebench.pso import MAX_ITERS, MAX_PARTICLES, PsoConfig, evaluate_cost, pso_batch
-from alebench.signal import ModConfig, generate_bits, modulate
+from alebench.signal import ModConfig, demodulate, generate_bits, modulate
 
 SMALL = """
 frame.h = 300
@@ -47,19 +47,15 @@ _BATCH_DOCS = {
     "ber_nonlinear": SMALL + "channel.profiles = 60MHz, 5.8GHz\n",
 }
 
-# Metric runs whose LMS diverges, and the error text the scalar per-run
-# runner gave for them.  ber_awgn: the first run to diverge is the 7th of 8.
+# Metric runs on which some LMS lanes cross the weight bound, beside lanes
+# that do not.  ber_awgn: 1 of its 8 lanes crosses, the 7th (-5 dB, seed
+# index 2); ber_nonlinear: every one of its 22 lanes crosses.
 _DIVERGING_DOCS = {
-    "ber_awgn": (
-        "lms.mu = 0.15\nrun.snr_grid = 10, -5\nrun.n_seeds = 4\n",
-        "ber_awgn failed at sweep point {'snr_db': -5.0}, seed index 2: "
-        "weight magnitude 1.234e+06 exceeded bound at sample 144",
-    ),
-    "ber_nonlinear": (
-        "lms.mu = 10\nrun.n_seeds = 2\nchannel.profiles = 5.8GHz\n",
-        "ber_nonlinear failed at sweep point {'profile': '5.8GHz', 'snr_db': -10.0}, seed index 0: "
-        "weight magnitude 2.341e+07 exceeded bound at sample 7",
-    ),
+    kind: "frame.h = 300\npso.n_particles = 6\npso.max_iters = 8\n" + doc
+    for kind, doc in (
+        ("ber_awgn", "lms.mu = 0.15\nrun.snr_grid = 10, -5\nrun.n_seeds = 4\n"),
+        ("ber_nonlinear", "lms.mu = 10\nrun.n_seeds = 2\nchannel.profiles = 5.8GHz\n"),
+    )
 }
 
 
@@ -278,9 +274,12 @@ class TestRunExperiment:
         run_experiment(one_task, jobs=8)
         assert seen == [3, 2, 24]
 
-    @pytest.mark.parametrize("kind", list(_BATCH_DOCS))
-    def test_bytes_independent_of_jobs_and_batch_budget(self, kind, tmp_path, monkeypatch):
-        spec = parse_config(_BATCH_DOCS[kind], kind=kind)
+    @pytest.mark.parametrize("kind, doc", [
+        *(pytest.param(kind, doc, id=kind) for kind, doc in _BATCH_DOCS.items()),
+        *(pytest.param(kind, doc, id=f"{kind}-crossing") for kind, doc in _DIVERGING_DOCS.items()),
+    ])
+    def test_bytes_independent_of_jobs_and_batch_budget(self, kind, doc, tmp_path, monkeypatch):
+        spec = parse_config(doc, kind=kind)
         expected = [p.read_bytes() for p in emit_csv(run_experiment(spec), tmp_path / "ref")]
         default = bench._BATCH_SAMPLES
         for lanes in (1, 3, None):
@@ -322,15 +321,36 @@ class TestRunExperiment:
         assert seen == [32, 33]
 
     @pytest.mark.parametrize("kind", list(_DIVERGING_DOCS))
-    def test_metric_divergence_names_first_diverging_run(self, kind):
-        """The first diverging run in (sweep, seed) order is reported, with
-        the crossing sample and peak lms_batch gives it, at any parallelism."""
-        doc, message = _DIVERGING_DOCS[kind]
-        doc = "frame.h = 300\npso.n_particles = 6\npso.max_iters = 8\n" + doc
-        for jobs in (1, 2):
-            with pytest.raises(RuntimeError) as excinfo:
-                run_experiment(parse_config(doc, kind=kind), jobs=jobs)
-            assert str(excinfo.value) == message
+    def test_crossed_lms_lanes_keep_their_rows_at_inf_power(self, kind):
+        """Exactly the lanes lms_batch reports as crossed read mse = clean_mse
+        = inf, and their ber is that of the decisions on their residual from
+        ale.warmup on, the frame itself once the weights reset to 0.  Every
+        other LMS row is finite; the PSO rows are those the same runs give
+        at mu = 0.01, since the swarm does not read mu; and a mean row over
+        a crossed lane reads inf."""
+        spec = parse_config(_DIVERGING_DOCS[kind], kind=kind)
+        points = bench._sweep_points(spec)
+        runs = [(i, j) for i in range(len(points)) for j in range(spec.n_seeds)]
+        _, bits, frames = bench._batch_frames(spec, runs)
+        _, residuals, diverged_at, _ = lms_batch(frames, np.full(len(runs), spec.mu), spec.ale)
+        table = run_experiment(spec)
+        lms_rows, pso_rows = table.raw_rows[::2], table.raw_rows[1::2]
+        assert [row["algorithm"] for row in lms_rows] == ["LMS"] * len(runs)
+        crossed = [row["mse"] == math.inf for row in lms_rows]
+        assert crossed == list(diverged_at >= 0) and any(crossed)
+        v0, k = spec.ale.warmup, spec.mod.bits_per_symbol
+        for row, e, sent, n in zip(lms_rows, residuals, bits[:, k * v0 :], diverged_at):
+            if n >= 0:
+                assert row["clean_mse"] == math.inf
+                assert row["ber"] == np.count_nonzero(demodulate(e[v0:], spec.mod) != sent) / sent.size
+            else:
+                assert math.isfinite(row["mse"]) and math.isfinite(row["clean_mse"])
+        at_small_step = run_experiment(parse_config(_DIVERGING_DOCS[kind], kind=kind, overrides={"lms.mu": "0.01"}))
+        assert pso_rows == at_small_step.raw_rows[1::2]
+        crossed_points = {(row["snr_db"], row.get("profile")) for row, n in zip(lms_rows, diverged_at) if n >= 0}
+        for row in table.mean_rows:
+            if row["algorithm"] == "LMS":
+                assert (row["mse"] == math.inf) == ((row["snr_db"], row.get("profile")) in crossed_points)
 
     @pytest.mark.parametrize("kind", bench.KINDS)
     def test_row_keys_are_the_table_columns(self, kind):
@@ -427,7 +447,8 @@ class TestRunExperiment:
         """Seed index 1's swarm starts near the largest float: its global
         best costs a finite amount, but its filtered output overflows, so no
         bit can be decided on its residual.  The error names the run, at any
-        parallelism, as an LMS divergence does."""
+        parallelism: a swarm started out there is a fault of the config,
+        where an LMS lane that crosses the weight bound keeps its rows."""
         doc = "frame.h = 200\nrun.n_seeds = 2\nrun.snr_grid = 0\npso.init_range = 8.98e307\npso.max_iters = 1\n"
         for jobs in (1, 2):
             with pytest.raises(RuntimeError) as excinfo:
@@ -626,7 +647,7 @@ class TestSpecValidation:
         assert parse_config(f"frame.h = {bench._BATCH_SAMPLES}").h == bench._BATCH_SAMPLES
         for h in (bench._BATCH_SAMPLES + 1, 100_000_000):
             with pytest.raises(ConfigError) as excinfo:
-                parse_config("ale.taps = 0", overrides={"frame.h": str(h)})
+                parse_config(f"frame.h = {h}")
             assert excinfo.value.key == "frame.h"
 
     def test_run_count_capped(self):
@@ -659,7 +680,8 @@ class TestSpecValidation:
         ("pso.c1 = -1\nrun.snr_grid = 1, 1", "pso.c1"),
         ("frame.h = 5\npso.c1 = -1", "pso.c1"),
         ("lms.mu = -1\npso.c1 = -1", "pso.c1"),
-    ], ids=["profile_name", "repeated_snr", "spec_after_classes", "mu_after_classes"])
+        ("frame.h = 640001\npso.c1 = -1", "pso.c1"),
+    ], ids=["profile_name", "repeated_snr", "spec_after_classes", "mu_after_classes", "long_frame_after_classes"])
     def test_classes_named_before_the_specs_keys(self, doc, key):
         """The spec checks its own keys, list values among them, after the
         config classes."""

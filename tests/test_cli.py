@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
 from pathlib import Path
 
 import pytest
@@ -172,6 +173,21 @@ def test_meta_file_runs_again_under_its_own_kind(tmp_path):
     assert main(["step_sweep", "--config", str(meta), "--out", str(tmp_path / "b")]) == 0
     for suffix in ("raw.csv", "mean.csv", "meta.txt"):
         assert (tmp_path / "a" / f"step_sweep_{suffix}").read_bytes() == (tmp_path / "b" / f"step_sweep_{suffix}").read_bytes()
+
+
+def test_crossed_lms_lane_writes_inf_rows(tmp_path):
+    """The 7th of these 8 runs crosses the LMS weight bound: the run exits
+    0 and writes that lane's infinite power into both CSVs."""
+    cfg = tmp_path / "crossing.cfg"
+    cfg.write_text(
+        "frame.h = 300\npso.n_particles = 6\npso.max_iters = 8\n"
+        "lms.mu = 0.15\nrun.snr_grid = 10, -5\nrun.n_seeds = 4\n"
+    )
+    assert main(["ber_awgn", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    for table in ("raw", "mean"):
+        with open(tmp_path / "out" / f"ber_awgn_{table}.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert "inf" in {row["mse"] for row in rows if row["algorithm"] == "LMS"}, table
 
 
 def test_frame_longer_than_a_batch_fails_before_running(tmp_path, capsys):
