@@ -361,7 +361,8 @@ def _metric_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, fra
 
 
 def _step_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, frames) -> list[dict]:
-    _, residuals, diverged_at, _ = lms_batch(frames, [base["mu"] for base in bases], spec.ale)
+    # nothing reads a frame after LMS has, so its residuals are written over it
+    _, residuals, diverged_at, _ = lms_batch(frames, [base["mu"] for base in bases], spec.ale, out=frames)
     return [
         dict(base, algorithm="LMS", mse=_power(e[spec.ale.warmup :], n >= 0))
         for base, e, n in zip(bases, residuals, diverged_at)
@@ -458,11 +459,13 @@ _KINDS = {
 
 KINDS = tuple(_KINDS)
 
-# Frame samples one batch of runs may hold.  A sample costs 32 bytes of
-# frame and LMS residual while the batch runs, ~20 MB at this size.  Before
-# the LMS residual exists, distorting a profile's lanes holds 24 bytes more
-# per sample of them (the distorted copy and |x|^2), so a batch under one
-# profile peaks at 40 bytes per sample, ~26 MB, while it distorts.  The LMS
+# Frame samples one batch of runs may hold.  A complex frame sample costs 16
+# bytes.  While LMS runs, a metric sample costs 32, frame and LMS residual,
+# ~20 MB at this size, since the swarm and the PSO residual read the frame
+# after LMS; a step-sweep sample costs 16, ~10 MB, its residual written over
+# its frame.  Distorting a profile's lanes holds 24 bytes more per sample of
+# them (the distorted copy and |x|^2), so a batch under one profile peaks at
+# 40 bytes per sample, ~26 MB, while it distorts, before any residual.  The LMS
 # kernel's per-sample call overhead is shared by the whole batch, so fewer,
 # larger batches are faster: 64 frames of 10,000 fit, and a default
 # ber_awgn sweep (110 frames) runs as two batches.

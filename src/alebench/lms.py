@@ -10,7 +10,10 @@ the last axis of every array, so each numpy call serves every lane.  With
 L ~ 5 taps, a call per run and sample would cost more in call overhead
 than the arithmetic it does.  That overhead is smallest on contiguous
 operands of one shape, so each block of samples is first copied into
-contiguous buffers laid out for the calls that read it.
+contiguous buffers laid out for the calls that read it.  A block reads the
+frames once, before it writes its residuals, so the residuals may be
+written over the frames: a caller that reads no frame after LMS holds one
+(B, H) array, not two.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ _BLOCK = 64  # samples adapted between two divergence checks
 
 
 def lms_batch(
-    D: np.ndarray, mus: np.ndarray, ale: AleConfig
+    D: np.ndarray, mus: np.ndarray, ale: AleConfig, out: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Adapt B frames at once, frame b with step size mus[b].
 
@@ -43,7 +46,19 @@ def lms_batch(
     sample n are its frame less the zeros that zero weights give; no weight
     or residual is inf or nan.  A lane's result does not depend on the
     other lanes of the batch.  Frames must be finite.
+
+    E is written into `out` if given: a writeable C-contiguous complex128
+    array of the frames' shape that is either D itself, whose frames are
+    then overwritten by their residuals, or shares no memory with D.
     """
+    if out is not None and not (
+        isinstance(out, np.ndarray) and out.shape == np.shape(D) and out.dtype == np.complex128
+        and out.flags.c_contiguous and out.flags.writeable
+        and (out is D or not np.may_share_memory(out, D))
+    ):
+        raise ValueError("out must be a writeable C-contiguous complex128 array of the frames' shape, "
+                         "the frames themselves or sharing no memory with them")
+    # an out that is D has D's dtype and layout, so D stays that array
     D = np.ascontiguousarray(D, dtype=np.complex128)
     mus = np.asarray(mus, dtype=np.float64)
     if D.ndim != 2 or D.shape[0] < 1 or mus.shape != D.shape[:1]:
@@ -53,12 +68,21 @@ def lms_batch(
     _check_frame(D, ale, stacked=True)
     lanes, h = D.shape
     start, taps = ale.warmup, ale.taps
-    E = D.copy()
-    # (sample, re/im, lane) float views of the frames and the residuals, and
-    # the (window, tap, re/im, lane) regressors, oldest tap first
+    E = np.empty_like(D) if out is None else out
+    E[:, :start] = D[:, :start]
+    # (sample, re/im, lane) float views of the frames and the residuals
     d = D.view(np.float64).reshape(lanes, h, 2).transpose(1, 2, 0)
     e = E.view(np.float64).reshape(lanes, h, 2).transpose(1, 2, 0)
-    windows = sliding_window_view(d, taps, axis=0).transpose(0, 3, 1, 2)
+    # A block reads the frames only through `span`, (sample, re/im, lane),
+    # the frame samples [first - start, last): the start samples before the
+    # block, kept from the one before, then the block's own, copied in
+    # before its residuals are written, so E may be the frames.  Its
+    # (window, tap, re/im, lane) regressors, oldest tap first, are one view
+    # made once: window i is that of the block's sample i.  After a block,
+    # its last start samples move to the front.
+    span = np.empty((start + _BLOCK, 2, lanes))
+    span[:start] = d[:start]
+    windows = sliding_window_view(span, taps, axis=0).transpose(0, 3, 1, 2)
     # Each block's regressors are copied into contiguous buffers, so that
     # no call of the sample loop reads a strided operand and only the
     # update's product broadcasts one, the error over the taps.  The output
@@ -94,8 +118,9 @@ def lms_batch(
         for first in range(start, h, _BLOCK):
             last = min(first + _BLOCK, h)
             size = last - first
-            v_out[:size, :taps] = windows[first - start : last - start]
-            v_out[:size, taps] = d[first:last]
+            span[start : start + size] = d[first:last]
+            v_out[:size, :taps] = windows[:size]
+            v_out[:size, taps] = span[start : start + size]
             v_up[:size] = v_out[:size, :taps].transpose(0, 2, 1, 3)[:, :, :, None]
             for w, w_next, w_t, w_next_t, v, v_t, ne_n, ne_t in rows[:size]:
                 multiply(v, w, prod)
@@ -121,5 +146,6 @@ def lms_batch(
                     add_reduce(v_out[i + 1 : size, :, :, b] * W[size, :, :1, b], 1, None, ne_block[i + 1 : size, :, b])
             # 0 - (y - d), not -(y - d), so that d == y gives +0 as d - y does
             e[first:last] = 0.0 - ne_block[:size]
+            span[:start] = span[size : size + start]
             W[0] = W[size]
     return W[0, :taps, 0].T[:, ::-1].copy(), E, diverged_at, max_weight

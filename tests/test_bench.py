@@ -292,9 +292,9 @@ class TestRunExperiment:
         seen = []
         lms_batch = bench.lms_batch
 
-        def recording(frames, mus, ale):
+        def recording(frames, mus, ale, out=None):
             seen.append(len(frames))
-            return lms_batch(frames, mus, ale)
+            return lms_batch(frames, mus, ale, out=out)
 
         monkeypatch.setattr(bench, "lms_batch", recording)
         spec = parse_config(SMALL, kind="step_sweep")  # 24 runs of 300 samples
@@ -311,14 +311,30 @@ class TestRunExperiment:
         seen = []
         lms_batch = bench.lms_batch
 
-        def recording(frames, mus, ale):
+        def recording(frames, mus, ale, out=None):
             seen.append(len(frames))
-            return lms_batch(frames, mus, ale)
+            return lms_batch(frames, mus, ale, out=out)
 
         monkeypatch.setattr(bench, "lms_batch", recording)
         doc = "frame.h = 12\nrun.snr_grid = 0\nrun.n_seeds = 65\npso.n_particles = 4\npso.max_iters = 2\n"
         run_experiment(parse_config(doc))
         assert seen == [32, 33]
+
+    @pytest.mark.parametrize("kind, in_place", [("step_sweep", True), ("ber_awgn", False)])
+    def test_only_step_sweep_writes_residuals_over_its_frames(self, kind, in_place, monkeypatch):
+        """A step sweep reads no frame after LMS, so lms_batch writes its
+        residuals over the frames; a metric run's swarm and PSO residual read
+        the frames afterwards, so its LMS residuals go to an array of their own."""
+        seen = []
+        lms_batch = bench.lms_batch
+
+        def recording(frames, mus, ale, out=None):
+            seen.append(out is frames)
+            return lms_batch(frames, mus, ale, out=out)
+
+        monkeypatch.setattr(bench, "lms_batch", recording)
+        run_experiment(parse_config(SMALL, kind=kind))
+        assert seen == [in_place]
 
     @pytest.mark.parametrize("kind", list(_DIVERGING_DOCS))
     def test_crossed_lms_lanes_keep_their_rows_at_inf_power(self, kind):

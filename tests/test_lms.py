@@ -415,3 +415,49 @@ class TestLmsBatch:
         assert diverged_at[0] == -1 and alone[2] == -1
         np.testing.assert_array_equal(weights[0], alone[0])
         np.testing.assert_array_equal(e[0], alone[1])
+
+    @pytest.mark.parametrize("lanes, taps, delay, h", [
+        (1, 5, 1, 300),
+        (6, 16, 60, 400),  # the window reaches back 75 samples, past a block
+        (4, 3, 119, 500),
+        (9, 8, 40, 250),
+    ])
+    def test_out_matches_default(self, lanes, taps, delay, h):
+        """Residuals written into `out`, a separate array or the frames
+        themselves, are the default result bit for bit, as are the weights,
+        crossings and peaks, with lanes that cross the bound, a 1e160 lane
+        whose products overflow, and windows that reach back more than one
+        block."""
+        rng = np.random.default_rng([lanes, taps, delay, h])
+        frames = (rng.standard_normal((lanes, h)) + 1j * rng.standard_normal((lanes, h))) * 10.0 ** rng.uniform(-3, 3, (lanes, 1))
+        frames[-1] *= 1e160
+        mus = np.concatenate([[0.3, 10.0][:lanes], rng.uniform(0.0, 0.05, lanes)])[:lanes]
+        ale = AleConfig(taps=taps, delay=delay)
+        expected = lms_batch(frames, mus, ale)
+        assert expected[2][-1] >= 0
+        separate = np.full_like(frames, np.nan)
+        in_place = frames.copy()
+        for D, out in ((frames, separate), (in_place, in_place)):
+            result = lms_batch(D, mus, ale, out=out)
+            assert result[1] is out and np.shares_memory(result[1], D) == (D is out)
+            for part, full in zip(result, expected):
+                assert part.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("bad", ["shape", "dtype", "order", "overlap", "read-only"])
+    def test_bad_out_rejected(self, bad):
+        """An `out` that lms_batch cannot write the residuals into is named
+        before any sample is adapted: neither the frames nor `out` change."""
+        base = _small_frames(3)
+        frames = base[:2]
+        out = {
+            "shape": np.zeros((2, base.shape[1] - 1), dtype=complex),
+            "dtype": np.zeros(frames.shape, dtype=np.complex64),
+            "order": np.asfortranarray(np.zeros(frames.shape, dtype=complex)),
+            "overlap": base[1:],  # contiguous rows 1 and 2 against frames' 0 and 1
+            "read-only": np.zeros(frames.shape, dtype=complex),
+        }[bad]
+        out.flags.writeable = bad != "read-only"
+        before = base.tobytes(), out.tobytes()
+        with pytest.raises(ValueError, match="out must be"):
+            lms_batch(frames, [0.01, 0.01], ALE, out=out)
+        assert (base.tobytes(), out.tobytes()) == before
