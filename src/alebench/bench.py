@@ -83,8 +83,8 @@ class ExperimentSpec:
         for v in self.sweep_values:
             if self.kind == "particle_sweep" and not (math.isfinite(v) and v == int(v) and 1 <= v <= MAX_PARTICLES):
                 raise ConfigError("run.sweep_values", f"particle counts must be integers from 1 to {MAX_PARTICLES}, got {v}")
-            if self.kind == "step_sweep" and not (v > 0 and math.isfinite(v)):
-                raise ConfigError("run.sweep_values", f"step sizes must be finite and > 0, got {v}")
+            if not (v > 0 and math.isfinite(v)):  # checked for every kind, as run-all sets one for all
+                raise ConfigError("run.sweep_values", f"sweep values must be finite and > 0, got {v}")
         if self.n_seeds < 1:
             raise ConfigError("run.n_seeds", f"must be >= 1, got {self.n_seeds}")
         runs = len(_sweep_points(self)) * self.n_seeds
@@ -326,46 +326,53 @@ def _power(x: np.ndarray, crossed: bool) -> float:
     return math.inf if crossed else float(np.mean(np.abs(x) ** 2))
 
 
+def _metric_row(spec: ExperimentSpec, lane: tuple, base: dict, algorithm: str, e: np.ndarray, sent, crossed: bool) -> dict:
+    """The row of one algorithm's residual e of a run.  From sample `warmup`
+    on, bits are decided on it, and `mse` is its power.  A power that
+    overflows is inf, as are a crossed LMS lane's (_power); a residual that
+    overflows fails the run."""
+    residual = e[spec.ale.warmup :]
+    if not np.isfinite(residual).all():
+        reason = f"{algorithm} residual is not finite"  # lane = (point, seed_idx, run_seed, pso_seed)
+        raise RuntimeError(f"{spec.kind} failed at sweep point {lane[0]}, seed index {lane[1]}: {reason}")
+    errors = int(np.count_nonzero(demodulate(residual, spec.mod) != sent))
+    clean = modulate(sent, spec.mod)  # re-modulated per row: ~60 us a BPSK lane, against one more (B, H) array per batch
+    return dict(
+        base,
+        algorithm=algorithm,
+        ber=errors / sent.size,
+        mse=_power(residual, crossed),
+        mu=spec.mu if algorithm == "LMS" else None,
+        n_particles=None if algorithm == "LMS" else spec.pso.n_particles,
+        clean_mse=_power(residual - clean, crossed),
+        compared_bits=sent.size,
+    )
+
+
 @np.errstate(over="ignore")
 def _metric_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, frames) -> list[dict]:
-    """An LMS and a PSO row per run.  From sample `warmup` on, bits are
-    decided on the residual, and `mse` is its power.  A power that
-    overflows is inf, as are a crossed LMS lane's (_power); a residual
-    that overflows fails the run."""
-    _, residuals, diverged_at, _ = lms_batch(frames, np.full(len(lanes), spec.mu), spec.ale)
+    """An LMS and a PSO row per run.  The swarm searches first, and each
+    PSO row is formed while the frames are intact; LMS then writes its
+    residuals over them."""
+    sent_bits = bits[:, spec.mod.bits_per_symbol * spec.ale.warmup :]
     weights, _ = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
-    k, v0 = spec.mod.bits_per_symbol, spec.ale.warmup
-    rows = []
-    for lane, base, sent, d, lms_e, n, w in zip(lanes, bases, bits[:, k * v0 :], frames, residuals, diverged_at, weights):
-        clean = modulate(sent, spec.mod)  # re-modulated: ~30 us a BPSK lane, against one more (B, H) array per batch
-        for algorithm, e, crossed, mu, n_particles in (
-            ("LMS", lms_e, n >= 0, spec.mu, None),
-            ("PSO", d - filter_frame(d, w, spec.ale), False, None, spec.pso.n_particles),
-        ):
-            residual = e[v0:]
-            if not np.isfinite(residual).all():
-                reason = f"{algorithm} residual is not finite"  # lane = (point, seed_idx, run_seed, pso_seed)
-                raise RuntimeError(f"{spec.kind} failed at sweep point {lane[0]}, seed index {lane[1]}: {reason}")
-            errors = int(np.count_nonzero(demodulate(residual, spec.mod) != sent))
-            rows.append(dict(
-                base,
-                algorithm=algorithm,
-                ber=errors / sent.size,
-                mse=_power(residual, crossed),
-                mu=mu,
-                n_particles=n_particles,
-                clean_mse=_power(residual - clean, crossed),
-                compared_bits=sent.size,
-            ))
-    return rows
+    pso_rows = [
+        _metric_row(spec, lane, base, "PSO", d - filter_frame(d, w, spec.ale), sent, False)
+        for lane, base, d, w, sent in zip(lanes, bases, frames, weights, sent_bits)
+    ]
+    _, diverged_at, _ = lms_batch(frames, np.full(len(lanes), spec.mu), spec.ale)
+    lms_rows = [
+        _metric_row(spec, lane, base, "LMS", e, sent, n >= 0)
+        for lane, base, e, sent, n in zip(lanes, bases, frames, sent_bits, diverged_at)
+    ]
+    return [row for pair in zip(lms_rows, pso_rows) for row in pair]
 
 
 def _step_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, frames) -> list[dict]:
-    # nothing reads a frame after LMS has, so its residuals are written over it
-    _, residuals, diverged_at, _ = lms_batch(frames, [base["mu"] for base in bases], spec.ale, out=frames)
+    _, diverged_at, _ = lms_batch(frames, [base["mu"] for base in bases], spec.ale)
     return [
         dict(base, algorithm="LMS", mse=_power(e[spec.ale.warmup :], n >= 0))
-        for base, e, n in zip(bases, residuals, diverged_at)
+        for base, e, n in zip(bases, frames, diverged_at)
     ]
 
 
@@ -460,15 +467,15 @@ _KINDS = {
 KINDS = tuple(_KINDS)
 
 # Frame samples one batch of runs may hold.  A complex frame sample costs 16
-# bytes.  While LMS runs, a metric sample costs 32, frame and LMS residual,
-# ~20 MB at this size, since the swarm and the PSO residual read the frame
-# after LMS; a step-sweep sample costs 16, ~10 MB, its residual written over
-# its frame.  Distorting a profile's lanes holds 24 bytes more per sample of
-# them (the distorted copy and |x|^2), so a batch under one profile peaks at
-# 40 bytes per sample, ~26 MB, while it distorts, before any residual.  The LMS
-# kernel's per-sample call overhead is shared by the whole batch, so fewer,
-# larger batches are faster: 64 frames of 10,000 fit, and a default
-# ber_awgn sweep (110 frames) runs as two batches.
+# bytes, ~10 MB at this size, and while LMS runs that is all it costs, in
+# every kind: the swarm searches the frames first, and LMS writes each
+# residual over its frame sample.  Distorting a profile's lanes holds 24
+# bytes more per sample of them (the distorted copy and |x|^2), so a batch
+# under one profile peaks at 40 bytes per sample, ~26 MB, while it
+# distorts, before any residual.  The LMS kernel's per-sample call overhead
+# is shared by the whole batch, so fewer, larger batches are faster: 64
+# frames of 10,000 fit, and a default ber_awgn sweep (110 frames) runs as
+# two batches.
 _BATCH_SAMPLES = 640_000
 # Frames one batch may hold, those of a full batch at the default frame.h:
 # the swarm and LMS buffers cost ~50 KB per frame, however short it is.
@@ -529,10 +536,10 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
     _BATCH_SAMPLES frame samples and _BATCH_LANES frames, and at least one
     batch per worker; the LMS of a batch adapts all its frames at once.
     With ``jobs > 1`` the batches execute in a process pool of at most
-    ``min(jobs, runs, cpu count)`` workers.  Rows are merged in (sweep
-    index, seed index) order, and every run's numbers are the same in any
-    batch, so output bytes never depend on the parallelism level or on the
-    batch size.
+    ``min(jobs, runs, CPUs this process may run on)`` workers.  Rows are
+    merged in (sweep index, seed index) order, and every run's numbers are
+    the same in any batch, so output bytes never depend on the parallelism
+    level or on the batch size.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -542,7 +549,8 @@ def run_experiment(spec: ExperimentSpec, jobs: int = 1) -> ResultTable:
         for sweep_idx in range(len(points))
         for seed_idx in range(spec.n_seeds)
     ]
-    workers = min(jobs, len(runs), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, len(runs), cpus)
     batches = max(math.ceil(len(runs) * spec.h / _BATCH_SAMPLES), math.ceil(len(runs) / _BATCH_LANES))
     count = min(len(runs), max(batches, workers))
     tasks = [(spec, batch) for batch in _split(runs, count)]

@@ -10,10 +10,11 @@ the last axis of every array, so each numpy call serves every lane.  With
 L ~ 5 taps, a call per run and sample would cost more in call overhead
 than the arithmetic it does.  That overhead is smallest on contiguous
 operands of one shape, so each block of samples is first copied into
-contiguous buffers laid out for the calls that read it.  A block reads the
-frames once, before it writes its residuals, so the residuals may be
-written over the frames: a caller that reads no frame after LMS holds one
-(B, H) array, not two.
+contiguous buffers laid out for the calls that read it.  A block reads its
+frame samples once, into those buffers, before it writes its residuals, so
+each residual is written over the frame sample it was formed from: a batch
+holds one (B, H) array while it adapts, not two.  A caller that reads a
+frame after LMS adapts a copy.
 """
 
 from __future__ import annotations
@@ -30,36 +31,26 @@ WEIGHT_BOUND = 1e6
 _BLOCK = 64  # samples adapted between two divergence checks
 
 
-def lms_batch(
-    D: np.ndarray, mus: np.ndarray, ale: AleConfig, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Adapt B frames at once, frame b with step size mus[b].
+def lms_batch(D: np.ndarray, mus: np.ndarray, ale: AleConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Adapt B frames at once, frame b with step size mus[b], writing each
+    residual d - y over the frame sample it was formed from.
 
-    Every lane starts from zero weights.  Warm-up samples (regressor not
-    fully populated) are skipped: their output stays 0, so their residual
-    equals the input.  Returns (final_weights, E, diverged_at, max_weight):
-    the (B, L) final weights, weight k multiplying d[n - delay - k], the
-    (B, H) residuals d - y and, per lane, the first sample n after whose
-    update some |w| exceeds WEIGHT_BOUND (-1 if none) and that max |w|
-    (0.0 if none).  From its crossing on, a diverged lane's weights and
-    step size are 0, so its final weights are 0 and its residuals after
-    sample n are its frame less the zeros that zero weights give; no weight
-    or residual is inf or nan.  A lane's result does not depend on the
-    other lanes of the batch.  Frames must be finite.
-
-    E is written into `out` if given: a writeable C-contiguous complex128
-    array of the frames' shape that is either D itself, whose frames are
-    then overwritten by their residuals, or shares no memory with D.
+    D must be a writeable C-contiguous complex128 (B, H) array of finite
+    frames; anything else is rejected before any sample is written.  Every
+    lane starts from zero weights.  Warm-up samples (regressor not fully
+    populated) are skipped: their output stays 0, so their residual is the
+    sample, left as it is.  Returns (final_weights, diverged_at,
+    max_weight): the (B, L) final weights, weight k multiplying
+    d[n - delay - k], and, per lane, the first sample n after whose update
+    some |w| exceeds WEIGHT_BOUND (-1 if none) and that max |w| (0.0 if
+    none).  From its crossing on, a diverged lane's weights and step size
+    are 0, so its final weights are 0 and its residuals after sample n are
+    its frame less the zeros that zero weights give; no weight or residual
+    is inf or nan.  A lane's result does not depend on the other lanes of
+    the batch.
     """
-    if out is not None and not (
-        isinstance(out, np.ndarray) and out.shape == np.shape(D) and out.dtype == np.complex128
-        and out.flags.c_contiguous and out.flags.writeable
-        and (out is D or not np.may_share_memory(out, D))
-    ):
-        raise ValueError("out must be a writeable C-contiguous complex128 array of the frames' shape, "
-                         "the frames themselves or sharing no memory with them")
-    # an out that is D has D's dtype and layout, so D stays that array
-    D = np.ascontiguousarray(D, dtype=np.complex128)
+    if not (isinstance(D, np.ndarray) and D.dtype == np.complex128 and D.flags.c_contiguous and D.flags.writeable):
+        raise ValueError("frames must be a writeable C-contiguous complex128 array: their residuals are written over them")
     mus = np.asarray(mus, dtype=np.float64)
     if D.ndim != 2 or D.shape[0] < 1 or mus.shape != D.shape[:1]:
         raise ValueError(f"need (B, H) frames and B step sizes, got {D.shape} and {mus.shape}")
@@ -68,18 +59,16 @@ def lms_batch(
     _check_frame(D, ale, stacked=True)
     lanes, h = D.shape
     start, taps = ale.warmup, ale.taps
-    E = np.empty_like(D) if out is None else out
-    E[:, :start] = D[:, :start]
-    # (sample, re/im, lane) float views of the frames and the residuals
+    # (sample, re/im, lane) float view of the frames, and of the residuals
+    # written over them
     d = D.view(np.float64).reshape(lanes, h, 2).transpose(1, 2, 0)
-    e = E.view(np.float64).reshape(lanes, h, 2).transpose(1, 2, 0)
     # A block reads the frames only through `span`, (sample, re/im, lane),
     # the frame samples [first - start, last): the start samples before the
     # block, kept from the one before, then the block's own, copied in
-    # before its residuals are written, so E may be the frames.  Its
-    # (window, tap, re/im, lane) regressors, oldest tap first, are one view
-    # made once: window i is that of the block's sample i.  After a block,
-    # its last start samples move to the front.
+    # before its residuals are written over them.  Its (window, tap, re/im,
+    # lane) regressors, oldest tap first, are one view made once: window i
+    # is that of the block's sample i.  After a block, its last start
+    # samples move to the front.
     span = np.empty((start + _BLOCK, 2, lanes))
     span[:start] = d[:start]
     windows = sliding_window_view(span, taps, axis=0).transpose(0, 3, 1, 2)
@@ -145,7 +134,7 @@ def lms_batch(
                     # the mended rows' y - d, summed as the loop sums them
                     add_reduce(v_out[i + 1 : size, :, :, b] * W[size, :, :1, b], 1, None, ne_block[i + 1 : size, :, b])
             # 0 - (y - d), not -(y - d), so that d == y gives +0 as d - y does
-            e[first:last] = 0.0 - ne_block[:size]
+            d[first:last] = 0.0 - ne_block[:size]
             span[:start] = span[size : size + start]
             W[0] = W[size]
-    return W[0, :taps, 0].T[:, ::-1].copy(), E, diverged_at, max_weight
+    return W[0, :taps, 0].T[:, ::-1].copy(), diverged_at, max_weight

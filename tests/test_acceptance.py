@@ -218,8 +218,9 @@ def test_update_matches_finite_difference_gradient():
         mu = float(rng.uniform(0.001, 0.1))
         n = int(rng.integers(ale.delay + taps + 1, 64))
         d = rng.normal(size=n + 1)
-        (w,), _, _, _ = lms_batch(d[None, :n], [mu], ale)
-        (stepped,), _, _, _ = lms_batch(d[None], [mu], ale)
+        # complex copies: lms_batch writes its residuals over the frames
+        (w,), _, _ = lms_batch(d[None, :n].astype(complex), [mu], ale)
+        (stepped,), _, _ = lms_batch(d[None].astype(complex), [mu], ale)
         v = d[n - ale.delay - np.arange(taps)]
         expected = w - (mu / 2.0) * squared_error_gradient_fd(w, d[n], v)
         scale = np.maximum(np.abs(expected), 1e-9)

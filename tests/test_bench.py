@@ -265,11 +265,16 @@ class TestRunExperiment:
         spec = parse_config(SMALL, kind="step_sweep")  # 6 steps x 2 SNR x 2 seeds = 24 runs
         one_task = parse_config(SMALL, kind="step_sweep", overrides={
             "run.sweep_values": "0.01", "run.snr_grid": "0", "run.n_seeds": "1"})
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: 3)
+        # the CPUs this process may run on, not the machine's count, cap the
+        # pool; without sched_getaffinity the machine's count does
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         serial = run_experiment(spec, jobs=1)
         assert run_experiment(spec, jobs=10_000) == serial
         run_experiment(spec, jobs=2)
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(bench.os, "sched_getaffinity", lambda pid: {1})
+        assert run_experiment(spec, jobs=2) == serial  # one CPU: no pool
+        monkeypatch.delattr(bench.os, "sched_getaffinity")
         run_experiment(spec, jobs=10_000)
         run_experiment(one_task, jobs=8)
         assert seen == [3, 2, 24]
@@ -292,9 +297,9 @@ class TestRunExperiment:
         seen = []
         lms_batch = bench.lms_batch
 
-        def recording(frames, mus, ale, out=None):
+        def recording(frames, mus, ale):
             seen.append(len(frames))
-            return lms_batch(frames, mus, ale, out=out)
+            return lms_batch(frames, mus, ale)
 
         monkeypatch.setattr(bench, "lms_batch", recording)
         spec = parse_config(SMALL, kind="step_sweep")  # 24 runs of 300 samples
@@ -311,30 +316,43 @@ class TestRunExperiment:
         seen = []
         lms_batch = bench.lms_batch
 
-        def recording(frames, mus, ale, out=None):
+        def recording(frames, mus, ale):
             seen.append(len(frames))
-            return lms_batch(frames, mus, ale, out=out)
+            return lms_batch(frames, mus, ale)
 
         monkeypatch.setattr(bench, "lms_batch", recording)
         doc = "frame.h = 12\nrun.snr_grid = 0\nrun.n_seeds = 65\npso.n_particles = 4\npso.max_iters = 2\n"
         run_experiment(parse_config(doc))
         assert seen == [32, 33]
 
-    @pytest.mark.parametrize("kind, in_place", [("step_sweep", True), ("ber_awgn", False)])
-    def test_only_step_sweep_writes_residuals_over_its_frames(self, kind, in_place, monkeypatch):
-        """A step sweep reads no frame after LMS, so lms_batch writes its
-        residuals over the frames; a metric run's swarm and PSO residual read
-        the frames afterwards, so its LMS residuals go to an array of their own."""
-        seen = []
-        lms_batch = bench.lms_batch
+    @pytest.mark.parametrize("kind, calls", [
+        ("step_sweep", ["lms_batch"]),
+        ("ber_awgn", ["pso_batch", "lms_batch"]),
+        ("ber_nonlinear", ["pso_batch", "lms_batch"]),
+    ])
+    def test_lms_adapts_the_batch_frames_after_the_swarm(self, kind, calls, monkeypatch):
+        """Every kind that runs LMS passes its batch's frames array itself
+        to lms_batch, which writes the residuals over it; a metric kind's
+        swarm searches those frames first, while they are intact."""
+        seen, drawn = [], []
+        batch_frames, lms_batch, pso_batch = bench._batch_frames, bench.lms_batch, bench.pso_batch
 
-        def recording(frames, mus, ale, out=None):
-            seen.append(out is frames)
-            return lms_batch(frames, mus, ale, out=out)
+        def recording_frames(spec, runs):
+            lanes, bits, frames = batch_frames(spec, runs)
+            drawn.append(frames)
+            return lanes, bits, frames
 
-        monkeypatch.setattr(bench, "lms_batch", recording)
-        run_experiment(parse_config(SMALL, kind=kind))
-        assert seen == [in_place]
+        def recording(name, fn):
+            def call(frames, *args):
+                seen.append((name, frames is drawn[-1]))
+                return fn(frames, *args)
+            return call
+
+        monkeypatch.setattr(bench, "_batch_frames", recording_frames)
+        monkeypatch.setattr(bench, "lms_batch", recording("lms_batch", lms_batch))
+        monkeypatch.setattr(bench, "pso_batch", recording("pso_batch", pso_batch))
+        run_experiment(parse_config(_BATCH_DOCS.get(kind, SMALL), kind=kind))
+        assert len(drawn) == 1 and seen == [(name, True) for name in calls]
 
     @pytest.mark.parametrize("kind", list(_DIVERGING_DOCS))
     def test_crossed_lms_lanes_keep_their_rows_at_inf_power(self, kind):
@@ -347,8 +365,8 @@ class TestRunExperiment:
         spec = parse_config(_DIVERGING_DOCS[kind], kind=kind)
         points = bench._sweep_points(spec)
         runs = [(i, j) for i in range(len(points)) for j in range(spec.n_seeds)]
-        _, bits, frames = bench._batch_frames(spec, runs)
-        _, residuals, diverged_at, _ = lms_batch(frames, np.full(len(runs), spec.mu), spec.ale)
+        _, bits, residuals = bench._batch_frames(spec, runs)
+        _, diverged_at, _ = lms_batch(residuals, np.full(len(runs), spec.mu), spec.ale)  # written over the frames
         table = run_experiment(spec)
         lms_rows, pso_rows = table.raw_rows[::2], table.raw_rows[1::2]
         assert [row["algorithm"] for row in lms_rows] == ["LMS"] * len(runs)
@@ -417,7 +435,8 @@ class TestRunExperiment:
         points = bench._sweep_points(spec)
         runs = [(i, j) for i in range(len(points)) for j in range(spec.n_seeds)]
         lanes, bits, frames = bench._batch_frames(spec, runs)
-        _, lms_residuals, _, _ = lms_batch(frames, np.full(len(runs), spec.mu), spec.ale)
+        lms_residuals = frames.copy()  # the swarm below reads the frames
+        lms_batch(lms_residuals, np.full(len(runs), spec.mu), spec.ale)
         weights, _ = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
         rows = run_experiment(spec).raw_rows
         v0, k = spec.ale.warmup, spec.mod.bits_per_symbol
@@ -440,8 +459,9 @@ class TestRunExperiment:
             kind="step_sweep",
         )
         (row,) = run_experiment(spec).raw_rows
-        _, _, (d,) = bench._batch_frames(spec, [(0, 0)])
-        _, (e,), _, _ = lms_batch(d[None], [0.02], spec.ale)
+        _, _, frames = bench._batch_frames(spec, [(0, 0)])
+        lms_batch(frames, [0.02], spec.ale)
+        (e,) = frames
         assert row["mse"] == float(np.mean(np.abs(e)[spec.ale.warmup :] ** 2))
 
     def test_overflowing_powers_are_inf_without_warning(self):
@@ -773,6 +793,14 @@ class TestSpecValidation:
     def test_infinite_step_size_rejected(self):
         with pytest.raises(ConfigError, match="run.sweep_values"):
             parse_config("run.sweep_values = 0.01, inf", kind="step_sweep")
+
+    @pytest.mark.parametrize("kind", ["ber_awgn", "ber_nonlinear"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_sweep_value_checked_by_kinds_that_ignore_it(self, kind, value):
+        """A kind that reads no sweep value still checks it, as run-all
+        applies one config to every kind."""
+        with pytest.raises(ConfigError, match=f"run.sweep_values: sweep values must be finite and > 0, got {float(value)}"):
+            parse_config(f"run.sweep_values = {value}", kind=kind)
 
     @pytest.mark.parametrize("kind", bench.KINDS)
     @pytest.mark.parametrize("profiles", ["3.9GHz", "60MHz, 3.9GHz", "none", "", " , "])

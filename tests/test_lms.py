@@ -1,6 +1,7 @@
 """Tests for the sample-recursive gradient adaptation."""
 
 import hashlib
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -28,10 +29,19 @@ def _assert_rel(actual, expected, rel=1e-12):
     assert np.max(np.abs(actual - expected)) <= rel * scale
 
 
+def _adapt(frames, mus, ale):
+    """(final weights, residuals, crossing samples, peaks) of lms_batch run
+    on a fresh C-ordered complex copy of `frames`, which it leaves as they
+    were: the residuals are that copy, written over."""
+    residuals = np.array(frames, dtype=np.complex128, order="C")
+    weights, diverged_at, max_weight = lms_batch(residuals, mus, ale)
+    return weights, residuals, diverged_at, max_weight
+
+
 def _run_alone(d, mu, ale):
     """(final weights, residuals, crossing sample or -1, peak or 0.0) of
     frame d adapted in a one-lane batch."""
-    (weights,), (e,), (diverged_at,), (max_weight,) = lms_batch(d[None], [mu], ale)
+    (weights,), (e,), (diverged_at,), (max_weight,) = _adapt(d[None], [mu], ale)
     return weights, e, diverged_at, max_weight
 
 
@@ -74,7 +84,7 @@ class TestLmsRun:
         0.1 * d[1] equals d[2], so its zero error leaves w at 0.1.  Sample
         0 is warm-up, its residual the sample."""
         frames = np.array([[1, 1, 0.1], [1j, 1j, 0.1j]])
-        weights, e, *crossings = lms_batch(frames, [0.1, 0.1], AleConfig(taps=1, delay=1))
+        weights, e, *crossings = _adapt(frames, [0.1, 0.1], AleConfig(taps=1, delay=1))
         _assert_no_crossing(*crossings)
         np.testing.assert_array_equal(weights, [[0.1], [0.1]])
         np.testing.assert_array_equal(e, [[1, 1, 0], [1j, 1j, 0]])
@@ -85,7 +95,7 @@ class TestLmsRun:
         leave w at a through every later block, and the residual is +0, as
         d - y is, not -0."""
         d = np.array([0.5, -0.5])[:, None] ** np.arange(200)
-        weights, e, *crossings = lms_batch(d, [1.0, 1.0], AleConfig(taps=1, delay=1))
+        weights, e, *crossings = _adapt(d, [1.0, 1.0], AleConfig(taps=1, delay=1))
         _assert_no_crossing(*crossings)
         np.testing.assert_array_equal(weights, [[0.5], [-0.5]])
         np.testing.assert_array_equal(e[:, :2], d[:, :2])
@@ -95,7 +105,7 @@ class TestLmsRun:
         """A mu = 0 lane keeps zero weights, its residual its frame, beside a
         lane of the same frame that adapts."""
         d = _awgn_frame(0.0, 41, 42, h=512)
-        weights, e, *crossings = lms_batch(np.stack([d, d]), [0.02, 0.0], ALE)
+        weights, e, *crossings = _adapt(np.stack([d, d]), [0.02, 0.0], ALE)
         _assert_no_crossing(*crossings)
         assert np.abs(weights[0]).max() > 0.0
         np.testing.assert_array_equal(weights[1], np.zeros(5))
@@ -186,7 +196,7 @@ class TestLmsRun:
         """With mu in the low-residual band, the residual power over the last
         tenth of the frame stays below the first tenth (20-seed average)."""
         frames = np.array([_awgn_frame(-2.0, s, 10_000 + s) for s in range(20)])
-        _, residuals, *crossings = lms_batch(frames, np.full(20, 0.02), ALE)
+        _, residuals, *crossings = _adapt(frames, np.full(20, 0.02), ALE)
         _assert_no_crossing(*crossings)
         firsts, lasts = [], []
         for e in residuals:
@@ -223,7 +233,7 @@ class TestLmsBatch:
         for taps in range(1, 9):
             for delay in range(1, 4):
                 ale = AleConfig(taps=taps, delay=delay)
-                result = lms_batch(frames, mus, ale)
+                result = _adapt(frames, mus, ale)
                 assert result[0].shape == (lanes, taps) and result[1].shape == frames.shape
                 for lane in range(lanes):
                     assert _assert_lane_is_run_alone(frames[lane], mus[lane], ale, result, lane) == "converged"
@@ -235,7 +245,7 @@ class TestLmsBatch:
         stay bit-identical."""
         frames = np.array([_awgn_frame(-2.0, 80 + s, 90 + s, h=2000) for s in range(8)])
         mus = [0.01, 0.3, 0.08, 10.0, 0.2, 0.3, 0.02, 10.0]
-        result = weights, e, diverged_at, _ = lms_batch(frames, mus, ALE)
+        result = weights, e, diverged_at, _ = _adapt(frames, mus, ALE)
         ended = [_assert_lane_is_run_alone(frames[b], mus[b], ALE, result, b) for b in range(len(mus))]
         assert ended == ["diverged" if mu in (0.3, 10.0) else "converged" for mu in mus]
         assert len(set(diverged_at[diverged_at >= 0])) > 1
@@ -248,9 +258,9 @@ class TestLmsBatch:
         frames = _small_frames(7)
         mus = np.array([0.01, 10.0, 0.08, 0.3, 0.02, 0.2, 0.005])
         ale = AleConfig(taps=7, delay=2)
-        whole = lms_batch(frames, mus, ale)
+        whole = _adapt(frames, mus, ale)
         for picked in ([3], [0, 2], [6, 1, 4, 3], [5, 5]):
-            for part, full in zip(lms_batch(frames[picked], mus[picked], ale), whole):
+            for part, full in zip(_adapt(frames[picked], mus[picked], ale), whole):
                 np.testing.assert_array_equal(part, full[picked])
 
     def test_matches_loop_oracle(self):
@@ -258,7 +268,7 @@ class TestLmsBatch:
         mus = [0.005, 0.08, 0.2, 0.3, 10.0, 0.02]
         for taps in range(1, 9):
             for delay in range(1, 4):
-                weights, e, diverged_at, max_weight = lms_batch(frames, mus, AleConfig(taps=taps, delay=delay))
+                weights, e, diverged_at, max_weight = _adapt(frames, mus, AleConfig(taps=taps, delay=delay))
                 for lane, mu in enumerate(mus):
                     expected = loop_lms(frames[lane], taps, delay, mu)
                     if isinstance(expected[0], int):
@@ -280,7 +290,7 @@ class TestLmsBatch:
         returned outputs, so the residual is unchanged bit for bit."""
         frames = np.array([_awgn_frame(-2.0, 500 + s, 600 + s) for s in range(14)])
         mus = [0.005, 0.01, 0.02, 0.04, 0.08, 0.2, 0.3] * 2
-        weights, e, diverged_at, max_weight = lms_batch(frames, mus, ALE)
+        weights, e, diverged_at, max_weight = _adapt(frames, mus, ALE)
         assert list(diverged_at) == [-1] * 6 + [208] + [-1] * 6 + [105]
         crossings = [None if n < 0 else (int(n), float(peak)) for n, peak in zip(diverged_at, max_weight)]
         digest = hashlib.sha256(weights.tobytes() + e.tobytes() + repr(crossings).encode())
@@ -293,14 +303,17 @@ class TestLmsBatch:
         a mu = 0.3 lane that diverges has its frame as its residual from the
         sample after its crossing on."""
         frames = np.array([_awgn_frame(-2.0, 500 + s, 600 + s) for s in (0, 1, 6)])
-        _, e, diverged_at, _ = lms_batch(frames, [0.02, 0.0, 0.3], ALE)
+        _, e, diverged_at, _ = _adapt(frames, [0.02, 0.0, 0.3], ALE)
         assert list(diverged_at) == [-1, -1, 208]
         assert e[:, : ALE.warmup].tobytes() == frames[:, : ALE.warmup].tobytes()
         assert e[1].tobytes() == frames[1].tobytes()
         assert e[2, 209:].tobytes() == frames[2, 209:].tobytes()
 
     def test_bad_input_rejected(self):
+        """Each rejection comes before any residual is written: the frames
+        are left as they were, a non-finite sample among them too."""
         frames = _small_frames(2)
+        before = frames.tobytes()
         with pytest.raises(ValueError, match="need"):
             lms_batch(frames, [0.01], ALE)
         for mus in ([0.01, -0.1], [0.01, np.inf], [0.01, np.nan]):
@@ -310,11 +323,14 @@ class TestLmsBatch:
             lms_batch(frames[0], [0.01], ALE)
         with pytest.raises(ValueError):
             lms_batch(np.ones((2, 6), dtype=complex), [0.01, 0.01], ALE)
+        assert frames.tobytes() == before
         for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
             nonfinite = frames.copy()
             nonfinite[1, 100] = bad
+            kept = nonfinite.tobytes()
             with pytest.raises(ValueError, match="frames must be finite"):
                 lms_batch(nonfinite, [0.01, 0.01], ALE)
+            assert nonfinite.tobytes() == kept
 
     def test_block_size_changes_nothing(self, monkeypatch):
         """Weights, outputs and divergence sample and peak are the same bit
@@ -339,7 +355,7 @@ class TestLmsBatch:
             _awgn_frame(0.0, 62, 72, h=h), _awgn_frame(-2.0, 63, 73, h=h), burst,
         ])
         mus = [0.3, 10.0, 10.0, 10.0, 0.02, 0.08, 10.0]
-        expected = lms_batch(frames, mus, ale)
+        expected = _adapt(frames, mus, ale)
         offsets = [None if n < 0 else n - start for n in expected[2]]
         assert offsets[:6] == [47, 64, 127, 270, None, None] and offsets[6] < 64
         # Unchecked, the mu = 0.3 lane is back under the bound by the end of
@@ -353,7 +369,7 @@ class TestLmsBatch:
         assert peaks[47] > lms.WEIGHT_BOUND >= peaks[-1]
         for block in (2, 7, 64, h):
             monkeypatch.setattr(lms, "_BLOCK", block)
-            for part, full in zip(lms_batch(frames, mus, ale), expected):
+            for part, full in zip(_adapt(frames, mus, ale), expected):
                 np.testing.assert_array_equal(part, full)
             # alone, so that no other lane's crossing makes its block checked
             for lane, mu in enumerate(mus):
@@ -370,7 +386,7 @@ class TestLmsBatch:
         monkeypatch.setattr(lms, "_BLOCK", frames.shape[1])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            weights, e, diverged_at, max_weight = lms_batch(frames, mus, ALE)
+            weights, e, diverged_at, max_weight = _adapt(frames, mus, ALE)
         assert diverged_at[1] >= 0
         np.testing.assert_array_equal(diverged_at[1], alone[1][2])
         np.testing.assert_array_equal(max_weight[1], alone[1][3])
@@ -395,7 +411,7 @@ class TestLmsBatch:
             return np.subtract(*args)
 
         monkeypatch.setattr(lms, "np", SimpleNamespace(**{**vars(np), "subtract": counted}))
-        _, _, diverged_at, _ = lms_batch(frames, [0.3, 0.02, 0.02], ale)
+        _, diverged_at, _ = lms_batch(frames, [0.3, 0.02, 0.02], ale)
         h, start = frames.shape[1], ale.warmup
         assert diverged_at[0] - start == 47  # mid-block, later blocks follow
         assert diverged_at[1] == start and diverged_at[2] == -1
@@ -408,7 +424,7 @@ class TestLmsBatch:
         bit-identical to its lone run."""
         frames = _small_frames(2)
         frames[1] *= 1e160
-        weights, e, diverged_at, _ = lms_batch(frames, [0.02, 0.02], ALE)
+        weights, e, diverged_at, _ = _adapt(frames, [0.02, 0.02], ALE)
         assert diverged_at[1] == ALE.warmup
         assert np.all(np.isfinite(weights)) and np.all(np.isfinite(e))
         alone = _run_alone(frames[0], 0.02, ALE)
@@ -422,42 +438,59 @@ class TestLmsBatch:
         (4, 3, 119, 500),
         (9, 8, 40, 250),
     ])
-    def test_out_matches_default(self, lanes, taps, delay, h):
-        """Residuals written into `out`, a separate array or the frames
-        themselves, are the default result bit for bit, as are the weights,
-        crossings and peaks, with lanes that cross the bound, a 1e160 lane
-        whose products overflow, and windows that reach back more than one
-        block."""
+    def test_in_place_matches_a_fresh_copy(self, lanes, taps, delay, h, monkeypatch):
+        """Residuals written over the frames, 64 samples a block, are bit
+        for bit those of a fresh copy of the same frames adapted as one
+        block, which copies every frame sample before it writes any
+        residual; so are the weights, crossings and peaks.  With lanes that
+        cross the bound, a 1e160 lane whose products overflow, and windows
+        that reach back more than one block."""
         rng = np.random.default_rng([lanes, taps, delay, h])
         frames = (rng.standard_normal((lanes, h)) + 1j * rng.standard_normal((lanes, h))) * 10.0 ** rng.uniform(-3, 3, (lanes, 1))
         frames[-1] *= 1e160
         mus = np.concatenate([[0.3, 10.0][:lanes], rng.uniform(0.0, 0.05, lanes)])[:lanes]
         ale = AleConfig(taps=taps, delay=delay)
-        expected = lms_batch(frames, mus, ale)
-        assert expected[2][-1] >= 0
-        separate = np.full_like(frames, np.nan)
         in_place = frames.copy()
-        for D, out in ((frames, separate), (in_place, in_place)):
-            result = lms_batch(D, mus, ale, out=out)
-            assert result[1] is out and np.shares_memory(result[1], D) == (D is out)
-            for part, full in zip(result, expected):
-                assert part.tobytes() == full.tobytes()
+        weights, diverged_at, max_weight = lms_batch(in_place, mus, ale)
+        assert diverged_at[-1] >= 0
+        monkeypatch.setattr(lms, "_BLOCK", h)
+        expected = _adapt(frames, mus, ale)
+        for part, full in zip((weights, in_place, diverged_at, max_weight), expected):
+            assert part.tobytes() == full.tobytes()
 
-    @pytest.mark.parametrize("bad", ["shape", "dtype", "order", "overlap", "read-only"])
-    def test_bad_out_rejected(self, bad):
-        """An `out` that lms_batch cannot write the residuals into is named
-        before any sample is adapted: neither the frames nor `out` change."""
-        base = _small_frames(3)
-        frames = base[:2]
-        out = {
-            "shape": np.zeros((2, base.shape[1] - 1), dtype=complex),
-            "dtype": np.zeros(frames.shape, dtype=np.complex64),
-            "order": np.asfortranarray(np.zeros(frames.shape, dtype=complex)),
-            "overlap": base[1:],  # contiguous rows 1 and 2 against frames' 0 and 1
-            "read-only": np.zeros(frames.shape, dtype=complex),
+    @pytest.mark.parametrize("bad", ["shape", "dtype", "order", "read-only", "list"])
+    def test_bad_frames_rejected(self, bad):
+        """Frames lms_batch cannot write the residuals over, a writeable
+        C-contiguous complex128 (B, H) array, are rejected before any sample
+        is adapted, and left as they were."""
+        frames = _small_frames(2)
+        D = {
+            "shape": frames[None],  # (1, B, H)
+            "dtype": frames.astype(np.complex64),
+            "order": np.asfortranarray(frames),
+            "read-only": frames.copy(),
+            "list": frames.tolist(),
         }[bad]
-        out.flags.writeable = bad != "read-only"
-        before = base.tobytes(), out.tobytes()
-        with pytest.raises(ValueError, match="out must be"):
-            lms_batch(frames, [0.01, 0.01], ALE, out=out)
-        assert (base.tobytes(), out.tobytes()) == before
+        if bad == "read-only":
+            D.flags.writeable = False
+        before = np.array(D).tobytes()
+        with pytest.raises(ValueError, match="frames must be a writeable C-contiguous complex128 array|need"):
+            lms_batch(D, [0.01, 0.01], ALE)
+        assert np.array(D).tobytes() == before
+
+    def test_memory_does_not_grow_with_the_frame(self):
+        """Writing the residuals over the frames, lms_batch allocates no
+        residual array: on 4 lanes of 50,000 samples its peak stays below
+        one lane's frame bytes, and within 25 % of its peak at 5,000."""
+        def peak(h):
+            frames = np.array([_awgn_frame(0.0, 60 + s, 70 + s, h=h) for s in range(4)])
+            tracemalloc.start()
+            try:
+                lms_batch(frames, [0.01] * 4, ALE)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        long_peak, short_peak = peak(50_000), peak(5_000)
+        assert long_peak < 50_000 * 16
+        assert long_peak <= 1.25 * short_peak

@@ -399,7 +399,8 @@ class TestSearch:
         """Averaged over 20 seeds the swarm's final cost sits at or below the
         gradient loop's mean residual power on the same frame."""
         frames = np.array([_awgn_frame(-2.0, 90 + s, 190 + s, h=10_000) for s in range(20)])
-        _, residuals, diverged_at, _ = lms_batch(frames, np.full(20, 0.01), ALE)
+        residuals = frames.copy()  # the swarm below reads the frames
+        _, diverged_at, _ = lms_batch(residuals, np.full(20, 0.01), ALE)
         assert np.all(diverged_at == -1)
         _, histories = pso_batch(frames, list(range(20)), PsoConfig(), ALE)
         gaps = [
@@ -558,7 +559,7 @@ class TestCostFloor:
         reached = brute_force_cost(real_least_squares_weights(d, taps, delay), d, taps, delay)
         assert reached == pytest.approx(floor, rel=1e-9)
         least = floor * (1.0 - 1e-9)
-        lms_weights, _, _, _ = lms_batch(np.repeat(d[None], 4, axis=0), [0.005, 0.02, 0.08, 0.3], ale)
+        lms_weights, _, _ = lms_batch(np.repeat(d[None], 4, axis=0), [0.005, 0.02, 0.08, 0.3], ale)
         for w in lms_weights:
             assert np.mean(np.abs((d - filter_frame(d, w, ale))[ale.warmup :]) ** 2) >= least
         (weights,), (history,) = pso_batch(d[None], [seed], PsoConfig(n_particles=10, max_iters=20), ale)
