@@ -1,10 +1,11 @@
-"""Adaptive line enhancer core: delayed regressors and FIR filtering.
+"""Adaptive line enhancer core: geometry, frame checks and the
+fixed-weight residual.
 
 The enhancer delays the received samples by `delay`, forms length-`taps`
 regressors from the delayed stream, and applies a real weight vector to
 produce the predictable component y.  The residual e = d - y is the
-noise-cancelled stream.  Samples whose regressor would reach before the
-start of the frame are zero-padded.
+noise-cancelled stream, read from sample `warmup` on, the first whose
+regressor lies wholly inside the frame.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-__all__ = ["AleConfig", "filter_frame"]
+__all__ = ["AleConfig"]
 
 # The most taps L.  In a full batch of 64 lanes at L = 32, lms_batch's float64
 # (64, L, 2, 64) output regressors and (65, L, 2, 64) weight rows take 2 MiB
@@ -53,35 +54,28 @@ class AleConfig:
         return self.delay + self.taps - 1
 
 
-def _check_weights(w: np.ndarray, cfg: AleConfig) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (cfg.taps,):
-        raise ValueError(f"weights must have shape ({cfg.taps},), got {w.shape}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
-    return w
-
-
-def _check_frame(d: np.ndarray, cfg: AleConfig, stacked: bool = False) -> np.ndarray:
-    """A 1-D frame, or if `stacked` frames along the last axis, as
-    complex128: long enough for the enhancer and finite."""
-    d = np.atleast_1d(np.asarray(d, dtype=np.complex128))
-    if d.ndim != 1 and not stacked:
-        raise ValueError(f"input must be a non-empty 1-D stream, got shape {d.shape}")
-    if d.shape[-1] <= cfg.delay + cfg.taps:
-        raise ValueError(f"frame of length {d.shape[-1]} too short for delay {cfg.delay} and {cfg.taps} taps")
-    if not np.all(np.isfinite(d)):
+def _check_frame(D: np.ndarray, ale: AleConfig) -> np.ndarray:
+    """Frames along the last axis, as a C-contiguous complex128 array: long
+    enough for the enhancer and finite."""
+    D = np.ascontiguousarray(D, dtype=np.complex128)
+    if D.shape[-1] <= ale.delay + ale.taps:
+        raise ValueError(f"frame of length {D.shape[-1]} too short for delay {ale.delay} and {ale.taps} taps")
+    x = D.view(np.float64)  # a nan or an inf part reaches its least or greatest: no per-sample temporary
+    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
         raise ValueError("frames must be finite")
-    return d
+    return D
 
 
-def filter_frame(d: np.ndarray, w: np.ndarray, cfg: AleConfig) -> np.ndarray:
-    """Apply fixed weights across a whole frame and return the output y.
+def _lags(d: np.ndarray, ale: AleConfig) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A frame's target d[warmup:] and its lag slices: lag k holds
+    d[n - delay - k] for the same n, so it is the frame delayed by delay + k."""
+    return d[ale.warmup :], [d[ale.warmup - ale.delay - k : d.size - ale.delay - k] for k in range(ale.taps)]
 
-    y[n] = sum_k w[k] * d[n - delay - k], with zero padding ahead of the
-    frame; the first `cfg.warmup` outputs see part of that padding.
-    """
-    d = _check_frame(d, cfg)
-    w = _check_weights(w, cfg)
-    delayed = np.concatenate([np.zeros(cfg.delay, dtype=np.complex128), d[: d.size - cfg.delay]])
-    return np.convolve(delayed, w)[: d.size]
+
+@np.errstate(over="ignore", invalid="ignore")
+def _residual(d: np.ndarray, w: np.ndarray, ale: AleConfig) -> np.ndarray:
+    """The residual e[n] = d[n] - sum_k w[k] * d[n - delay - k] of a frame d
+    under fixed real weights w, over n from `ale.warmup` on, the lag sum
+    formed in tap order.  A sum that overflows is left inf or nan."""
+    target, lags = _lags(d, ale)
+    return target - sum(wk * lag for wk, lag in zip(w, lags))

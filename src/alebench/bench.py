@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .ale import AleConfig, filter_frame
+from .ale import AleConfig, _residual
 from .channel import DEFAULT_PROFILES, SNR_LIMIT_DB, add_awgn, apply_nonlinear
 from .errors import ConfigError
 from .lms import lms_batch
@@ -326,12 +326,13 @@ def _power(x: np.ndarray, crossed: bool) -> float:
     return math.inf if crossed else float(np.mean(np.abs(x) ** 2))
 
 
-def _metric_row(spec: ExperimentSpec, lane: tuple, base: dict, algorithm: str, e: np.ndarray, sent, crossed: bool) -> dict:
-    """The row of one algorithm's residual e of a run.  From sample `warmup`
-    on, bits are decided on it, and `mse` is its power.  A power that
+def _metric_row(
+    spec: ExperimentSpec, lane: tuple, base: dict, algorithm: str, residual: np.ndarray, sent, crossed: bool
+) -> dict:
+    """The row of one algorithm's residual of a run, from sample `warmup`
+    on: bits are decided on it, and `mse` is its power.  A power that
     overflows is inf, as are a crossed LMS lane's (_power); a residual that
     overflows fails the run."""
-    residual = e[spec.ale.warmup :]
     if not np.isfinite(residual).all():
         reason = f"{algorithm} residual is not finite"  # lane = (point, seed_idx, run_seed, pso_seed)
         raise RuntimeError(f"{spec.kind} failed at sweep point {lane[0]}, seed index {lane[1]}: {reason}")
@@ -357,12 +358,12 @@ def _metric_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, fra
     sent_bits = bits[:, spec.mod.bits_per_symbol * spec.ale.warmup :]
     weights, _ = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
     pso_rows = [
-        _metric_row(spec, lane, base, "PSO", d - filter_frame(d, w, spec.ale), sent, False)
+        _metric_row(spec, lane, base, "PSO", _residual(d, w, spec.ale), sent, False)
         for lane, base, d, w, sent in zip(lanes, bases, frames, weights, sent_bits)
     ]
     _, diverged_at, _ = lms_batch(frames, np.full(len(lanes), spec.mu), spec.ale)
     lms_rows = [
-        _metric_row(spec, lane, base, "LMS", e, sent, n >= 0)
+        _metric_row(spec, lane, base, "LMS", e[spec.ale.warmup :], sent, n >= 0)
         for lane, base, e, sent, n in zip(lanes, bases, frames, sent_bits, diverged_at)
     ]
     return [row for pair in zip(lms_rows, pso_rows) for row in pair]

@@ -56,7 +56,7 @@ def lms_batch(D: np.ndarray, mus: np.ndarray, ale: AleConfig) -> tuple[np.ndarra
         raise ValueError(f"need (B, H) frames and B step sizes, got {D.shape} and {mus.shape}")
     if not np.all(np.isfinite(mus) & (mus >= 0.0)):
         raise ValueError("step sizes must be finite and >= 0")
-    _check_frame(D, ale, stacked=True)
+    _check_frame(D, ale)
     lanes, h = D.shape
     start, taps = ale.warmup, ale.taps
     # (sample, re/im, lane) float view of the frames, and of the residuals

@@ -1,7 +1,7 @@
 """Particle-swarm search for the enhancer weight vector.
 
 A particle's position is a candidate weight vector; its cost is the mean
-squared residual of the whole frame filtered with those weights held fixed.
+squared residual of the frame under those weights held fixed (ale._residual).
 That cost is a quadratic in the real weights, so each frame is reduced once
 to its sufficient statistics and every particle then costs O(L^2).  A
 search reports only its global best: the weights, and the cost after each
@@ -20,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ale import AleConfig, _check_frame, _check_weights
+from .ale import AleConfig, _check_frame, _lags, _residual
 from .errors import ConfigError
 
-__all__ = ["PsoConfig", "evaluate_cost", "pso_batch"]
+__all__ = ["PsoConfig", "pso_batch"]
 
 # A quadratic-form cost below this fraction of c + w'Rw has lost too many
 # digits to cancellation and is recomputed from the residual directly.
@@ -77,10 +77,12 @@ class PsoConfig:
 
 
 def _gram(d: np.ndarray, ale: AleConfig):
-    """The frame's (R, p, c), and the (target, lags) slices that a
-    particle's direct recompute reads."""
-    target = d[ale.warmup :]
-    lags = [d[ale.warmup - ale.delay - k : d.size - ale.delay - k] for k in range(ale.taps)]
+    """A frame's cost statistics (R, p, c): J(w) = c - 2w'p + w'Rw is the
+    mean |e[n]|^2 of its residual under fixed weights w, over the m samples
+    from warmup on.  With V[n, k] = d[n - delay - k], R = Re(V^H V)/m,
+    p = Re(V^H d)/m and c = mean|d|^2; each entry is one inner product of
+    lag slices, so no regressor matrix is built."""
+    target, lags = _lags(d, ale)
     m = target.size
     R = np.empty((ale.taps, ale.taps))
     for j in range(ale.taps):
@@ -88,10 +90,12 @@ def _gram(d: np.ndarray, ale: AleConfig):
             R[j, k] = R[k, j] = np.vdot(lags[j], lags[k]).real / m
     p = np.array([np.vdot(lag, target).real for lag in lags]) / m
     c = np.vdot(target, target).real / m
-    return R, p, c, (target, lags)
+    return R, p, c
 
 
-def _scores(w: np.ndarray, R: np.ndarray, p: np.ndarray, c: np.ndarray, frames: list, lane: np.ndarray) -> np.ndarray:
+def _scores(
+    w: np.ndarray, R: np.ndarray, p: np.ndarray, c: np.ndarray, frames: list, lane: np.ndarray, ale: AleConfig
+) -> np.ndarray:
     """(P,) costs of (L, P) weights, particle i scored on its lane's
     statistics: R[:, :, lane[i]], p[:, lane[i]] and c[lane[i]].
 
@@ -100,9 +104,9 @@ def _scores(w: np.ndarray, R: np.ndarray, p: np.ndarray, c: np.ndarray, frames: 
     particles last, where numpy's inner loops are long, and copied
     particles first before the sums, so that each particle's products are
     summed as one contiguous block, in numpy's order for an (N, L) swarm.
-    A particle whose quadratic form has cancelled is recomputed from the
-    residual of its lane's ``frames[lane[i]] = (target, lags)``.  A cost
-    that overflows to nan (inf - inf) is +inf, never a best; callers silence it.
+    A particle whose quadratic form has cancelled is recomputed as the
+    power of its residual on its lane's frame, frames[lane[i]].  A cost that
+    overflows to nan (inf - inf) is +inf, never a best; callers silence it.
     """
     prod = R.take(lane, axis=2)
     prod *= w[:, None]
@@ -111,9 +115,8 @@ def _scores(w: np.ndarray, R: np.ndarray, p: np.ndarray, c: np.ndarray, frames: 
     c = c[lane]
     out = c - 2.0 * (w * p.take(lane, axis=1)).T.copy().sum(axis=1) + quad
     for i in np.flatnonzero(out < GRAM_FALLBACK_RATIO * (c + quad)):
-        target, lags = frames[lane[i]]
-        e = target - sum(wk * lag for wk, lag in zip(w[:, i], lags))
-        out[i] = np.vdot(e, e).real / target.size
+        e = _residual(frames[lane[i]], w[:, i], ale)
+        out[i] = np.vdot(e, e).real / e.size
     out[np.isnan(out)] = np.inf
     return out
 
@@ -123,18 +126,6 @@ def _lane_best(pcost: np.ndarray, starts: np.ndarray, lane: np.ndarray):
     top = np.minimum.reduceat(pcost, starts)
     hits = np.flatnonzero(pcost == top[lane])
     return hits[np.searchsorted(hits, starts)], top
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def evaluate_cost(w: np.ndarray, d: np.ndarray, ale: AleConfig) -> float:
-    """Mean |e[n]|^2 over the fully-populated range, weights held fixed:
-    J(w) = c - 2w'p + w'Rw, where, with V[n, k] = d[n - delay - k] over the
-    m valid samples, R = Re(V^H V)/m, p = Re(V^H d)/m and c = mean|d|^2.
-    Each entry is one inner product of lagged slices of d, so no regressor
-    matrix is built.  The swarm scores with the same code."""
-    w = _check_weights(w, ale)
-    R, p, c, frame = _gram(_check_frame(d, ale), ale)
-    return float(_scores(w[:, None], R[..., None], p[:, None], np.array([c]), [frame], np.zeros(1, int))[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -163,21 +154,21 @@ def pso_batch(
     global best, a row of the (B, L) array, and histories[b] its global-best
     cost after each iteration, whose last entry is the cost of weights[b].
     """
-    D = _check_frame(D, ale, stacked=True)
+    D = _check_frame(D, ale)
     counts = [cfg.n_particles] * len(seeds) if counts is None else list(counts)
     if D.ndim != 2 or not len(seeds) or not len(D) == len(seeds) == len(counts):
         raise ValueError(f"need (B, H) frames, B seeds and B counts, got {D.shape}, {len(seeds)} and {len(counts)}")
     for n in counts:  # checked before the (L, P) swarm is allocated
         if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_PARTICLES):
             raise ValueError(f"particle counts must be integers from 1 to {MAX_PARTICLES}, got {n}")
-    R, p, c, frames = (list(col) for col in zip(*(_gram(d, ale) for d in D)))
-    R, p, c = np.stack(R, axis=2), np.stack(p, axis=1), np.array(c)
+    R, p, c = (list(col) for col in zip(*(_gram(d, ale) for d in D)))
+    R, p, c, frames = np.stack(R, axis=2), np.stack(p, axis=1), np.array(c), list(D)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     x = np.hstack([rng.uniform(-cfg.init_range, cfg.init_range, size=(n, ale.taps)).T for rng, n in zip(rngs, counts)])
     live, counts = np.arange(len(seeds)), np.array(counts)  # the lane and particle count of each per-lane row
     lane, starts = np.repeat(live, counts), np.cumsum(counts) - counts
     v = np.zeros_like(x)
-    pbest, pcost = x.copy(), _scores(x, R, p, c, frames, lane)
+    pbest, pcost = x.copy(), _scores(x, R, p, c, frames, lane, ale)
     best, gcost = _lane_best(pcost, starts, lane)
     gbest = pbest.take(best, axis=1)
     history, stall = np.empty((cfg.max_iters, len(seeds))), np.zeros(len(seeds), dtype=int)
@@ -195,7 +186,7 @@ def pso_batch(
             -cfg.v_max, cfg.v_max,
         )
         x = x + v
-        cost = _scores(x, R, p, c, frames, lane)
+        cost = _scores(x, R, p, c, frames, lane, ale)
         better = cost < pcost
         np.copyto(pcost, cost, where=better)
         np.copyto(pbest, x, where=better)

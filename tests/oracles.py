@@ -8,21 +8,28 @@ implementation it checks.
 import numpy as np
 
 
-def brute_force_cost(w, d, taps, delay):
-    """Mean squared residual by direct double loop over samples and taps."""
+def brute_force_residual(w, d, taps, delay):
+    """Residual d[n] - sum_k w[k] * d[n - delay - k] for n from
+    delay + taps - 1 on, by direct double loop over samples and taps."""
     d = np.asarray(d)
     w = np.asarray(w)
-    start = delay + taps - 1
-    total = 0.0
-    count = 0
-    for n in range(start, len(d)):
+    out = []
+    for n in range(delay + taps - 1, len(d)):
         acc = 0.0 + 0.0j
         for k in range(taps):
             acc += w[k] * d[n - delay - k]
-        total += abs(d[n] - acc) ** 2
+        out.append(d[n] - acc)
+    return np.array(out)
+
+
+def brute_force_cost(w, d, taps, delay):
+    """Mean squared residual, summed sample by sample in a plain loop."""
+    total = 0.0
+    count = 0
+    for e in brute_force_residual(w, d, taps, delay):
+        total += abs(e) ** 2
         count += 1
     return total / count
-
 
 
 def loop_pso(d, taps, delay, cfg, seed):

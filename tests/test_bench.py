@@ -16,7 +16,7 @@ import pytest
 
 import alebench
 from alebench import bench
-from alebench.ale import MAX_TAPS, AleConfig, filter_frame
+from alebench.ale import MAX_TAPS, AleConfig, _residual
 from alebench.bench import (
     DEFAULT_BASE_SEED,
     ExperimentSpec,
@@ -29,8 +29,9 @@ from alebench.bench import (
 )
 from alebench.errors import ConfigError
 from alebench.lms import lms_batch
-from alebench.pso import MAX_ITERS, MAX_PARTICLES, PsoConfig, evaluate_cost, pso_batch
+from alebench.pso import MAX_ITERS, MAX_PARTICLES, PsoConfig, pso_batch
 from alebench.signal import ModConfig, demodulate, generate_bits, modulate
+from costs import swarm_cost
 
 SMALL = """
 frame.h = 300
@@ -427,10 +428,9 @@ class TestRunExperiment:
     @pytest.mark.parametrize("kind", ["ber_awgn", "ber_nonlinear"])
     def test_mse_is_the_named_algorithms_residual_power(self, kind):
         """A metric row's mse is mean |e|^2 from ale.warmup on, e the
-        residual of the algorithm the row names: lms_batch's, or d - y with
-        y the output of the swarm's best weights, whose mse is also their
-        cost.  clean_mse is the same residual's power about the symbols
-        sent."""
+        residual of the algorithm the row names: lms_batch's, or that of the
+        swarm's best weights held fixed, whose mse is also their cost.
+        clean_mse is the same residual's power about the symbols sent."""
         spec = parse_config(_BATCH_DOCS.get(kind, SMALL), kind=kind)
         points = bench._sweep_points(spec)
         runs = [(i, j) for i in range(len(points)) for j in range(spec.n_seeds)]
@@ -443,12 +443,12 @@ class TestRunExperiment:
         assert len(rows) == 2 * len(runs)
         for lane, (d, sent, lms_e, w) in enumerate(zip(frames, bits, lms_residuals, weights)):
             clean = modulate(sent[k * v0 :], spec.mod)
-            pso_e = d - filter_frame(d, w, spec.ale)
-            for row, algorithm, e in zip(rows[2 * lane : 2 * lane + 2], ("LMS", "PSO"), (lms_e, pso_e)):
+            residuals = (lms_e[v0:], _residual(d, w, spec.ale))
+            for row, algorithm, e in zip(rows[2 * lane : 2 * lane + 2], ("LMS", "PSO"), residuals):
                 assert row["algorithm"] == algorithm
-                assert row["mse"] == float(np.mean(np.abs(e)[v0:] ** 2))
-                assert row["clean_mse"] == float(np.mean(np.abs(e[v0:] - clean) ** 2))
-            assert rows[2 * lane + 1]["mse"] == pytest.approx(evaluate_cost(w, d, spec.ale), rel=1e-12)
+                assert row["mse"] == float(np.mean(np.abs(e) ** 2))
+                assert row["clean_mse"] == float(np.mean(np.abs(e - clean) ** 2))
+            assert rows[2 * lane + 1]["mse"] == pytest.approx(swarm_cost(w, d, spec.ale), rel=1e-12)
 
     @pytest.mark.parametrize("geometry", ["", "ale.taps = 3\nale.delay = 4\n"], ids=["default", "L3-delta4"])
     def test_step_sweep_mse_is_the_lms_residual_power(self, geometry):

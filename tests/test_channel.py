@@ -121,6 +121,19 @@ class TestApplyNonlinear:
         expected = (1.0 + profile.cubic_gain) * x + tones
         assert np.max(np.abs(apply_nonlinear(x, profile) - expected)) <= 1e-15
 
+    def test_profile_noise_offsets(self):
+        """Noise is calibrated to the distorted frame's power, (1 + a3)^2
+        plus the tones' A^2, so at a nominal SNR a profile's symbols see
+        more noise than AWGN's by the ratio of that power to (1 + a3)^2:
+        the offsets README gives."""
+        offsets = {
+            name: 10.0 * math.log10(
+                ((1.0 + p.cubic_gain) ** 2 + sum(amp**2 for amp, _, _ in p.tones)) / (1.0 + p.cubic_gain) ** 2
+            )
+            for name, p in DEFAULT_PROFILES.items()
+        }
+        assert offsets == pytest.approx({"60MHz": 1.23, "2.4GHz": 1.08, "5.8GHz": 1.74}, abs=0.005)
+
     def test_profile_validation(self):
         with pytest.raises(ValueError):
             NonlinearProfile(cubic_gain=-0.1)

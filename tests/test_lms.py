@@ -481,16 +481,20 @@ class TestLmsBatch:
     def test_memory_does_not_grow_with_the_frame(self):
         """Writing the residuals over the frames, lms_batch allocates no
         residual array: on 4 lanes of 50,000 samples its peak stays below
-        one lane's frame bytes, and within 25 % of its peak at 5,000."""
-        def peak(h):
-            frames = np.array([_awgn_frame(0.0, 60 + s, 70 + s, h=h) for s in range(4)])
+        one lane's frame bytes, and within 25 % of its peak at 5,000.  Nor
+        does its frame check make a per-sample temporary: on 32 lanes, whose
+        block buffers alone outweigh one lane's frame, the peak at 50,000
+        samples is still within 25 % of that at 5,000."""
+        def peak(h, lanes):
+            frames = np.array([_awgn_frame(0.0, 60 + s, 70 + s, h=h) for s in range(lanes)])
             tracemalloc.start()
             try:
-                lms_batch(frames, [0.01] * 4, ALE)
+                lms_batch(frames, [0.01] * lanes, ALE)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        long_peak, short_peak = peak(50_000), peak(5_000)
+        long_peak, short_peak = peak(50_000, 4), peak(5_000, 4)
         assert long_peak < 50_000 * 16
         assert long_peak <= 1.25 * short_peak
+        assert peak(50_000, 32) <= 1.25 * peak(5_000, 32)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alebench import pso
-from alebench.ale import AleConfig, filter_frame
+from alebench.ale import AleConfig, _residual
 from alebench.channel import DEFAULT_PROFILES, add_awgn, apply_nonlinear
 from alebench.lms import lms_batch
 from alebench.pso import (
@@ -18,10 +18,10 @@ from alebench.pso import (
     PsoConfig,
     _gram,
     _scores,
-    evaluate_cost,
     pso_batch,
 )
 from alebench.signal import ModConfig, generate_bits, modulate
+from costs import swarm_cost
 from oracles import brute_force_cost, loop_pso, real_least_squares_weights, wiener_floor
 
 ALE = AleConfig(taps=5, delay=1)
@@ -36,15 +36,13 @@ def _random_frame(rng, h):
     return rng.normal(size=h) + 1j * rng.normal(size=h)
 
 
-class TestEvaluateCost:
+class TestSwarmCost:
     def test_zero_frame_has_zero_cost(self):
-        cost = evaluate_cost(np.ones(5), np.zeros(64, dtype=complex), ALE)
-        assert type(cost) is float
-        assert cost == 0.0
+        assert swarm_cost(np.ones(5), np.zeros(64, dtype=complex), ALE) == 0.0
 
     def test_hand_computed_two_tap_case(self):
         cfg = AleConfig(taps=2, delay=1)
-        assert evaluate_cost([0.5, 0.5], np.array([1.0, 2.0, 3.0, 4.0]), cfg) == pytest.approx(2.25)
+        assert swarm_cost([0.5, 0.5], np.array([1.0, 2.0, 3.0, 4.0]), cfg) == pytest.approx(2.25)
 
     def test_never_negative(self):
         rng = np.random.default_rng(60)
@@ -52,7 +50,7 @@ class TestEvaluateCost:
             taps = int(rng.integers(1, 6))
             h = int(rng.integers(taps + 3, 40))
             cfg = AleConfig(taps=taps, delay=1)
-            cost = evaluate_cost(rng.normal(size=taps), _random_frame(rng, h), cfg)
+            cost = swarm_cost(rng.normal(size=taps), _random_frame(rng, h), cfg)
             assert cost >= 0.0
 
     def test_agrees_with_brute_force(self):
@@ -64,7 +62,7 @@ class TestEvaluateCost:
             cfg = AleConfig(taps=taps, delay=delay)
             w = rng.normal(size=taps)
             d = _random_frame(rng, h)
-            fast = evaluate_cost(w, d, cfg)
+            fast = swarm_cost(w, d, cfg)
             slow = brute_force_cost(w, d, taps, delay)
             assert fast == pytest.approx(slow, rel=1e-12)
 
@@ -75,17 +73,11 @@ class TestEvaluateCost:
             d = np.cos(omega * np.arange(64)).astype(complex)
             w = np.array([2.0 * np.cos(omega), -1.0, 0.0, 0.0, 0.0])
             c = np.mean(np.abs(d[ALE.warmup :]) ** 2)
-            cost = evaluate_cost(w, d, ALE)
+            cost = swarm_cost(w, d, ALE)
             slow = brute_force_cost(w, d, ALE.taps, ALE.delay)
             assert abs(cost - slow) <= 1e-12 * c
             # the direct sum keeps relative accuracy the Gram form cannot
             assert cost == pytest.approx(slow, rel=1e-9, abs=0.0)
-
-    def test_stacked_frames_rejected(self):
-        """One frame is costed; frames stacked in a 2-D array are refused
-        with their shape named."""
-        with pytest.raises(ValueError, match=r"input must be a non-empty 1-D stream, got shape \(2, 20\)"):
-            evaluate_cost(np.ones(5), np.ones((2, 20), complex), AleConfig())
 
 
 def test_scores_peak_is_two_product_arrays():
@@ -94,13 +86,14 @@ def test_scores_peak_is_two_product_arrays():
     b, taps, n = 8, 16, 64
     ale = AleConfig(taps=taps, delay=1)
     rng = np.random.default_rng(62)
-    R, p, c, frames = (list(col) for col in zip(*(_gram(_random_frame(rng, 64), ale) for _ in range(b))))
+    frames = [_random_frame(rng, 64) for _ in range(b)]
+    R, p, c = (list(col) for col in zip(*(_gram(d, ale) for d in frames)))
     R, p, c = np.stack(R, axis=2), np.stack(p, axis=1), np.array(c)
     w = rng.uniform(-2.0, 2.0, size=(taps, b * n))
     lane = np.repeat(np.arange(b), n)
     tracemalloc.start()
     try:
-        _scores(w, R, p, c, frames, lane)
+        _scores(w, R, p, c, frames, lane, ale)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -108,20 +101,12 @@ def test_scores_peak_is_two_product_arrays():
     assert 2 * products <= peak <= 2.25 * products
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda d: evaluate_cost(np.ones(5), d, ALE),
-        lambda d: pso_batch(d[None], [0], PsoConfig(), ALE),
-    ],
-    ids=["evaluate_cost", "pso_batch"],
-)
-def test_non_finite_frame_rejected(call):
+def test_non_finite_frame_rejected():
     for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
         d = np.ones(64, dtype=complex)
         d[10] = bad
         with pytest.raises(ValueError, match="finite"):
-            call(d)
+            pso_batch(d[None], [0], PsoConfig(), ALE)
 
 
 def _first_draw(cfg, seed, taps):
@@ -151,7 +136,7 @@ def _first_move(d, seed, cfg, ale):
     rng = np.random.default_rng(seed)
     x = rng.uniform(-cfg.init_range, cfg.init_range, size=(cfg.n_particles, ale.taps))
     r2 = rng.uniform(size=(cfg.n_particles, 2, 1))[:, 1]
-    gbest = x[np.argmin([evaluate_cost(w, d, ale) for w in x])]
+    gbest = x[np.argmin([swarm_cost(w, d, ale) for w in x])]
     return x + np.clip(cfg.c2 * r2 * (gbest - x), -cfg.v_max, cfg.v_max)
 
 
@@ -191,7 +176,7 @@ class TestInitSwarm:
         d, ale = _awgn_frame(0.0, 64, 65, h=128), AleConfig(taps=3, delay=1)
         cfg = PsoConfig(n_particles=1, max_iters=5, tol=0.0)
         weights, history, scored = _search(d, 64, cfg, ale)
-        costs = [evaluate_cost(w, d, ale) for (w,) in scored]
+        costs = [swarm_cost(w, d, ale) for (w,) in scored]
         assert history == np.minimum.accumulate(costs)[1:].tolist()
         np.testing.assert_array_equal(weights, scored[np.argmin(costs), 0])
 
@@ -209,7 +194,7 @@ class TestInitSwarm:
         cfg = PsoConfig(n_particles=16, c1=0.0, c2=0.0, max_iters=1, tol=0.0)
         weights, histories = pso_batch(d[None], [66], cfg, ALE)
         start = _first_draw(cfg, 66, ALE.taps)
-        start_costs = np.array([evaluate_cost(w, d, ALE) for w in start])
+        start_costs = np.array([swarm_cost(w, d, ALE) for w in start])
         assert histories == [[start_costs.min()]]
         np.testing.assert_array_equal(weights[0], start[np.argmin(start_costs)])
 
@@ -234,7 +219,7 @@ class TestVelocityAndPosition:
         rng = np.random.default_rng(68)
         x = rng.uniform(-cfg.init_range, cfg.init_range, size=(2, 1))
         r2 = rng.uniform(size=(2, 2, 1))[:, 1]
-        gbest = x[np.argmin(np.array([evaluate_cost(w, d, ale) for w in x]))]
+        gbest = x[np.argmin(np.array([swarm_cost(w, d, ale) for w in x]))]
         # the swarm is at rest on its personal bests: only the global pull acts
         v = np.clip(r2 * (gbest - x), -2.0, 2.0)
         np.testing.assert_array_equal(scored[1], x + v)
@@ -304,7 +289,7 @@ class TestUpdateBests:
         cfg = PsoConfig(n_particles=6, c1=0.0, c2=0.0, max_iters=6, tol=0.0)
         (weights,), (history,) = pso_batch(d[None], [75], cfg, ALE)
         start = _first_draw(cfg, 75, ALE.taps)
-        start_costs = np.array([evaluate_cost(w, d, ALE) for w in start])
+        start_costs = np.array([swarm_cost(w, d, ALE) for w in start])
         np.testing.assert_array_equal(weights, start[np.argmin(start_costs)])
         assert history == [start_costs.min()] * cfg.max_iters
 
@@ -332,10 +317,10 @@ class TestSearch:
         scored, so the global best is the cheapest position scored so far."""
         d = _awgn_frame(-2.0, 74, 75, h=256)
         weights, history, scored = _search(d, 76, PsoConfig(n_particles=10, max_iters=15), ALE)
-        costs = np.array([[evaluate_cost(w, d, ALE) for w in positions] for positions in scored])
+        costs = np.array([[swarm_cost(w, d, ALE) for w in positions] for positions in scored])
         assert history == np.minimum.accumulate(costs.min(axis=1))[1:].tolist()
         np.testing.assert_array_equal(weights, scored.reshape(-1, ALE.taps)[np.argmin(costs)])
-        assert history[-1] == evaluate_cost(weights, d, ALE)
+        assert history[-1] == swarm_cost(weights, d, ALE)
 
     def test_deterministic(self):
         d = _awgn_frame(2.0, 77, 78, h=256)
@@ -356,7 +341,7 @@ class TestSearch:
         a cost is +inf, never nan, raises no warning, and an inf global
         best counts as no improvement, so the search stops after patience."""
         d = _awgn_frame(-2990.0, 1, 2, h=64)
-        assert evaluate_cost(np.full(ALE.taps, 1e6), d, ALE) == np.inf
+        assert swarm_cost(np.full(ALE.taps, 1e6), d, ALE) == np.inf
         for tol, iters in ((0.0, 12), (1e-4, 5)):
             cfg = PsoConfig(n_particles=8, max_iters=12, init_range=1e6, tol=tol, patience=5)
             _, histories = pso_batch(np.array([d, d]), [3, 4], cfg, ALE)
@@ -561,7 +546,7 @@ class TestCostFloor:
         least = floor * (1.0 - 1e-9)
         lms_weights, _, _ = lms_batch(np.repeat(d[None], 4, axis=0), [0.005, 0.02, 0.08, 0.3], ale)
         for w in lms_weights:
-            assert np.mean(np.abs((d - filter_frame(d, w, ale))[ale.warmup :]) ** 2) >= least
+            assert np.mean(np.abs(_residual(d, w, ale)) ** 2) >= least
         (weights,), (history,) = pso_batch(d[None], [seed], PsoConfig(n_particles=10, max_iters=20), ale)
-        assert np.mean(np.abs((d - filter_frame(d, weights, ale))[ale.warmup :]) ** 2) >= least
+        assert np.mean(np.abs(_residual(d, weights, ale)) ** 2) >= least
         assert min(history) >= least
