@@ -76,6 +76,10 @@ def _lags(d: np.ndarray, ale: AleConfig) -> tuple[np.ndarray, list[np.ndarray]]:
 def _residual(d: np.ndarray, w: np.ndarray, ale: AleConfig) -> np.ndarray:
     """The residual e[n] = d[n] - sum_k w[k] * d[n - delay - k] of a frame d
     under fixed real weights w, over n from `ale.warmup` on, the lag sum
-    formed in tap order.  A sum that overflows is left inf or nan."""
+    formed in tap order.  Weights that are not `ale.taps` finite numbers
+    are rejected; a sum that overflows is left inf or nan."""
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (ale.taps,) or not np.isfinite(w).all():
+        raise ValueError(f"weights must be {ale.taps} finite numbers, got {w!r}")
     target, lags = _lags(d, ale)
     return target - sum(wk * lag for wk, lag in zip(w, lags))

@@ -94,6 +94,14 @@ class TestResidual:
             with pytest.raises(ValueError, match="finite"):
                 _check_frame(d, AleConfig(taps=5, delay=1))
 
+    def test_bad_weights_rejected(self):
+        """Weights of the wrong length are refused, not cut to the taps or
+        padded out, and so are weights that are not finite."""
+        d = _frame(h=64)
+        for w in (np.ones(3), np.ones(6), np.ones((1, 5)), [np.inf, 0, 0, 0, 0], [0, 0, np.nan, 0, 0]):
+            with pytest.raises(ValueError, match="weights must be 5 finite numbers"):
+                _residual(d, w, AleConfig(taps=5, delay=1))
+
     def test_linearity(self):
         """The output d[warmup:] - e is linear in the weights, and each
         residual is the brute-force one."""

@@ -1,5 +1,6 @@
 """Tests for the swarm search over enhancer weights."""
 
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -107,6 +108,14 @@ def test_non_finite_frame_rejected():
         d[10] = bad
         with pytest.raises(ValueError, match="finite"):
             pso_batch(d[None], [0], PsoConfig(), ALE)
+
+
+def test_unbatched_frames_rejected():
+    """Frames come as one (B, H) batch: a lone 1-D frame, or batches stacked
+    in a 3-D array, are refused with their shape named."""
+    for shape in ((64,), (2, 3, 64)):
+        with pytest.raises(ValueError, match=rf"need \(B, H\) frames, .*got {re.escape(str(shape))}"):
+            pso_batch(np.ones(shape, dtype=complex), [0], PsoConfig(), ALE)
 
 
 def _first_draw(cfg, seed, taps):
