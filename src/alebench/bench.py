@@ -166,14 +166,9 @@ _SCHEMA = {
     "ale.delay": _parse_int,
     "lms.mu": _parse_float,
     "pso.n_particles": _parse_int,
-    "pso.c1": _parse_float,
-    "pso.c2": _parse_float,
     "pso.max_iters": _parse_int,
     "pso.tol": _parse_float,
     "pso.patience": _parse_int,
-    "pso.init_range": _parse_float,
-    "pso.v_max": _parse_float,
-    "pso.inertia": _parse_float,
     "run.snr_grid": _list_of(_parse_float),
     "run.sweep_values": _list_of(_parse_float),
     "run.n_seeds": _parse_int,

@@ -14,8 +14,6 @@ contiguous segment of the particle axis, in lane order.
 
 from __future__ import annotations
 
-import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,43 +32,34 @@ MAX_PARTICLES = 128
 # The longest search: pso_batch's (max_iters, B) float64 history takes 5 MB for
 # 64 lanes at 10,000 iterations, and its lists, 32 B an entry, 20 MB.
 MAX_ITERS = 10_000
+# The update rule's fixed coefficients: the pulls toward a particle's own
+# best and the swarm's, the per-component velocity clamp, and the half-width
+# of the start box.  After `it` iterations every weight lies within
+# INIT_RANGE + it * V_MAX of 0.
+C1, C2, V_MAX, INIT_RANGE = 2.0, 2.0, 1.0, 2.0
 
 
 @dataclass(frozen=True)
 class PsoConfig:
-    """Swarm size, learning coefficients, bounds, and stopping rules.
+    """Swarm size and stopping rules; the update rule's coefficients are
+    the module constants C1, C2, V_MAX and INIT_RANGE.
 
     `tol` is an absolute threshold on global-best improvement; once the
     improvement stays below it for `patience` consecutive iterations the
     search stops early.  Set ``tol=0`` to always run `max_iters` iterations.
-    The previous velocity carries weight `inertia`, exactly 1 by default;
-    each iteration a particle draws one r1 and one r2, shared by its weights.
-    `c1`, `c2` and `inertia` must be finite, and `init_range` at most half
-    the largest float; ``v_max = inf`` turns the velocity clamp off.
     """
 
     n_particles: int = 60
-    c1: float = 2.0
-    c2: float = 2.0
     max_iters: int = 60
     tol: float = 1e-4
     patience: int = 5
-    init_range: float = 2.0
-    v_max: float = 1.0
-    inertia: float = 1.0
 
     def __post_init__(self):
         for name, ok, rule in (
             ("n_particles", 1 <= self.n_particles <= MAX_PARTICLES, f"from 1 to {MAX_PARTICLES}"),
-            ("c1", math.isfinite(self.c1) and self.c1 >= 0.0, "finite and >= 0"),
-            ("c2", math.isfinite(self.c2) and self.c2 >= 0.0, "finite and >= 0"),
             ("max_iters", 1 <= self.max_iters <= MAX_ITERS, f"from 1 to {MAX_ITERS}"),
             ("tol", self.tol >= 0.0, ">= 0"),
             ("patience", self.patience >= 1, ">= 1"),
-            # uniform(-r, r) overflows for any wider start range
-            ("init_range", 0.0 < self.init_range <= sys.float_info.max / 2, "> 0 and at most half the largest float"),
-            ("v_max", self.v_max > 0.0, "> 0"),
-            ("inertia", math.isfinite(self.inertia), "finite"),
         ):
             if not ok:
                 raise ConfigError(name, f"must be {rule}, got {getattr(self, name)}")
@@ -136,10 +125,11 @@ def pso_batch(
     frame's residual cost: frame b with generator default_rng(seeds[b]) and
     counts[b] particles, cfg.n_particles each when `counts` is None.
 
-    Starting positions are drawn uniformly in [-init_range, init_range]^L
+    Starting positions are drawn uniformly in [-INIT_RANGE, INIT_RANGE]^L
     and each particle's best is its starting point.  Each iteration moves
-    every particle by v' = inertia*v + c1*r1*(pbest - x) + c2*r2*(gbest - x),
-    clamped to [-v_max, v_max] per component, then x' = x + v'.  A personal
+    every particle by v' = v + C1*r1*(pbest - x) + C2*r2*(gbest - x),
+    clamped to [-V_MAX, V_MAX] per component, then x' = x + v'; a particle
+    draws one r1 and one r2 an iteration, shared by its weights.  A personal
     best moves only on a strictly lower cost; the global best moves to the
     first particle with the lowest personal best, and only when that is
     strictly below it.
@@ -164,7 +154,7 @@ def pso_batch(
     R, p, c = (list(col) for col in zip(*(_gram(d, ale) for d in D)))
     R, p, c, frames = np.stack(R, axis=2), np.stack(p, axis=1), np.array(c), list(D)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    x = np.hstack([rng.uniform(-cfg.init_range, cfg.init_range, size=(n, ale.taps)).T for rng, n in zip(rngs, counts)])
+    x = np.hstack([rng.uniform(-INIT_RANGE, INIT_RANGE, size=(n, ale.taps)).T for rng, n in zip(rngs, counts)])
     live, counts = np.arange(len(seeds)), np.array(counts)  # the lane and particle count of each per-lane row
     lane, starts = np.repeat(live, counts), np.cumsum(counts) - counts
     v = np.zeros_like(x)
@@ -181,10 +171,7 @@ def pso_batch(
             draws = [(rngs[b], r[s : s + n]) for b, s, n in zip(live.tolist(), starts.tolist(), counts.tolist())]
         for rng, out in draws:
             rng.random(out=out)  # as uniform(size=(n, 2, 1)), value for value
-        v = np.clip(
-            cfg.inertia * v + cfg.c1 * r1 * (pbest - x) + cfg.c2 * r2 * (gbest.take(lane, axis=1) - x),
-            -cfg.v_max, cfg.v_max,
-        )
+        v = np.clip(v + C1 * r1 * (pbest - x) + C2 * r2 * (gbest.take(lane, axis=1) - x), -V_MAX, V_MAX)
         x = x + v
         cost = _scores(x, R, p, c, frames, lane, ale)
         better = cost < pcost

@@ -2,10 +2,13 @@
 
 Everything here is written as plainly as possible (explicit loops, direct
 formulas, stacked least squares) and deliberately shares no code with the
-implementation it checks.
+implementation it checks; only the swarm's fixed coefficients are read
+from it.
 """
 
 import numpy as np
+
+from alebench import pso
 
 
 def brute_force_residual(w, d, taps, delay):
@@ -35,15 +38,18 @@ def brute_force_cost(w, d, taps, delay):
 def loop_pso(d, taps, delay, cfg, seed):
     """Particle-by-particle swarm search scored with brute_force_cost.
 
-    Reads the swarm settings off `cfg` and draws from the generator of
+    Reads the swarm size and stopping rules off `cfg`, and the update
+    rule's coefficients off `alebench.pso` when called, so a test that
+    patches one compares like with like.  Draws from the generator of
     `seed` in the library's documented order: the (N, taps) starting
     positions, then per iteration all (N, 2) uniforms before any cost.
     Returns the global-best weights and the global-best cost after each
     iteration.
     """
+    c1, c2, v_max, init_range = pso.C1, pso.C2, pso.V_MAX, pso.INIT_RANGE
     rng = np.random.default_rng(seed)
     n = cfg.n_particles
-    start = rng.uniform(-cfg.init_range, cfg.init_range, size=(n, taps))
+    start = rng.uniform(-init_range, init_range, size=(n, taps))
     pos = [[float(x) for x in row] for row in start]
     vel = [[0.0] * taps for _ in range(n)]
     pbest = [list(x) for x in pos]
@@ -62,11 +68,11 @@ def loop_pso(d, taps, delay, cfg, seed):
             r1, r2 = draws[i]
             for k in range(taps):
                 v = (
-                    cfg.inertia * vel[i][k]
-                    + cfg.c1 * r1 * (pbest[i][k] - pos[i][k])
-                    + cfg.c2 * r2 * (gbest[k] - pos[i][k])
+                    vel[i][k]
+                    + c1 * r1 * (pbest[i][k] - pos[i][k])
+                    + c2 * r2 * (gbest[k] - pos[i][k])
                 )
-                vel[i][k] = min(max(v, -cfg.v_max), cfg.v_max)
+                vel[i][k] = min(max(v, -v_max), v_max)
                 pos[i][k] = pos[i][k] + vel[i][k]
         for i in range(n):
             cost = brute_force_cost(pos[i], d, taps, delay)

@@ -6,7 +6,6 @@ import importlib
 import math
 import pkgutil
 import re
-import sys
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +14,7 @@ import numpy as np
 import pytest
 
 import alebench
-from alebench import bench
+from alebench import bench, pso
 from alebench.ale import MAX_TAPS, AleConfig, _residual
 from alebench.bench import (
     DEFAULT_BASE_SEED,
@@ -82,7 +81,9 @@ class TestParseConfig:
         assert nonlinear.profiles == ("60MHz", "2.4GHz", "5.8GHz")
         assert parse_config("", kind="ber_awgn").profiles == ()
 
-    @pytest.mark.parametrize("key", ["momentum", "run.decision_stream"])
+    @pytest.mark.parametrize("key", [
+        "momentum", "run.decision_stream", "pso.c1", "pso.c2", "pso.init_range", "pso.v_max", "pso.inertia",
+    ])
     def test_unknown_key_rejected(self, key):
         """Any key outside the schema, a removed one among them."""
         with pytest.raises(ConfigError) as excinfo:
@@ -464,12 +465,14 @@ class TestRunExperiment:
         (e,) = frames
         assert row["mse"] == float(np.mean(np.abs(e)[spec.ale.warmup :] ** 2))
 
-    def test_overflowing_powers_are_inf_without_warning(self):
+    def test_overflowing_powers_are_inf_without_warning(self, monkeypatch):
         """Swarm weights drawn near 1e160 give an output whose squared
         residual overflows: the PSO row's powers read inf, and no warning
         escapes (warnings are errors under this suite), while the LMS row,
-        adapted from zero weights, stays finite."""
-        spec = parse_config("frame.h = 200\nrun.n_seeds = 1\nrun.snr_grid = 0\npso.init_range = 1e160")
+        adapted from zero weights, stays finite.  The default start box
+        draws no such weights; a patched one does."""
+        monkeypatch.setattr(pso, "INIT_RANGE", 1e160)
+        spec = parse_config("frame.h = 200\nrun.n_seeds = 1\nrun.snr_grid = 0")
         lms_row, pso_row = run_experiment(spec).raw_rows
         assert (lms_row["algorithm"], pso_row["algorithm"]) == ("LMS", "PSO")
         assert pso_row["mse"] == pso_row["clean_mse"] == math.inf
@@ -479,13 +482,17 @@ class TestRunExperiment:
         ("ber_awgn", "{'snr_db': 0.0}"),
         ("ber_nonlinear", "{'profile': '60MHz', 'snr_db': 0.0}"),
     ])
-    def test_overflowing_pso_output_names_its_run(self, kind, point):
+    def test_overflowing_pso_output_names_its_run(self, kind, point, monkeypatch):
         """Seed index 1's swarm starts near the largest float: its global
         best costs a finite amount, but its filtered output overflows, so no
         bit can be decided on its residual.  The error names the run, at any
-        parallelism: a swarm started out there is a fault of the config,
-        where an LMS lane that crosses the weight bound keeps its rows."""
-        doc = "frame.h = 200\nrun.n_seeds = 2\nrun.snr_grid = 0\npso.init_range = 8.98e307\npso.max_iters = 1\n"
+        parallelism: a residual that overflows is a fault, where an LMS lane
+        that crosses the weight bound keeps its rows.  No config reaches
+        this (a swarm stays within pso.INIT_RANGE + max_iters * pso.V_MAX),
+        so the start box is patched; the pool's workers are forked and
+        inherit the patch."""
+        monkeypatch.setattr(pso, "INIT_RANGE", 8.98e307)
+        doc = "frame.h = 200\nrun.n_seeds = 2\nrun.snr_grid = 0\npso.max_iters = 1\n"
         for jobs in (1, 2):
             with pytest.raises(RuntimeError) as excinfo:
                 run_experiment(parse_config(doc, kind=kind), jobs=jobs)
@@ -651,17 +658,14 @@ class TestSpecValidation:
         ("ale.delay", "0"),
         ("lms.mu", "-0.1"),
         ("pso.n_particles", "0"),
-        ("pso.c1", "-1"),
-        ("pso.c2", "-1"),
         ("pso.max_iters", "0"),
         ("pso.tol", "-1"),
         ("pso.patience", "0"),
-        ("pso.init_range", "0"),
-        ("pso.v_max", "0"),
-        ("pso.init_range", "inf"),
-        ("pso.inertia", "nan"),
-        ("pso.c1", "inf"),
         ("pso.tol", "nan"),
+        ("pso.tol", "-inf"),
+        ("pso.n_particles", str(MAX_PARTICLES + 1)),
+        ("pso.max_iters", str(MAX_ITERS + 1)),
+        ("pso.patience", "-1"),
         ("channel.profiles", "60MHz, 60MHz"),
         ("run.snr_grid", "0, -0.0"),
         ("run.snr_grid", "4000"),
@@ -708,15 +712,15 @@ class TestSpecValidation:
 
     def test_first_rejected_key_in_schema_order_named(self):
         with pytest.raises(ConfigError) as excinfo:
-            parse_config("pso.c2 = -1\npso.c1 = -2\nrun.n_seeds = 0")
-        assert excinfo.value.key == "pso.c1"
+            parse_config("pso.patience = 0\npso.tol = -1\nrun.n_seeds = 0")
+        assert excinfo.value.key == "pso.tol"
 
     @pytest.mark.parametrize("doc, key", [
-        ("pso.c1 = -1\nchannel.profiles = nope", "pso.c1"),
-        ("pso.c1 = -1\nrun.snr_grid = 1, 1", "pso.c1"),
-        ("frame.h = 5\npso.c1 = -1", "pso.c1"),
-        ("lms.mu = -1\npso.c1 = -1", "pso.c1"),
-        ("frame.h = 640001\npso.c1 = -1", "pso.c1"),
+        ("pso.tol = -1\nchannel.profiles = nope", "pso.tol"),
+        ("pso.tol = -1\nrun.snr_grid = 1, 1", "pso.tol"),
+        ("frame.h = 5\npso.tol = -1", "pso.tol"),
+        ("lms.mu = -1\npso.tol = -1", "pso.tol"),
+        ("frame.h = 640001\npso.tol = -1", "pso.tol"),
     ], ids=["profile_name", "repeated_snr", "spec_after_classes", "mu_after_classes", "long_frame_after_classes"])
     def test_classes_named_before_the_specs_keys(self, doc, key):
         """The spec checks its own keys, list values among them, after the
@@ -819,16 +823,13 @@ class TestSpecValidation:
     (AleConfig, "delay", 0),
     (PsoConfig, "n_particles", 0),
     (PsoConfig, "n_particles", MAX_PARTICLES + 1),
-    (PsoConfig, "c1", -1.0),
-    (PsoConfig, "c2", math.inf),
     (PsoConfig, "max_iters", 0),
     (PsoConfig, "max_iters", 10**10),
     (PsoConfig, "tol", math.nan),
+    (PsoConfig, "tol", -1.0),
+    (PsoConfig, "tol", -math.inf),
     (PsoConfig, "patience", 0),
-    (PsoConfig, "init_range", 0.0),
-    (PsoConfig, "init_range", 1e308),
-    (PsoConfig, "v_max", 0.0),
-    (PsoConfig, "inertia", math.nan),
+    (PsoConfig, "patience", -1),
 ])
 def test_config_class_names_its_field(cls, name, value):
     with pytest.raises(ConfigError) as excinfo:
@@ -840,16 +841,16 @@ def test_config_class_names_its_field(cls, name, value):
 def test_caps_accept_their_bound():
     """Constructors and parsing only: nothing of this size is run."""
     assert AleConfig(taps=MAX_TAPS).taps == MAX_TAPS
-    cfg = PsoConfig(n_particles=MAX_PARTICLES, max_iters=MAX_ITERS, init_range=sys.float_info.max / 2)
-    assert (cfg.n_particles, cfg.max_iters, cfg.init_range) == (MAX_PARTICLES, MAX_ITERS, sys.float_info.max / 2)
+    cfg = PsoConfig(n_particles=MAX_PARTICLES, max_iters=MAX_ITERS)
+    assert (cfg.n_particles, cfg.max_iters) == (MAX_PARTICLES, MAX_ITERS)
     spec = parse_config(f"run.sweep_values = 1, {MAX_PARTICLES}", kind="particle_sweep")
     assert spec.sweep_values == (1.0, MAX_PARTICLES)
 
 
 def test_config_class_checks_fields_in_declaration_order():
     with pytest.raises(ConfigError) as excinfo:
-        PsoConfig(c2=-1.0, c1=-1.0)
-    assert excinfo.value.key == "c1"
+        PsoConfig(patience=0, tol=-1.0)
+    assert excinfo.value.key == "tol"
     with pytest.raises(ConfigError) as excinfo:
         AleConfig(delay=0, taps=0)
     assert excinfo.value.key == "taps"
@@ -916,26 +917,16 @@ _META_HEAD = (
 _META_BODY = _META_HEAD + (
     "lms.mu = 0.01\n"
     "pso.n_particles = 60\n"
-    "pso.c1 = 2.0\n"
-    "pso.c2 = 2.0\n"
     "pso.max_iters = 60\n"
     "pso.tol = 0.0001\n"
     "pso.patience = 5\n"
-    "pso.init_range = 2.0\n"
-    "pso.v_max = 1.0\n"
-    "pso.inertia = 1.0\n"
 )
 _META_TAIL = "run.n_seeds = 10\nrun.base_seed = 12345\n"
 _SNR_GRID = "run.snr_grid = -10.0, -8.0, -6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0, 8.0, 10.0\n"
 
 _DEFAULT_META = {
     "particle_sweep": _META_HEAD + (
-        "pso.c1 = 2.0\n"
-        "pso.c2 = 2.0\n"
         "pso.max_iters = 60\n"
-        "pso.init_range = 2.0\n"
-        "pso.v_max = 1.0\n"
-        "pso.inertia = 1.0\n"
         "run.snr_grid = -2.0\n"
         "run.sweep_values = 10.0, 20.0, 30.0, 40.0, 50.0, 60.0\n"
     ) + _META_TAIL,
@@ -953,14 +944,9 @@ ale.taps = 3
 ale.delay = 2
 lms.mu = 0.02
 pso.n_particles = 7
-pso.c1 = 1.5
-pso.c2 = 1.25
 pso.max_iters = 9
 pso.tol = 1e-3
 pso.patience = 3
-pso.init_range = 1.5
-pso.v_max = 0.5
-pso.inertia = 0.7
 run.snr_grid = -3, 0.5, inf
 run.sweep_values = 0.003, 5e-2
 run.n_seeds = 3
@@ -976,14 +962,9 @@ ale.taps = 3
 ale.delay = 2
 lms.mu = 0.02
 pso.n_particles = 7
-pso.c1 = 1.5
-pso.c2 = 1.25
 pso.max_iters = 9
 pso.tol = 0.001
 pso.patience = 3
-pso.init_range = 1.5
-pso.v_max = 0.5
-pso.inertia = 0.7
 run.snr_grid = -3.0, 0.5, inf
 """
 _EVERY_KEY_TAIL = "run.n_seeds = 3\nrun.base_seed = 16\n"
@@ -1019,14 +1000,9 @@ class TestMetaGolden:
 _IGNORED_VALUES = {
     "lms.mu": "0.02",
     "pso.n_particles": "7",
-    "pso.c1": "1.5",
-    "pso.c2": "1.25",
     "pso.max_iters": "9",
     "pso.tol": "0.5",
     "pso.patience": "2",
-    "pso.init_range": "1.5",
-    "pso.v_max": "0.5",
-    "pso.inertia": "0.7",
     "run.sweep_values": "3",
     "channel.profiles": "5.8GHz",
 }

@@ -208,13 +208,14 @@ def test_snr_beyond_the_limit_fails_before_running(tmp_path, capsys, snr):
 
 
 def test_start_range_numpy_cannot_draw_fails_before_running(tmp_path, capsys):
-    """Generator.uniform(-r, r) overflows above half the largest float; the
-    range is rejected at parse time, not by the swarm's first draw."""
+    """The swarm's start box is the constant pso.INIT_RANGE, not a key: a
+    range numpy could not draw from is refused as an unknown key at parse
+    time, and nothing is written."""
     out = tmp_path / "out"
     code = main(["run-all", "--out", str(out), "--seeds", "1", "--set", "pso.init_range=1e308"])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: pso.init_range: ") and "Traceback" not in err
+    assert err == "error: pso.init_range: unknown key\n"
     assert not out.exists()
 
 

@@ -119,9 +119,19 @@ def test_unbatched_frames_rejected():
 
 
 def _first_draw(cfg, seed, taps):
-    """The (N, taps) starting positions pso_batch draws for `cfg` from `seed`."""
+    """The (N, taps) starting positions pso_batch draws for `cfg` from `seed`,
+    in the box pso.INIT_RANGE holds when called."""
     rng = np.random.default_rng(seed)
-    return rng.uniform(-cfg.init_range, cfg.init_range, size=(cfg.n_particles, taps))
+    return rng.uniform(-pso.INIT_RANGE, pso.INIT_RANGE, size=(cfg.n_particles, taps))
+
+
+def _patch_constants(monkeypatch, overrides):
+    """Patch the upper-case names in `overrides`, the update rule's
+    constants in alebench.pso; the rest are PsoConfig fields, returned."""
+    for name, value in overrides.items():
+        if name.isupper():
+            monkeypatch.setattr(pso, name, value)
+    return {name: value for name, value in overrides.items() if not name.isupper()}
 
 
 def _search(d, seed, cfg, ale):
@@ -141,12 +151,12 @@ def _search(d, seed, cfg, ale):
 
 def _first_move(d, seed, cfg, ale):
     """The positions a swarm at rest on its personal bests moves to in one
-    iteration: only the global pull c2*r2*(gbest - x) acts, clamped."""
+    iteration: only the global pull C2*r2*(gbest - x) acts, clamped."""
     rng = np.random.default_rng(seed)
-    x = rng.uniform(-cfg.init_range, cfg.init_range, size=(cfg.n_particles, ale.taps))
+    x = rng.uniform(-pso.INIT_RANGE, pso.INIT_RANGE, size=(cfg.n_particles, ale.taps))
     r2 = rng.uniform(size=(cfg.n_particles, 2, 1))[:, 1]
     gbest = x[np.argmin([swarm_cost(w, d, ale) for w in x])]
-    return x + np.clip(cfg.c2 * r2 * (gbest - x), -cfg.v_max, cfg.v_max)
+    return x + np.clip(pso.C2 * r2 * (gbest - x), -pso.V_MAX, pso.V_MAX)
 
 
 class TestPsoConfig:
@@ -154,26 +164,27 @@ class TestPsoConfig:
         with pytest.raises(ValueError):
             PsoConfig(n_particles=0)
         with pytest.raises(ValueError):
-            PsoConfig(init_range=0.0)
-        with pytest.raises(ValueError):
             PsoConfig(tol=-1.0)
 
 
 class TestInitSwarm:
     """The swarm a search starts from, seen through a one-lane pso_batch."""
 
-    def test_velocities_start_at_zero(self):
-        # inertia scales only the previous velocity, so it leaves the first
-        # move unchanged exactly when the swarm starts at rest
+    def test_velocities_start_at_zero(self, monkeypatch):
+        # a particle starts on its personal best, so without the global pull
+        # it moves exactly when its starting velocity is not zero
         d = _awgn_frame(0.0, 62, 63, h=128)
-        (*_, a), (*_, b) = (
-            _search(d, 62, PsoConfig(n_particles=12, max_iters=1, tol=0.0, inertia=i), ALE) for i in (1.0, 0.3)
-        )
-        np.testing.assert_array_equal(a, b)
+        cfg = PsoConfig(n_particles=12, max_iters=1, tol=0.0)
+        *_, a = _search(d, 62, cfg, ALE)
+        _patch_constants(monkeypatch, {"C2": 0.0})
+        *_, b = _search(d, 62, cfg, ALE)
+        np.testing.assert_array_equal(b[1], b[0])
+        np.testing.assert_array_equal(b[0], a[0])
         assert np.any(a[1] != a[0])
 
-    def test_positions_within_init_range(self):
-        cfg = PsoConfig(n_particles=40, init_range=1.5, c1=0.0, c2=0.0, max_iters=1, tol=0.0)
+    def test_positions_within_init_range(self, monkeypatch):
+        _patch_constants(monkeypatch, {"INIT_RANGE": 1.5, "C1": 0.0, "C2": 0.0})
+        cfg = PsoConfig(n_particles=40, max_iters=1, tol=0.0)
         *_, scored = _search(_awgn_frame(0.0, 63, 64, h=128), 63, cfg, AleConfig(taps=4, delay=1))
         assert scored[0].shape == (40, 4)
         assert np.all(np.abs(scored[0]) <= 1.5)
@@ -198,9 +209,10 @@ class TestInitSwarm:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_global_best_is_cheapest_initial_cost(self):
+    def test_global_best_is_cheapest_initial_cost(self, monkeypatch):
+        _patch_constants(monkeypatch, {"C1": 0.0, "C2": 0.0})
         d = _awgn_frame(0.0, 66, 67, h=128)
-        cfg = PsoConfig(n_particles=16, c1=0.0, c2=0.0, max_iters=1, tol=0.0)
+        cfg = PsoConfig(n_particles=16, max_iters=1, tol=0.0)
         weights, histories = pso_batch(d[None], [66], cfg, ALE)
         start = _first_draw(cfg, 66, ALE.taps)
         start_costs = np.array([swarm_cost(w, d, ALE) for w in start])
@@ -209,9 +221,8 @@ class TestInitSwarm:
 
 
 class TestVelocityAndPosition:
-    """The move v' = inertia*v + c1*r1*(pbest - x) + c2*r2*(gbest - x),
-    clamped, then x' = x + v', seen in the positions a one-lane pso_batch
-    scores."""
+    """The move v' = v + C1*r1*(pbest - x) + C2*r2*(gbest - x), clamped,
+    then x' = x + v', seen in the positions a one-lane pso_batch scores."""
 
     def test_no_pull_when_everything_coincides(self):
         # a lone particle is its own personal and global best
@@ -220,27 +231,30 @@ class TestVelocityAndPosition:
         assert len(scored) == cfg.max_iters + 1
         np.testing.assert_array_equal(scored, np.broadcast_to(_first_draw(cfg, 67, ALE.taps), scored.shape))
 
-    def test_scalar_hand_case(self):
+    def test_scalar_hand_case(self, monkeypatch):
+        _patch_constants(monkeypatch, {"C1": 1.0, "C2": 1.0, "V_MAX": 2.0})
         d = _awgn_frame(0.0, 68, 69, h=128)
         ale = AleConfig(taps=1, delay=1)
-        cfg = PsoConfig(n_particles=2, c1=1.0, c2=1.0, v_max=2.0, max_iters=1, tol=0.0)
+        cfg = PsoConfig(n_particles=2, max_iters=1, tol=0.0)
         *_, scored = _search(d, 68, cfg, ale)
         rng = np.random.default_rng(68)
-        x = rng.uniform(-cfg.init_range, cfg.init_range, size=(2, 1))
+        x = rng.uniform(-pso.INIT_RANGE, pso.INIT_RANGE, size=(2, 1))
         r2 = rng.uniform(size=(2, 2, 1))[:, 1]
         gbest = x[np.argmin(np.array([swarm_cost(w, d, ale) for w in x]))]
         # the swarm is at rest on its personal bests: only the global pull acts
         v = np.clip(r2 * (gbest - x), -2.0, 2.0)
         np.testing.assert_array_equal(scored[1], x + v)
 
-    def test_zero_coefficients_keep_old_velocity(self):
-        cfg = PsoConfig(n_particles=6, c1=0.0, c2=0.0, inertia=0.5, max_iters=5, tol=0.0)
+    def test_zero_coefficients_keep_old_velocity(self, monkeypatch):
+        _patch_constants(monkeypatch, {"C1": 0.0, "C2": 0.0})
+        cfg = PsoConfig(n_particles=6, max_iters=5, tol=0.0)
         *_, scored = _search(_awgn_frame(0.0, 69, 70, h=128), 69, cfg, ALE)
         assert len(scored) == cfg.max_iters + 1
         np.testing.assert_array_equal(scored, np.broadcast_to(_first_draw(cfg, 69, ALE.taps), scored.shape))
 
-    def test_clamping(self):
-        cfg = PsoConfig(n_particles=10, v_max=0.05, max_iters=10, tol=0.0)
+    def test_clamping(self, monkeypatch):
+        _patch_constants(monkeypatch, {"V_MAX": 0.05})
+        cfg = PsoConfig(n_particles=10, max_iters=10, tol=0.0)
         *_, scored = _search(_awgn_frame(0.0, 70, 71, h=128), 70, cfg, ALE)
         # a step x' - x is the velocity up to the rounding of x + v
         assert np.abs(np.diff(scored, axis=0)).max() == pytest.approx(0.05, rel=1e-12)
@@ -250,6 +264,21 @@ class TestVelocityAndPosition:
         d = _awgn_frame(0.0, 71, 72, h=128)
         *_, scored = _search(d, 71, cfg, ALE)
         np.testing.assert_array_equal(scored[1], _first_move(d, 71, cfg, ALE))
+
+    def test_positions_stay_in_the_growing_box(self):
+        """At the default constants a weight starts within INIT_RANGE of 0
+        and moves at most V_MAX an iteration, so at iteration `it` every
+        scored weight lies within INIT_RANGE + it * V_MAX, up to the
+        rounding of x + v.  The frame grows by 1.5 a sample, so its
+        predicting weights lie far outside that box and pull the swarm
+        outward: the leading particle ends within 2 * V_MAX of the bound."""
+        ale = AleConfig(taps=5, delay=16)
+        d = (1.5 ** np.arange(96)).astype(complex)
+        *_, scored = _search(d, 5, PsoConfig(max_iters=40, tol=0.0), ale)
+        bound = pso.INIT_RANGE + np.arange(len(scored)) * pso.V_MAX
+        reach = np.abs(scored).max(axis=(1, 2))
+        assert len(scored) == 41 and np.all(reach <= bound + 1e-12)
+        assert reach[-1] >= bound[-1] - 2 * pso.V_MAX
 
 
 class TestUpdateBests:
@@ -263,14 +292,11 @@ class TestUpdateBests:
         cfg = PsoConfig(n_particles=5, max_iters=8, tol=0.0)
         *_, scored = _search(np.zeros(64, dtype=complex), 73, cfg, ALE)
         rng = np.random.default_rng(73)
-        x = start = rng.uniform(-cfg.init_range, cfg.init_range, size=(5, ALE.taps))
+        x = start = rng.uniform(-pso.INIT_RANGE, pso.INIT_RANGE, size=(5, ALE.taps))
         v = np.zeros_like(x)
         for positions in scored[1:]:
             r1, r2 = rng.uniform(size=(5, 2, 1)).transpose(1, 0, 2)
-            v = np.clip(
-                cfg.inertia * v + cfg.c1 * r1 * (start - x) + cfg.c2 * r2 * (start[0] - x),
-                -cfg.v_max, cfg.v_max,
-            )
+            v = np.clip(v + pso.C1 * r1 * (start - x) + pso.C2 * r2 * (start[0] - x), -pso.V_MAX, pso.V_MAX)
             x = x + v
             np.testing.assert_array_equal(positions, x)
         assert len(scored) == cfg.max_iters + 1 and not np.array_equal(x, start)
@@ -291,11 +317,12 @@ class TestUpdateBests:
                 np.testing.assert_array_equal(w, w_ref)
                 assert h_ref == history
 
-    def test_global_best_stays_on_a_tie(self):
+    def test_global_best_stays_on_a_tie(self, monkeypatch):
         # a swarm that never moves scores every particle's best again each
         # iteration: a tie, so no best moves
+        _patch_constants(monkeypatch, {"C1": 0.0, "C2": 0.0})
         d = _awgn_frame(0.0, 75, 76, h=128)
-        cfg = PsoConfig(n_particles=6, c1=0.0, c2=0.0, max_iters=6, tol=0.0)
+        cfg = PsoConfig(n_particles=6, max_iters=6, tol=0.0)
         (weights,), (history,) = pso_batch(d[None], [75], cfg, ALE)
         start = _first_draw(cfg, 75, ALE.taps)
         start_costs = np.array([swarm_cost(w, d, ALE) for w in start])
@@ -306,9 +333,10 @@ class TestUpdateBests:
 class TestSearch:
     """One frame's search, a one-lane pso_batch."""
 
-    def test_frozen_swarm_returns_initial_position(self):
+    def test_frozen_swarm_returns_initial_position(self, monkeypatch):
+        _patch_constants(monkeypatch, {"C1": 0.0, "C2": 0.0})
         d = _awgn_frame(0.0, 70, 71, h=128)
-        cfg = PsoConfig(n_particles=1, c1=0.0, c2=0.0, max_iters=1, tol=0.0)
+        cfg = PsoConfig(n_particles=1, max_iters=1, tol=0.0)
         (weights,), _ = pso_batch(d[None], [72], cfg, ALE)
         np.testing.assert_array_equal(weights, _first_draw(cfg, 72, ALE.taps)[0])
 
@@ -344,15 +372,17 @@ class TestSearch:
         _, (history,) = pso_batch(d[None], [85], cfg, ALE)
         assert len(history) == 3
 
-    def test_overflowing_costs_are_inf_and_stall(self):
+    def test_overflowing_costs_are_inf_and_stall(self, monkeypatch):
         """At -2990 dB the frame's power times 1e6-sized weights overflows
         float64, and the quadratic form sums +inf and -inf products.  Such
         a cost is +inf, never nan, raises no warning, and an inf global
-        best counts as no improvement, so the search stops after patience."""
+        best counts as no improvement, so the search stops after patience.
+        The default box never reaches such weights; a patched one does."""
         d = _awgn_frame(-2990.0, 1, 2, h=64)
         assert swarm_cost(np.full(ALE.taps, 1e6), d, ALE) == np.inf
+        _patch_constants(monkeypatch, {"INIT_RANGE": 1e6})
         for tol, iters in ((0.0, 12), (1e-4, 5)):
-            cfg = PsoConfig(n_particles=8, max_iters=12, init_range=1e6, tol=tol, patience=5)
+            cfg = PsoConfig(n_particles=8, max_iters=12, tol=tol, patience=5)
             _, histories = pso_batch(np.array([d, d]), [3, 4], cfg, ALE)
             assert histories == [[np.inf] * iters] * 2
 
@@ -360,20 +390,23 @@ class TestSearch:
         "overrides",
         [
             {},
-            {"inertia": 0.7},
-            {"inertia": 0.5, "c1": 1.5, "v_max": 0.5},
-            {"c1": 0.0, "c2": 0.0},
-            {"v_max": 0.05},
+            {"C1": 1.5, "V_MAX": 0.5},
+            {"C1": 0.0, "C2": 0.0},
+            {"V_MAX": 0.05},
             {"n_particles": 1},
-            {"c2": 0.0},
+            {"C2": 0.0},
+            {"C1": 0.0},
+            {"INIT_RANGE": 0.5},
         ],
+        ids=["defaults", "c1_v_max", "no_pull", "slow", "one_particle", "no_global_pull", "no_personal_pull", "small_box"],
     )
-    def test_matches_loop_oracle(self, overrides):
+    def test_matches_loop_oracle(self, overrides, monkeypatch):
         rng = np.random.default_rng(86)
         ale = AleConfig(taps=3, delay=2)
+        fields = _patch_constants(monkeypatch, overrides)
         for seed in range(4):
             d = _random_frame(rng, 40)
-            cfg = replace(PsoConfig(n_particles=7, max_iters=15, tol=0.0), **overrides)
+            cfg = replace(PsoConfig(n_particles=7, max_iters=15, tol=0.0), **fields)
             (weights,), (history,) = pso_batch(d[None], [seed], cfg, ale)
             w_ref, h_ref = loop_pso(d, ale.taps, ale.delay, cfg, seed)
             np.testing.assert_allclose(history, h_ref, rtol=1e-12, atol=0.0)
@@ -413,7 +446,7 @@ def _assert_lane_is_searched_alone(d, seed, cfg, count, ale, weights, history):
 
 
 _COUNTS = (1, 3, 17, 60)
-_ODD_COEFFICIENTS = {"c1": 1.37, "c2": 0.73, "inertia": 0.61}
+_ODD_COEFFICIENTS = {"C1": 1.37, "C2": 0.73}
 _EARLY_STOP = {"tol": 1e-2, "patience": 3}
 
 
@@ -431,18 +464,19 @@ class TestPsoBatch:
         [{}, _ODD_COEFFICIENTS, _EARLY_STOP],
         ids=["defaults", "odd_coefficients", "early_stop"],
     )
-    def test_lanes_equal_lone_searches_exactly(self, overrides):
+    def test_lanes_equal_lone_searches_exactly(self, overrides, monkeypatch):
         """Swarms of 1, 3, 17 and 60 particles search random frames beside a
-        60-particle swarm on a cosine, which two taps predict exactly.  With
-        inertia below 1 that swarm settles onto the predicting weights,
-        where only the direct recompute scores it."""
+        60-particle swarm on a constant frame, which any weights summing to
+        one predict exactly.  At the default constants that swarm settles
+        onto such weights within 30 iterations, where only the direct
+        recompute scores it."""
         rng = np.random.default_rng(91)
-        cosine = np.cos(0.7 * np.arange(48)).astype(complex)
-        cfg, counts = _batch_cfg(**overrides), _COUNTS + (60,)
+        constant = np.ones(48, dtype=complex)
+        cfg, counts = _batch_cfg(**_patch_constants(monkeypatch, overrides)), _COUNTS + (60,)
         seeds = _seeds(counts)
         for taps in range(1, 10):
             ale = AleConfig(taps=taps, delay=1 + taps % 3)
-            frames = np.array([_random_frame(rng, 48) for _ in _COUNTS] + [cosine])
+            frames = np.array([_random_frame(rng, 48) for _ in _COUNTS] + [constant])
             weights, histories = pso_batch(frames, seeds, cfg, ale, counts)
             assert weights.shape == (len(counts), taps) and len(histories) == len(counts)
             for d, seed, count, w, history in zip(frames, seeds, counts, weights, histories):
@@ -450,16 +484,16 @@ class TestPsoBatch:
             lengths = [len(history) for history in histories]
             if overrides is _EARLY_STOP:
                 assert len(set(lengths)) > 1 and max(lengths) < cfg.max_iters
-            if overrides is _ODD_COEFFICIENTS and taps >= 2:
+            if not overrides:
                 # the quadratic form cannot score below this; the residual can
-                assert histories[-1][-1] < GRAM_FALLBACK_RATIO * np.mean(np.abs(cosine) ** 2)
+                assert histories[-1][-1] < GRAM_FALLBACK_RATIO * np.mean(np.abs(constant) ** 2)
 
     @pytest.mark.parametrize("overrides", [_ODD_COEFFICIENTS, _EARLY_STOP])
-    def test_lanes_match_loop_oracle(self, overrides):
+    def test_lanes_match_loop_oracle(self, overrides, monkeypatch):
         """Random frames only: near a cosine's minimum the costs are rounding
         noise, so which particle wins there depends on the order of rounding."""
         rng = np.random.default_rng(92)
-        cfg, seeds = _batch_cfg(max_iters=15, **overrides), _seeds(_COUNTS)
+        cfg, seeds = _batch_cfg(max_iters=15, **_patch_constants(monkeypatch, overrides)), _seeds(_COUNTS)
         for taps in (1, 4, 9):
             ale = AleConfig(taps=taps, delay=2)
             frames = np.array([_random_frame(rng, 40) for _ in _COUNTS])
