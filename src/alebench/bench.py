@@ -287,13 +287,13 @@ def _sweep_points(spec: ExperimentSpec) -> list[dict]:
 
 
 def _batch_frames(spec: ExperimentSpec, runs: list[tuple[int, int]]):
-    """One lane per run: its (point, seed index, run seed, PSO seed), the
-    (B, H * bits per symbol) bits it sent and the (B, H) received samples.
-    Each profile distorts its lanes in one call, so its tones are computed
-    once per batch; each lane's noise is calibrated to its own distorted
-    frame and drawn from its own seed."""
+    """One lane per run: its row base (sweep point, ``seed``, ``L``,
+    ``delta``), its PSO seed, the (B, H * bits per symbol) bits it sent and
+    the (B, H) received samples.  Each profile distorts its lanes in one
+    call, so its tones are computed once per batch; each lane's noise is
+    calibrated to its own distorted frame and drawn from its own seed."""
     points = _sweep_points(spec)
-    lanes, chan_seeds = [], []
+    bases, pso_seeds, chan_seeds = [], [], []
     bits = np.empty((len(runs), spec.h * spec.mod.bits_per_symbol), dtype=np.uint8)
     frames = np.empty((len(runs), spec.h), dtype=np.complex128)
     for lane, (sweep_idx, seed_idx) in enumerate(runs):
@@ -301,18 +301,19 @@ def _batch_frames(spec: ExperimentSpec, runs: list[tuple[int, int]]):
         bits_seed, chan_seed, pso_seed = (derive_run_seed(run_seed, k) for k in range(3))
         bits[lane] = generate_bits(bits.shape[1], bits_seed)
         frames[lane] = modulate(bits[lane], spec.mod)
-        lanes.append((points[sweep_idx], seed_idx, run_seed, pso_seed))
+        bases.append(dict(points[sweep_idx], seed=run_seed, L=spec.ale.taps, delta=spec.ale.delay))
+        pso_seeds.append(pso_seed)
         chan_seeds.append(chan_seed)
     # runs come in sweep order, profile outermost, so a profile's lanes are one slice
     first = 0
-    for name, group in groupby(point.get("profile") for point, *_ in lanes):
+    for name, group in groupby(base.get("profile") for base in bases):
         last = first + len(list(group))
         if name is not None:
             frames[first:last] = apply_nonlinear(frames[first:last], DEFAULT_PROFILES[name])
         first = last
-    for lane, ((point, *_), chan_seed) in enumerate(zip(lanes, chan_seeds)):
-        frames[lane] = add_awgn(frames[lane], point["snr_db"], chan_seed)
-    return lanes, bits, frames
+    for lane, (base, chan_seed) in enumerate(zip(bases, chan_seeds)):
+        frames[lane] = add_awgn(frames[lane], base["snr_db"], chan_seed)
+    return bases, pso_seeds, bits, frames
 
 
 def _power(x: np.ndarray, crossed: bool) -> float:
@@ -321,16 +322,13 @@ def _power(x: np.ndarray, crossed: bool) -> float:
     return math.inf if crossed else float(np.mean(np.abs(x) ** 2))
 
 
-def _metric_row(
-    spec: ExperimentSpec, lane: tuple, base: dict, algorithm: str, residual: np.ndarray, sent, crossed: bool
-) -> dict:
+def _metric_row(spec: ExperimentSpec, base: dict, algorithm: str, residual: np.ndarray, sent, crossed: bool) -> dict:
     """The row of one algorithm's residual of a run, from sample `warmup`
     on: bits are decided on it, and `mse` is its power.  A power that
     overflows is inf, as are a crossed LMS lane's (_power); a residual that
     overflows fails the run."""
     if not np.isfinite(residual).all():
-        reason = f"{algorithm} residual is not finite"  # lane = (point, seed_idx, run_seed, pso_seed)
-        raise RuntimeError(f"{spec.kind} failed at sweep point {lane[0]}, seed index {lane[1]}: {reason}")
+        raise RuntimeError(f"{spec.kind} failed at run seed {base['seed']}: {algorithm} residual is not finite")
     errors = int(np.count_nonzero(demodulate(residual, spec.mod) != sent))
     clean = modulate(sent, spec.mod)  # re-modulated per row: ~60 us a BPSK lane, against one more (B, H) array per batch
     return dict(
@@ -346,25 +344,25 @@ def _metric_row(
 
 
 @np.errstate(over="ignore")
-def _metric_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, frames) -> list[dict]:
+def _metric_rows(spec: ExperimentSpec, bases: list[dict], pso_seeds: list[int], bits, frames) -> list[dict]:
     """An LMS and a PSO row per run.  The swarm searches first, and each
     PSO row is formed while the frames are intact; LMS then writes its
     residuals over them."""
     sent_bits = bits[:, spec.mod.bits_per_symbol * spec.ale.warmup :]
-    weights, _ = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
+    weights, _ = pso_batch(frames, pso_seeds, spec.pso, spec.ale)
     pso_rows = [
-        _metric_row(spec, lane, base, "PSO", _residual(d, w, spec.ale), sent, False)
-        for lane, base, d, w, sent in zip(lanes, bases, frames, weights, sent_bits)
+        _metric_row(spec, base, "PSO", _residual(d, w, spec.ale), sent, False)
+        for base, d, w, sent in zip(bases, frames, weights, sent_bits)
     ]
-    _, diverged_at, _ = lms_batch(frames, np.full(len(lanes), spec.mu), spec.ale)
+    _, diverged_at, _ = lms_batch(frames, np.full(len(bases), spec.mu), spec.ale)
     lms_rows = [
-        _metric_row(spec, lane, base, "LMS", e[spec.ale.warmup :], sent, n >= 0)
-        for lane, base, e, sent, n in zip(lanes, bases, frames, sent_bits, diverged_at)
+        _metric_row(spec, base, "LMS", e[spec.ale.warmup :], sent, n >= 0)
+        for base, e, sent, n in zip(bases, frames, sent_bits, diverged_at)
     ]
     return [row for pair in zip(lms_rows, pso_rows) for row in pair]
 
 
-def _step_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, frames) -> list[dict]:
+def _step_rows(spec: ExperimentSpec, bases: list[dict], pso_seeds: list[int], bits, frames) -> list[dict]:
     _, diverged_at, _ = lms_batch(frames, [base["mu"] for base in bases], spec.ale)
     return [
         dict(base, algorithm="LMS", mse=_power(e[spec.ale.warmup :], n >= 0))
@@ -372,11 +370,11 @@ def _step_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, frame
     ]
 
 
-def _particle_rows(spec: ExperimentSpec, lanes: list, bases: list[dict], bits, frames) -> list[dict]:
+def _particle_rows(spec: ExperimentSpec, bases: list[dict], pso_seeds: list[int], bits, frames) -> list[dict]:
     # the sweep value is a whole float; the row and the swarm take an int.
     # Full-length histories: early stopping is disabled for this sweep.
     counts = [int(base["n_particles"]) for base in bases]
-    _, histories = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], replace(spec.pso, tol=0.0), spec.ale, counts)
+    _, histories = pso_batch(frames, pso_seeds, replace(spec.pso, tol=0.0), spec.ale, counts)
     return [
         dict(base, algorithm="PSO", n_particles=count, iteration=it + 1, gbest_cost=cost)
         for base, count, history in zip(bases, counts, histories)
@@ -393,9 +391,9 @@ class _Kind:
     reads: their values are still checked, because ``run-all`` applies one
     config to every kind, but they stay out of that kind's meta file.
     `axis` is the row column swept outside the SNR grid and the spec field
-    its values come from, or None.  `rows(spec, lanes, bases, bits, frames)`
-    returns a batch's rows in run order: each run's `bases` dict, the key
-    columns the runner set (sweep point, ``seed``, ``L``, ``delta``), plus the cells it measured.
+    its values come from, or None.  `rows(spec, bases, pso_seeds, bits, frames)`
+    takes a batch as _batch_frames returns it and returns its rows in run
+    order: each run's base, its key columns, plus the cells measured.
     `raw` and `mean` are the CSV columns.  `averaged` are the mean columns
     averaged over seeds; the other mean columns but ``n_seeds`` group rows.
     """
@@ -403,7 +401,7 @@ class _Kind:
     defaults: dict
     ignores: tuple[str, ...]
     axis: tuple[str, str] | None
-    rows: Callable[[ExperimentSpec, list, list, np.ndarray, np.ndarray], list[dict]]
+    rows: Callable[[ExperimentSpec, list[dict], list[int], np.ndarray, np.ndarray], list[dict]]
     raw: tuple[str, ...]
     mean: tuple[str, ...]
     averaged: tuple[str, ...]
@@ -493,9 +491,7 @@ def _split(runs: list, count: int) -> list[list]:
 def _run_batch(args: tuple) -> list[dict]:
     """A batch's rows: each run's key columns plus the cells its kind measured."""
     spec, runs = args
-    lanes, bits, frames = _batch_frames(spec, runs)
-    bases = [dict(point, seed=run_seed, L=spec.ale.taps, delta=spec.ale.delay) for point, _, run_seed, _ in lanes]
-    return _KINDS[spec.kind].rows(spec, lanes, bases, bits, frames)
+    return _KINDS[spec.kind].rows(spec, *_batch_frames(spec, runs))
 
 
 # ---------------------------------------------------------------------------

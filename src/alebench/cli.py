@@ -8,7 +8,7 @@ Run the SNR comparison with defaults and write CSV under ./results::
 
 Override config-file keys from the command line::
 
-    alebench ber_awgn --config bench.cfg --set run.n_seeds=20 --seed 99
+    alebench ber_awgn --config bench.cfg --set run.n_seeds=20 --set run.base_seed=99
 
 ``run-all`` executes every experiment into one output directory.
 """
@@ -40,8 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=Path, default=None, help="config file (flat key = value lines)")
     parser.add_argument("--out", type=Path, default=Path("results"), help="output directory (default: results)")
-    parser.add_argument("--seed", type=int, default=None, help="override run.base_seed")
-    parser.add_argument("--seeds", type=int, default=None, help="override run.n_seeds")
     parser.add_argument("--jobs", type=int, default=1, help="parallel worker processes (default: 1)")
     parser.add_argument(
         "--set",
@@ -55,11 +53,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _assemble(args) -> tuple[str, dict[str, str]]:
-    """Config text and overrides, --seed and --seeds among them; a key set twice is rejected."""
+    """Config text and --set overrides; a key set twice is rejected."""
     text = "" if args.config is None else Path(args.config).read_text(encoding="utf-8-sig")
-    flags = (("run.base_seed", args.seed), ("run.n_seeds", args.seeds))
     overrides: dict[str, str] = {}
-    for item in args.overrides + [f"{key}={value}" for key, value in flags if value is not None]:
+    for item in args.overrides:
         key, equals, value = (part.strip() for part in item.partition("="))
         if not (equals and key):
             raise ConfigError(item, "expected KEY=VALUE")

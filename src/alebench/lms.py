@@ -90,7 +90,7 @@ def lms_batch(D: np.ndarray, mus: np.ndarray, ale: AleConfig) -> tuple[np.ndarra
     # W[i + 1] is the weights after a block's sample i, W[0] its start
     W = np.zeros((_BLOCK + 1, taps + 1, 2, lanes))
     W[:, taps] = -1.0
-    rows = list(zip(W[:-1], W[1:], W[:-1, :taps], W[1:, :taps], v_out, v_up, ne_block, ne_block[:, :, None, None]))
+    rows = list(zip(W[:-1], W[:-1, :taps], W[1:, :taps], v_out, v_up, ne_block, ne_block[:, :, None, None]))
     steps = np.tile(mus, (taps, 2, 1))  # a diverged lane's column is zeroed
     prod = np.empty((taps + 1, 2, lanes))
     # the update's (re/im, tap, copy, lane) products, each half contiguous
@@ -111,7 +111,7 @@ def lms_batch(D: np.ndarray, mus: np.ndarray, ale: AleConfig) -> tuple[np.ndarra
             v_out[:size, :taps] = windows[:size]
             v_out[:size, taps] = span[start : start + size]
             v_up[:size] = v_out[:size, :taps].transpose(0, 2, 1, 3)[:, :, :, None]
-            for w, w_next, w_t, w_next_t, v, v_t, ne_n, ne_t in rows[:size]:
+            for w, w_t, w_next_t, v, v_t, ne_n, ne_t in rows[:size]:
                 multiply(v, w, prod)
                 add_reduce(prod, 0, None, ne_n)
                 # each tap's step is mu * (er*vr + ei*vi) negated, in that

@@ -359,8 +359,8 @@ def test_prediction_floor_matches_closed_form():
     for kind in ("ber_awgn", "ber_nonlinear"):
         spec = parse_config("run.snr_grid = -10, -2, 4, 10", kind=kind)
         runs = [(i, j) for i in range(len(bench._sweep_points(spec))) for j in range(spec.n_seeds)]
-        lanes, _, frames = bench._batch_frames(spec, runs)
-        for (point, *_), d in zip(lanes, frames):
+        bases, _, _, frames = bench._batch_frames(spec, runs)
+        for point, d in zip(bases, frames):
             R, p, c = _gram(d, spec.ale)
             name = point.get("profile", "AWGN")
             _, theory = _floor_in_closed_form(DEFAULT_PROFILES.get(name, NonlinearProfile()), point["snr_db"], spec.ale)
@@ -388,11 +388,11 @@ def test_unfiltered_bpsk_errors_match_theory():
     and the demodulator against theory, not against files the code wrote."""
     spec = parse_config("", kind="ber_awgn")
     runs = [(i, j) for i in range(len(bench._sweep_points(spec))) for j in range(spec.n_seeds)]
-    lanes, bits, frames = bench._batch_frames(spec, runs)
+    bases, _, bits, frames = bench._batch_frames(spec, runs)
     k, v0 = spec.mod.bits_per_symbol, spec.ale.warmup
     errors: dict[float, int] = {}
     counts: dict[float, int] = {}
-    for (point, *_), sent, d in zip(lanes, bits[:, k * v0 :], frames):
+    for point, sent, d in zip(bases, bits[:, k * v0 :], frames):
         snr = point["snr_db"]
         errors[snr] = errors.get(snr, 0) + int(np.count_nonzero(demodulate(d[v0:], spec.mod) != sent))
         counts[snr] = counts.get(snr, 0) + sent.size
@@ -429,16 +429,16 @@ def test_lms_misadjustment_matches_small_step_theory():
     mse = {row["seed"]: row["mse"] for row in run_experiment(spec).raw_rows}
     points = bench._sweep_points(spec)
     runs = [(i, j) for i, point in enumerate(points) if point["mu"] in (0.005, 0.01) for j in range(spec.n_seeds)]
-    lanes, _, frames = bench._batch_frames(spec, runs)
+    bases, _, _, frames = bench._batch_frames(spec, runs)
     taps, delay, v0 = spec.ale.taps, spec.ale.delay, spec.ale.warmup
     excess: dict[float, list[float]] = {}
     predicted: dict[float, list[float]] = {}
-    for (point, _, run_seed, _), d in zip(lanes, frames):
+    for base, d in zip(bases, frames):
         v = np.stack([d[v0 - delay - k : d.size - delay - k] for k in range(taps)], axis=1)
         e = d[v0:] - v @ real_least_squares_weights(d, taps, delay)
         g = e.real[:, None] * v.real + e.imag[:, None] * v.imag
-        mu = point["mu"]
-        excess.setdefault(mu, []).append(mse[run_seed] - np.mean(np.abs(e) ** 2))
+        mu = base["mu"]
+        excess.setdefault(mu, []).append(mse[base["seed"]] - np.mean(np.abs(e) ** 2))
         predicted.setdefault(mu, []).append(mu * np.mean(np.sum(g**2, axis=1)) / 2.0)
     ratios = {mu: float(np.mean(excess[mu]) / np.mean(predicted[mu])) for mu in excess}
     ok = _report(

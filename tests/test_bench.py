@@ -340,9 +340,9 @@ class TestRunExperiment:
         batch_frames, lms_batch, pso_batch = bench._batch_frames, bench.lms_batch, bench.pso_batch
 
         def recording_frames(spec, runs):
-            lanes, bits, frames = batch_frames(spec, runs)
+            bases, pso_seeds, bits, frames = batch_frames(spec, runs)
             drawn.append(frames)
-            return lanes, bits, frames
+            return bases, pso_seeds, bits, frames
 
         def recording(name, fn):
             def call(frames, *args):
@@ -367,7 +367,7 @@ class TestRunExperiment:
         spec = parse_config(_DIVERGING_DOCS[kind], kind=kind)
         points = bench._sweep_points(spec)
         runs = [(i, j) for i in range(len(points)) for j in range(spec.n_seeds)]
-        _, bits, residuals = bench._batch_frames(spec, runs)
+        _, _, bits, residuals = bench._batch_frames(spec, runs)
         _, diverged_at, _ = lms_batch(residuals, np.full(len(runs), spec.mu), spec.ale)  # written over the frames
         table = run_experiment(spec)
         lms_rows, pso_rows = table.raw_rows[::2], table.raw_rows[1::2]
@@ -435,10 +435,10 @@ class TestRunExperiment:
         spec = parse_config(_BATCH_DOCS.get(kind, SMALL), kind=kind)
         points = bench._sweep_points(spec)
         runs = [(i, j) for i in range(len(points)) for j in range(spec.n_seeds)]
-        lanes, bits, frames = bench._batch_frames(spec, runs)
+        _, pso_seeds, bits, frames = bench._batch_frames(spec, runs)
         lms_residuals = frames.copy()  # the swarm below reads the frames
         lms_batch(lms_residuals, np.full(len(runs), spec.mu), spec.ale)
-        weights, _ = pso_batch(frames, [pso_seed for *_, pso_seed in lanes], spec.pso, spec.ale)
+        weights, _ = pso_batch(frames, pso_seeds, spec.pso, spec.ale)
         rows = run_experiment(spec).raw_rows
         v0, k = spec.ale.warmup, spec.mod.bits_per_symbol
         assert len(rows) == 2 * len(runs)
@@ -460,7 +460,7 @@ class TestRunExperiment:
             kind="step_sweep",
         )
         (row,) = run_experiment(spec).raw_rows
-        _, _, frames = bench._batch_frames(spec, [(0, 0)])
+        _, _, _, frames = bench._batch_frames(spec, [(0, 0)])
         lms_batch(frames, [0.02], spec.ale)
         (e,) = frames
         assert row["mse"] == float(np.mean(np.abs(e)[spec.ale.warmup :] ** 2))
@@ -479,24 +479,27 @@ class TestRunExperiment:
         assert math.isfinite(lms_row["mse"])
 
     @pytest.mark.parametrize("kind, point", [
-        ("ber_awgn", "{'snr_db': 0.0}"),
-        ("ber_nonlinear", "{'profile': '60MHz', 'snr_db': 0.0}"),
+        ("ber_awgn", {"snr_db": 0.0}),
+        ("ber_nonlinear", {"profile": "60MHz", "snr_db": 0.0}),
     ])
     def test_overflowing_pso_output_names_its_run(self, kind, point, monkeypatch):
         """Seed index 1's swarm starts near the largest float: its global
         best costs a finite amount, but its filtered output overflows, so no
-        bit can be decided on its residual.  The error names the run, at any
-        parallelism: a residual that overflows is a fault, where an LMS lane
-        that crosses the weight bound keeps its rows.  No config reaches
+        bit can be decided on its residual.  The error names the run by its
+        seed, its raw rows' ``seed`` cell, at any parallelism: a residual
+        that overflows is a fault, where an LMS lane that crosses the weight
+        bound keeps its rows.  No config reaches
         this (a swarm stays within pso.INIT_RANGE + max_iters * pso.V_MAX),
         so the start box is patched; the pool's workers are forked and
         inherit the patch."""
         monkeypatch.setattr(pso, "INIT_RANGE", 8.98e307)
         doc = "frame.h = 200\nrun.n_seeds = 2\nrun.snr_grid = 0\npso.max_iters = 1\n"
+        spec = parse_config(doc, kind=kind)
+        seed = derive_run_seed(spec.base_seed, bench._sweep_points(spec).index(point), 1)
         for jobs in (1, 2):
             with pytest.raises(RuntimeError) as excinfo:
-                run_experiment(parse_config(doc, kind=kind), jobs=jobs)
-            assert str(excinfo.value) == f"{kind} failed at sweep point {point}, seed index 1: PSO residual is not finite"
+                run_experiment(spec, jobs=jobs)
+            assert str(excinfo.value) == f"{kind} failed at run seed {seed}: PSO residual is not finite"
 
     def test_nonlinear_rows_carry_profile(self):
         spec = parse_config(

@@ -77,9 +77,9 @@ def test_run_all_parses_every_kind_before_running_any(tmp_path, monkeypatch):
 
 
 def test_seed_flag_overrides_base_seed(tmp_path):
-    main(["ber_awgn", "--out", str(tmp_path / "a"), "--seed", "1"] + TINY)
-    main(["ber_awgn", "--out", str(tmp_path / "b"), "--seed", "1"] + TINY)
-    main(["ber_awgn", "--out", str(tmp_path / "c"), "--seed", "2"] + TINY)
+    main(["ber_awgn", "--out", str(tmp_path / "a"), "--set", "run.base_seed=1"] + TINY)
+    main(["ber_awgn", "--out", str(tmp_path / "b"), "--set", "run.base_seed=1"] + TINY)
+    main(["ber_awgn", "--out", str(tmp_path / "c"), "--set", "run.base_seed=2"] + TINY)
     a = (tmp_path / "a" / "ber_awgn_raw.csv").read_bytes()
     b = (tmp_path / "b" / "ber_awgn_raw.csv").read_bytes()
     c = (tmp_path / "c" / "ber_awgn_raw.csv").read_bytes()
@@ -93,11 +93,24 @@ def test_config_file_plus_flag_override(tmp_path):
                    "pso.n_particles = 5\npso.max_iters = 5\n")
     code = main([
         "ber_awgn", "--config", str(cfg), "--out", str(tmp_path),
-        "--seeds", "1",
+        "--set", "run.n_seeds=1",
     ])
     assert code == 0
     raw = (tmp_path / "ber_awgn_raw.csv").read_text().splitlines()
     assert len(raw) == 1 + 2  # header + 1 seed x 2 algorithms
+
+
+@pytest.mark.parametrize("flag", [["--seeds", "1"], ["--seed", "7"]])
+def test_removed_seed_flags_are_unrecognized(tmp_path, capsys, flag):
+    """--seeds and --seed are gone: the seeds are set by run.n_seeds and
+    run.base_seed, from the config file or --set, and argparse refuses
+    either flag before anything is written."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as excinfo:
+        main(["ber_awgn", "--out", str(out)] + TINY + flag)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_file_with_byte_order_mark(tmp_path):
@@ -139,13 +152,10 @@ def test_override_without_equals_fails_with_diagnostic(tmp_path, capsys):
 @pytest.mark.parametrize("flags, key", [
     (["--set", "lms.mu=0.01", "--set", "lms.mu=0.02"], "lms.mu"),
     (["--set", "lms.mu=0.01", "--set", " lms.mu = 0.01"], "lms.mu"),
-    (["--seeds", "1", "--set", "run.n_seeds=3"], "run.n_seeds"),
-    (["--set", "run.base_seed=7", "--seed", "7"], "run.base_seed"),
 ])
 def test_key_set_twice_fails_before_running(tmp_path, capsys, flags, key):
-    """A key set twice on the command line, by --set or by a flag beside
-    its --set, is named before anything runs, not silently taken from the
-    last setting."""
+    """A key set twice on the command line is named before anything runs,
+    not silently taken from the last setting."""
     out = tmp_path / "out"
     assert main(["ber_awgn", "--out", str(out)] + flags) == 1
     assert capsys.readouterr().err == f"error: {key}: duplicate key\n"
@@ -212,7 +222,7 @@ def test_start_range_numpy_cannot_draw_fails_before_running(tmp_path, capsys):
     range numpy could not draw from is refused as an unknown key at parse
     time, and nothing is written."""
     out = tmp_path / "out"
-    code = main(["run-all", "--out", str(out), "--seeds", "1", "--set", "pso.init_range=1e308"])
+    code = main(["run-all", "--out", str(out), "--set", "run.n_seeds=1", "--set", "pso.init_range=1e308"])
     assert code == 1
     err = capsys.readouterr().err
     assert err == "error: pso.init_range: unknown key\n"
@@ -225,7 +235,7 @@ def test_run_count_above_the_cap_fails_before_running(tmp_path, capsys, monkeypa
     ran = []
     monkeypatch.setattr(cli, "run_experiment", lambda spec, jobs: ran.append(spec.kind))
     out = tmp_path / "out"
-    code = main(["run-all", "--out", str(out), "--seeds", "5000"])
+    code = main(["run-all", "--out", str(out), "--set", "run.n_seeds=5000"])
     assert code == 1
     assert "run.n_seeds" in capsys.readouterr().err
     assert ran == [] and not out.exists()

@@ -3,12 +3,12 @@
 The files under ``tests/golden/`` named ``<kind>_{raw,mean}.csv`` are the
 output of
 
-    alebench <kind> --set frame.h=500 --seeds 2
+    alebench <kind> --set frame.h=500 --set run.n_seeds=2
 
 for each of the four kinds, at every other key's default.  The files named
 ``ber_nonlinear_qpsk_{raw,mean}.csv`` are the output of
 
-    alebench ber_nonlinear --set frame.h=500 --seeds 2
+    alebench ber_nonlinear --set frame.h=500 --set run.n_seeds=2
         --set "channel.profiles=5.8GHz, 60MHz" --set mod.m=4
 
 which reaches a reordered profile axis and QPSK, neither of which the
@@ -40,7 +40,7 @@ _QPSK_ARGS = ["--set", "channel.profiles=5.8GHz, 60MHz", "--set", "mod.m=4"]
 
 
 def _check(kind, name, extra, jobs, out):
-    argv = [kind, "--set", "frame.h=500", "--seeds", "2", "--jobs", str(jobs), "--out", str(out)]
+    argv = [kind, "--set", "frame.h=500", "--set", "run.n_seeds=2", "--jobs", str(jobs), "--out", str(out)]
     assert main(argv + extra) == 0
     for suffix in _SUFFIXES:
         written = out / f"{kind}_{suffix}"
