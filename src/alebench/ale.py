@@ -54,16 +54,18 @@ class AleConfig:
         return self.delay + self.taps - 1
 
 
-def _check_frame(D: np.ndarray, ale: AleConfig) -> np.ndarray:
-    """Frames along the last axis, as a C-contiguous complex128 array: long
-    enough for the enhancer and finite."""
-    D = np.ascontiguousarray(D, dtype=np.complex128)
-    if D.shape[-1] <= ale.delay + ale.taps:
-        raise ValueError(f"frame of length {D.shape[-1]} too short for delay {ale.delay} and {ale.taps} taps")
+def _check_frame(D: np.ndarray, ale: AleConfig) -> None:
+    """The batch lms_batch and pso_batch take, checked, never converted: a
+    C-contiguous complex128 (B, H) ndarray, B >= 1, each frame longer than
+    delay + taps, every real and imaginary part finite."""
+    if not (isinstance(D, np.ndarray) and D.dtype == np.complex128 and D.flags.c_contiguous and D.ndim == 2 and len(D)):
+        got = f"{D.shape} {D.dtype}, C-contiguous {D.flags.c_contiguous}" if isinstance(D, np.ndarray) else type(D)
+        raise ValueError(f"need (B, H) frames, B >= 1, as a C-contiguous complex128 array, got {got}")
+    if D.shape[1] <= ale.delay + ale.taps:
+        raise ValueError(f"frame of length {D.shape[1]} too short for delay {ale.delay} and {ale.taps} taps")
     x = D.view(np.float64)  # a nan or an inf part reaches its least or greatest: no per-sample temporary
-    if x.size and not (np.isfinite(x.min()) and np.isfinite(x.max())):
-        raise ValueError("frames must be finite")
-    return D
+    if not (np.isfinite(lo := x.min()) and np.isfinite(hi := x.max())):
+        raise ValueError(f"frames must be finite, got {hi if np.isfinite(lo) else lo}")
 
 
 def _lags(d: np.ndarray, ale: AleConfig) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -95,10 +95,9 @@ def add_awgn(x: np.ndarray, snr_db: float, seed: int) -> np.ndarray:
 def apply_nonlinear(x: np.ndarray, profile: NonlinearProfile) -> np.ndarray:
     """Apply the cubic-plus-tones impairment to a frame, or to frames along
     the last axis, each frame's tones starting at its first sample; the
-    identity profile is bit-exact.  Each tone is computed once per call."""
+    identity profile returns each sample of finite |x|^2 equal to itself
+    (a -0 part may come back +0).  Each tone is computed once per call."""
     x = np.asarray(x, dtype=np.complex128)
-    if profile.cubic_gain == 0.0 and not profile.tones:
-        return x.copy()
     # x + g * x * |x|^2, evaluated in place to hold one temporary per frame
     y = profile.cubic_gain * x
     y *= np.abs(x) ** 2

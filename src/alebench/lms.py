@@ -35,8 +35,8 @@ def lms_batch(D: np.ndarray, mus: np.ndarray, ale: AleConfig) -> tuple[np.ndarra
     """Adapt B frames at once, frame b with step size mus[b], writing each
     residual d - y over the frame sample it was formed from.
 
-    D must be a writeable C-contiguous complex128 (B, H) array of finite
-    frames; anything else is rejected before any sample is written.  Every
+    D must be a batch as ale._check_frame states it, and writeable;
+    anything else is rejected before any sample is written.  Every
     lane starts from zero weights.  Warm-up samples (regressor not fully
     populated) are skipped: their output stays 0, so their residual is the
     sample, left as it is.  Returns (final_weights, diverged_at,
@@ -49,14 +49,12 @@ def lms_batch(D: np.ndarray, mus: np.ndarray, ale: AleConfig) -> tuple[np.ndarra
     is inf or nan.  A lane's result does not depend on the other lanes of
     the batch.
     """
-    if not (isinstance(D, np.ndarray) and D.dtype == np.complex128 and D.flags.c_contiguous and D.flags.writeable):
-        raise ValueError("frames must be a writeable C-contiguous complex128 array: their residuals are written over them")
-    mus = np.asarray(mus, dtype=np.float64)
-    if D.ndim != 2 or D.shape[0] < 1 or mus.shape != D.shape[:1]:
-        raise ValueError(f"need (B, H) frames and B step sizes, got {D.shape} and {mus.shape}")
-    if not np.all(np.isfinite(mus) & (mus >= 0.0)):
-        raise ValueError("step sizes must be finite and >= 0")
     _check_frame(D, ale)
+    if not D.flags.writeable:
+        raise ValueError("frames must be writeable: their residuals are written over them")
+    mus = np.asarray(mus, dtype=np.float64)
+    if mus.shape != D.shape[:1] or not np.all(np.isfinite(mus) & (mus >= 0.0)):
+        raise ValueError(f"need B = {len(D)} step sizes, finite and >= 0, got {mus!r}")
     lanes, h = D.shape
     start, taps = ale.warmup, ale.taps
     # (sample, re/im, lane) float view of the frames, and of the residuals

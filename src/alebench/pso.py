@@ -121,9 +121,9 @@ def _lane_best(pcost: np.ndarray, starts: np.ndarray, lane: np.ndarray):
 def pso_batch(
     D: np.ndarray, seeds: list[int], cfg: PsoConfig, ale: AleConfig, counts: list[int] | None = None
 ) -> tuple[np.ndarray, list[list[float]]]:
-    """Search B frames at once for the weight vector minimizing each
-    frame's residual cost: frame b with generator default_rng(seeds[b]) and
-    counts[b] particles, cfg.n_particles each when `counts` is None.
+    """Search the frames of batch D (see ale._check_frame) for the weights
+    minimizing each one's residual cost: frame b with default_rng(seeds[b])
+    and counts[b] particles, cfg.n_particles each when `counts` is None.
 
     Starting positions are drawn uniformly in [-INIT_RANGE, INIT_RANGE]^L
     and each particle's best is its starting point.  Each iteration moves
@@ -144,10 +144,10 @@ def pso_batch(
     global best, a row of the (B, L) array, and histories[b] its global-best
     cost after each iteration, whose last entry is the cost of weights[b].
     """
-    D = _check_frame(D, ale)
+    _check_frame(D, ale)
     counts = [cfg.n_particles] * len(seeds) if counts is None else list(counts)
-    if D.ndim != 2 or not len(seeds) or not len(D) == len(seeds) == len(counts):
-        raise ValueError(f"need (B, H) frames, B seeds and B counts, got {D.shape}, {len(seeds)} and {len(counts)}")
+    if not len(D) == len(seeds) == len(counts):
+        raise ValueError(f"need B seeds and B counts for B = {len(D)} frames, got {len(seeds)} and {len(counts)}")
     for n in counts:  # checked before the (L, P) swarm is allocated
         if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_PARTICLES):
             raise ValueError(f"particle counts must be integers from 1 to {MAX_PARTICLES}, got {n}")

@@ -5,9 +5,13 @@ import pytest
 
 from alebench.ale import AleConfig, _check_frame, _residual
 from alebench.channel import add_awgn
+from alebench.lms import lms_batch
+from alebench.pso import PsoConfig, pso_batch
 from alebench.signal import ModConfig, generate_bits, modulate
 from costs import swarm_cost
 from oracles import brute_force_residual
+
+ALE = AleConfig(taps=5, delay=1)
 
 
 def _frame(h=256, seed=30, snr_db=2.0):
@@ -36,7 +40,7 @@ class TestRegressor:
         cfg = AleConfig(taps=2, delay=1)
         assert len(_residual(np.ones(4, dtype=complex), [1.0, 0.0], cfg)) == len(range(cfg.warmup, 4)) == 2
         with pytest.raises(ValueError, match="too short"):
-            _check_frame(np.ones((1, 3)), cfg)
+            _check_frame(np.ones((1, 3), dtype=complex), cfg)
 
     def test_each_tap_is_the_frame_delayed(self):
         d = _frame(h=64)
@@ -85,14 +89,7 @@ class TestResidual:
 
     def test_short_frame_rejected(self):
         with pytest.raises(ValueError, match="frame of length 6 too short for delay 1 and 5 taps"):
-            _check_frame(np.ones((2, 6)), AleConfig(taps=5, delay=1))
-
-    def test_non_finite_frame_rejected(self):
-        for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)):
-            d = np.array([_frame(h=64), _frame(h=64, seed=40)])
-            d[1, 10] = bad
-            with pytest.raises(ValueError, match="finite"):
-                _check_frame(d, AleConfig(taps=5, delay=1))
+            _check_frame(np.ones((2, 6), dtype=complex), AleConfig(taps=5, delay=1))
 
     def test_bad_weights_rejected(self):
         """Weights of the wrong length are refused, not cut to the taps or
@@ -149,3 +146,76 @@ class TestResidual:
         base, shifted = _residual(d, w, cfg), _residual(shifted_d, w, cfg)
         np.testing.assert_allclose(shifted[1:], base[:-1], atol=1e-12)
         np.testing.assert_allclose(shifted, brute_force_residual(w, shifted_d, 4, 1), rtol=0, atol=1e-12)
+
+
+def _batch(refused=None):
+    """Two 64-sample frames as lms_batch and pso_batch take them, or made
+    into the refused batch named."""
+    D = np.array([_frame(h=64), _frame(h=64, seed=40)])
+    if isinstance(refused, complex):
+        D[1, 10] = refused
+    elif refused is not None:
+        D = {
+            "list": D.tolist(),
+            "float64": D.real.copy(),
+            "fortran": np.asfortranarray(D),
+            "column slice": np.concatenate([D, D], axis=1)[:, ::2],
+            "1-D": D[0],
+            "3-D": D[None],
+            "zero frames": D[:0],
+            "delay + taps samples": D[:, :6].copy(),
+        }[refused]
+    return D
+
+
+_KERNELS = {
+    "_check_frame": _check_frame,
+    "lms_batch": lambda D, ale: lms_batch(D, [0.01, 0.01], ale),
+    "pso_batch": lambda D, ale: pso_batch(D, [0, 1], PsoConfig(n_particles=4, max_iters=2), ale),
+}
+
+
+class TestBatchContract:
+    """_check_frame is the one statement of the batch lms_batch and
+    pso_batch take: a C-contiguous complex128 (B, H) ndarray, B >= 1, each
+    frame longer than delay + taps, every part finite."""
+
+    @pytest.mark.parametrize(
+        "refused, named",
+        [
+            ("list", "got <class 'list'>"),
+            ("float64", "(2, 64) float64"),
+            ("fortran", "(2, 64) complex128, C-contiguous False"),
+            ("column slice", "(2, 64) complex128, C-contiguous False"),
+            ("1-D", "got (64,)"),
+            ("3-D", "got (1, 2, 64)"),
+            ("zero frames", "got (0, 64)"),
+            ("delay + taps samples", "frame of length 6 too short for delay 1 and 5 taps"),
+            (complex(np.nan, 0.0), "finite, got nan"),
+            (complex(np.inf, 0.0), "finite, got inf"),
+            (complex(-np.inf, 0.0), "finite, got -inf"),
+            (complex(0.0, np.nan), "finite, got nan"),
+            (complex(0.0, np.inf), "finite, got inf"),
+            (complex(0.0, -np.inf), "finite, got -inf"),
+        ],
+        ids=[
+            "list", "float64", "fortran", "column-slice", "1-D", "3-D", "zero-frames", "delay-plus-taps-samples",
+            "nan", "inf", "-inf", "nan-imag", "inf-imag", "-inf-imag",
+        ],
+    )
+    def test_refused_by_all_three(self, refused, named):
+        """Each refuses the batch with the frame check's message, which names
+        the refused shape, dtype, layout or value, and leaves it as it was."""
+        D = _batch(refused)
+        before = np.array(D).tobytes()
+        messages = []
+        for call in _KERNELS.values():
+            with pytest.raises(ValueError) as refusal:
+                call(D, ALE)
+            messages.append(str(refusal.value))
+        assert named in messages[0] and messages == messages[:1] * 3
+        assert np.array(D).tobytes() == before
+
+    def test_conforming_batch_accepted_by_all_three(self):
+        for call in _KERNELS.values():
+            call(_batch(), ALE)

@@ -317,7 +317,7 @@ class TestLmsBatch:
         with pytest.raises(ValueError, match="need"):
             lms_batch(frames, [0.01], ALE)
         for mus in ([0.01, -0.1], [0.01, np.inf], [0.01, np.nan]):
-            with pytest.raises(ValueError, match="step sizes must be finite and >= 0"):
+            with pytest.raises(ValueError, match="step sizes, finite and >= 0"):
                 lms_batch(frames, mus, ALE)
         with pytest.raises(ValueError):
             lms_batch(frames[0], [0.01], ALE)
@@ -474,7 +474,7 @@ class TestLmsBatch:
         if bad == "read-only":
             D.flags.writeable = False
         before = np.array(D).tobytes()
-        with pytest.raises(ValueError, match="frames must be a writeable C-contiguous complex128 array|need"):
+        with pytest.raises(ValueError, match=r"need \(B, H\) frames, B >= 1, as a C-contiguous complex128|frames must be writeable"):
             lms_batch(D, [0.01, 0.01], ALE)
         assert np.array(D).tobytes() == before
 

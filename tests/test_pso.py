@@ -1,6 +1,5 @@
 """Tests for the swarm search over enhancer weights."""
 
-import re
 import tracemalloc
 from dataclasses import replace
 
@@ -100,22 +99,6 @@ def test_scores_peak_is_two_product_arrays():
         tracemalloc.stop()
     products = b * taps * taps * n * 8
     assert 2 * products <= peak <= 2.25 * products
-
-
-def test_non_finite_frame_rejected():
-    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
-        d = np.ones(64, dtype=complex)
-        d[10] = bad
-        with pytest.raises(ValueError, match="finite"):
-            pso_batch(d[None], [0], PsoConfig(), ALE)
-
-
-def test_unbatched_frames_rejected():
-    """Frames come as one (B, H) batch: a lone 1-D frame, or batches stacked
-    in a 3-D array, are refused with their shape named."""
-    for shape in ((64,), (2, 3, 64)):
-        with pytest.raises(ValueError, match=rf"need \(B, H\) frames, .*got {re.escape(str(shape))}"):
-            pso_batch(np.ones(shape, dtype=complex), [0], PsoConfig(), ALE)
 
 
 def _first_draw(cfg, seed, taps):
@@ -532,14 +515,14 @@ class TestPsoBatch:
 
     def test_seeds_as_an_array_equal_the_list(self):
         """Seeds given as a numpy array search exactly as the same seeds
-        given as a list; an empty list is still refused as a bad count."""
+        given as a list; an empty batch is still refused, its shape named."""
         rng = np.random.default_rng(97)
         frames = np.array([_random_frame(rng, 40) for _ in range(3)])
         cfg = _batch_cfg(max_iters=5)
         weights, histories = pso_batch(frames, [1, 2, 3], cfg, ALE)
         array_weights, array_histories = pso_batch(frames, np.array([1, 2, 3]), cfg, ALE)
         assert array_weights.tobytes() == weights.tobytes() and array_histories == histories
-        with pytest.raises(ValueError, match=r"need \(B, H\) frames, B seeds and B counts, got \(0, 40\), 0 and 0"):
+        with pytest.raises(ValueError, match=r"need \(B, H\) frames, .*got \(0, 40\)"):
             pso_batch(frames[:0], [], cfg, ALE)
 
     @pytest.mark.parametrize(
@@ -549,6 +532,19 @@ class TestPsoBatch:
         frames = np.array([_random_frame(np.random.default_rng(95), 40)] * 2)
         with pytest.raises(ValueError, match="B seeds and B counts"):
             pso_batch(frames, seeds, PsoConfig(), ALE, counts)
+
+    def test_list_refused_before_any_frame_sized_allocation(self):
+        """Frames are not converted: a list of two 20,000-sample frames is
+        refused before pso_batch allocates one frame's bytes."""
+        frames = np.array([_random_frame(np.random.default_rng(98), 20_000)] * 2).tolist()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="got <class 'list'>"):
+                pso_batch(frames, [1, 2], PsoConfig(), ALE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000 * 16
 
     @pytest.mark.parametrize("count", [0, MAX_PARTICLES + 1, 10**9, 2.5])
     def test_bad_particle_count_rejected_before_allocation(self, count):
