@@ -2,10 +2,10 @@
 
 A particle's position is a candidate weight vector; its cost is the mean
 squared residual of the frame under those weights held fixed (ale._residual).
-That cost is a quadratic in the real weights, so each frame is reduced once
-to its sufficient statistics and every particle then costs O(L^2).  A
-search reports only its global best: the weights, and the cost after each
-iteration.  Velocities start at zero, and every random draw of an
+That cost is a quadratic in the real weights, so a batch is reduced once to
+its frames' statistics, lanes last, and every particle then costs O(L^2).
+A search reports only its global best: the weights, and the cost after
+each iteration.  Velocities start at zero, and every random draw of an
 iteration happens before any cost is computed, so a search is a pure
 function of its seed.  The searches of a batch of frames run as one loop
 over (L, P) arrays, P the batch's particles, each lane's swarm one
@@ -65,28 +65,29 @@ class PsoConfig:
                 raise ConfigError(name, f"must be {rule}, got {getattr(self, name)}")
 
 
-def _gram(d: np.ndarray, ale: AleConfig):
-    """A frame's cost statistics (R, p, c): J(w) = c - 2w'p + w'Rw is the
-    mean |e[n]|^2 of its residual under fixed weights w, over the m samples
-    from warmup on.  With V[n, k] = d[n - delay - k], R = Re(V^H V)/m,
-    p = Re(V^H d)/m and c = mean|d|^2; each entry is one inner product of
-    lag slices, so no regressor matrix is built."""
-    target, lags = _lags(d, ale)
-    m = target.size
-    R = np.empty((ale.taps, ale.taps))
-    for j in range(ale.taps):
-        for k in range(j, ale.taps):
-            R[j, k] = R[k, j] = np.vdot(lags[j], lags[k]).real / m
-    p = np.array([np.vdot(lag, target).real for lag in lags]) / m
-    c = np.vdot(target, target).real / m
+def _gram(D: np.ndarray, ale: AleConfig):
+    """Batch D's cost statistics, lanes last: with V[n, k] = d[n - delay - k]
+    over the m samples from warmup on, frame b's R[:, :, b] = Re(V^H V)/m,
+    p[:, b] = Re(V^H d)/m and c[b] = mean|d|^2, so J(w) = c - 2w'p + w'Rw is
+    the mean |e[n]|^2 of its residual under fixed weights w.  Each entry is
+    one inner product of lag slices, so no regressor matrix is built."""
+    R, p, c = np.empty((ale.taps, ale.taps, len(D))), np.empty((ale.taps, len(D))), np.empty(len(D))
+    for b, d in enumerate(D):
+        target, lags = _lags(d, ale)
+        m = target.size
+        for j in range(ale.taps):
+            for k in range(j, ale.taps):
+                R[j, k, b] = R[k, j, b] = np.vdot(lags[j], lags[k]).real / m
+            p[j, b] = np.vdot(lags[j], target).real / m
+        c[b] = np.vdot(target, target).real / m
     return R, p, c
 
 
 def _scores(
-    w: np.ndarray, R: np.ndarray, p: np.ndarray, c: np.ndarray, frames: list, lane: np.ndarray, ale: AleConfig
+    w: np.ndarray, R: np.ndarray, p: np.ndarray, c: np.ndarray, D: np.ndarray, rows: np.ndarray, ale: AleConfig
 ) -> np.ndarray:
-    """(P,) costs of (L, P) weights, particle i scored on its lane's
-    statistics: R[:, :, lane[i]], p[:, lane[i]] and c[lane[i]].
+    """(P,) costs of (L, P) weights, particle i scored on its frame's
+    statistics, batch row rows[i]: R[:, :, rows[i]], p[:, rows[i]], c[rows[i]].
 
     Elementwise products and sums: a particle's cost does not depend on
     the other particles or lanes scored with it.  The products are formed
@@ -94,17 +95,17 @@ def _scores(
     particles first before the sums, so that each particle's products are
     summed as one contiguous block, in numpy's order for an (N, L) swarm.
     A particle whose quadratic form has cancelled is recomputed as the
-    power of its residual on its lane's frame, frames[lane[i]].  A cost that
-    overflows to nan (inf - inf) is +inf, never a best; callers silence it.
+    power of its residual on its frame, D[rows[i]].  A cost that overflows
+    to nan (inf - inf) is +inf, never a best; callers silence it.
     """
-    prod = R.take(lane, axis=2)
+    prod = R.take(rows, axis=2)
     prod *= w[:, None]
     prod *= w[None]
     quad = prod.transpose(2, 0, 1).copy().sum(axis=(1, 2))
-    c = c[lane]
-    out = c - 2.0 * (w * p.take(lane, axis=1)).T.copy().sum(axis=1) + quad
+    c = c[rows]
+    out = c - 2.0 * (w * p.take(rows, axis=1)).T.copy().sum(axis=1) + quad
     for i in np.flatnonzero(out < GRAM_FALLBACK_RATIO * (c + quad)):
-        e = _residual(frames[lane[i]], w[:, i], ale)
+        e = _residual(D[rows[i]], w[:, i], ale)
         out[i] = np.vdot(e, e).real / e.size
     out[np.isnan(out)] = np.inf
     return out
@@ -138,11 +139,12 @@ def pso_batch(
     particles are one contiguous segment of the particle axis, the lanes'
     segments in lane order.  Each lane has its own generator; an iteration
     draws every running lane's uniforms, in lane order, before any cost is
-    computed.  A lane that stops early leaves the arrays and draws nothing
-    more.  So a lane's result is bit for bit its frame searched alone, as a
-    one-lane batch.  Returns (weights, histories): weights[b] is lane b's
-    global best, a row of the (B, L) array, and histories[b] its global-best
-    cost after each iteration, whose last entry is the cost of weights[b].
+    computed.  A lane that stops early leaves the swarm arrays and draws
+    nothing more; the frames and their statistics are never cut.  So a
+    lane's result is bit for bit its frame searched alone, as a one-lane
+    batch.  Returns (weights, histories): weights[b] is lane b's global
+    best, a row of the (B, L) array, and histories[b] its global-best cost
+    after each iteration, whose last entry is the cost of weights[b].
     """
     _check_frame(D, ale)
     counts = [cfg.n_particles] * len(seeds) if counts is None else list(counts)
@@ -151,14 +153,12 @@ def pso_batch(
     for n in counts:  # checked before the (L, P) swarm is allocated
         if not (isinstance(n, (int, np.integer)) and 1 <= n <= MAX_PARTICLES):
             raise ValueError(f"particle counts must be integers from 1 to {MAX_PARTICLES}, got {n}")
-    R, p, c = (list(col) for col in zip(*(_gram(d, ale) for d in D)))
-    R, p, c, frames = np.stack(R, axis=2), np.stack(p, axis=1), np.array(c), list(D)
+    R, p, c = _gram(D, ale)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     x = np.hstack([rng.uniform(-INIT_RANGE, INIT_RANGE, size=(n, ale.taps)).T for rng, n in zip(rngs, counts)])
-    live, counts = np.arange(len(seeds)), np.array(counts)  # the lane and particle count of each per-lane row
-    lane, starts = np.repeat(live, counts), np.cumsum(counts) - counts
-    v = np.zeros_like(x)
-    pbest, pcost = x.copy(), _scores(x, R, p, c, frames, lane, ale)
+    live, counts = np.arange(len(seeds)), np.array(counts)  # each running lane's batch row and particle count
+    lane, starts = np.repeat(live, counts), np.cumsum(counts) - counts  # each particle's lane; each lane's start
+    v, pbest, pcost = np.zeros_like(x), x.copy(), _scores(x, R, p, c, D, live[lane], ale)
     best, gcost = _lane_best(pcost, starts, lane)
     gbest = pbest.take(best, axis=1)
     history, stall = np.empty((cfg.max_iters, len(seeds))), np.zeros(len(seeds), dtype=int)
@@ -173,7 +173,7 @@ def pso_batch(
             rng.random(out=out)  # as uniform(size=(n, 2, 1)), value for value
         v = np.clip(v + C1 * r1 * (pbest - x) + C2 * r2 * (gbest.take(lane, axis=1) - x), -V_MAX, V_MAX)
         x = x + v
-        cost = _scores(x, R, p, c, frames, lane, ale)
+        cost = _scores(x, R, p, c, D, live[lane], ale)
         better = cost < pcost
         np.copyto(pcost, cost, where=better)
         np.copyto(pbest, x, where=better)
@@ -191,9 +191,7 @@ def pso_batch(
         keep, cut = np.flatnonzero(~done), np.flatnonzero(~done[lane])
         if not keep.size:
             break
-        frames = [frames[row] for row in keep]
         x, v, pbest, pcost = (a.take(cut, axis=-1) for a in (x, v, pbest, pcost))
-        gbest, R, p = (a.take(keep, axis=-1) for a in (gbest, R, p))
-        gcost, stall, live, counts, c = (a[keep] for a in (gcost, stall, live, counts, c))
+        gbest, gcost, stall, live, counts = (a.take(keep, axis=-1) for a in (gbest, gcost, stall, live, counts))
         lane, starts, draws = np.repeat(np.arange(keep.size), counts), np.cumsum(counts) - counts, None
     return weights, histories

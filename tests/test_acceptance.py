@@ -360,8 +360,8 @@ def test_prediction_floor_matches_closed_form():
         spec = parse_config("run.snr_grid = -10, -2, 4, 10", kind=kind)
         runs = [(i, j) for i in range(len(bench._sweep_points(spec))) for j in range(spec.n_seeds)]
         bases, _, _, frames = bench._batch_frames(spec, runs)
-        for point, d in zip(bases, frames):
-            R, p, c = _gram(d, spec.ale)
+        # lanes first; R[:, :, b] is symmetric, so .T keeps it as it is
+        for point, R, p, c in zip(bases, *(a.T for a in _gram(frames, spec.ale))):
             name = point.get("profile", "AWGN")
             _, theory = _floor_in_closed_form(DEFAULT_PROFILES.get(name, NonlinearProfile()), point["snr_db"], spec.ale)
             ratios.setdefault((name, point["snr_db"]), []).append((c - p @ np.linalg.solve(R, p)) / theory)

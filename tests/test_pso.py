@@ -86,9 +86,8 @@ def test_scores_peak_is_two_product_arrays():
     b, taps, n = 8, 16, 64
     ale = AleConfig(taps=taps, delay=1)
     rng = np.random.default_rng(62)
-    frames = [_random_frame(rng, 64) for _ in range(b)]
-    R, p, c = (list(col) for col in zip(*(_gram(d, ale) for d in frames)))
-    R, p, c = np.stack(R, axis=2), np.stack(p, axis=1), np.array(c)
+    frames = np.array([_random_frame(rng, 64) for _ in range(b)])
+    R, p, c = _gram(frames, ale)
     w = rng.uniform(-2.0, 2.0, size=(taps, b * n))
     lane = np.repeat(np.arange(b), n)
     tracemalloc.start()
@@ -506,6 +505,47 @@ class TestPsoBatch:
         running = [sum(n for n, k in zip(_COUNTS, lengths) if k > it) for it in range(max(lengths))]
         assert scored == [sum(_COUNTS)] + running
         assert scored[0] == 81 and scored[-1] < 81 and len(set(lengths)) > 1
+
+    def test_statistics_formed_once_and_never_cut(self):
+        """One _gram pass reads the batch itself, and every scoring call,
+        before and after each early stop, reads those same statistics and
+        the same frames by batch row: an early stop cuts only swarm state."""
+        rng = np.random.default_rng(99)
+        frames = np.array([_random_frame(rng, 48) for _ in range(6)])
+        gram, score, grams, scored = pso._gram, pso._scores, [], []
+
+        def gram_spy(D, ale):
+            grams.append((D, gram(D, ale)))
+            return grams[-1][1]
+
+        def score_spy(w, R, p, c, D, rows, ale):
+            scored.append((R, p, c, D))
+            return score(w, R, p, c, D, rows, ale)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pso, "_gram", gram_spy)
+            mp.setattr(pso, "_scores", score_spy)
+            _, histories = pso_batch(frames, _seeds(range(6)), _batch_cfg(**_EARLY_STOP), ALE)
+        assert len({len(history) for history in histories}) > 1
+        assert len(grams) == 1 and grams[0][0] is frames
+        inputs = (*grams[0][1], frames)
+        assert scored and all(got is want for call in scored for got, want in zip(call, inputs, strict=True))
+
+    def test_memory_does_not_grow_with_the_frame(self):
+        """The swarm reads its frames in place and holds statistics of
+        O(L^2 B): on 8 lanes of 20 particles, 5 iterations, pso_batch's
+        tracemalloc peak at 50,000 samples is within 25 % of that at 5,000."""
+
+        def peak(h):
+            frames = np.array([_random_frame(np.random.default_rng(90 + b), h) for b in range(8)])
+            tracemalloc.start()
+            try:
+                pso_batch(frames, _seeds(range(8)), PsoConfig(n_particles=20, max_iters=5), ALE)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(50_000) <= 1.25 * peak(5_000)
 
     def test_bad_shapes_rejected(self):
         frames = np.array([_random_frame(np.random.default_rng(94), 40)] * 2)
