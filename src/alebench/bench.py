@@ -343,45 +343,6 @@ def _metric_row(spec: ExperimentSpec, base: dict, algorithm: str, residual: np.n
     )
 
 
-@np.errstate(over="ignore")
-def _metric_rows(spec: ExperimentSpec, bases: list[dict], pso_seeds: list[int], bits, frames) -> list[dict]:
-    """An LMS and a PSO row per run.  The swarm searches first, and each
-    PSO row is formed while the frames are intact; LMS then writes its
-    residuals over them."""
-    sent_bits = bits[:, spec.mod.bits_per_symbol * spec.ale.warmup :]
-    weights, _ = pso_batch(frames, pso_seeds, spec.pso, spec.ale)
-    pso_rows = [
-        _metric_row(spec, base, "PSO", _residual(d, w, spec.ale), sent, False)
-        for base, d, w, sent in zip(bases, frames, weights, sent_bits)
-    ]
-    _, diverged_at, _ = lms_batch(frames, np.full(len(bases), spec.mu), spec.ale)
-    lms_rows = [
-        _metric_row(spec, base, "LMS", e[spec.ale.warmup :], sent, n >= 0)
-        for base, e, sent, n in zip(bases, frames, sent_bits, diverged_at)
-    ]
-    return [row for pair in zip(lms_rows, pso_rows) for row in pair]
-
-
-def _step_rows(spec: ExperimentSpec, bases: list[dict], pso_seeds: list[int], bits, frames) -> list[dict]:
-    _, diverged_at, _ = lms_batch(frames, [base["mu"] for base in bases], spec.ale)
-    return [
-        dict(base, algorithm="LMS", mse=_power(e[spec.ale.warmup :], n >= 0))
-        for base, e, n in zip(bases, frames, diverged_at)
-    ]
-
-
-def _particle_rows(spec: ExperimentSpec, bases: list[dict], pso_seeds: list[int], bits, frames) -> list[dict]:
-    # the sweep value is a whole float; the row and the swarm take an int.
-    # Full-length histories: early stopping is disabled for this sweep.
-    counts = [int(base["n_particles"]) for base in bases]
-    _, histories = pso_batch(frames, pso_seeds, replace(spec.pso, tol=0.0), spec.ale, counts)
-    return [
-        dict(base, algorithm="PSO", n_particles=count, iteration=it + 1, gbest_cost=cost)
-        for base, count, history in zip(bases, counts, histories)
-        for it, cost in enumerate(history)
-    ]
-
-
 @dataclass(frozen=True)
 class _Kind:
     """Everything that sets one experiment kind apart.
@@ -391,20 +352,29 @@ class _Kind:
     reads: their values are still checked, because ``run-all`` applies one
     config to every kind, but they stay out of that kind's meta file.
     `axis` is the row column swept outside the SNR grid and the spec field
-    its values come from, or None.  `rows(spec, bases, pso_seeds, bits, frames)`
-    takes a batch as _batch_frames returns it and returns its rows in run
-    order: each run's base, its key columns, plus the cells measured.
-    `raw` and `mean` are the CSV columns.  `averaged` are the mean columns
-    averaged over seeds; the other mean columns but ``n_seeds`` group rows.
+    its values come from, or None.  `raw` and `mean` are the CSV columns.
+    `averaged` are the mean columns averaged over seeds; the other mean
+    columns but ``n_seeds`` group rows.
+
+    The rest is what _run_batch runs, given the runs' bases (_batch_frames):
+    `swarm(spec, bases)`, the config and the lanes' particle counts of the
+    search, and `mus(spec, bases)`, the lanes' LMS step sizes; a kind
+    without one skips that stage.  `searched(spec, base, sent, d, w,
+    history)` forms a run's rows from its intact frame and the swarm's best
+    weights and costs, and `adapted(spec, base, sent, e, crossed)` from its
+    LMS residual and crossing; `sent` and `e` start at sample warmup.
     """
 
     defaults: dict
     ignores: tuple[str, ...]
     axis: tuple[str, str] | None
-    rows: Callable[[ExperimentSpec, list[dict], list[int], np.ndarray, np.ndarray], list[dict]]
     raw: tuple[str, ...]
     mean: tuple[str, ...]
     averaged: tuple[str, ...]
+    swarm: Callable[[ExperimentSpec, list[dict]], tuple[PsoConfig, list[int]]] | None = None
+    searched: Callable[..., list[dict]] | None = None
+    mus: Callable[[ExperimentSpec, list[dict]], list[float]] | None = None
+    adapted: Callable[..., list[dict]] | None = None
 
 
 _SNR_GRID = tuple(float(s) for s in range(-10, 11, 2))
@@ -418,43 +388,57 @@ _METRIC_MEAN = (
     "n_particles", "L", "delta",
 )
 _METRIC_AVERAGED = ("ber", "mse", "clean_mse")
+_METRIC_STAGES = dict(
+    swarm=lambda spec, bases: (spec.pso, [spec.pso.n_particles] * len(bases)),
+    searched=lambda spec, base, sent, d, w, history: [_metric_row(spec, base, "PSO", _residual(d, w, spec.ale), sent, False)],
+    mus=lambda spec, bases: [spec.mu] * len(bases),
+    adapted=lambda spec, base, sent, e, crossed: [_metric_row(spec, base, "LMS", e, sent, crossed)],
+)
 
 _KINDS = {
     "particle_sweep": _Kind(
         defaults={"run.snr_grid": (-2.0,), "run.sweep_values": (10.0, 20.0, 30.0, 40.0, 50.0, 60.0)},
         ignores=("lms.mu", "pso.n_particles", "pso.tol", "pso.patience", "channel.profiles"),
         axis=("n_particles", "sweep_values"),
-        rows=_particle_rows,
         raw=("snr_db", "algorithm", "seed", "n_particles", "iteration", "gbest_cost", "L", "delta"),
         mean=("snr_db", "algorithm", "n_particles", "iteration", "gbest_cost", "n_seeds", "L", "delta"),
         averaged=("gbest_cost",),
+        # the sweep value is a whole float; the row and the swarm take an int.
+        # Full-length histories: early stopping is disabled for this sweep.
+        swarm=lambda spec, bases: (replace(spec.pso, tol=0.0), [int(base["n_particles"]) for base in bases]),
+        searched=lambda spec, base, sent, d, w, history: [
+            dict(run, iteration=it + 1, gbest_cost=cost)
+            for run in [dict(base, algorithm="PSO", n_particles=int(base["n_particles"]))]
+            for it, cost in enumerate(history)
+        ],
     ),
     "step_sweep": _Kind(
         defaults={"run.snr_grid": (-2.0,), "run.sweep_values": (0.005, 0.01, 0.02, 0.04, 0.08, 0.2)},
         ignores=("lms.mu", "pso.", "channel.profiles"),
         axis=("mu", "sweep_values"),
-        rows=_step_rows,
         raw=("snr_db", "algorithm", "seed", "mu", "mse", "L", "delta"),
         mean=("snr_db", "algorithm", "mu", "mse", "n_seeds", "L", "delta"),
         averaged=("mse",),
+        mus=lambda spec, bases: [base["mu"] for base in bases],
+        adapted=lambda spec, base, sent, e, crossed: [dict(base, algorithm="LMS", mse=_power(e, crossed))],
     ),
     "ber_awgn": _Kind(
         defaults={"run.snr_grid": _SNR_GRID},
         ignores=("run.sweep_values", "channel.profiles"),
         axis=None,
-        rows=_metric_rows,
         raw=_METRIC_RAW,
         mean=_METRIC_MEAN,
         averaged=_METRIC_AVERAGED,
+        **_METRIC_STAGES,
     ),
     "ber_nonlinear": _Kind(
         defaults={"run.snr_grid": _SNR_GRID, "channel.profiles": ("60MHz", "2.4GHz", "5.8GHz")},
         ignores=("run.sweep_values",),
         axis=("profile", "profiles"),
-        rows=_metric_rows,
         raw=_METRIC_RAW + ("profile",),
         mean=_METRIC_MEAN + ("profile",),
         averaged=_METRIC_AVERAGED,
+        **_METRIC_STAGES,
     ),
 }
 
@@ -488,10 +472,24 @@ def _split(runs: list, count: int) -> list[list]:
     return [runs[a:b] for a, b in zip(edges, edges[1:])]
 
 
+@np.errstate(over="ignore")
 def _run_batch(args: tuple) -> list[dict]:
-    """A batch's rows: each run's key columns plus the cells its kind measured."""
+    """A batch's rows, runs in order, each run's LMS rows before its PSO
+    rows, by its kind's stages (_Kind): the swarm searches the frames and
+    its rows read them intact; LMS then writes its residuals over them."""
     spec, runs = args
-    return _KINDS[spec.kind].rows(spec, *_batch_frames(spec, runs))
+    kind, start = _KINDS[spec.kind], spec.ale.warmup
+    bases, pso_seeds, bits, frames = _batch_frames(spec, runs)
+    sent = bits[:, spec.mod.bits_per_symbol * start :]
+    searched = adapted = [[]] * len(runs)
+    if kind.swarm:
+        cfg, counts = kind.swarm(spec, bases)
+        weights, histories = pso_batch(frames, pso_seeds, cfg, spec.ale, counts)
+        searched = [kind.searched(spec, *lane) for lane in zip(bases, sent, frames, weights, histories)]
+    if kind.mus:
+        _, diverged_at, _ = lms_batch(frames, kind.mus(spec, bases), spec.ale)
+        adapted = [kind.adapted(spec, b, s, e[start:], n >= 0) for b, s, e, n in zip(bases, sent, frames, diverged_at)]
+    return [row for lms_rows, pso_rows in zip(adapted, searched) for row in lms_rows + pso_rows]
 
 
 # ---------------------------------------------------------------------------

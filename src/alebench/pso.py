@@ -46,7 +46,9 @@ class PsoConfig:
 
     `tol` is an absolute threshold on global-best improvement; once the
     improvement stays below it for `patience` consecutive iterations the
-    search stops early.  Set ``tol=0`` to always run `max_iters` iterations.
+    search stops early.  So early stopping is not scale-invariant: a frame
+    scaled by s stops at the same iteration only with `tol` * s^2.  Set
+    ``tol=0`` to always run `max_iters` iterations.
     """
 
     n_particles: int = 60

@@ -328,14 +328,16 @@ class TestRunExperiment:
         assert seen == [32, 33]
 
     @pytest.mark.parametrize("kind, calls", [
+        ("particle_sweep", ["pso_batch"]),
         ("step_sweep", ["lms_batch"]),
         ("ber_awgn", ["pso_batch", "lms_batch"]),
         ("ber_nonlinear", ["pso_batch", "lms_batch"]),
     ])
     def test_lms_adapts_the_batch_frames_after_the_swarm(self, kind, calls, monkeypatch):
-        """Every kind that runs LMS passes its batch's frames array itself
-        to lms_batch, which writes the residuals over it; a metric kind's
-        swarm searches those frames first, while they are intact."""
+        """Every kind runs its kernels once per batch, through _run_batch,
+        on its batch's frames array itself: the swarm searches them first,
+        while they are intact, and lms_batch then writes the residuals
+        over them."""
         seen, drawn = [], []
         batch_frames, lms_batch, pso_batch = bench._batch_frames, bench.lms_batch, bench.pso_batch
 

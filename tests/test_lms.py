@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alebench import lms
 from alebench.ale import AleConfig
@@ -498,3 +500,37 @@ class TestLmsBatch:
         assert long_peak < 50_000 * 16
         assert long_peak <= 1.25 * short_peak
         assert peak(50_000, 32) <= 1.25 * peak(5_000, 32)
+
+
+class TestExactSymmetries:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        h=st.integers(12, 300),
+        taps=st.integers(1, 6),
+        delay=st.integers(1, 3),
+        mus=st.lists(st.sampled_from([0.0, 0.005, 0.02, 0.08, 0.3, 10.0]), min_size=1, max_size=6),
+        k=st.integers(-16, 16),
+        seed=st.integers(0, 2**16),
+    )
+    def test_scaled_conjugated_and_rotated_frames(self, h, taps, delay, mus, k, seed):
+        """Exact on any CPU, in any summation order: frames scaled by 2^k
+        and adapted at mu / 4^k end on the same weights, crossings and
+        peaks, with residuals scaled by 2^k, and conjugated or rotated
+        frames (1j * d) at the same mu on the same weights, crossings and
+        peaks, with conjugated or rotated residuals.  A lane at mu = 0.3 or
+        mu = 10 crosses WEIGHT_BOUND on about half the frames drawn, so the
+        relations are checked through its mending too."""
+        ale = AleConfig(taps=taps, delay=delay)
+        rng = np.random.default_rng(seed)
+        frames = rng.normal(size=(len(mus), h)) + 1j * rng.normal(size=(len(mus), h))
+        mus = np.array(mus)
+        weights, e, *crossings = _adapt(frames, mus, ale)
+        for d, step, residuals in (
+            (frames * 2.0**k, mus / 4.0**k, e * 2.0**k),
+            (frames.conj(), mus, e.conj()),
+            (1j * frames, mus, 1j * e),
+        ):
+            got_weights, got_e, *got_crossings = _adapt(d, step, ale)
+            np.testing.assert_array_equal(got_weights, weights)
+            np.testing.assert_array_equal(got_crossings, crossings)
+            np.testing.assert_array_equal(got_e, residuals)

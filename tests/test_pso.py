@@ -629,3 +629,38 @@ class TestCostFloor:
         (weights,), (history,) = pso_batch(d[None], [seed], PsoConfig(n_particles=10, max_iters=20), ale)
         assert np.mean(np.abs(_residual(d, weights, ale)) ** 2) >= least
         assert min(history) >= least
+
+
+class TestExactSymmetries:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        h=st.integers(12, 200),
+        taps=st.integers(1, 5),
+        delay=st.integers(1, 3),
+        counts=st.lists(st.integers(1, 8), min_size=1, max_size=4),
+        max_iters=st.integers(1, 12),
+        tol=st.sampled_from([0.0, 1e-4, 1e-2]),
+        patience=st.integers(1, 3),
+        k=st.integers(-16, 16),
+        seed=st.integers(0, 2**16),
+    )
+    def test_scaled_conjugated_and_rotated_frames(self, h, taps, delay, counts, max_iters, tol, patience, k, seed):
+        """Exact on any CPU, in any summation order: frames scaled by 2^k
+        and searched with tol * 4^k end on the same weights, with every
+        global-best cost scaled by 4^k, so each lane stops at the same
+        iteration; conjugated or rotated frames (1j * d) end on the same
+        weights and histories.  tol is absolute, so it must scale too."""
+        ale = AleConfig(taps=taps, delay=delay)
+        rng = np.random.default_rng(seed)
+        frames = rng.normal(size=(len(counts), h)) + 1j * rng.normal(size=(len(counts), h))
+        seeds = [seed + b for b in range(len(counts))]
+        cfg = PsoConfig(n_particles=MAX_PARTICLES, max_iters=max_iters, tol=tol, patience=patience)
+        weights, histories = pso_batch(frames, seeds, cfg, ale, counts)
+        for d, d_cfg, scale in (
+            (frames * 2.0**k, replace(cfg, tol=tol * 4.0**k), 4.0**k),
+            (frames.conj(), cfg, 1.0),
+            (1j * frames, cfg, 1.0),
+        ):
+            got_weights, got_histories = pso_batch(d, seeds, d_cfg, ale, counts)
+            np.testing.assert_array_equal(got_weights, weights)
+            assert got_histories == [[cost * scale for cost in history] for history in histories]
